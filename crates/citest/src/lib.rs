@@ -264,14 +264,22 @@ pub fn canonical_set(z: &[VarId]) -> Vec<VarId> {
 /// finalizer; stable across platforms and runs.
 pub fn derived_query_seed(base: u64, x: &[VarId], y: &[VarId], z: &[VarId]) -> u64 {
     let (xs, ys) = canonical_sides(x, y);
-    let zs = canonical_set(z);
+    canonical_query_hash(base, &xs, &ys, &canonical_set(z))
+}
+
+/// The fold behind [`derived_query_seed`], over sides that are *already*
+/// canonical (as [`canonical_sides`] and [`canonical_set`] return them):
+/// FNV-1a with one step per variable and a separator after each side,
+/// then a splitmix-style finalizer. The engine's memo key hashes itself
+/// with this once at construction, so a lookup never re-reads `Z`.
+pub fn canonical_query_hash(base: u64, xs: &[VarId], ys: &[VarId], zs: &[VarId]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ base;
     let mut byte = |b: u64| {
         h ^= b;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    for side in [&xs, &ys, &zs] {
-        for &v in side.iter() {
+    for side in [xs, ys, zs] {
+        for &v in side {
             byte(v as u64 + 1);
         }
         byte(0); // side separator
@@ -569,6 +577,28 @@ mod tests {
         c.reset();
         assert_eq!(c.count(), 0);
         assert_eq!(c.n_vars(), 3);
+    }
+
+    /// The stochastic testers' randomness is keyed by these seeds, so they
+    /// are pinned: any change to the fold changes every permutation and
+    /// RCIT p-value.
+    #[test]
+    fn derived_query_seeds_pinned() {
+        type Side = &'static [VarId];
+        let cases: [(u64, [Side; 3], u64); 4] = [
+            (0, [&[], &[], &[]], 0xea84_b5f3_461f_8f55),
+            (7, [&[3, 1], &[0], &[9, 2, 2]], 0x0af2_4d16_4114_d370),
+            (0xdead_beef, [&[40], &[5, 6, 7], &[]], 0x119e_2fd0_12d5_e1d2),
+            (
+                u64::MAX,
+                [&[1, 2, 3], &[1, 2], &[100, 0, 50]],
+                0x0fa0_4a4e_9f48_ffa5,
+            ),
+        ];
+        for (base, [x, y, z], want) in cases {
+            assert_eq!(derived_query_seed(base, x, y, z), want);
+            assert_eq!(derived_query_seed(base, y, x, z), want, "symmetric");
+        }
     }
 
     #[test]

@@ -311,10 +311,10 @@ fn run<T: CiTest>(
     // Phase 2 (Algorithm 4): remaining groups against Y given A ∪ C₁
     // (the Lemma-6 conditioning set; see the erratum note above). The
     // whole phase shares one conditioning set, so speculation here is
-    // exactly the next frontier's halves.
+    // exactly the next frontier's halves. The set is canonical once, so
+    // no query's key has to sort it again.
     session.set_phase("grpsel/phase2");
-    let mut cond: Vec<VarId> = problem.admissible.clone();
-    cond.extend(&out.c1);
+    let cond = fairsel_ci::canonical_set(&[problem.admissible.as_slice(), &out.c1].concat());
     let mut planner = root_planner(&remaining, cfg);
     while !planner.is_done() {
         let batch: Vec<CiQuery> = planner

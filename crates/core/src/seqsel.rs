@@ -60,10 +60,10 @@ pub fn seqsel_in<T: CiTest>(
         }
     }
 
-    // Phase 2: X ⊥ Y | A ∪ C1.
+    // Phase 2: X ⊥ Y | A ∪ C1. Canonical once, so no query's key has to
+    // sort it again.
     session.set_phase("seqsel/phase2");
-    let mut cond: Vec<usize> = problem.admissible.clone();
-    cond.extend(&out.c1);
+    let cond = fairsel_ci::canonical_set(&[problem.admissible.as_slice(), &out.c1].concat());
     for &x in &remaining {
         if session.query(&[x], &[problem.target], &cond).independent {
             out.c2.push(x);

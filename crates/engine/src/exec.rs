@@ -4,6 +4,7 @@
 use crate::key::{CiQuery, QueryKey};
 use crate::session::{BatchKind, CiSession};
 use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, CiTestShared, VarId};
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 /// Worker count the parallel scheduler defaults to: one per available
@@ -36,29 +37,36 @@ fn plan<T: CiTest>(session: &mut CiSession<T>, queries: &[CiQuery]) -> BatchPlan
         assign: vec![None; queries.len()],
         hits: 0,
     };
-    let mut slot_of: std::collections::HashMap<QueryKey, usize> = std::collections::HashMap::new();
-    for (i, q) in queries.iter().enumerate() {
-        let key = q.key();
-        if let Some(hit) = session.cache_get_tracked(&key) {
+    let keys: Vec<QueryKey> = queries.iter().map(CiQuery::key).collect();
+    let mut slot_of: HashMap<&QueryKey, usize> = HashMap::new();
+    for (i, key) in keys.iter().enumerate() {
+        if let Some(hit) = session.cache_get_tracked(key) {
             plan.results[i] = Some(hit);
             plan.hits += 1;
             continue;
         }
-        match slot_of.get(&key) {
-            Some(&slot) => {
+        match slot_of.entry(key) {
+            Entry::Occupied(e) => {
                 // In-batch duplicate: evaluated once, counted as a hit.
-                plan.assign[i] = Some(slot);
+                plan.assign[i] = Some(*e.get());
                 plan.hits += 1;
             }
-            None => {
-                let slot = plan.miss_keys.len();
-                slot_of.insert(key.clone(), slot);
-                plan.miss_keys.push(key);
+            Entry::Vacant(e) => {
+                e.insert(plan.miss_repr.len());
+                plan.assign[i] = Some(plan.miss_repr.len());
                 plan.miss_repr.push(i);
-                plan.assign[i] = Some(slot);
             }
         }
     }
+    drop(slot_of);
+    // `miss_repr` ascends, so one pass moves each representative's key out
+    // (no copy of a wide conditioning set).
+    let mut repr = plan.miss_repr.iter().copied().peekable();
+    plan.miss_keys = keys
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, k)| repr.next_if_eq(&i).map(|_| k))
+        .collect();
     plan
 }
 

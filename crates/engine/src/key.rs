@@ -6,8 +6,16 @@
 //! [`QueryKey`] quotient makes all equivalent spellings hash to the same
 //! cache slot, so `seqsel`'s `(x, S, A')` and a later `(S, x, A')` from PC
 //! hit the same memo entry.
+//!
+//! A key hashes its canonical sides once, when it is built
+//! ([`fairsel_ci::canonical_query_hash`]); every later memo probe writes
+//! that one word. On wide instances phase-2 keys carry conditioning sets
+//! of thousands of variables, which would otherwise be re-hashed on every
+//! lookup and insert. The fold is unkeyed, which is safe here: keys are
+//! generated by the selection algorithms, not taken from clients.
 
 use fairsel_ci::VarId;
+use std::hash::{Hash, Hasher};
 
 /// An unevaluated CI query, sides in caller order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,33 +43,30 @@ impl CiQuery {
 
 /// Canonicalized query key: each side sorted and deduplicated, and the two
 /// test sides ordered so the lexicographically smaller one comes first.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Equality and order compare `(x, y, z)`; `hash` is a function of those
+/// three, so it never decides either. [`Hash`] writes only `hash`.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct QueryKey {
     x: Vec<VarId>,
     y: Vec<VarId>,
     z: Vec<VarId>,
+    hash: u64,
 }
 
-fn sorted_dedup(vs: &[VarId]) -> Vec<VarId> {
-    let mut out = vs.to_vec();
-    out.sort_unstable();
-    out.dedup();
-    out
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl QueryKey {
     /// Canonicalize `(x, y, z)`.
     pub fn new(x: &[VarId], y: &[VarId], z: &[VarId]) -> Self {
-        let mut xs = sorted_dedup(x);
-        let mut ys = sorted_dedup(y);
-        if ys < xs {
-            std::mem::swap(&mut xs, &mut ys);
-        }
-        Self {
-            x: xs,
-            y: ys,
-            z: sorted_dedup(z),
-        }
+        let (x, y) = fairsel_ci::canonical_sides(x, y);
+        let z = fairsel_ci::canonical_set(z);
+        let hash = fairsel_ci::canonical_query_hash(0, &x, &y, &z);
+        Self { x, y, z, hash }
     }
 
     /// First (canonically smaller) test side.
@@ -83,6 +88,63 @@ impl QueryKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::DefaultHasher;
+
+    fn hash_of(k: &QueryKey) -> u64 {
+        let mut h = DefaultHasher::new();
+        k.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn equal_spellings_hash_equal() {
+        let z: Vec<VarId> = (0..300).rev().chain(100..200).collect();
+        let canonical = QueryKey::new(&[400, 401], &[500], &(0..300).collect::<Vec<_>>());
+        let spellings = [
+            QueryKey::new(&[401, 400], &[500], &z),
+            QueryKey::new(&[500], &[400, 401, 400], &z),
+            QueryKey::new(&[500, 500], &[401, 400], &(0..300).collect::<Vec<_>>()),
+        ];
+        for k in &spellings {
+            assert_eq!(k, &canonical);
+            assert_eq!(k.cmp(&canonical), std::cmp::Ordering::Equal);
+            assert_eq!(hash_of(k), hash_of(&canonical));
+        }
+    }
+
+    #[test]
+    fn keys_differing_only_in_z_unequal() {
+        let base: Vec<VarId> = (10..40).collect();
+        let mut swapped = base.clone();
+        swapped[7] = 99;
+        let shorter = &base[..base.len() - 1];
+        let k = QueryKey::new(&[1], &[2], &base);
+        for other in [
+            QueryKey::new(&[1], &[2], &swapped),
+            QueryKey::new(&[1], &[2], shorter),
+            QueryKey::new(&[1], &[2], &[]),
+        ] {
+            assert_ne!(k, other);
+            assert_ne!(hash_of(&k), hash_of(&other));
+        }
+    }
+
+    /// Memo walks (`memo_snapshot`, `outcomes_fingerprint`) sort keys;
+    /// the hash field must not change that order.
+    #[test]
+    fn order_is_lexicographic_in_sides() {
+        let mut keys = vec![
+            QueryKey::new(&[2], &[3], &[1]),
+            QueryKey::new(&[1], &[3], &[5, 6]),
+            QueryKey::new(&[1], &[3], &[5]),
+            QueryKey::new(&[1, 2], &[0], &[]),
+            QueryKey::new(&[1], &[2], &[9]),
+        ];
+        let mut by_sides = keys.clone();
+        by_sides.sort_by(|a, b| (a.x(), a.y(), a.z()).cmp(&(b.x(), b.y(), b.z())));
+        keys.sort();
+        assert_eq!(keys, by_sides);
+    }
 
     #[test]
     fn symmetric_in_x_and_y() {

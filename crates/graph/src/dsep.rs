@@ -1,5 +1,5 @@
-//! d-separation (Definition 3 of the paper) via the linear-time
-//! reachable-set algorithm ("Bayes ball", Koller & Friedman Alg. 3.1).
+//! d-separation (Definition 3 of the paper) via the reachable-set
+//! algorithm ("Bayes ball": Shachter 1998; Koller & Friedman Alg. 3.1).
 //!
 //! A path is *blocked* by `Z` when it contains a chain or fork whose middle
 //! node is in `Z`, or a collider whose middle node (and all of its
@@ -9,84 +9,28 @@
 //! independence in the data distribution, which is why the d-separation
 //! oracle in `fairsel-ci` can stand in for a statistical CI test in the
 //! complexity experiments.
+//!
+//! A query costs `O(V + E)` in the worst case. The ball starts from the
+//! smaller test side and stops at the first node of the other side it
+//! reaches, so a connected query pays only for the part of the graph it
+//! walks before that hit.
+//!
+//! The walk needs no ancestor closure of `Z`. A collider `v ∉ Z` with a
+//! descendant in `Z` is open, and the ball finds that out by itself: from
+//! `v` it runs down to the first `Z` node below, bounces there, and climbs
+//! back to `v` as if from a child, which sends it on to `v`'s parents —
+//! the move the closure would have allowed at `v` directly.
 
 use crate::dag::{Dag, NodeId};
 
-/// Travel direction of the "ball" when it arrives at a node.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    /// Arrived from a child (moving towards parents).
-    Up,
-    /// Arrived from a parent (moving towards children).
-    Down,
-}
-
-/// Set of nodes reachable from `sources` via paths that are active given
-/// `given` (the conditioning set). `sources` themselves are included.
-///
-/// Runs in `O(V + E)` using two visit bits per node (one per direction).
-pub fn reachable(dag: &Dag, sources: &[NodeId], given: &[NodeId]) -> Vec<bool> {
-    let n = dag.len();
-    let mut in_z = vec![false; n];
-    for &z in given {
-        in_z[z.index()] = true;
-    }
-    // A = Z ∪ ancestors(Z): the nodes at which a collider is unblocked.
-    let mut in_anc_z = dag.ancestor_mask(given);
-    for &z in given {
-        in_anc_z[z.index()] = true;
-    }
-
-    let mut visited_up = vec![false; n];
-    let mut visited_down = vec![false; n];
-    let mut reach = vec![false; n];
-    let mut stack: Vec<(NodeId, Dir)> = Vec::with_capacity(sources.len() * 2);
-    for &s in sources {
-        stack.push((s, Dir::Up));
-    }
-    while let Some((v, dir)) = stack.pop() {
-        let i = v.index();
-        let seen = match dir {
-            Dir::Up => &mut visited_up[i],
-            Dir::Down => &mut visited_down[i],
-        };
-        if *seen {
-            continue;
-        }
-        *seen = true;
-        if !in_z[i] {
-            reach[i] = true;
-        }
-        match dir {
-            Dir::Up => {
-                if !in_z[i] {
-                    for &p in dag.parents(v) {
-                        stack.push((p, Dir::Up));
-                    }
-                    for &c in dag.children(v) {
-                        stack.push((c, Dir::Down));
-                    }
-                }
-            }
-            Dir::Down => {
-                if !in_z[i] {
-                    // Chain: continue downwards.
-                    for &c in dag.children(v) {
-                        stack.push((c, Dir::Down));
-                    }
-                }
-                if in_anc_z[i] {
-                    // Collider at v is open (v ∈ Z or has a descendant in Z):
-                    // bounce back up to the other parents.
-                    for &p in dag.parents(v) {
-                        stack.push((p, Dir::Up));
-                    }
-                }
-            }
-        }
-    }
-    reach
-}
+/// Per-node flag bits of one query.
+const IN_Z: u8 = 1;
+/// A node of the side the ball is looking for.
+const TARGET: u8 = 1 << 1;
+/// Already reached moving up (arrived from a child).
+const SEEN_UP: u8 = 1 << 2;
+/// Already reached moving down (arrived from a parent).
+const SEEN_DOWN: u8 = 1 << 3;
 
 /// Test `X ⊥_d Y | Z` in `dag`.
 ///
@@ -98,17 +42,76 @@ pub fn reachable(dag: &Dag, sources: &[NodeId], given: &[NodeId]) -> Vec<bool> {
 ///   d-connected;
 /// * an empty side is d-separated from everything.
 pub fn d_separated(dag: &Dag, x: &[NodeId], y: &[NodeId], z: &[NodeId]) -> bool {
-    let in_z = |v: &NodeId| z.contains(v);
-    let xs: Vec<NodeId> = x.iter().copied().filter(|v| !in_z(v)).collect();
-    let ys: Vec<NodeId> = y.iter().copied().filter(|v| !in_z(v)).collect();
+    let mut flags = vec![0u8; dag.len()];
+    for &v in z {
+        flags[v.index()] |= IN_Z;
+    }
+    let outside_z = |side: &[NodeId]| -> Vec<NodeId> {
+        side.iter()
+            .copied()
+            .filter(|v| flags[v.index()] & IN_Z == 0)
+            .collect()
+    };
+    let xs = outside_z(x);
+    let ys = outside_z(y);
     if xs.is_empty() || ys.is_empty() {
         return true;
     }
-    if xs.iter().any(|v| ys.contains(v)) {
+    // d-connection is symmetric: walk from the smaller side.
+    let (sources, targets) = if ys.len() < xs.len() {
+        (ys, xs)
+    } else {
+        (xs, ys)
+    };
+    for &t in &targets {
+        flags[t.index()] |= TARGET;
+    }
+    if sources.iter().any(|s| flags[s.index()] & TARGET != 0) {
         return false;
     }
-    let reach = reachable(dag, &xs, z);
-    !ys.iter().any(|v| reach[v.index()])
+
+    // The ball: `(v, down)` means "at v, arrived from a parent".
+    let mut ball: Vec<(NodeId, bool)> = Vec::with_capacity(sources.len());
+    for &s in &sources {
+        push(&mut flags, &mut ball, s, false);
+    }
+    while let Some((v, down)) = ball.pop() {
+        let f = flags[v.index()];
+        // Up through a non-Z node continues to parents and children; down
+        // through one continues as a chain; down into a Z node bounces
+        // back up to its parents; up into a Z node stops.
+        let to_children = f & IN_Z == 0;
+        let to_parents = down == (f & IN_Z != 0);
+        if to_children {
+            for &c in dag.children(v) {
+                if push(&mut flags, &mut ball, c, true) {
+                    return false;
+                }
+            }
+        }
+        if to_parents {
+            for &p in dag.parents(v) {
+                if push(&mut flags, &mut ball, p, false) {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Queue `v` in direction `down` unless it was reached that way before.
+/// True when `v` is a target reached for the first time.
+#[inline]
+fn push(flags: &mut [u8], ball: &mut Vec<(NodeId, bool)>, v: NodeId, down: bool) -> bool {
+    let seen = if down { SEEN_DOWN } else { SEEN_UP };
+    let f = &mut flags[v.index()];
+    if *f & seen != 0 {
+        return false;
+    }
+    *f |= seen;
+    ball.push((v, down));
+    *f & TARGET != 0
 }
 
 /// Convenience negation of [`d_separated`].
@@ -181,6 +184,28 @@ mod tests {
             .build();
         check(&g, &["a"], &["c"], &["d"], false);
         check(&g, &["a"], &["c"], &[], true);
+    }
+
+    #[test]
+    fn collider_opened_by_deep_descendant() {
+        // a -> b <- c, b -> d1 -> d2 -> d3, plus an unrelated e -> d2.
+        // Any conditioned descendant of b opens a-c, however far below.
+        let g = DagBuilder::new()
+            .nodes(["a", "b", "c", "d1", "d2", "d3", "e"])
+            .edge("a", "b")
+            .edge("c", "b")
+            .edge("b", "d1")
+            .edge("d1", "d2")
+            .edge("d2", "d3")
+            .edge("e", "d2")
+            .build();
+        check(&g, &["a"], &["c"], &[], true);
+        check(&g, &["a"], &["c"], &["d3"], false);
+        check(&g, &["a"], &["c"], &["d1", "d3"], false);
+        check(&g, &["c"], &["a"], &["d3"], false);
+        // d1 -> d2 <- e is a collider too; its descendant d3 opens it.
+        check(&g, &["a"], &["e"], &["d3"], false);
+        check(&g, &["a"], &["e"], &[], true);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! graph surgery (incoming-edge removal), and random-DAG generation for the
 //! synthetic experiments of §5.3.
 //!
-//! The central type is [`Dag`]; d-separation queries run in `O(V + E)` per
-//! query via the reachable-set ("Bayes ball") algorithm, which matters
-//! because the oracle conditional-independence tester used by the
-//! complexity experiments (Figures 4 and 5) issues hundreds of thousands of
-//! queries against 5000-node graphs.
+//! The central type is [`Dag`]; d-separation queries run via the
+//! reachable-set ("Bayes ball") algorithm in `O(V + E)` per query in the
+//! worst case, stopping at the first node of the other side they reach.
+//! That matters because the oracle conditional-independence tester used by
+//! the complexity experiments (Figures 4 and 5) issues hundreds of
+//! thousands of queries against 5000-node graphs.
 
 pub mod dag;
 pub mod dsep;

@@ -57,6 +57,11 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Write one length-prefixed frame.
+///
+/// Header and payload leave in one write from one buffer. Sockets run
+/// without `TCP_NODELAY`, so a separate 4-byte header write would hold the
+/// payload back until the peer ACKs the header, and a peer that delays its
+/// ACKs would stall ~40 ms on every frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -64,8 +69,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -469,6 +476,31 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Records the length of every `write` call.
+    struct WriteLog(Vec<usize>, Vec<u8>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            self.1.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_leaves_in_one_write() {
+        for payload in [&b""[..], b"hello", &[7u8; 70_000]] {
+            let mut log = WriteLog(Vec::new(), Vec::new());
+            write_frame(&mut log, payload).unwrap();
+            assert_eq!(log.0, vec![4 + payload.len()], "one write per frame");
+            let mut r = io::Cursor::new(log.1);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        }
     }
 
     #[test]
