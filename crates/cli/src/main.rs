@@ -27,8 +27,8 @@ use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticCo
 use fairsel_engine::{default_workers, EngineStats};
 use fairsel_graph::{dag_from_text, Dag};
 use fairsel_server::{
-    DatasetRef, Json, MaxGroupSpec, RegistryConfig, Request, Response, ServeConfig, Server,
-    WorkloadRequest,
+    valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig, Request, Response,
+    ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
 };
 use fairsel_table::{csv, EncodedTable, Table, DEFAULT_CACHE_CAP};
 use rand::rngs::StdRng;
@@ -308,13 +308,26 @@ struct Workload {
     alpha: f64,
 }
 
+/// `--train-frac`, rejected unless strictly between 0 and 1 (the split
+/// would panic on anything else).
+fn train_frac(opts: &Opts) -> Result<f64, String> {
+    let f: f64 = opts.num("train-frac", 0.7)?;
+    if valid_train_frac(f) {
+        Ok(f)
+    } else {
+        Err(format!(
+            "--train-frac must lie strictly between 0 and 1, got {f}"
+        ))
+    }
+}
+
 fn load_workload(opts: &Opts) -> Result<Workload, String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     let table = csv::read_csv(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
     if table.n_rows() < 10 {
         return Err(format!("{path}: too few rows ({})", table.n_rows()));
     }
-    let train_frac: f64 = opts.num("train-frac", 0.7)?;
+    let train_frac = train_frac(opts)?;
     let seed: u64 = opts.num("seed", 0)?;
     // Row-stable split — the same membership rule the server registry
     // uses, so a local run and a `--remote` run of the same workload
@@ -441,10 +454,11 @@ fn workload_request(opts: &Opts) -> Result<WorkloadRequest, String> {
         algo: opts.get("algo").unwrap_or("grpsel").to_owned(),
         tester: opts.get("tester").unwrap_or("gtest").to_owned(),
         alpha: opts.num("alpha", 0.01)?,
-        workers: opts.num("workers", default_workers())?,
+        // The server caps `workers`; a larger host's default stays under it.
+        workers: opts.num("workers", default_workers().min(MAX_WORKERS))?,
         max_group,
         speculate: opts.num("speculate", false)?,
-        train_frac: opts.num("train-frac", 0.7)?,
+        train_frac: train_frac(opts)?,
         seed: opts.num("seed", 0)?,
         classifier: opts.get("classifier").unwrap_or("logistic").to_owned(),
     })

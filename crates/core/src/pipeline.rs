@@ -280,6 +280,10 @@ pub(crate) fn model_columns(problem: &Problem, selected: &[ColId]) -> Vec<ColId>
 
 /// Featurize → fit → predict → fairness metrics for an explicit column
 /// set (also used directly by the ALL / A-only baselines).
+///
+/// Traced as `pipeline.featurize` (design matrices for both splits),
+/// `ml.train` (the fit) and `ml.score` (test predictions plus the
+/// fairness report).
 pub(crate) fn score_columns(
     train: &Table,
     test: &Table,
@@ -289,18 +293,35 @@ pub(crate) fn score_columns(
 ) -> FairnessReport {
     let y_train = target_codes(train, problem.target);
     let y_test = target_codes(test, problem.target);
+    let train_span = |model: &'static str, dims: usize| {
+        fairsel_obs::span_kv("ml.train", move || {
+            vec![
+                ("model", model.into()),
+                ("rows", train.n_rows().to_string()),
+                ("dims", dims.to_string()),
+            ]
+        })
+    };
+    let score_span;
     let y_pred = if cfg.classifier == ClassifierKind::NaiveBayes {
         let mut nb = NaiveBayes::new(model_cols.to_vec());
-        nb.fit_table(train, &y_train);
+        {
+            let _sp = train_span(nb.name(), model_cols.len());
+            nb.fit_table(train, &y_train);
+        }
+        score_span = fairsel_obs::span("ml.score");
         nb.predict_table(test)
     } else if model_cols.is_empty() {
         // No usable features: predict the training majority class.
+        score_span = fairsel_obs::span("ml.score");
         let ones = y_train.iter().filter(|&&v| v == 1).count() * 2;
         vec![u32::from(ones > y_train.len()); test.n_rows()]
     } else {
-        let featurizer = Featurizer::fit(train, model_cols);
-        let x_train = featurizer.transform(train);
-        let x_test = featurizer.transform(test);
+        let (x_train, x_test) = {
+            let _sp = fairsel_obs::span("pipeline.featurize");
+            let featurizer = Featurizer::fit(train, model_cols);
+            (featurizer.transform(train), featurizer.transform(test))
+        };
         let mut model: Box<dyn Classifier> = match cfg.classifier {
             ClassifierKind::Logistic => Box::new(LogisticRegression::default_model()),
             ClassifierKind::DecisionTree => Box::new(DecisionTree::new(Default::default())),
@@ -308,12 +329,18 @@ pub(crate) fn score_columns(
             ClassifierKind::AdaBoost => Box::new(AdaBoost::default_model()),
             ClassifierKind::NaiveBayes => unreachable!("handled above"),
         };
-        model.fit(&x_train, &y_train, None);
+        {
+            let _sp = train_span(model.name(), x_train.cols());
+            model.fit(&x_train, &y_train, None);
+        }
+        score_span = fairsel_obs::span("ml.score");
         model.predict(&x_test)
     };
     let (s_codes, _) = test.joint_codes(&problem.sensitive);
     let (a_codes, _) = test.joint_codes(&problem.admissible);
-    FairnessReport::compute(&y_test, &y_pred, &s_codes, &a_codes)
+    let report = FairnessReport::compute(&y_test, &y_pred, &s_codes, &a_codes);
+    drop(score_span);
+    report
 }
 
 fn target_codes(table: &Table, target: ColId) -> Vec<u32> {
@@ -384,14 +411,7 @@ mod tests {
         let par_cfg = PipelineConfig { workers: 4, ..base };
         let par = run_pipeline_par(GTest::new(&train, 0.01), &train, &test, &par_cfg);
         assert_eq!(seq.model_cols, par.model_cols);
-        assert_eq!(seq.report.accuracy, par.report.accuracy);
-        assert_eq!(
-            seq.report.abs_odds_difference,
-            par.report.abs_odds_difference
-        );
-        // CMI sums over HashMap iteration order, so it is only
-        // reproducible up to float associativity.
-        assert!((seq.report.cmi_s_pred_given_a - par.report.cmi_s_pred_given_a).abs() < 1e-9);
+        assert_eq!(seq.report, par.report);
         assert_eq!(seq.engine.issued, par.engine.issued);
     }
 

@@ -33,7 +33,10 @@ pub mod server;
 
 pub use json::{Json, JsonError};
 pub use prom::render_prom;
-pub use proto::{CacheInfo, DatasetRef, MaxGroupSpec, Request, Response, WorkloadRequest};
+pub use proto::{
+    valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request, Response, WorkloadRequest,
+    MAX_WORKERS,
+};
 pub use registry::{fingerprint_table, pipeline_config, Registry, RegistryConfig};
 pub use server::{
     append_rows, default_conn_workers, put_dataset, request, request_raw, ServeConfig, Server,

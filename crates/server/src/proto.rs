@@ -14,6 +14,9 @@
 //!  "tester":"gtest", "alpha":0.01, "workers":4, "max_group":"auto"|N|null,
 //!  "train_frac":0.7, "seed":0, "classifier":"logistic"}
 //! {"cmd":"methods", ...same workload fields...}
+//!                      (`workers` may not exceed [`MAX_WORKERS`] and
+//!                      `train_frac` must lie strictly between 0 and 1;
+//!                      a workload outside either gets an error reply)
 //! {"cmd":"put"}        followed by ONE raw binary frame: the dataset in
 //!                      the fairsel_table::codec column format; responds
 //!                      with the dataset fingerprint (16 hex chars in
@@ -55,6 +58,14 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (64 MiB — a ~50 MB CSV still fits).
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Upper bound on a workload's `workers`. A session's worker pool grows to
+/// the largest count any request asked for and keeps those OS threads for
+/// the session's life, so the wire may not name an unbounded number.
+/// Worker counts never change a selection, so the cap only bounds threads.
+pub const MAX_WORKERS: usize = 64;
+// The benchmarks drive workers 1/2/4/8.
+const _: () = assert!(MAX_WORKERS >= 8);
 
 /// Write one length-prefixed frame.
 ///
@@ -254,19 +265,38 @@ impl WorkloadRequest {
             (None, Some(text)) => DatasetRef::Csv(text.to_owned()),
             (None, None) => return Err("missing csv or fp".into()),
         };
+        let workers = v.get_u64("workers").unwrap_or(d.workers as u64);
+        if workers > MAX_WORKERS as u64 {
+            return Err(format!(
+                "workers {workers} exceeds the cap of {MAX_WORKERS}"
+            ));
+        }
+        let train_frac = v.get_num("train_frac").unwrap_or(d.train_frac);
+        if !valid_train_frac(train_frac) {
+            return Err(format!(
+                "train_frac must lie strictly between 0 and 1, got {train_frac}"
+            ));
+        }
         Ok(WorkloadRequest {
             dataset,
             algo: v.get_str("algo").unwrap_or(&d.algo).to_owned(),
             tester: v.get_str("tester").unwrap_or(&d.tester).to_owned(),
             alpha: v.get_num("alpha").unwrap_or(d.alpha),
-            workers: v.get_u64("workers").unwrap_or(d.workers as u64) as usize,
+            workers: workers as usize,
             max_group: MaxGroupSpec::from_json(v.get("max_group"))?,
             speculate: v.get_bool("speculate").unwrap_or(d.speculate),
-            train_frac: v.get_num("train_frac").unwrap_or(d.train_frac),
+            train_frac,
             seed,
             classifier: v.get_str("classifier").unwrap_or(&d.classifier).to_owned(),
         })
     }
+}
+
+/// Whether `f` can split a table: finite and strictly inside (0, 1), the
+/// range `Table::split_rows_stable` asserts. Shared by the wire decoder and
+/// the CLI so both reject what the split would panic on.
+pub fn valid_train_frac(f: f64) -> bool {
+    f > 0.0 && f < 1.0
 }
 
 /// A parsed request.
@@ -592,6 +622,23 @@ mod tests {
             let back = Response::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(resp, back);
         }
+    }
+
+    #[test]
+    fn out_of_range_train_frac_and_workers_rejected() {
+        let select = |fields: &str| {
+            let text = format!(r#"{{"cmd":"select","fp":"00000000000000ff",{fields}}}"#);
+            Request::from_json(&Json::parse(&text).unwrap())
+        };
+        for bad in ["0", "1", "1.5", "-0.2", "1e400"] {
+            let err = select(&format!(r#""train_frac":{bad}"#)).unwrap_err();
+            assert!(err.contains("train_frac"), "train_frac {bad}: {err}");
+        }
+        let err = select(&format!(r#""workers":{}"#, MAX_WORKERS + 1)).unwrap_err();
+        assert!(err.contains("workers"), "{err}");
+        // The bounds themselves are accepted.
+        assert!(select(&format!(r#""workers":{MAX_WORKERS},"train_frac":0.5"#)).is_ok());
+        assert!(select(r#""train_frac":0.999"#).is_ok());
     }
 
     #[test]

@@ -365,7 +365,10 @@ impl Registry {
         let out = run_pipeline_batched_in(&mut w.session, &train, &w.test, &cfg);
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let body = render_pipeline_report(&out, &w.train, &cfg, w.test.n_rows());
+        let body = {
+            let _sp = fairsel_obs::span("report.render");
+            render_pipeline_report(&out, &w.train, &cfg, w.test.n_rows())
+        };
         let stats_json = out.engine.to_json();
         let enc_stats = w.session.tester().encode_cache_stats();
         let cache = CacheInfo {
@@ -404,7 +407,10 @@ impl Registry {
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let problem = Problem::from_table(&w.train);
-        let body = render_methods_report(&outs, problem.n_features());
+        let body = {
+            let _sp = fairsel_obs::span("report.render");
+            render_methods_report(&outs, problem.n_features())
+        };
         let stats_json = w.session.stats().to_json();
         let enc_stats = w.session.tester().encode_cache_stats();
         let cache = CacheInfo {

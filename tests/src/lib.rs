@@ -1839,6 +1839,98 @@ mod fp_addressed_requests {
 }
 
 #[cfg(test)]
+mod request_validation {
+    //! Wire-controlled `train_frac` and `workers` are checked where they
+    //! enter the server: an out-of-range value gets a structured error
+    //! reply instead of a panic in the handler, and the connection that
+    //! carried it goes on serving valid requests.
+
+    use fairsel_ci::GTest;
+    use fairsel_core::{render_pipeline_report, run_pipeline_batched};
+    use fairsel_datasets::sim::sample_table;
+    use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
+    use fairsel_server::proto::{read_frame, write_frame};
+    use fairsel_server::{
+        pipeline_config, DatasetRef, Json, Request, Response, ServeConfig, Server, WorkloadRequest,
+        MAX_WORKERS,
+    };
+    use fairsel_table::csv;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::net::TcpStream;
+
+    fn workload_csv(seed: u64, n_features: usize, rows: usize) -> String {
+        let cfg = SyntheticConfig {
+            n_features,
+            biased_fraction: 0.2,
+            predictive_fraction: 0.25,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inst = synthetic_instance(&mut rng, &cfg);
+        let scm = synthetic_scm(&mut rng, &inst, 1.5);
+        csv::to_csv_string(&sample_table(&scm, &inst.roles, rows, &mut rng))
+    }
+
+    /// One request/response exchange on an open connection.
+    fn call(stream: &mut TcpStream, req: &Request) -> Response {
+        write_frame(stream, req.to_json().to_string().as_bytes()).expect("send");
+        let bytes = read_frame(stream)
+            .expect("read")
+            .expect("server closed the connection");
+        let text = String::from_utf8(bytes).expect("utf-8 reply");
+        Response::from_json(&Json::parse(&text).expect("json reply")).expect("response")
+    }
+
+    #[test]
+    fn bad_train_frac_and_workers_get_errors_on_a_connection_that_survives() {
+        let csv_text = workload_csv(29, 10, 600);
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+
+        let bad = [
+            (0.0, 1, "train_frac"),
+            (1.0, 1, "train_frac"),
+            (1.5, 1, "train_frac"),
+            (0.7, MAX_WORKERS + 1, "workers"),
+        ];
+        for (train_frac, workers, field) in bad {
+            let req = Request::Select(WorkloadRequest {
+                dataset: DatasetRef::Csv(csv_text.clone()),
+                train_frac,
+                workers,
+                ..Default::default()
+            });
+            match call(&mut stream, &req) {
+                Response::Err(e) => assert!(
+                    e.contains(field),
+                    "train_frac {train_frac}, workers {workers}: error {e:?} must name {field}"
+                ),
+                other => panic!("train_frac {train_frac}, workers {workers}: got {other:?}"),
+            }
+        }
+
+        // The same connection then serves a valid select, byte-identical
+        // to a local run of the same workload.
+        let wl = WorkloadRequest::with_csv(csv_text);
+        let table = csv::from_csv_string(wl.dataset.as_csv().expect("inline csv")).expect("csv");
+        let split = table.split_rows_stable(wl.seed, wl.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
+        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        match call(&mut stream, &Request::Select(wl)) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("valid select after the rejected ones failed: {other:?}"),
+        }
+        drop(stream);
+        handle.shutdown();
+    }
+}
+
+#[cfg(test)]
 mod observability {
     //! The tracing layer's core contract: telemetry observes, never
     //! steers. With the span sink enabled or disabled, every selection
@@ -1974,12 +2066,13 @@ mod observability {
         }
 
         // Trace: spans covering accept → queue wait → parse → engine
-        // phases → respond. The sink is process-global, so other tests'
-        // spans may interleave; containment is the assertion. A handler
+        // phases → featurize, train, score → render → respond. The sink
+        // is process-global, so other tests' spans may interleave;
+        // containment is the assertion. A handler
         // thread flushes its span buffer when the root request span
         // drops — *after* the response bytes are written — so a
         // one-shot client can out-race the flush; poll briefly.
-        const EXPECTED: [&str; 8] = [
+        const EXPECTED: [&str; 12] = [
             "server.queue_wait",
             "server.request",
             "server.parse",
@@ -1988,6 +2081,10 @@ mod observability {
             "planner.level",
             "tester.eval",
             "zgroup.eval",
+            "pipeline.featurize",
+            "ml.train",
+            "ml.score",
+            "report.render",
         ];
         let mut t = Json::Null;
         for attempt in 0..40 {
@@ -2595,5 +2692,87 @@ mod serialization_order {
                 .unwrap_or_else(|| panic!("key {key} missing or out of order in {json}"));
             pos += at + quoted.len();
         }
+    }
+}
+
+/// Golden report bytes: the rendered selection + fairness report of every
+/// algorithm × classifier pair on one seeded table, pinned by hash. Any
+/// change to a selection, a prediction, a rendered metric or the
+/// rendering shows up here, so a speed-up that claims identical outputs
+/// is checked end to end.
+#[cfg(test)]
+mod report_golden {
+    use fairsel_ci::GTest;
+    use fairsel_core::render_pipeline_report;
+    use fairsel_core::run_pipeline_batched_in;
+    use fairsel_datasets::sim::sample_table;
+    use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
+    use fairsel_engine::CiSession;
+    use fairsel_server::registry::StableHash;
+    use fairsel_server::{pipeline_config, MaxGroupSpec, WorkloadRequest};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `(algo, classifier, StableHash of the body)`, recorded with the
+    /// dense IRLS loop that `LogisticRegression::fit` used before it
+    /// walked only each row's nonzero columns.
+    const GOLDEN: [(&str, &str, u64); 10] = [
+        ("grpsel", "logistic", 0xaedb_68ed_c47d_96a0),
+        ("grpsel", "tree", 0xbdd2_77f4_4316_3629),
+        ("grpsel", "forest", 0x9123_91b5_ff9b_3756),
+        ("grpsel", "adaboost", 0x4271_98dc_56a7_8ebb),
+        ("grpsel", "nb", 0x955d_13eb_c43c_608a),
+        ("seqsel", "logistic", 0x68e6_98bd_6cd6_998b),
+        ("seqsel", "tree", 0x578e_d6b9_8571_c593),
+        ("seqsel", "forest", 0x30ab_ba80_b7e4_c538),
+        ("seqsel", "adaboost", 0x8bf7_145c_ce04_6a83),
+        ("seqsel", "nb", 0xf034_8801_70e9_9e71),
+    ];
+
+    #[test]
+    fn rendered_reports_match_pinned_hashes() {
+        // 24 features and 5,000 rows, the shape of a warm-serve dataset.
+        let cfg = SyntheticConfig {
+            n_features: 24,
+            biased_fraction: 0.2,
+            predictive_fraction: 0.25,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(2024);
+        let inst = synthetic_instance(&mut rng, &cfg);
+        let scm = synthetic_scm(&mut rng, &inst, 1.5);
+        let table = sample_table(&scm, &inst.roles, 5000, &mut rng);
+        let split = table.split_rows_stable(5, 0.7);
+        let (train, test) = (split.train, split.test);
+
+        // One session for all ten runs, as the server shares one per
+        // dataset: later runs answer their CI tests from the memo.
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        let mut got = Vec::new();
+        for (algo, classifier, _) in GOLDEN {
+            let wl = WorkloadRequest {
+                algo: algo.into(),
+                classifier: classifier.into(),
+                max_group: MaxGroupSpec::Auto,
+                seed: 5,
+                ..Default::default()
+            };
+            let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+            let out = run_pipeline_batched_in(&mut session, &train, &test, &cfg);
+            let body = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+            let mut h = StableHash::new();
+            h.bytes(body.as_bytes());
+            got.push((algo, classifier, h.finish()));
+        }
+        let table: Vec<String> = got
+            .iter()
+            .map(|(a, c, h)| format!("(\"{a}\", \"{c}\", 0x{h:016x}),"))
+            .collect();
+        assert_eq!(
+            got,
+            GOLDEN.to_vec(),
+            "rendered report bytes changed; got:\n{}",
+            table.join("\n")
+        );
     }
 }
