@@ -7,9 +7,7 @@
 //! estimator. Slightly negative plug-in estimates are truncated to 0
 //! following Mukherjee et al. [39], as footnote 3 of the paper prescribes.
 
-use crate::contingency::{
-    dense_cell_space, DenseArena, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
-};
+use crate::contingency::{Arenas, Strata, StratumRows, SuffKey, SuffTable, ZPartition};
 use crate::{CiOutcome, CiTest, KernelMode, VarId};
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding, Table};
 use rand::rngs::StdRng;
@@ -37,7 +35,7 @@ pub fn cmi_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> f64 {
 /// CMI from finished contingency counts — shared by the per-query path
 /// and the Z-grouped scaffold path ([`Strata::count_within`]); both order
 /// strata and cells identically, so the accumulation is byte-identical.
-fn cmi_from_strata(strata: &Strata, n: usize) -> f64 {
+pub(crate) fn cmi_from_strata(strata: &Strata, n: usize) -> f64 {
     let nf = n as f64;
     let mut cmi = 0.0;
     for s in &strata.strata {
@@ -283,12 +281,12 @@ impl PermutationCmi {
 }
 
 /// The observed statistic and permutation p-value through the narrow/arena
-/// kernels: one reusable dense arena (hashed fallback when the cell space
-/// is too large) serves the observed statistic and all `B` replicates, and
-/// the permutation runs at the codes' native width. The statistic values —
-/// and therefore the `>= observed` comparisons and the p-value — are
-/// bit-identical to [`permute_and_count_reference`]. Returns
-/// `(observed, p, dense cells used)`.
+/// kernels: one reusable pair of arenas (dense, or sparse when the cell
+/// space is too large) serves the observed statistic and all `B`
+/// replicates, and the permutation runs at the codes' native width. The
+/// statistic values — and therefore the `>= observed` comparisons and the
+/// p-value — are bit-identical to [`permute_and_count_reference`].
+/// Returns `(observed, p, dense cells used)`.
 #[allow(clippy::too_many_arguments)]
 fn permute_and_count_narrow<X: CodeValue, Y: CodeValue>(
     xcodes: &[X],
@@ -302,19 +300,12 @@ fn permute_and_count_narrow<X: CodeValue, Y: CodeValue>(
     permutations: usize,
     suff_out: Option<&mut Option<SuffTable>>,
 ) -> (f64, f64, u64) {
-    let dense = dense_cell_space(n, part.n_strata, xa, ya);
-    let mut arena = DenseArena::new();
-    let observed = match dense {
-        Some(cells) => {
-            arena.fill(xcodes, ycodes, xa, ya, part, rows, cells);
-            arena.cmi_walk(n)
-        }
-        None => cmi_from_strata(&Strata::count_within(xcodes, ycodes, part), n),
-    };
+    let mut arenas = Arenas::default();
+    let (observed, dense) = arenas.cmi(xcodes, ycodes, xa, ya, part, rows);
     // Snapshot the observed-data counts before the replicates refill the
     // arena — the table a later dataset extension can patch.
     if let (Some(out), Some(_)) = (suff_out, dense) {
-        *out = Some(arena.snapshot_suff(n));
+        *out = Some(arenas.dense.snapshot_suff(n));
     }
     let (p, replicate_cells) = replicate_pvalue(
         observed,
@@ -324,10 +315,9 @@ fn permute_and_count_narrow<X: CodeValue, Y: CodeValue>(
         ya,
         part,
         rows,
-        n,
         seed,
         permutations,
-        &mut arena,
+        &mut arenas,
     );
     let cells_used = dense.map(|c| c as u64).unwrap_or(0) + replicate_cells;
     (observed, p, cells_used)
@@ -350,30 +340,23 @@ fn replicate_pvalue<X: CodeValue, Y: CodeValue>(
     ya: usize,
     part: &ZPartition,
     rows: &StratumRows,
-    n: usize,
     seed: u64,
     permutations: usize,
-    arena: &mut DenseArena,
+    arenas: &mut Arenas,
 ) -> (f64, u64) {
-    let dense = dense_cell_space(n, part.n_strata, xa, ya);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut xperm: Vec<X> = xcodes.to_vec();
     let mut at_least = 1usize; // the observed statistic counts itself
+    let mut cells = 0u64;
     for _ in 0..permutations {
         shuffle_within_strata(&mut xperm, rows, &mut rng);
-        let stat = match dense {
-            Some(cells) => {
-                arena.fill(&xperm, ycodes, xa, ya, part, rows, cells);
-                arena.cmi_walk(n)
-            }
-            None => cmi_from_strata(&Strata::count_within(&xperm, ycodes, part), n),
-        };
+        let (stat, dense) = arenas.cmi(&xperm, ycodes, xa, ya, part, rows);
+        cells += dense.map_or(0, |c| c as u64);
         if stat >= observed {
             at_least += 1;
         }
     }
     let p = at_least as f64 / (permutations + 1) as f64;
-    let cells = dense.map(|c| c as u64 * permutations as u64).unwrap_or(0);
     (p, cells)
 }
 
@@ -564,7 +547,7 @@ impl crate::CiTestBatch for PermutationCmi {
         let ye = self.enc.encode(&y);
         let seed = crate::derived_query_seed(self.seed, &x, &y, &zkey);
         let observed = t.cmi(n);
-        let mut arena = DenseArena::new();
+        let mut arenas = Arenas::default();
         let (p, cells) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
             replicate_pvalue(
                 observed,
@@ -574,10 +557,9 @@ impl crate::CiTestBatch for PermutationCmi {
                 t.ya,
                 &sc.0,
                 &sc.1,
-                n,
                 seed,
                 self.permutations,
-                &mut arena,
+                &mut arenas,
             )
         }));
         if cells > 0 {
@@ -716,6 +698,67 @@ mod tests {
         use crate::CiTestBatch;
         assert!(narrow.encode_cache_stats().dense_count_cells > 0);
         assert_eq!(reference.encode_cache_stats().dense_count_cells, 0);
+    }
+
+    /// A conditioning set that leaves most strata with one row misses the
+    /// dense budget, so the narrow path counts the observed statistic and
+    /// every replicate on the sparse arena. Statistic and p-value must
+    /// match the reference kernels bit for bit.
+    #[test]
+    fn sparse_shaped_kernel_modes_agree_bit_for_bit() {
+        use crate::contingency::{dense_cell_space, ZPartition};
+        use crate::{CiTestBatch, CiTestShared};
+        use rand::Rng;
+        let n = 600;
+        let mut rng = StdRng::seed_from_u64(5);
+        let x: Vec<u32> = (0..n).map(|_| rng.gen_range(0..16)).collect();
+        let w: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+        let z: Vec<u32> = (0..n).map(|_| rng.gen_range(0..900)).collect();
+        let y: Vec<u32> = (0..n)
+            .map(|i| (x[i] + z[i] + u32::from(rng.gen_bool(0.2))) % 2)
+            .collect();
+        let t = Table::new(vec![
+            Column::cat("x", Role::Feature, x, 16),
+            Column::cat("y", Role::Target, y, 2),
+            Column::cat("z", Role::Feature, z, 900),
+            Column::cat("w", Role::Feature, w, 3),
+        ])
+        .unwrap();
+        let narrow = PermutationCmi::new(&t, 0.05, 49, 7);
+        let reference =
+            PermutationCmi::new(&t, 0.05, 49, 7).with_kernel_mode(crate::KernelMode::Reference);
+        let part = ZPartition::from_encoding(&narrow.encoded().encode(&[2]));
+        let ones = part.sizes.iter().filter(|&&s| s == 1).count();
+        assert!(
+            ones * 2 > part.n_strata,
+            "{ones} of {} strata",
+            part.n_strata
+        );
+        assert!(dense_cell_space(n, part.n_strata, 16, 2).is_none());
+        for (x, y, z) in [
+            (vec![0], vec![1], vec![2]),
+            (vec![1], vec![0], vec![2]),
+            (vec![0, 3], vec![1], vec![2]),
+        ] {
+            let a = narrow.ci_shared(&x, &y, &z);
+            let b = reference.ci_shared(&x, &y, &z);
+            assert_eq!(
+                a.statistic.to_bits(),
+                b.statistic.to_bits(),
+                "{x:?} {y:?} {z:?}"
+            );
+            assert_eq!(
+                a.p_value.to_bits(),
+                b.p_value.to_bits(),
+                "{x:?} {y:?} {z:?}"
+            );
+            assert!(a.statistic > 0.0, "{x:?} {y:?} {z:?}");
+        }
+        assert_eq!(
+            narrow.encode_cache_stats().dense_count_cells,
+            0,
+            "the sparse arena served every count"
+        );
     }
 
     /// A tester extended over appended rows consumes the same derived

@@ -10,17 +10,22 @@
 //!
 //! Two kernel generations coexist here. The hashed structures
 //! ([`Strata`]) are the reference: exact, width-generic, allocation-heavy.
-//! The arena structures ([`StratumRows`], [`DenseArena`]) are the
-//! hardware-shaped fast path: CSR row layout, flat `stratum × xa × ya`
-//! count tables filled by an unrolled loop, reused across the queries (and
-//! permutation replicates) of a Z-group. Every statistic the arena
-//! produces is bit-identical to the hashed path: strata keep
-//! first-occurrence order, cells accumulate in first-occurrence row order,
-//! marginals are exact integer sums, and the statistic walk visits the
-//! same cells in the same order.
+//! The arena structures ([`StratumRows`], [`Arenas`]) are the
+//! hardware-shaped fast path, reused across the queries (and permutation
+//! replicates) of a Z-group. Both walk the CSR row layout stratum by
+//! stratum. [`DenseArena`] counts into a flat `stratum × xa × ya` table
+//! filled by an unrolled loop; cell spaces too large for that table
+//! ([`dense_cell_space`]) go to [`SparseArena`], which appends each
+//! stratum's cells to flat vectors through one reusable open-addressing
+//! index. Every statistic an arena produces is bit-identical to the
+//! hashed path: strata keep first-occurrence order, cells accumulate in
+//! first-occurrence row order, marginals are exact integer sums, and the
+//! statistic walk visits the same cells in the same order.
 
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Precomputed stratification of a conditioning-set encoding — the shared
@@ -36,7 +41,7 @@ use std::sync::Arc;
 pub(crate) struct ZPartition {
     /// Per-row stratum index. (The fill loops stream the CSR row layout
     /// ([`StratumRows`]) rather than this per-row array; this stays for
-    /// the reference kernels, the hashed fallback, and append patching.)
+    /// the reference kernels and append patching.)
     pub stratum_of: Vec<u32>,
     /// Number of distinct strata.
     pub n_strata: usize,
@@ -189,7 +194,7 @@ impl StratumRows {
 
 /// Dense-counting threshold: the flat table is worth it only while the
 /// cell space stays within a small multiple of the row count (beyond
-/// that, zeroing the table dominates and the hashed path wins).
+/// that, zeroing the table dominates and the [`SparseArena`] wins).
 pub(crate) fn dense_cell_space(n: usize, n_strata: usize, xa: usize, ya: usize) -> Option<usize> {
     let cells = (n_strata as u64) * (xa as u64) * (ya as u64);
     (cells <= (8 * n as u64).max(4096)).then_some(cells as usize)
@@ -222,10 +227,6 @@ pub(crate) struct DenseArena {
 }
 
 impl DenseArena {
-    pub fn new() -> DenseArena {
-        DenseArena::default()
-    }
-
     /// Count `(x, y)` cells per stratum into the flat table. `cells` must
     /// come from [`dense_cell_space`] for the same shape.
     ///
@@ -406,6 +407,297 @@ impl DenseArena {
 fn resize_zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     buf.clear();
     buf.resize(len, T::default());
+}
+
+/// One slot of a [`StampedIndex`]; it holds an entry only while its stamp
+/// equals the index's current generation.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    stamp: u32,
+    val: u32,
+}
+
+/// Reusable open-addressing map from `u64` keys to `u32` values, cleared
+/// by bumping a generation stamp: slots stamped by an older generation
+/// read as empty, so a clear is O(1) and neither reallocates nor re-zeroes
+/// the table. The table grows only when one generation needs more slots
+/// than any before it, and is re-zeroed only when the 32-bit stamp wraps.
+/// Each generation probes the smallest power-of-two prefix that keeps its
+/// load at or below one half, so a tiny stratum stays within a few cache
+/// lines of a table sized for the largest.
+struct StampedIndex {
+    slots: Vec<Slot>,
+    stamp: u32,
+    mask: usize,
+    shift: u32,
+    /// Random odd multiplier of the multiply-shift hash. Keys are codes
+    /// of uploaded data; a fixed multiplier would let crafted codes pile
+    /// into one probe run, a random one makes the hash universal. Slot
+    /// positions never reach an output, so outputs stay deterministic.
+    mul: u64,
+}
+
+impl Default for StampedIndex {
+    fn default() -> StampedIndex {
+        let mut seed = RandomState::new().build_hasher();
+        seed.write_u64(0x9E37_79B9_7F4A_7C15);
+        StampedIndex {
+            slots: Vec::new(),
+            stamp: 0,
+            mask: 0,
+            shift: 0,
+            mul: seed.finish() | 1,
+        }
+    }
+}
+
+impl StampedIndex {
+    /// Start a new, empty generation for at most `keys` distinct keys.
+    fn clear(&mut self, keys: usize) {
+        let want = keys.saturating_mul(2).next_power_of_two().max(8);
+        if want > self.slots.len() {
+            self.slots.resize(want, Slot::default());
+        }
+        self.mask = want - 1;
+        self.shift = 64 - want.trailing_zeros();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
+    }
+
+    /// The value stored under `key` with `false`, or, when the key is new
+    /// to this generation, `next` (now stored under it) with `true`.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64, next: u32) -> (u32, bool) {
+        // Multiply-shift: the product's top bits mix every key bit.
+        let mut i = (key.wrapping_mul(self.mul) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = Slot {
+                    key,
+                    stamp: self.stamp,
+                    val: next,
+                };
+                return (next, true);
+            }
+            if slot.key == key {
+                return (slot.val, false);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+}
+
+/// Reusable sparse counting arena for the cell spaces [`dense_cell_space`]
+/// rejects, typically a conditioning set that gives nearly every row its
+/// own stratum. It walks the CSR strata in first-occurrence order and
+/// finds each stratum's `(x, y)` cells through one [`StampedIndex`],
+/// appending new cells in first-occurrence row order to flat vectors that
+/// every fill reuses. The walks derive marginals and df from the finished
+/// cells and visit the cells in the order [`Strata::count_within`] lists
+/// them, so every statistic is bit-identical to the hashed path.
+#[derive(Default)]
+pub(crate) struct SparseArena {
+    /// `(x, y)` → position in `cells`, for the stratum being counted.
+    cell_ix: StampedIndex,
+    /// Value → position in `xm` / `ym`, for the stratum being walked.
+    x_ix: StampedIndex,
+    y_ix: StampedIndex,
+    /// Cells of every counted stratum, stratum after stratum, each
+    /// stratum's run in first-occurrence row order, with exact counts.
+    cells: Vec<(u32, u32)>,
+    counts: Vec<u32>,
+    /// Per counted stratum: the end of its run in `cells` and its rows.
+    strata: Vec<(u32, u32)>,
+    /// Walk scratch for one stratum: each cell's marginal positions and
+    /// the exact integer marginals.
+    cell_m: Vec<(u32, u32)>,
+    xm: Vec<u64>,
+    ym: Vec<u64>,
+}
+
+impl SparseArena {
+    /// Count `(x, y)` cells per stratum of `part`, reading rows through
+    /// its CSR layout `rows`. CSR rows ascend within a stratum, so each
+    /// stratum's cells are discovered in the order the global row sweep
+    /// of [`Strata::count_within`] discovers them.
+    pub fn fill<X: CodeValue, Y: CodeValue>(
+        &mut self,
+        x: &[X],
+        y: &[Y],
+        part: &ZPartition,
+        rows: &StratumRows,
+    ) {
+        let n = x.len();
+        assert_eq!(n, y.len(), "contingency: length mismatch");
+        assert_eq!(n, part.stratum_of.len(), "contingency: partition mismatch");
+        debug_assert_eq!(rows.n_strata(), part.n_strata, "CSR/partition mismatch");
+        self.cells.clear();
+        self.counts.clear();
+        self.strata.clear();
+        for (s, &size) in part.sizes.iter().enumerate() {
+            if size == 1 {
+                // A one-row stratum is one cell whose G and CMI terms are
+                // exactly +0.0 (ln 1) and which adds no df. The running
+                // sums are never -0.0, so skipping it changes no bit.
+                continue;
+            }
+            let idx = rows.stratum(s);
+            self.cell_ix.clear(idx.len());
+            for &r in idx {
+                let (xv, yv) = (x[r as usize].widen(), y[r as usize].widen());
+                let next = self.cells.len() as u32;
+                match self
+                    .cell_ix
+                    .get_or_insert(((xv as u64) << 32) | yv as u64, next)
+                {
+                    (_, true) => {
+                        self.cells.push((xv, yv));
+                        self.counts.push(1);
+                    }
+                    (c, false) => self.counts[c as usize] += 1,
+                }
+            }
+            self.strata.push((self.cells.len() as u32, size as u32));
+        }
+    }
+
+    /// Visit every counted cell, stratum by stratum in first-occurrence
+    /// order, as `term(n_xy, n_z, n_xz, n_yz)`, and return the adaptive df
+    /// (strata with more than one observed x and y value). Marginals are
+    /// exact integer sums over the finished cells, so their order does not
+    /// matter; the cells are visited in the order the hashed path sums.
+    fn walk(&mut self, mut term: impl FnMut(f64, f64, f64, f64)) -> usize {
+        let mut df = 0usize;
+        let mut start = 0usize;
+        for &(end, total) in &self.strata {
+            let end = end as usize;
+            self.x_ix.clear(end - start);
+            self.y_ix.clear(end - start);
+            self.xm.clear();
+            self.ym.clear();
+            self.cell_m.clear();
+            for (&(xv, yv), &count) in self.cells[start..end].iter().zip(&self.counts[start..end]) {
+                let (xs, new_x) = self.x_ix.get_or_insert(xv as u64, self.xm.len() as u32);
+                if new_x {
+                    self.xm.push(0);
+                }
+                self.xm[xs as usize] += count as u64;
+                let (ys, new_y) = self.y_ix.get_or_insert(yv as u64, self.ym.len() as u32);
+                if new_y {
+                    self.ym.push(0);
+                }
+                self.ym[ys as usize] += count as u64;
+                self.cell_m.push((xs, ys));
+            }
+            let total = total as f64;
+            for (&count, &(xs, ys)) in self.counts[start..end].iter().zip(&self.cell_m) {
+                let nx = self.xm[xs as usize] as f64;
+                let ny = self.ym[ys as usize] as f64;
+                term(count as f64, total, nx, ny);
+            }
+            let (r, c) = (self.xm.len(), self.ym.len());
+            if r > 1 && c > 1 {
+                df += (r - 1) * (c - 1);
+            }
+            start = end;
+        }
+        df
+    }
+
+    /// The G statistic and degrees of freedom of the filled cells.
+    pub fn g_walk(&mut self) -> (f64, usize) {
+        let mut g = 0.0;
+        let df = self.walk(|nxy, total, nx, ny| {
+            g += 2.0 * nxy * ((nxy * total) / (nx * ny)).ln();
+        });
+        (g, df)
+    }
+
+    /// Plug-in CMI of the filled cells over `n` rows.
+    pub fn cmi_walk(&mut self, n: usize) -> f64 {
+        let nf = n as f64;
+        let mut cmi = 0.0;
+        self.walk(|nxy, total, nx, ny| {
+            cmi += (nxy / nf) * ((nxy * total) / (nx * ny)).ln();
+        });
+        cmi.max(0.0)
+    }
+
+    /// Move every index's stamp to `stamp`, so tests can drive the
+    /// wrap-around re-zeroing.
+    #[cfg(test)]
+    fn set_stamps(&mut self, stamp: u32) {
+        for ix in [&mut self.cell_ix, &mut self.x_ix, &mut self.y_ix] {
+            ix.stamp = stamp;
+        }
+    }
+}
+
+/// The narrow path's counting arenas: the dense table for the cell spaces
+/// [`dense_cell_space`] admits and the sparse arena for the rest. The
+/// choice is a property of the input shape. One pair serves every query
+/// of a Z-group and every replicate of a permutation test.
+#[derive(Default)]
+pub(crate) struct Arenas {
+    /// Holds the counts of the last dense fill, for retaining them.
+    pub dense: DenseArena,
+    sparse: SparseArena,
+}
+
+impl Arenas {
+    /// The G statistic and df of `(x, y)` within the strata of `part`, and
+    /// the dense cells counted (`None` when the sparse arena ran).
+    pub fn g<X: CodeValue, Y: CodeValue>(
+        &mut self,
+        x: &[X],
+        y: &[Y],
+        xa: usize,
+        ya: usize,
+        part: &ZPartition,
+        rows: &StratumRows,
+    ) -> (f64, usize, Option<usize>) {
+        match dense_cell_space(x.len(), part.n_strata, xa, ya) {
+            Some(cells) => {
+                self.dense.fill(x, y, xa, ya, part, rows, cells);
+                let (g, df) = self.dense.g_walk();
+                (g, df, Some(cells))
+            }
+            None => {
+                self.sparse.fill(x, y, part, rows);
+                let (g, df) = self.sparse.g_walk();
+                (g, df, None)
+            }
+        }
+    }
+
+    /// Plug-in CMI of `(x, y)` within the strata of `part`, and the dense
+    /// cells counted (`None` when the sparse arena ran).
+    pub fn cmi<X: CodeValue, Y: CodeValue>(
+        &mut self,
+        x: &[X],
+        y: &[Y],
+        xa: usize,
+        ya: usize,
+        part: &ZPartition,
+        rows: &StratumRows,
+    ) -> (f64, Option<usize>) {
+        let n = x.len();
+        match dense_cell_space(n, part.n_strata, xa, ya) {
+            Some(cells) => {
+                self.dense.fill(x, y, xa, ya, part, rows, cells);
+                (self.dense.cmi_walk(n), Some(cells))
+            }
+            None => {
+                self.sparse.fill(x, y, part, rows);
+                (self.sparse.cmi_walk(n), None)
+            }
+        }
+    }
 }
 
 /// Cache key of a retained sufficient statistic: the canonical query
@@ -676,9 +968,9 @@ impl Strata {
     /// accumulate in first-occurrence row order, and the marginals —
     /// derived here from the finished cells instead of row by row — are
     /// sums of small integers, which float addition performs exactly in
-    /// either order. The scaffold removes the per-query conditioning-set
-    /// hashing (one array index instead of three hash-map updates per
-    /// row), which is where a Z-grouped batch spends most of its time.
+    /// either order. This is the [`crate::KernelMode::Reference`] counter
+    /// and the oracle the arenas are tested against; the narrow path
+    /// counts through [`Arenas`] instead.
     ///
     /// # Panics
     /// Panics when the slices disagree in length with the partition.
@@ -829,7 +1121,7 @@ mod tests {
         let rows = StratumRows::from_partition(&part);
         let (xa, ya) = (3usize, 3usize);
         let cells = dense_cell_space(x.len(), part.n_strata, xa, ya).unwrap();
-        let mut arena = DenseArena::new();
+        let mut arena = DenseArena::default();
         arena.fill(&x, &y, xa, ya, &part, &rows, cells);
         let (g_dense, df_dense) = arena.g_walk();
         let hashed = Strata::count_within(&x, &y, &part);
@@ -875,7 +1167,7 @@ mod tests {
         let parent_part = ZPartition::from_codes(&z[..n_parent]);
         let parent_rows = StratumRows::from_partition(&parent_part);
         let cells = dense_cell_space(n_parent, parent_part.n_strata, xa, ya).unwrap();
-        let mut arena = DenseArena::new();
+        let mut arena = DenseArena::default();
         arena.fill(
             &x[..n_parent],
             &y[..n_parent],
@@ -913,5 +1205,122 @@ mod tests {
         let noop = patched.patch(&x[..], &y[..], &full_part);
         assert_eq!(noop.counts, patched.counts);
         assert_eq!(noop.cell_order, patched.cell_order);
+    }
+
+    /// The sparse arena's G, df, p and CMI, bit for bit against the hashed
+    /// count followed by `g_from_strata` / `cmi_from_strata`, over 1,000
+    /// random shapes the dense budget rejects: many tiny strata, mostly
+    /// one-row strata, a few huge strata, and a single stratum, at
+    /// arities up to 5,000 and every pairing of u8/u16/u32 code widths.
+    /// One arena serves every shape in random order, and its stamps are
+    /// driven across the 32-bit wrap-around several times.
+    #[test]
+    fn sparse_arena_matches_hashed_on_random_sparse_shapes() {
+        use crate::cmi::cmi_from_strata;
+        use crate::gtest::{finish_g, g_from_strata};
+        use fairsel_table::Codes;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn sparse_stats<X: CodeValue, Y: CodeValue>(
+            arena: &mut SparseArena,
+            x: &[X],
+            y: &[Y],
+            part: &ZPartition,
+            rows: &StratumRows,
+        ) -> (f64, usize, f64) {
+            arena.fill(x, y, part, rows);
+            let (g, df) = arena.g_walk();
+            (g, df, arena.cmi_walk(x.len()))
+        }
+        let stored = |codes: &[u32], width: usize| match width {
+            0 => Codes::U8(codes.iter().map(|&c| c as u8).collect()),
+            1 => Codes::U16(codes.iter().map(|&c| c as u16).collect()),
+            _ => Codes::U32(codes.to_vec()),
+        };
+
+        let mut rng = StdRng::seed_from_u64(0x5ba75e);
+        let mut arena = SparseArena::default();
+        let mut kinds = [0usize; 4];
+        let mut pairings = [[0usize; 3]; 3];
+        let mut wraps = 0;
+        let mut checked = 0;
+        while checked < 1000 {
+            let n: usize = rng.gen_range(1..=1200);
+            let kind = rng.gen_range(0..4);
+            let z: Vec<u32> = match kind {
+                0 => {
+                    let span = (n as u32 * 3 / 4).max(1);
+                    (0..n).map(|_| rng.gen_range(0..span)).collect()
+                }
+                1 => (0..n as u32)
+                    .map(|i| {
+                        if i % 8 < 3 {
+                            rng.gen_range(0..40)
+                        } else {
+                            1000 + i
+                        }
+                    })
+                    .collect(),
+                2 => {
+                    let k = rng.gen_range(2..=4);
+                    (0..n).map(|_| rng.gen_range(0..k)).collect()
+                }
+                _ => vec![7; n],
+            };
+            let (xw, yw) = (rng.gen_range(0..3), rng.gen_range(0..3));
+            let max_arity = |w: usize| if w == 0 { 256 } else { 5000 };
+            let xa: u32 = rng.gen_range(1..=max_arity(xw));
+            let ya: u32 = rng.gen_range(1..=max_arity(yw));
+            let part = ZPartition::from_codes(z.as_slice());
+            if dense_cell_space(n, part.n_strata, xa as usize, ya as usize).is_some() {
+                continue;
+            }
+            let rows = StratumRows::from_partition(&part);
+            let x: Vec<u32> = (0..n).map(|_| rng.gen_range(0..xa)).collect();
+            let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..ya)).collect();
+            if checked % 200 == 100 {
+                // The next generation or two wrap the stamps to zero.
+                arena.set_stamps(u32::MAX - rng.gen_range(0..2u32));
+                wraps += 1;
+            }
+            let (xc, yc) = (stored(&x, xw), stored(&y, yw));
+            let (g, df, cmi) = with_codes!(&xc, |xs| with_codes!(&yc, |ys| {
+                sparse_stats(&mut arena, xs, ys, &part, &rows)
+            }));
+
+            let hashed = Strata::count_within(&x, &y, &part);
+            let mut g_ref = 0.0;
+            let mut df_ref = 0usize;
+            for s in &hashed.strata {
+                for &((xv, yv), nxy) in &s.cells {
+                    g_ref += 2.0 * nxy * ((nxy * s.total) / (s.xm[&xv] * s.ym[&yv])).ln();
+                }
+                if s.xm.len() > 1 && s.ym.len() > 1 {
+                    df_ref += (s.xm.len() - 1) * (s.ym.len() - 1);
+                }
+            }
+            let label = format!(
+                "shape {checked}: kind {kind}, n {n}, {} strata, arities ({xa}, {ya}), widths ({xw}, {yw})",
+                part.n_strata
+            );
+            assert_eq!(g.to_bits(), g_ref.to_bits(), "G, {label}");
+            assert_eq!(df, df_ref, "df, {label}");
+            let (gf, p) = finish_g(g, df);
+            let (gf_ref, p_ref) = g_from_strata(&hashed);
+            assert_eq!(gf.to_bits(), gf_ref.to_bits(), "finished G, {label}");
+            assert_eq!(p.to_bits(), p_ref.to_bits(), "p, {label}");
+            let cmi_ref = cmi_from_strata(&hashed, n);
+            assert_eq!(cmi.to_bits(), cmi_ref.to_bits(), "CMI, {label}");
+            kinds[kind] += 1;
+            pairings[xw][yw] += 1;
+            checked += 1;
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "shape kinds {kinds:?}");
+        assert!(
+            pairings.iter().flatten().all(|&k| k > 0),
+            "width pairings {pairings:?}"
+        );
+        assert!(wraps >= 2, "stamp wrap-arounds {wraps}");
     }
 }

@@ -9,9 +9,7 @@
 //! keeps the test calibrated on sparse strata — important here because
 //! group testing multiplies arities together.
 
-use crate::contingency::{
-    dense_cell_space, DenseArena, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
-};
+use crate::contingency::{Arenas, DenseArena, Strata, StratumRows, SuffKey, SuffTable, ZPartition};
 use crate::{CiOutcome, CiTest, KernelMode, VarId};
 use fairsel_math::special::chi2_sf;
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Table};
@@ -179,8 +177,7 @@ impl GTest {
         // (memoized) stratification scaffold — bit-identical to the hashed
         // per-query statistic (see `grouped_statistic_is_byte_identical`).
         let sc = self.z_partition(&zkey, &ze);
-        let mut arena = DenseArena::new();
-        self.grouped_kernel(&xe, &ye, &sc, &mut arena, Some((x, y, &zkey)))
+        self.grouped_kernel(&xe, &ye, &sc, &mut Arenas::default(), Some((x, y, &zkey)))
     }
 
     /// Dispatch the narrow grouped kernel over the encodings' native code
@@ -192,17 +189,17 @@ impl GTest {
         xe: &fairsel_table::Encoding,
         ye: &fairsel_table::Encoding,
         sc: &GScaffold,
-        arena: &mut DenseArena,
+        arenas: &mut Arenas,
         retain: Option<(&[VarId], &[VarId], &[VarId])>,
     ) -> (f64, f64) {
         let (part, rows) = sc;
         let (g, p, cells) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-            g_test_grouped_narrow(xc, xe.arity, yc, ye.arity, part, rows, arena)
+            g_test_grouped_narrow(xc, xe.arity, yc, ye.arity, part, rows, arenas)
         }));
         if cells > 0 {
             self.dense_cells.fetch_add(cells, Ordering::Relaxed);
             if let Some((x, y, zkey)) = retain {
-                self.retain_suff(x, y, zkey, arena, part.stratum_of.len());
+                self.retain_suff(x, y, zkey, &arenas.dense, part.stratum_of.len());
             }
         }
         (g, p)
@@ -284,9 +281,9 @@ impl crate::CiTestBatch for GTest {
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = crate::canonical_set(z);
         // Built lazily so a group of empty-sided queries never encodes.
-        // One arena serves every query of the group.
+        // One pair of arenas serves every query of the group.
         let mut scaffold: Option<(Arc<fairsel_table::Encoding>, Option<Arc<GScaffold>>)> = None;
-        let mut arena = DenseArena::new();
+        let mut arenas = Arenas::default();
         queries
             .iter()
             .map(|q| {
@@ -323,7 +320,7 @@ impl crate::CiTestBatch for GTest {
                         &sc.0,
                     )
                 } else {
-                    self.grouped_kernel(&xe, &ye, sc, &mut arena, Some((q.x, q.y, &zkey)))
+                    self.grouped_kernel(&xe, &ye, sc, &mut arenas, Some((q.x, q.y, &zkey)))
                 };
                 CiOutcome {
                     independent: p > self.alpha,
@@ -422,12 +419,12 @@ pub fn g_test_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> (f64, f64) {
     g_from_strata(&Strata::count(x, y, z))
 }
 
-/// The narrow/arena Z-grouped G computation. When the dense cell space
-/// `n_strata × xa × ya` is small relative to the row count, counting runs
-/// on the reusable flat arena — no hashing, no per-query allocation;
-/// otherwise it falls back to the hashed scaffold counter
-/// ([`Strata::count_within`]), generic over the stored code width either
-/// way. Both paths are byte-identical to [`g_test_from_codes`] and to
+/// The narrow/arena Z-grouped G computation ([`Arenas`]). When the dense
+/// cell space `n_strata × xa × ya` is small relative to the row count,
+/// counting runs on the reusable flat table, otherwise on the reusable
+/// sparse arena; neither allocates per query once its buffers have grown,
+/// and both are generic over the stored code width. Both paths are
+/// byte-identical to [`g_test_from_codes`] and to
 /// [`g_test_grouped_reference`]: strata keep the partition's
 /// first-occurrence order, cells accumulate in first-occurrence row
 /// order, marginals are exact integer sums, and the G summation walks the
@@ -439,30 +436,20 @@ fn g_test_grouped_narrow<X: CodeValue, Y: CodeValue>(
     ya: u32,
     part: &ZPartition,
     rows: &StratumRows,
-    arena: &mut DenseArena,
+    arenas: &mut Arenas,
 ) -> (f64, f64, u64) {
-    let n = x.len();
-    if n == 0 {
+    if x.is_empty() {
         return (0.0, 1.0, 0);
     }
     let (xa, ya) = (xa.max(1) as usize, ya.max(1) as usize);
-    match dense_cell_space(n, part.n_strata, xa, ya) {
-        Some(cells) => {
-            arena.fill(x, y, xa, ya, part, rows, cells);
-            let (g, df) = arena.g_walk();
-            let (g, p) = finish_g(g, df);
-            (g, p, cells as u64)
-        }
-        None => {
-            let (g, p) = g_from_strata(&Strata::count_within(x, y, part));
-            (g, p, 0)
-        }
-    }
+    let (g, df, cells) = arenas.g(x, y, xa, ya, part, rows);
+    let (g, p) = finish_g(g, df);
+    (g, p, cells.unwrap_or(0) as u64)
 }
 
 /// Finish the G statistic: df = 0 cannot reject; tiny negative G from
 /// float cancellation is clamped before the χ² tail.
-fn finish_g(g: f64, df: usize) -> (f64, f64) {
+pub(crate) fn finish_g(g: f64, df: usize) -> (f64, f64) {
     if df == 0 {
         return (0.0, 1.0);
     }
@@ -548,7 +535,7 @@ fn g_test_grouped_reference(
 /// the per-query path ([`Strata::count`]) and the Z-grouped path
 /// ([`Strata::count_within`]); both produce identically ordered strata, so
 /// the accumulation here is byte-identical between them.
-fn g_from_strata(strata: &Strata) -> (f64, f64) {
+pub(crate) fn g_from_strata(strata: &Strata) -> (f64, f64) {
     let mut g = 0.0;
     let mut df = 0usize;
     for s in &strata.strata {
@@ -728,44 +715,75 @@ mod tests {
         assert_eq!(p, 1.0);
     }
 
-    /// The arena grouped counter, the reference grouped counter, and the
-    /// hashed fallback are bit-for-bit the per-query statistic, across
+    /// The arena grouped counters (dense and sparse) and the reference
+    /// grouped counter are bit-for-bit the per-query statistic, across
     /// arities small enough for the dense path, large enough to force the
-    /// fallback, and at every narrowed code width.
+    /// sparse arena, and at every narrowed code width.
     #[test]
     fn grouped_statistic_is_byte_identical() {
-        use crate::contingency::{DenseArena, StratumRows, ZPartition};
+        use crate::contingency::{dense_cell_space, Arenas, StratumRows, ZPartition};
         use rand::Rng;
+        const MOSTLY_ONE_ROW: &str = "mostly one-row strata";
         let mut rng = StdRng::seed_from_u64(17);
-        let mut arena = DenseArena::new();
+        let mut cases: Vec<(u32, u32, Vec<u32>, &str)> = Vec::new();
         for (xa, ya, za) in [(2u32, 3u32, 4u32), (40, 50, 60), (5000, 4000, 8)] {
-            let n = 400;
+            let z = (0..400).map(|_| rng.gen_range(0..za)).collect();
+            cases.push((xa, ya, z, "uniform strata"));
+        }
+        // The shape of `stream-append`'s group tests: a conditioning set
+        // that gives most rows a stratum of their own, against a group
+        // side of joint arity 8 or 32 and a binary target.
+        for xa in [8u32, 32] {
+            let z = (0..2000u32)
+                .map(|i| {
+                    if i % 8 < 3 {
+                        rng.gen_range(0..225)
+                    } else {
+                        10_000 + i
+                    }
+                })
+                .collect();
+            cases.push((xa, 2, z, MOSTLY_ONE_ROW));
+        }
+        let bits = |(g, p): (f64, f64)| (g.to_bits(), p.to_bits());
+        // One pair of arenas serves every case, as one Z-group's would.
+        let mut arenas = Arenas::default();
+        for (xa, ya, z, shape) in cases {
+            let n = z.len();
             let x: Vec<u32> = (0..n).map(|_| rng.gen_range(0..xa)).collect();
             let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..ya)).collect();
-            let z: Vec<u32> = (0..n).map(|_| rng.gen_range(0..za)).collect();
             let part = ZPartition::from_codes(z.as_slice());
             let rows = StratumRows::from_partition(&part);
-            let reference = g_test_from_codes(&x, &y, &z);
+            let label = format!("{shape} ({xa},{ya}) over {} strata", part.n_strata);
+            if shape == MOSTLY_ONE_ROW {
+                let ones = part.sizes.iter().filter(|&&s| s == 1).count();
+                assert!(
+                    ones * 100 >= part.n_strata * 80,
+                    "{label}: {ones} one-row strata"
+                );
+                assert!(
+                    dense_cell_space(n, part.n_strata, xa as usize, ya as usize).is_none(),
+                    "{label}: the shape must miss the dense budget so the sparse arena runs"
+                );
+            }
+            let reference = bits(g_test_from_codes(&x, &y, &z));
             let grouped = g_test_grouped_reference(&x, xa, &y, ya, &part);
-            assert_eq!(reference, grouped, "arities ({xa},{ya},{za})");
-            // Arena kernel at full width (the arena is reused across cases).
+            assert_eq!(reference, bits(grouped), "reference grouped, {label}");
             let (g, p, _) =
-                g_test_grouped_narrow(x.as_slice(), xa, &y[..], ya, &part, &rows, &mut arena);
-            assert_eq!(reference, (g, p), "narrow u32 ({xa},{ya},{za})");
+                g_test_grouped_narrow(x.as_slice(), xa, &y[..], ya, &part, &rows, &mut arenas);
+            assert_eq!(reference, bits((g, p)), "narrow u32, {label}");
             // Narrowed storage widths count identically.
             if xa <= 256 && ya <= 256 {
                 let x8: Vec<u8> = x.iter().map(|&v| v as u8).collect();
                 let y8: Vec<u8> = y.iter().map(|&v| v as u8).collect();
                 let (g, p, _) =
-                    g_test_grouped_narrow(&x8[..], xa, &y8[..], ya, &part, &rows, &mut arena);
-                assert_eq!(reference, (g, p), "narrow u8 ({xa},{ya},{za})");
+                    g_test_grouped_narrow(&x8[..], xa, &y8[..], ya, &part, &rows, &mut arenas);
+                assert_eq!(reference, bits((g, p)), "narrow u8, {label}");
             }
             let x16: Vec<u16> = x.iter().map(|&v| v as u16).collect();
-            if xa <= 65536 {
-                let (g, p, _) =
-                    g_test_grouped_narrow(&x16[..], xa, &y[..], ya, &part, &rows, &mut arena);
-                assert_eq!(reference, (g, p), "narrow u16/u32 ({xa},{ya},{za})");
-            }
+            let (g, p, _) =
+                g_test_grouped_narrow(&x16[..], xa, &y[..], ya, &part, &rows, &mut arenas);
+            assert_eq!(reference, bits((g, p)), "narrow u16/u32, {label}");
         }
     }
 

@@ -114,8 +114,9 @@ pub type VarId = usize;
 /// bit-identity. Not a correctness knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Arity-narrowed code widths + reusable dense counting arenas
-    /// (hashed fallback when the cell space is too large).
+    /// Arity-narrowed code widths + reusable counting arenas: the dense
+    /// table while the cell space fits its budget, the sparse arena
+    /// beyond it. Neither allocates per query.
     #[default]
     Narrow,
     /// The pre-kernel implementation: codes widened to `u32`, hashed

@@ -27,8 +27,8 @@ use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticCo
 use fairsel_engine::{default_workers, EngineStats};
 use fairsel_graph::{dag_from_text, Dag};
 use fairsel_server::{
-    valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig, Request, Response,
-    ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
+    valid_alpha, valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig, Request,
+    Response, ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
 };
 use fairsel_table::{csv, EncodedTable, Table, DEFAULT_CACHE_CAP};
 use rand::rngs::StdRng;
@@ -321,6 +321,19 @@ fn train_frac(opts: &Opts) -> Result<f64, String> {
     }
 }
 
+/// `--alpha`, rejected unless strictly between 0 and 1 (the data testers
+/// would panic on anything else).
+fn alpha(opts: &Opts) -> Result<f64, String> {
+    let a: f64 = opts.num("alpha", 0.01)?;
+    if valid_alpha(a) {
+        Ok(a)
+    } else {
+        Err(format!(
+            "--alpha must lie strictly between 0 and 1, got {a}"
+        ))
+    }
+}
+
 fn load_workload(opts: &Opts) -> Result<Workload, String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     let table = csv::read_csv(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
@@ -372,7 +385,7 @@ fn load_workload(opts: &Opts) -> Result<Workload, String> {
         model_seed: seed,
     };
     let tester = opts.get("tester").unwrap_or("gtest").to_owned();
-    let alpha: f64 = opts.num("alpha", 0.01)?;
+    let alpha = alpha(opts)?;
     Ok(Workload {
         train,
         test,
@@ -453,7 +466,7 @@ fn workload_request(opts: &Opts) -> Result<WorkloadRequest, String> {
         dataset: DatasetRef::Csv(csv_text),
         algo: opts.get("algo").unwrap_or("grpsel").to_owned(),
         tester: opts.get("tester").unwrap_or("gtest").to_owned(),
-        alpha: opts.num("alpha", 0.01)?,
+        alpha: alpha(opts)?,
         // The server caps `workers`; a larger host's default stays under it.
         workers: opts.num("workers", default_workers().min(MAX_WORKERS))?,
         max_group,

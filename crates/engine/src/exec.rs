@@ -539,11 +539,12 @@ impl<T: CiTestBatch> CiSession<T> {
     /// rebuild. The child's scaffold/encode counters are refreshed before
     /// returning, so the warm-birth ledger (`extended_scaffolds`,
     /// `extended_encodings`, `append_rows`, `memo_patched`) is visible
-    /// before any query.
+    /// before any query. Traced as `engine.extend`.
     pub fn extended_over(
         &self,
         child: std::sync::Arc<fairsel_ci::EncodedTable>,
     ) -> Option<CiSession<Box<dyn CiTestBatch + Send + Sync>>> {
+        let _sp = fairsel_obs::span("engine.extend");
         let empty_batch = child.n_rows() == child.base_rows();
         let tester = self.tester().extend_over(child)?;
         let mut session = CiSession::new(tester);

@@ -34,8 +34,8 @@ pub mod server;
 pub use json::{Json, JsonError};
 pub use prom::render_prom;
 pub use proto::{
-    valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request, Response, WorkloadRequest,
-    MAX_WORKERS,
+    valid_alpha, valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request, Response,
+    WorkloadRequest, MAX_WORKERS,
 };
 pub use registry::{fingerprint_table, pipeline_config, Registry, RegistryConfig};
 pub use server::{

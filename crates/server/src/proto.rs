@@ -14,9 +14,10 @@
 //!  "tester":"gtest", "alpha":0.01, "workers":4, "max_group":"auto"|N|null,
 //!  "train_frac":0.7, "seed":0, "classifier":"logistic"}
 //! {"cmd":"methods", ...same workload fields...}
-//!                      (`workers` may not exceed [`MAX_WORKERS`] and
-//!                      `train_frac` must lie strictly between 0 and 1;
-//!                      a workload outside either gets an error reply)
+//!                      (`workers` may not exceed [`MAX_WORKERS`], and
+//!                      `train_frac` and `alpha` must lie strictly
+//!                      between 0 and 1; a workload outside any of these
+//!                      gets an error reply)
 //! {"cmd":"put"}        followed by ONE raw binary frame: the dataset in
 //!                      the fairsel_table::codec column format; responds
 //!                      with the dataset fingerprint (16 hex chars in
@@ -277,11 +278,17 @@ impl WorkloadRequest {
                 "train_frac must lie strictly between 0 and 1, got {train_frac}"
             ));
         }
+        let alpha = v.get_num("alpha").unwrap_or(d.alpha);
+        if !valid_alpha(alpha) {
+            return Err(format!(
+                "alpha must lie strictly between 0 and 1, got {alpha}"
+            ));
+        }
         Ok(WorkloadRequest {
             dataset,
             algo: v.get_str("algo").unwrap_or(&d.algo).to_owned(),
             tester: v.get_str("tester").unwrap_or(&d.tester).to_owned(),
-            alpha: v.get_num("alpha").unwrap_or(d.alpha),
+            alpha,
             workers: workers as usize,
             max_group: MaxGroupSpec::from_json(v.get("max_group"))?,
             speculate: v.get_bool("speculate").unwrap_or(d.speculate),
@@ -297,6 +304,13 @@ impl WorkloadRequest {
 /// the CLI so both reject what the split would panic on.
 pub fn valid_train_frac(f: f64) -> bool {
     f > 0.0 && f < 1.0
+}
+
+/// Whether `a` is a usable significance level: finite and strictly inside
+/// (0, 1), the range the data testers assert. Shared by the wire decoder
+/// and the CLI so both reject what a tester would panic on.
+pub fn valid_alpha(a: f64) -> bool {
+    a > 0.0 && a < 1.0
 }
 
 /// A parsed request.
@@ -634,11 +648,17 @@ mod tests {
             let err = select(&format!(r#""train_frac":{bad}"#)).unwrap_err();
             assert!(err.contains("train_frac"), "train_frac {bad}: {err}");
         }
+        for bad in ["0", "1", "1.5", "-0.1", "1e400"] {
+            let err = select(&format!(r#""alpha":{bad}"#)).unwrap_err();
+            assert!(err.contains("alpha"), "alpha {bad}: {err}");
+        }
         let err = select(&format!(r#""workers":{}"#, MAX_WORKERS + 1)).unwrap_err();
         assert!(err.contains("workers"), "{err}");
         // The bounds themselves are accepted.
         assert!(select(&format!(r#""workers":{MAX_WORKERS},"train_frac":0.5"#)).is_ok());
         assert!(select(r#""train_frac":0.999"#).is_ok());
+        assert!(select(r#""alpha":0.999"#).is_ok());
+        assert!(select(r#""alpha":1e-300"#).is_ok());
     }
 
     #[test]

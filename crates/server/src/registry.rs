@@ -471,6 +471,15 @@ impl Registry {
             // inconsistent) — nothing to extend over.
             return None;
         }
+        // Times the extension itself: the batch copy, the encoding
+        // extension and the session hand-off (its `engine.extend` child).
+        let _sp = fairsel_obs::span_kv("session.warm_child", || {
+            vec![
+                ("fingerprint", format!("{child_fp:016x}")),
+                ("parent", format!("{parent_fp:016x}")),
+                ("appended_train_rows", (n_child - n_parent).to_string()),
+            ]
+        });
         let suffix: Vec<usize> = (n_parent..n_child).collect();
         let batch = child_train.take_rows(&suffix);
         let enc = Arc::new(pw.enc.extend(&batch).ok()?);
@@ -485,15 +494,6 @@ impl Registry {
         self.memo_patched.fetch_add(patched, Ordering::Relaxed);
         self.memo_invalidated
             .fetch_add(invalidated, Ordering::Relaxed);
-        let _sp = fairsel_obs::span_kv("session.warm_child", || {
-            vec![
-                ("fingerprint", format!("{child_fp:016x}")),
-                ("parent", format!("{parent_fp:016x}")),
-                ("appended_train_rows", (n_child - n_parent).to_string()),
-                ("memo_patched", patched.to_string()),
-                ("memo_invalidated", invalidated.to_string()),
-            ]
-        });
         Some((enc, session))
     }
 

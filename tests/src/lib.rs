@@ -1840,10 +1840,10 @@ mod fp_addressed_requests {
 
 #[cfg(test)]
 mod request_validation {
-    //! Wire-controlled `train_frac` and `workers` are checked where they
-    //! enter the server: an out-of-range value gets a structured error
-    //! reply instead of a panic in the handler, and the connection that
-    //! carried it goes on serving valid requests.
+    //! Wire-controlled `train_frac`, `alpha` and `workers` are checked
+    //! where they enter the server: an out-of-range value gets a
+    //! structured error reply instead of a panic in the handler, and the
+    //! connection that carried it goes on serving valid requests.
 
     use fairsel_ci::GTest;
     use fairsel_core::{render_pipeline_report, run_pipeline_batched};
@@ -1891,24 +1891,29 @@ mod request_validation {
         let mut stream = TcpStream::connect(&addr).expect("connect");
 
         let bad = [
-            (0.0, 1, "train_frac"),
-            (1.0, 1, "train_frac"),
-            (1.5, 1, "train_frac"),
-            (0.7, MAX_WORKERS + 1, "workers"),
+            (0.0, 0.01, 1, "train_frac"),
+            (1.0, 0.01, 1, "train_frac"),
+            (1.5, 0.01, 1, "train_frac"),
+            (0.7, 0.0, 1, "alpha"),
+            (0.7, 1.0, 1, "alpha"),
+            (0.7, 1.5, 1, "alpha"),
+            (0.7, -0.1, 1, "alpha"),
+            (0.7, 0.01, MAX_WORKERS + 1, "workers"),
         ];
-        for (train_frac, workers, field) in bad {
+        for (train_frac, alpha, workers, field) in bad {
             let req = Request::Select(WorkloadRequest {
                 dataset: DatasetRef::Csv(csv_text.clone()),
                 train_frac,
+                alpha,
                 workers,
                 ..Default::default()
             });
+            let label = format!("train_frac {train_frac}, alpha {alpha}, workers {workers}");
             match call(&mut stream, &req) {
-                Response::Err(e) => assert!(
-                    e.contains(field),
-                    "train_frac {train_frac}, workers {workers}: error {e:?} must name {field}"
-                ),
-                other => panic!("train_frac {train_frac}, workers {workers}: got {other:?}"),
+                Response::Err(e) => {
+                    assert!(e.contains(field), "{label}: error {e:?} must name {field}")
+                }
+                other => panic!("{label}: got {other:?}"),
             }
         }
 
@@ -1945,10 +1950,10 @@ mod observability {
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::EngineStats;
     use fairsel_server::{
-        pipeline_config, request, DatasetRef, Json, Request, Response, ServeConfig, Server,
-        WorkloadRequest,
+        append_rows, pipeline_config, put_dataset, request, DatasetRef, Json, Request, Response,
+        ServeConfig, Server, WorkloadRequest,
     };
-    use fairsel_table::{csv, Table};
+    use fairsel_table::{codec, csv, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Mutex;
@@ -2186,6 +2191,105 @@ mod observability {
         );
         assert!(prom.contains("# TYPE fairsel_request_wall_ms histogram"));
 
+        handle.shutdown();
+    }
+    /// A child dataset born warm from its parent traces the extension
+    /// itself: put → select → append → select leaves an `engine.extend`
+    /// span under the child's `session.warm_child`, which sits under its
+    /// `session.build`, and each span's interval lies inside its parent's.
+    #[test]
+    fn warm_child_span_covers_the_extension() {
+        let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let full = workload_table(35, 10, 600);
+        let base = full.take_rows(&(0..500).collect::<Vec<_>>());
+        let batch = full.take_rows(&(500..600).collect::<Vec<_>>());
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+
+        let fp_of = |resp: Response| match resp {
+            Response::Ok { body, .. } => u64::from_str_radix(&body, 16).expect("hex fingerprint"),
+            other => panic!("expected a fingerprint: {other:?}"),
+        };
+        let select = |fp: u64| {
+            let req = Request::Select(WorkloadRequest {
+                dataset: DatasetRef::Fp(fp),
+                ..Default::default()
+            });
+            match request(&addr, &req).expect("select") {
+                Response::Ok { .. } => {}
+                other => panic!("select {fp:016x} failed: {other:?}"),
+            }
+        };
+        let fp = fp_of(put_dataset(&addr, &codec::encode_table(&base)).expect("put"));
+        select(fp);
+        let child =
+            fp_of(append_rows(&addr, fp, &codec::encode_row_batch(&batch)).expect("append"));
+        select(child);
+        let child_hex = format!("{child:016x}");
+
+        // The sink is process-global and flushed when a handler's root
+        // span drops, after the reply is written: poll for the chain.
+        let span = |spans: &[Json], id: u64| -> Option<Json> {
+            spans.iter().find(|s| s.get_u64("id") == Some(id)).cloned()
+        };
+        let chain = |spans: &[Json]| -> Option<[Json; 3]> {
+            let warm = spans.iter().find(|s| {
+                s.get_str("name") == Some("session.warm_child")
+                    && s.get("kv").and_then(|kv| kv.get_str("fingerprint")) == Some(&child_hex)
+            })?;
+            let wid = warm.get_u64("id")?;
+            let extend = spans.iter().find(|s| {
+                s.get_str("name") == Some("engine.extend") && s.get_u64("parent") == Some(wid)
+            })?;
+            let build = span(spans, warm.get_u64("parent")?)?;
+            Some([build, warm.clone(), extend.clone()])
+        };
+        let mut found = None;
+        for attempt in 0..40 {
+            if attempt > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+            }
+            let Response::Ok { stats: Some(t), .. } =
+                request(&addr, &Request::Trace { last: 4096 }).expect("trace")
+            else {
+                panic!("trace failed");
+            };
+            if let Some(Json::Arr(spans)) = t.get("spans") {
+                found = chain(spans);
+            }
+            if found.is_some() {
+                break;
+            }
+        }
+        let [build, warm, extend] =
+            found.expect("engine.extend under the child's session.warm_child");
+        assert_eq!(build.get_str("name"), Some("session.build"));
+        assert_eq!(
+            build.get("kv").and_then(|kv| kv.get_str("fingerprint")),
+            Some(child_hex.as_str())
+        );
+        let d = WorkloadRequest::default();
+        let train_rows = |t: &Table| t.split_rows_stable(d.seed, d.train_frac).train.n_rows();
+        let appended = (train_rows(&full) - train_rows(&base)).to_string();
+        assert_eq!(
+            warm.get("kv")
+                .and_then(|kv| kv.get_str("appended_train_rows")),
+            Some(appended.as_str())
+        );
+        let interval = |s: &Json| {
+            let start = s.get_u64("start_us").expect("start_us");
+            (start, start + s.get_u64("dur_us").expect("dur_us"))
+        };
+        for (outer, inner) in [(&build, &warm), (&warm, &extend)] {
+            let (o, i) = (interval(outer), interval(inner));
+            assert!(
+                o.0 <= i.0 && i.1 <= o.1,
+                "{:?} {i:?} must lie inside {:?} {o:?}",
+                inner.get_str("name"),
+                outer.get_str("name")
+            );
+        }
         handle.shutdown();
     }
 }
