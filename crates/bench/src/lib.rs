@@ -11,10 +11,7 @@
 //! across repeats, so any repeat's counters are the counters.
 
 use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, KernelMode, OracleCi};
-use fairsel_core::{
-    grpsel_batched_in, grpsel_in, grpsel_par_in, grpsel_ungrouped_in, seqsel_in, Problem,
-    SelectConfig,
-};
+use fairsel_core::{grpsel_batched_in, grpsel_in, seqsel_in, Problem, SelectConfig};
 use fairsel_datasets::sim::sample_table;
 use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
 use fairsel_engine::{default_workers, CiSession};
@@ -29,7 +26,7 @@ use std::time::Instant;
 pub struct BenchResult {
     /// Scenario label, e.g. `oracle/n=256`.
     pub scenario: String,
-    /// Algorithm label, e.g. `grpsel-par4`.
+    /// Algorithm label, e.g. `grpsel-batched-par4`.
     pub algo: String,
     /// Number of candidate features in the instance.
     pub n_features: usize,
@@ -43,13 +40,6 @@ pub struct BenchResult {
     pub encode_hits: u64,
     /// Encoding-layer cache misses (encodings computed).
     pub encode_misses: u64,
-    /// Queries evaluated speculatively (predicted frontier work).
-    pub speculative_issued: u64,
-    /// Demanded queries answered by a speculative evaluation; for one
-    /// workload, `issued + speculative_hits` of a speculative run equals
-    /// `issued` of the non-speculative run (conservation — validated by
-    /// the smoke suite).
-    pub speculative_hits: u64,
     /// End-to-end selection wall time, milliseconds (median of repeats).
     pub wall_ms: f64,
     /// Request payload bytes shipped over the wire per request (frame
@@ -115,7 +105,6 @@ impl BenchResult {
         format!(
             "{{\"scenario\":\"{}\",\"algo\":\"{}\",\"n_features\":{},\
              \"requested\":{},\"issued\":{},\"cache_hits\":{},\
-             \"speculative_issued\":{},\"speculative_hits\":{},\
              \"encode_hits\":{},\"encode_misses\":{},\
              \"wall_ms\":{:.3},\"req_bytes\":{},\"selected\":{},\
              \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\
@@ -130,8 +119,6 @@ impl BenchResult {
             self.requested,
             self.issued,
             self.cache_hits,
-            self.speculative_issued,
-            self.speculative_hits,
             self.encode_hits,
             self.encode_misses,
             self.wall_ms,
@@ -218,8 +205,6 @@ where
         cache_hits: stats.cache_hits,
         encode_hits: stats.encode_cache_hits,
         encode_misses: stats.encode_cache_misses,
-        speculative_issued: stats.speculative_issued,
-        speculative_hits: stats.speculative_hits,
         wall_ms,
         req_bytes: 0,
         selected,
@@ -227,9 +212,9 @@ where
     }
 }
 
-/// SeqSel vs GrpSel (sequential and parallel) against the d-separation
-/// oracle on fairness-structured synthetic DAGs of growing width — the
-/// `O(n)` vs `O(k log n)` curve of Figures 4–5.
+/// SeqSel vs GrpSel (reference path and Z-grouped scheduler) against the
+/// d-separation oracle on fairness-structured synthetic DAGs of growing
+/// width — the `O(n)` vs `O(k log n)` curve of Figures 4–5.
 pub fn oracle_scaling(sizes: &[usize], workers: usize, repeats: usize) -> Vec<BenchResult> {
     let mut out = Vec::new();
     for &n in sizes {
@@ -255,11 +240,11 @@ pub fn oracle_scaling(sizes: &[usize], workers: usize, repeats: usize) -> Vec<Be
                 grpsel_in(s, &problem, &select, None).selected().len()
             })
         }));
-        let algo = format!("grpsel-par{workers}");
+        let algo = format!("grpsel-batched-par{workers}");
         out.push(median_of_repeats(repeats, || {
             let mut session = CiSession::new(OracleCi::from_dag(inst.dag.clone()));
             measure(&scenario, &algo, n, &mut session, |s| {
-                grpsel_par_in(s, &problem, &select, None, workers)
+                grpsel_batched_in(s, &problem, &select, None, workers)
                     .selected()
                     .len()
             })
@@ -269,7 +254,8 @@ pub fn oracle_scaling(sizes: &[usize], workers: usize, repeats: usize) -> Vec<Be
 }
 
 /// SeqSel vs GrpSel with the G-test on sampled data — the finite-sample
-/// regime where each CI test costs real work and parallel batches pay off.
+/// regime where each CI test costs real work and Z-grouped batches pay
+/// off.
 pub fn data_scaling(
     n_features: usize,
     rows: usize,
@@ -303,11 +289,11 @@ pub fn data_scaling(
             grpsel_in(s, &problem, &select, None).selected().len()
         })
     }));
-    let algo = format!("grpsel-par{workers}");
+    let algo = format!("grpsel-batched-par{workers}");
     out.push(median_of_repeats(repeats, || {
         let mut session = CiSession::new(GTest::new(&table, 0.01));
         measure(&scenario, &algo, n_features, &mut session, |s| {
-            grpsel_par_in(s, &problem, &select, None, workers)
+            grpsel_batched_in(s, &problem, &select, None, workers)
                 .selected()
                 .len()
         })
@@ -316,24 +302,17 @@ pub fn data_scaling(
 }
 
 /// The batch-execution story: GrpSel with the G-test (and Fisher-z)
-/// through four execution strategies on the same instance and seed —
+/// through both execution paths on the same instance and seed —
 ///
-/// * `grpsel-nocache`: the per-query baseline, every query re-deriving
-///   its joint encodings (memoization disabled — the pre-`EncodedTable`
-///   data path);
-/// * `grpsel-batched`: the pre-grouping batched scheduler (PR 2/3):
-///   frontiers through `eval_batch` over the shared encoding caches,
-///   serially, with no conditioning-set partitioning;
+/// * `grpsel-nocache`: the reference path, one query at a time, every
+///   query re-deriving its joint encodings (memoization disabled — the
+///   pre-`EncodedTable` data path);
 /// * `grpsel-batched-parN`: the **Z-grouped scheduler** — frontiers
 ///   partitioned by canonical conditioning set, one scaffold per distinct
 ///   `Z` (`eval_z_group`), group chunks stolen from the persistent worker
-///   pool's shared deque at N workers;
-/// * `grpsel-spec`: the Z-grouped scheduler with speculative frontier
-///   waves on — the `speculative_*` columns measure the policy, and
-///   `issued + speculative_hits` equals the non-speculative `issued`
-///   (conservation, enforced by [`validate_bench_json`]).
+///   pool's shared deque at N workers.
 ///
-/// Selections are byte-identical across all four (property-tested in
+/// Selections are byte-identical across both (property-tested in
 /// `fairsel-tests`); the rows differ only in wall time and counters.
 pub fn data_tester_modes(
     n_features: usize,
@@ -539,9 +518,8 @@ fn encoded(table: &Table, cached: bool) -> Arc<EncodedTable> {
     })
 }
 
-/// Run one scenario's four execution modes (per-query uncached baseline,
-/// legacy ungrouped batched, Z-grouped + worker pool, Z-grouped +
-/// speculation) for any batch-aware tester.
+/// Run one scenario's two execution modes (per-query uncached baseline,
+/// Z-grouped + worker pool) for any batch-aware tester.
 #[allow(clippy::too_many_arguments)]
 fn modes_for<T, F>(
     out: &mut Vec<BenchResult>,
@@ -568,36 +546,12 @@ fn modes_for<T, F>(
         })
     }));
 
-    // Legacy batched scheduler: shared encoding caches, no Z-grouping.
-    out.push(median_of_repeats(repeats, || {
-        let mut session = CiSession::new(mk(true));
-        measure(scenario, "grpsel-batched", n_features, &mut session, |s| {
-            grpsel_ungrouped_in(s, problem, select, None, 1)
-                .selected()
-                .len()
-        })
-    }));
-
     // Z-grouped scheduler on the persistent pool.
     let algo = format!("grpsel-batched-par{workers}");
     out.push(median_of_repeats(repeats, || {
         let mut session = CiSession::new(mk(true));
         measure(scenario, &algo, n_features, &mut session, |s| {
             grpsel_batched_in(s, problem, select, None, workers)
-                .selected()
-                .len()
-        })
-    }));
-
-    // Z-grouped + speculative frontier waves.
-    let speculative = SelectConfig {
-        speculate: true,
-        ..select.clone()
-    };
-    out.push(median_of_repeats(repeats, || {
-        let mut session = CiSession::new(mk(true));
-        measure(scenario, "grpsel-spec", n_features, &mut session, |s| {
-            grpsel_batched_in(s, problem, &speculative, None, workers)
                 .selected()
                 .len()
         })
@@ -676,8 +630,6 @@ pub fn serve_cold_warm(n_features: usize, rows: usize) -> Vec<BenchResult> {
             cache_hits: hits,
             encode_hits: cache.encode_hits,
             encode_misses: cache.encode_misses,
-            speculative_issued: num("speculative_issued"),
-            speculative_hits: num("speculative_hits"),
             wall_ms,
             req_bytes,
             selected,
@@ -795,8 +747,6 @@ pub fn serve_concurrent(n_features: usize, rows: usize, clients: usize) -> Vec<B
             cache_hits: after.2 - cum.2,
             encode_hits: outcomes.iter().map(|o| o.3).max().unwrap_or(0),
             encode_misses: outcomes.iter().map(|o| o.4).max().unwrap_or(0),
-            speculative_issued: 0,
-            speculative_hits: 0,
             wall_ms,
             req_bytes,
             selected: outcomes.first().map_or(0, |o| o.5),
@@ -830,8 +780,6 @@ pub fn serve_concurrent(n_features: usize, rows: usize, clients: usize) -> Vec<B
         cache_hits: 0,
         encode_hits: 0,
         encode_misses: 0,
-        speculative_issued: 0,
-        speculative_hits: 0,
         wall_ms: put_wall,
         req_bytes: (Request::Put.to_json().to_string().len() + 4 + 4 + codec_bytes.len()) as u64,
         selected: 0,
@@ -1014,8 +962,6 @@ pub fn cache_replay(n_features: usize) -> Vec<BenchResult> {
         cache_hits: stats.cache_hits - before.2,
         encode_hits: 0,
         encode_misses: 0,
-        speculative_issued: 0,
-        speculative_hits: 0,
         wall_ms,
         req_bytes: 0,
         selected,
@@ -1161,9 +1107,11 @@ pub fn append_reselect(
 }
 
 /// The full suite. `quick` keeps sizes (and repeat counts) small enough
-/// for CI. The batch scenarios always run the Z-grouped scheduler at 4
-/// workers (`grpsel-batched-par4`) regardless of the host's core count —
-/// the committed numbers compare schedulers, not machines.
+/// for CI. The oracle and G-test scaling scenarios run GrpSel on both
+/// execution paths, the Z-grouped one at `workers`; the batch scenarios
+/// always run the Z-grouped scheduler at 4 workers
+/// (`grpsel-batched-par4`) regardless of the host's core count — the
+/// committed numbers compare execution paths, not machines.
 pub fn bench_suite(quick: bool, workers: usize) -> Vec<BenchResult> {
     let oracle_sizes: &[usize] = if quick {
         &[32, 128]
@@ -1209,9 +1157,9 @@ pub fn default_suite(quick: bool) -> Vec<BenchResult> {
     bench_suite(quick, default_workers())
 }
 
-/// The CI smoke suite: the data-tester scenarios (including the
-/// speculative run the validator checks for conservation) plus the
-/// cold/warm serve round trip, on tiny inputs.
+/// The CI smoke suite: the data-tester scenarios (both execution paths),
+/// the rows-scaling kernels and the append re-select, plus the cold/warm,
+/// concurrent and latency-tail serve scenarios, on tiny inputs.
 pub fn smoke_suite() -> Vec<BenchResult> {
     let mut out = data_tester_modes(16, 800, 2, 1);
     out.extend(rows_scaling(&[2000, 6000], 2, 1));
@@ -1260,10 +1208,7 @@ pub const ENGINE_STATS_KEYS: &[&str] = &[
     "cache_hits",
     "batches",
     "parallel_batches",
-    "batched_batches",
     "grouped_batches",
-    "speculative_issued",
-    "speculative_hits",
     "max_batch",
     "wall_ms",
     "encode_cache_hits",
@@ -1299,11 +1244,8 @@ pub fn validate_stats_json(json: &str) -> Result<(), String> {
 
 /// Validate a serialized bench document the way the CI smoke job does:
 /// structurally sound JSON with a non-empty `runs` array, every run
-/// carrying the encode-cache **and scheduler** counters, the G-test
-/// GrpSel batched scenario actually *hitting* the encode cache, and the
-/// speculative runs conserving `issued` against their non-speculative
-/// twins (`issued_spec + speculative_hits == issued_plain` — the proof
-/// speculation moved work rather than adding or dropping any).
+/// carrying the encode-cache counters, and the G-test GrpSel Z-grouped
+/// scenario actually *hitting* the encode cache.
 pub fn validate_bench_json(json: &str) -> Result<(), String> {
     let json = json.trim();
     if !json.starts_with('{') || !json.ends_with('}') {
@@ -1340,8 +1282,6 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         "\"issued\":",
         "\"encode_hits\":",
         "\"encode_misses\":",
-        "\"speculative_issued\":",
-        "\"speculative_hits\":",
         "\"wall_ms\":",
         "\"req_bytes\":",
         "\"p50_ms\":",
@@ -1364,8 +1304,6 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
             return Err(format!("counter {key} absent from some run"));
         }
     }
-    // Scheduler acceptance signal: every speculative run conserves issued
-    // work against its non-speculative twin and actually speculated.
     let runs: Vec<&str> = json
         .split("{\"scenario\":\"")
         .skip(1)
@@ -1376,38 +1314,15 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         runs.iter()
             .find(|r| r.starts_with(scenario_prefix) && r.contains(&needle))
     };
-    for scenario in ["gtest-batch", "fisherz-batch"] {
-        let plain = find_run(scenario, "grpsel-batched")
-            .ok_or_else(|| format!("{scenario}: no grpsel-batched run"))?;
-        let spec = find_run(scenario, "grpsel-spec")
-            .ok_or_else(|| format!("{scenario}: no grpsel-spec run"))?;
-        let plain_issued = run_field(plain, "issued").ok_or("unreadable issued")?;
-        let spec_issued = run_field(spec, "issued").ok_or("unreadable issued")?;
-        let spec_extra =
-            run_field(spec, "speculative_issued").ok_or("unreadable speculative_issued")?;
-        let spec_hits = run_field(spec, "speculative_hits").ok_or("unreadable speculative_hits")?;
-        if spec_extra == 0 {
-            return Err(format!("{scenario}: speculative run never speculated"));
-        }
-        if spec_issued + spec_hits != plain_issued {
-            return Err(format!(
-                "{scenario}: speculation broke issued conservation \
-                 ({spec_issued} + {spec_hits} != {plain_issued})"
-            ));
-        }
-    }
-    // The acceptance signal: a batched G-test GrpSel run with real
+    // The acceptance signal: a Z-grouped G-test GrpSel run with real
     // encode-cache reuse.
-    let hit = json
-        .split("{\"scenario\":\"gtest-batch")
-        .skip(1)
-        .any(|chunk| {
-            // Run objects are flat: the first '}' closes this run.
-            let run = chunk.split('}').next().unwrap_or("");
-            run.contains("\"algo\":\"grpsel-batched\"") && !run.contains("\"encode_hits\":0,")
-        });
+    let hit = runs.iter().any(|r| {
+        r.starts_with("gtest-batch")
+            && r.contains("\"algo\":\"grpsel-batched-par")
+            && !r.contains("\"encode_hits\":0,")
+    });
     if !hit {
-        return Err("no gtest-batch grpsel-batched run with encode_hits > 0".into());
+        return Err("no gtest-batch grpsel-batched-parN run with encode_hits > 0".into());
     }
     // The serving acceptance signal: a warm request against the session
     // service that issued zero new CI tests, hit the shared memo, and
@@ -1696,7 +1611,7 @@ mod tests {
         );
         assert_eq!(
             issued("grpsel"),
-            issued("grpsel-par2"),
+            issued("grpsel-batched-par2"),
             "parallelism is free"
         );
     }
@@ -1718,40 +1633,29 @@ mod tests {
                 .iter()
                 .filter(|r| r.scenario.starts_with(scenario))
                 .collect();
-            assert_eq!(rows.len(), 4, "{scenario}: four execution modes");
+            assert_eq!(rows.len(), 2, "{scenario}: two execution modes");
             let baseline = rows.iter().find(|r| r.algo == "grpsel-nocache").unwrap();
-            let batched = rows.iter().find(|r| r.algo == "grpsel-batched").unwrap();
             let grouped = rows
                 .iter()
                 .find(|r| r.algo == "grpsel-batched-par2")
                 .unwrap();
-            let spec = rows.iter().find(|r| r.algo == "grpsel-spec").unwrap();
             assert_eq!(baseline.encode_hits, 0, "uncached baseline never hits");
             assert!(
-                batched.encode_hits > 0,
-                "{scenario}: batched run must reuse encodings"
+                grouped.encode_hits > 0,
+                "{scenario}: grouped run must reuse encodings"
             );
             assert!(
-                batched.encode_misses < baseline.encode_misses,
+                grouped.encode_misses < baseline.encode_misses,
                 "{scenario}: cache must cut encoding work ({} !< {})",
-                batched.encode_misses,
+                grouped.encode_misses,
                 baseline.encode_misses
             );
-            assert!(grouped.encode_hits > 0, "{scenario}: grouped run hits too");
-            // Same instance, same seed: every mode selects identically;
-            // the non-speculative modes issue the same tests, and the
-            // speculative mode conserves them.
+            // Same instance, same seed: both modes select identically
+            // and issue the same tests.
             for r in &rows {
                 assert_eq!(r.selected, baseline.selected, "{}", r.algo);
             }
-            assert_eq!(batched.issued, baseline.issued);
             assert_eq!(grouped.issued, baseline.issued);
-            assert!(spec.speculative_issued > 0, "{scenario}: must speculate");
-            assert_eq!(
-                spec.issued + spec.speculative_hits,
-                baseline.issued,
-                "{scenario}: speculation must conserve issued work"
-            );
         }
     }
 
@@ -1787,25 +1691,16 @@ mod tests {
     }
 
     /// One flat fake run object for validator tests.
-    fn fake_run(
-        scenario: &str,
-        algo: &str,
-        issued: u64,
-        spec: (u64, u64),
-        enc_hits: u64,
-        req_bytes: u64,
-    ) -> String {
+    fn fake_run(scenario: &str, algo: &str, issued: u64, enc_hits: u64, req_bytes: u64) -> String {
         format!(
             "{{\"scenario\":\"{scenario}\",\"algo\":\"{algo}\",\"issued\":{issued},\
-             \"cache_hits\":9,\"speculative_issued\":{},\"speculative_hits\":{},\
-             \"encode_hits\":{enc_hits},\"encode_misses\":9,\"wall_ms\":1.0,\
+             \"cache_hits\":9,\"encode_hits\":{enc_hits},\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":{req_bytes},\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":0,\
              \"ns_per_row\":0.000,\"pvalue_hash\":\"\",\
              \"dense_count_cells\":0,\"narrow_code_bytes\":0,\
              \"append_rows\":0,\"extended_encodings\":0,\
-             \"memo_patched\":0,\"memo_invalidated\":0}}",
-            spec.0, spec.1
+             \"memo_patched\":0,\"memo_invalidated\":0}}"
         )
     }
 
@@ -1820,7 +1715,7 @@ mod tests {
     ) -> String {
         format!(
             "{{\"scenario\":\"rows-scaling/{family}/rows={rows}\",\"algo\":\"{algo}\",\
-             \"issued\":5,\"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"issued\":5,\"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":0,\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":{rows},\
@@ -1835,7 +1730,7 @@ mod tests {
     fn fake_tail_run(p50: f64, p95: f64, p99: f64, max: f64, total: u64) -> String {
         format!(
             "{{\"scenario\":\"serve/latency-tail/x\",\"algo\":\"tail-hot\",\"issued\":0,\
-             \"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":300,\"p50_ms\":{p50},\"p95_ms\":{p95},\
              \"p99_ms\":{p99},\"max_ms\":{max},\"hist_total\":{total},\"rows\":0,\
@@ -1859,7 +1754,7 @@ mod tests {
     ) -> String {
         format!(
             "{{\"scenario\":\"append/reselect/x\",\"algo\":\"{algo}\",\"issued\":{issued},\
-             \"cache_hits\":9,\"speculative_issued\":0,\"speculative_hits\":0,\
+             \"cache_hits\":9,\
              \"encode_hits\":5,\"encode_misses\":9,\"wall_ms\":1.0,\
              \"req_bytes\":{req_bytes},\"p50_ms\":0.000,\"p95_ms\":0.000,\
              \"p99_ms\":0.000,\"max_ms\":0.000,\"hist_total\":0,\"rows\":1000,\
@@ -1881,12 +1776,12 @@ mod tests {
 
     fn valid_rows() -> Vec<String> {
         vec![
-            fake_run("gtest-batch/x", "grpsel-batched", 10, (0, 0), 5, 0),
-            fake_run("gtest-batch/x", "grpsel-spec", 7, (5, 3), 5, 0),
-            fake_run("fisherz-batch/x", "grpsel-batched", 12, (0, 0), 5, 0),
-            fake_run("fisherz-batch/x", "grpsel-spec", 8, (6, 4), 5, 0),
-            fake_run("serve/x", "serve-warm", 0, (0, 0), 5, 9000),
-            fake_run("serve/concurrent/x", "serve-warm-fp", 0, (0, 0), 5, 300),
+            fake_run("gtest-batch/x", "grpsel-nocache", 10, 0, 0),
+            fake_run("gtest-batch/x", "grpsel-batched-par2", 10, 5, 0),
+            fake_run("fisherz-batch/x", "grpsel-nocache", 12, 0, 0),
+            fake_run("fisherz-batch/x", "grpsel-batched-par2", 12, 5, 0),
+            fake_run("serve/x", "serve-warm", 0, 5, 9000),
+            fake_run("serve/concurrent/x", "serve-warm-fp", 0, 5, 300),
             fake_scaling_run("gtest", "kernels-narrow", 1000, "abc1", 50, 40),
             fake_scaling_run("gtest", "kernels-reference", 1000, "abc1", 0, 40),
             fake_scaling_run("gtest", "kernels-narrow", 3000, "abc2", 150, 120),
@@ -1910,7 +1805,7 @@ mod tests {
             .contains("serve-warm"));
         // Serve present but the warm run still issued tests.
         let mut stale = valid_rows();
-        stale[4] = fake_run("serve/x", "serve-warm", 4, (0, 0), 5, 9000);
+        stale[4] = fake_run("serve/x", "serve-warm", 4, 5, 9000);
         assert!(validate_bench_json(&fake_doc(&stale)).is_err());
     }
 
@@ -1923,38 +1818,31 @@ mod tests {
             .contains("serve-warm-fp"));
         // The fp wave issued tests: not warm.
         let mut cold = valid_rows();
-        cold[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 3, (0, 0), 5, 300);
+        cold[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 3, 5, 300);
         assert!(validate_bench_json(&fake_doc(&cold))
             .unwrap_err()
             .contains("issued"));
         // The fp request is megabyte-scale: the transport regressed.
         let mut fat = valid_rows();
-        fat[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 0, (0, 0), 5, 900_000);
+        fat[5] = fake_run("serve/concurrent/x", "serve-warm-fp", 0, 5, 900_000);
         assert!(validate_bench_json(&fake_doc(&fat))
             .unwrap_err()
             .contains("bytes"));
     }
 
+    /// The encode-cache acceptance check reads the Z-grouped G-test row.
     #[test]
-    fn validator_enforces_speculation_conservation() {
-        // A spec run whose issued + hits disagree with the plain run.
-        let mut broken = valid_rows();
-        broken[1] = fake_run("gtest-batch/x", "grpsel-spec", 7, (5, 2), 5, 0);
-        assert!(validate_bench_json(&fake_doc(&broken))
+    fn validator_requires_grouped_encode_hits() {
+        let mut cold = valid_rows();
+        cold[1] = fake_run("gtest-batch/x", "grpsel-batched-par2", 10, 0, 0);
+        assert!(validate_bench_json(&fake_doc(&cold))
             .unwrap_err()
-            .contains("conservation"));
-        // A "speculative" run that never speculated.
-        let mut lazy = valid_rows();
-        lazy[1] = fake_run("gtest-batch/x", "grpsel-spec", 10, (0, 0), 5, 0);
-        assert!(validate_bench_json(&fake_doc(&lazy))
-            .unwrap_err()
-            .contains("never speculated"));
-        // Missing the spec row entirely.
+            .contains("encode_hits > 0"));
         let mut missing = valid_rows();
         missing.remove(1);
         assert!(validate_bench_json(&fake_doc(&missing))
             .unwrap_err()
-            .contains("no grpsel-spec run"));
+            .contains("grpsel-batched-parN"));
     }
 
     #[test]
@@ -2243,11 +2131,11 @@ mod tests {
         assert!(validate_bench_json("{\"bench\":\"x\",\"runs\":[]}").is_err());
         // A runs array whose rows lack the encode counters.
         let legacy = "{\"bench\":\"fairsel-engine\",\"runs\":[{\"scenario\":\"gtest-batch/x\",\
-                      \"algo\":\"grpsel-batched\",\"issued\":3,\"wall_ms\":1.0}]}";
+                      \"algo\":\"grpsel-batched-par2\",\"issued\":3,\"wall_ms\":1.0}]}";
         assert!(validate_bench_json(legacy).is_err());
         // Encode counters present but never hit.
         let cold = "{\"bench\":\"fairsel-engine\",\"runs\":[{\"scenario\":\"gtest-batch/x\",\
-                    \"algo\":\"grpsel-batched\",\"issued\":3,\"encode_hits\":0,\
+                    \"algo\":\"grpsel-batched-par2\",\"issued\":3,\"encode_hits\":0,\
                     \"encode_misses\":9,\"wall_ms\":1.0}]}";
         assert!(validate_bench_json(cold).is_err());
     }

@@ -43,13 +43,11 @@ fn main() -> ExitCode {
             String::new()
         };
         println!(
-            "{:<30} {:<20} issued {:>6}  hits {:>5}  spec {:>4}/{:<4}  enc-hits {:>6}  {:>9.2} ms  selected {:>4}/{}{}",
+            "{:<30} {:<20} issued {:>6}  hits {:>5}  enc-hits {:>6}  {:>9.2} ms  selected {:>4}/{}{}",
             r.scenario,
             r.algo,
             r.issued,
             r.cache_hits,
-            r.speculative_hits,
-            r.speculative_issued,
             r.encode_hits,
             r.wall_ms,
             r.selected,

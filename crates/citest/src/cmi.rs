@@ -5,7 +5,7 @@
 //! Lemma 2 of the paper: `I(Y′; S | A) = 0` is a *sufficient* condition for
 //! causal fairness, so the audit metric the paper reports is exactly this
 //! estimator. Slightly negative plug-in estimates are truncated to 0
-//! following Mukherjee et al. [39], as footnote 3 of the paper prescribes.
+//! following Mukherjee et al. \[39\], as footnote 3 of the paper prescribes.
 
 use crate::contingency::{Arenas, Strata, StratumRows, SuffKey, SuffTable, ZPartition};
 use crate::{CiOutcome, CiTest, KernelMode, VarId};
@@ -131,7 +131,7 @@ impl PermutationCmi {
     /// Build a tester over an extended (appended-to) dataset, carrying the
     /// parent's memoized conditioning scaffolds forward: each resident
     /// stratification is extended over the appended rows
-    /// ([`ZPartition::extend`]) and its CSR row layout rebuilt from the
+    /// (`ZPartition::extend`) and its CSR row layout rebuilt from the
     /// extended partition — deterministic, so every transferred scaffold
     /// is bit-identical to what a cold tester on the concatenated table
     /// would derive. Test configuration (alpha, permutation count, base
@@ -445,7 +445,7 @@ impl crate::CiTestBatch for PermutationCmi {
     /// Z-grouped evaluation: one stratification (and one row-list layout)
     /// for the whole group, shared by every query's `B + 1` statistic
     /// computations. Byte-identical to the per-query path, which runs the
-    /// same [`PermutationCmi::eval_prepared`] on a privately derived
+    /// same `PermutationCmi::eval_prepared` on a privately derived
     /// scaffold.
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = crate::canonical_set(z);
@@ -511,7 +511,7 @@ impl crate::CiTestBatch for PermutationCmi {
     }
 
     /// Answer a memoized query from its retained-and-patched observed
-    /// table: the observed statistic is one [`SuffTable::cmi`] walk over
+    /// table: the observed statistic is one `SuffTable::cmi` walk over
     /// the already-patched counts (O(batch) counting happened at
     /// extension); the `B` permutation replicates re-run against the
     /// extended scaffold with the query's derived seed — the identical

@@ -291,7 +291,7 @@ impl crate::CiTestBatch for FisherZ {
     /// blocked ridge solve for the whole group, then answer each query
     /// through the ordinary per-query path (which now only reads caches).
     /// Outcomes are trivially byte-identical — it *is* the per-query path,
-    /// fed bit-identical residuals (see [`FisherZ::prefill_residuals`]).
+    /// fed bit-identical residuals (see `FisherZ::prefill_residuals`).
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = Self::canonical_z(z);
         if !zkey.is_empty() && self.enc.caching() {

@@ -88,7 +88,7 @@ impl GTest {
     /// Build the tester a dataset *extension* warrants: same configuration
     /// as `parent`, reading the extended encoding layer `enc`, with every
     /// resident conditioning-set stratification carried over and extended
-    /// ([`ZPartition::extend`]) instead of rebuilt. Query outcomes are
+    /// (`ZPartition::extend`) instead of rebuilt. Query outcomes are
     /// byte-identical to a cold `GTest::over(enc, alpha)` — only where the
     /// scaffolds come from changes. Telemetry (degenerate short-circuits,
     /// dense-arena cells) starts fresh, matching a cold tester's counters.
@@ -277,7 +277,7 @@ impl crate::CiTestBatch for GTest {
     /// Z-grouped evaluation: one stratification scaffold per group, every
     /// pair counted against it. Byte-identical to [`GTest::g_statistic`]
     /// (same strata order, same cell order, same float accumulation — see
-    /// [`Strata::count_within`]).
+    /// `Strata::count_within`).
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = crate::canonical_set(z);
         // Built lazily so a group of empty-sided queries never encodes.

@@ -1,6 +1,6 @@
 //! RCIT: the Randomized Conditional Independence Test (Strobl, Zhang &
 //! Visweswaran 2019), the tester the paper uses for all real-dataset
-//! experiments (§5.1: "We use RCIT [50] package in R for CI tests").
+//! experiments (§5.1: "We use RCIT \[50\] package in R for CI tests").
 //!
 //! The approach approximates a kernel conditional-independence test with
 //! random Fourier features so its cost is linear in the sample size and

@@ -47,13 +47,13 @@ USAGE:
   fairsel select  --csv <file.csv> [--algo seqsel|grpsel] [--tester gtest|fisherz]
                   [--dag <graph.txt>] [--alpha F]
                   [--classifier logistic|tree|forest|adaboost|nb]
-                  [--workers N] [--max-group N|auto] [--speculate true|false]
-                  [--train-frac F] [--seed N]
+                  [--workers N] [--max-group N|auto] [--train-frac F] [--seed N]
                   [--cache-cap N] [--stats-out <file.json>]
                   [--report-out <file.txt>] [--remote <host:port>]
-  fairsel methods --csv <file.csv> [--tester gtest|fisherz] [--dag <graph.txt>]
-                  [--alpha F] [--classifier ...] [--max-group N|auto]
-                  [--train-frac F] [--seed N] [--remote <host:port>]
+  fairsel methods --csv <file.csv> [--algo seqsel|grpsel] [--tester gtest|fisherz]
+                  [--dag <graph.txt>] [--alpha F] [--classifier ...]
+                  [--workers N] [--max-group N|auto] [--train-frac F] [--seed N]
+                  [--remote <host:port>]
   fairsel serve   [--addr <host:port>] [--cache-cap N] [--max-datasets N]
                   [--conn-workers N] [--max-conns N] [--trace true|false]
   fairsel append  --remote <host:port> --csv <batch.csv>
@@ -77,10 +77,7 @@ over the appended rows, not rebuilt.
 `select` runs the full pipeline — GrpSel frontiers partitioned by
 conditioning set and evaluated through the Z-grouped scheduler on a
 persistent worker pool — and prints selection, fairness report, and
-engine telemetry (encode-cache reuse, speculation counters).
-`--speculate true` issues each frontier level's predictable follow-up
-queries ahead of demand (selections are byte-identical either way; the
-speculative_* counters measure the policy). `methods` sweeps the
+engine telemetry (encode-cache reuse, batch counts). `methods` sweeps the
 baseline pipelines (a-only, all, seqsel, grpsel, fair-pc) on one split;
 with --remote the sweep runs inside the server's shared per-dataset
 session and reports post-dedup test counts.
@@ -109,7 +106,30 @@ polls it and prints one delta line per interval (`--iters N` bounds the
 loop; default runs until interrupted). `trace --remote` fetches the
 server's most recent completed spans (engine phases and the request
 lifecycle) as JSON lines — `--last N` picks how many, `--trace-out`
-writes them to a file instead of stdout.";
+writes them to a file instead of stdout.
+Every subcommand accepts exactly the flags its USAGE line lists; any
+other flag is a usage error.";
+
+/// The flags each subcommand reads — exactly those on its USAGE lines —
+/// space-separated. `None` for an unknown subcommand.
+fn accepted_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "gen" => "out fixture synthetic biased rows seed strength append-batches batch-rows",
+        "select" => {
+            "csv algo tester dag alpha classifier workers max-group train-frac seed \
+             cache-cap stats-out report-out remote"
+        }
+        "methods" => {
+            "csv algo tester dag alpha classifier workers max-group train-frac seed remote"
+        }
+        "serve" => "addr cache-cap max-datasets conn-workers max-conns trace",
+        "append" => "remote csv fp base",
+        "stats" => "remote prom watch iters",
+        "trace" => "remote last trace-out",
+        "help" | "--help" | "-h" => "",
+        _ => return None,
+    })
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,7 +137,12 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(rest) {
+    // Flags are checked before any file is read or socket opened.
+    let checked = Opts::parse(rest).and_then(|opts| match accepted_flags(cmd) {
+        Some(accepted) => opts.reject_unknown(cmd, accepted).map(|()| opts),
+        None => Ok(opts),
+    });
+    let opts = match checked {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -169,6 +194,22 @@ impl Opts {
             pairs.push((key.to_owned(), val));
         }
         Ok(Opts { pairs })
+    }
+
+    /// A usage error naming every flag `cmd` does not read.
+    fn reject_unknown(&self, cmd: &str, accepted: &str) -> Result<(), String> {
+        let mut unknown: Vec<String> = Vec::new();
+        for (k, _) in &self.pairs {
+            let flag = format!("--{k}");
+            if !accepted.split_whitespace().any(|a| a == k) && !unknown.contains(&flag) {
+                unknown.push(flag);
+            }
+        }
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("`{cmd}` does not take {}", unknown.join(", ")))
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -372,11 +413,9 @@ fn load_workload(opts: &Opts) -> Result<Workload, String> {
                 })?,
         ),
     };
-    let speculate: bool = opts.num("speculate", false)?;
     let cfg = PipelineConfig {
         select: SelectConfig {
             max_group,
-            speculate,
             ..SelectConfig::default()
         },
         algo,
@@ -470,7 +509,6 @@ fn workload_request(opts: &Opts) -> Result<WorkloadRequest, String> {
         // The server caps `workers`; a larger host's default stays under it.
         workers: opts.num("workers", default_workers().min(MAX_WORKERS))?,
         max_group,
-        speculate: opts.num("speculate", false)?,
         train_frac: train_frac(opts)?,
         seed: opts.num("seed", 0)?,
         classifier: opts.get("classifier").unwrap_or("logistic").to_owned(),
@@ -907,14 +945,8 @@ fn print_engine_stats(stats: &EngineStats, workers: usize) {
     println!("cache hits                  {}", stats.cache_hits);
     println!("dedup rate                  {:.4}", stats.dedup_rate());
     println!(
-        "batches (par/batched/grp)   {} ({}/{}/{})",
-        stats.batches, stats.parallel_batches, stats.batched_batches, stats.grouped_batches
-    );
-    println!(
-        "speculative issued/hits     {}/{} (wasted {})",
-        stats.speculative_issued,
-        stats.speculative_hits,
-        stats.speculative_wasted()
+        "batches (par/grp)           {} ({}/{})",
+        stats.batches, stats.parallel_batches, stats.grouped_batches
     );
     println!(
         "encode cache hits/misses    {}/{} (evictions {})",

@@ -23,15 +23,15 @@
 //! conditioning on `A ∪ C₁`, which is what we do.
 
 use crate::problem::{Problem, SelectConfig, Selection};
-use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, VarId};
 use fairsel_engine::{CiQuery, CiSession, HalvingPlanner};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Run GrpSel (Algorithm 2) with any CI tester. Groups are split at the
-/// midpoint of the (caller-provided) feature order; use
-/// [`grpsel_seeded`] to randomize the initial order, which is what the
+/// midpoint of the (caller-provided) feature order; pass a seed to
+/// [`grpsel_in`] to randomize the initial order, which is what the
 /// paper's `random_partition` amounts to after the first shuffle.
 ///
 /// Execution routes through the engine: each recursion level becomes a
@@ -47,33 +47,10 @@ pub fn grpsel<T: CiTest + ?Sized>(
     grpsel_in(&mut session, problem, cfg, None)
 }
 
-/// GrpSel with the feature order shuffled once under `seed` before the
-/// recursive halving, making every split a uniform random partition.
-pub fn grpsel_seeded<T: CiTest + ?Sized>(
-    tester: &mut T,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: u64,
-) -> Selection {
-    let mut session = CiSession::new(tester);
-    grpsel_in(&mut session, problem, cfg, Some(seed))
-}
-
-/// GrpSel whose frontier batches fan out across `workers` threads — the
-/// tester must support shared-reference evaluation ([`CiTestShared`]).
-/// Results are byte-identical to [`grpsel`] / [`grpsel_seeded`].
-pub fn grpsel_par<T: CiTestShared + ?Sized>(
-    tester: &mut T,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    let mut session = CiSession::new(tester);
-    grpsel_par_in(&mut session, problem, cfg, seed, workers)
-}
-
-/// Sequential GrpSel inside a caller-provided session.
+/// GrpSel on the engine's reference path ([`CiSession::run_batch`]): one
+/// query at a time, for any [`CiTest`]. `seed` shuffles the feature order
+/// once before the recursive halving, making every split a uniform random
+/// partition.
 pub fn grpsel_in<T: CiTest>(
     session: &mut CiSession<T>,
     problem: &Problem,
@@ -84,53 +61,21 @@ pub fn grpsel_in<T: CiTest>(
         problem,
         cfg,
         seed,
-        1,
-        &mut |s: &mut CiSession<T>, qs, _spec| s.run_batch(qs),
         session,
+        &mut |s: &mut CiSession<T>, qs| s.run_batch(qs),
     )
 }
 
-/// Parallel GrpSel inside a caller-provided session.
-pub fn grpsel_par_in<T: CiTestShared>(
-    session: &mut CiSession<T>,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    run(
-        problem,
-        cfg,
-        seed,
-        workers,
-        &mut |s: &mut CiSession<T>, qs, _spec| s.run_batch_parallel(qs, workers),
-        session,
-    )
-}
-
-/// GrpSel on the engine's **Z-grouped scheduler**: every frontier level's
-/// unique queries are partitioned by canonical conditioning set and
-/// evaluated through the tester's
+/// GrpSel on the engine's **Z-grouped scheduler**
+/// ([`CiSession::run_batch_grouped`]), the production path: every
+/// frontier level's unique queries are partitioned by canonical
+/// conditioning set and evaluated through the tester's
 /// [`fairsel_ci::CiTestBatch::eval_z_group`], so the per-`Z` scaffold
 /// (stratification, design factorization) is built once per distinct set;
 /// with `workers > 1` the groups become steal-able chunks on the
-/// session's persistent worker pool, and with
-/// [`SelectConfig::speculate`] the next level's predictable queries ride
-/// along speculatively. Outcomes are byte-identical to [`grpsel`] /
-/// [`grpsel_par`] at every worker count and speculation setting; only the
-/// execution strategy changes.
-pub fn grpsel_batched<T: CiTestBatch + ?Sized>(
-    tester: &mut T,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    let mut session = CiSession::new(tester);
-    grpsel_batched_in(&mut session, problem, cfg, seed, workers)
-}
-
-/// Z-grouped GrpSel inside a caller-provided session.
+/// session's persistent worker pool. Outcomes are byte-identical to
+/// [`grpsel_in`] at every worker count; only the execution strategy
+/// changes.
 pub fn grpsel_batched_in<T: CiTestBatch>(
     session: &mut CiSession<T>,
     problem: &Problem,
@@ -142,99 +87,21 @@ pub fn grpsel_batched_in<T: CiTestBatch>(
         problem,
         cfg,
         seed,
-        workers,
-        &mut |s: &mut CiSession<T>, qs, spec| s.run_batch_grouped(qs, spec, workers),
         session,
-    )
-}
-
-/// The pre-grouping batched scheduler: whole frontiers through
-/// [`fairsel_ci::CiTestBatch::eval_batch`] (per-query evaluation over the
-/// shared encoding caches, contiguous chunks when parallel), with no
-/// conditioning-set partitioning and no speculation. Kept as the
-/// benchmark baseline the Z-grouped scheduler is measured against
-/// (`grpsel-batched` rows in `BENCH_engine.json`); production callers use
-/// [`grpsel_batched_in`].
-pub fn grpsel_ungrouped_in<T: CiTestBatch>(
-    session: &mut CiSession<T>,
-    problem: &Problem,
-    cfg: &SelectConfig,
-    seed: Option<u64>,
-    workers: usize,
-) -> Selection {
-    run(
-        problem,
-        cfg,
-        seed,
-        workers,
-        &mut |s: &mut CiSession<T>, qs, _spec| {
-            if workers > 1 {
-                s.run_batch_batched_parallel(qs, workers)
-            } else {
-                s.run_batch_batched(qs)
-            }
-        },
-        session,
+        &mut |s: &mut CiSession<T>, qs| s.run_batch_grouped(qs, workers),
     )
 }
 
 /// How a batch of frontier queries is executed against the session —
-/// sequentially, across the worker pool, or Z-grouped. The second slice
-/// is speculative ride-along work; executors without speculation support
-/// ignore it.
-type BatchExec<'a, T> =
-    &'a mut dyn FnMut(&mut CiSession<T>, &[CiQuery], &[CiQuery]) -> Vec<CiOutcome>;
-
-/// Per-level cap on speculative queries: enough to keep `workers` busy
-/// for several levels' worth of follow-up work, but a hard bound — the
-/// phase-1 subset enumeration is `O(2^|A|)` per group, and speculation
-/// must stay cheaper than the demanded search it accelerates. The
-/// `speculative_wasted` telemetry measures how well the cap fits (see
-/// the ROADMAP's policy-tuning item).
-fn speculation_budget(workers: usize) -> usize {
-    workers.max(1) * 16
-}
-
-/// Minimum speculative sample before the adaptive gate trusts the waste
-/// rate — below this, keep speculating to gather evidence.
-const SPECULATION_MIN_SAMPLE: u64 = 64;
-
-/// Waste-rate threshold for the adaptive gate, as (numerator,
-/// denominator): skip the wave once more than half of the speculative
-/// work issued so far was never consumed.
-const SPECULATION_MAX_WASTE: (u64, u64) = (1, 2);
-
-/// The adaptive speculation gate ([`SelectConfig::adaptive_speculation`]):
-/// should this level's speculative wave ride along?
-///
-/// * `workers <= 1`: never — there are no idle workers to absorb the
-///   ride-along, so speculation can only delay the demanded batch.
-/// * fewer than [`SPECULATION_MIN_SAMPLE`] speculated so far: yes —
-///   the waste rate isn't informative yet.
-/// * otherwise: yes iff the observed waste rate
-///   (`speculative_wasted / speculative_issued`) is at most
-///   [`SPECULATION_MAX_WASTE`].
-///
-/// Pure over the session's telemetry, so the decision is deterministic
-/// for a fixed workload and worker count.
-fn speculation_worthwhile(stats: &fairsel_engine::EngineStats, workers: usize) -> bool {
-    if workers <= 1 {
-        return false;
-    }
-    if stats.speculative_issued < SPECULATION_MIN_SAMPLE {
-        return true;
-    }
-    let (num, den) = SPECULATION_MAX_WASTE;
-    stats.speculative_wasted().saturating_mul(den) <= stats.speculative_issued.saturating_mul(num)
-}
+/// one query at a time or Z-grouped.
+type BatchExec<'a, T> = &'a mut dyn FnMut(&mut CiSession<T>, &[CiQuery]) -> Vec<CiOutcome>;
 
 fn run<T: CiTest>(
     problem: &Problem,
     cfg: &SelectConfig,
     seed: Option<u64>,
-    workers: usize,
-    exec: BatchExec<'_, T>,
     session: &mut CiSession<T>,
+    exec: BatchExec<'_, T>,
 ) -> Selection {
     let issued_before = session.stats().issued;
     let mut features = problem.features.clone();
@@ -247,48 +114,15 @@ fn run<T: CiTest>(
     // Phase 1 (Algorithm 3): a frontier of groups seeking some A' ⊆ A
     // with group ⊥ S | A'. Each (frontier level × subset) wave is one
     // engine batch; groups certified at an earlier subset drop out of
-    // later waves, mirroring the sequential ∃-search's early exit. With
-    // `cfg.speculate`, the predictable follow-up work — this frontier's
-    // later waves and the next frontier's halves — rides along with
-    // wave 0 so idle workers pre-warm the cache. The candidate list is
-    // ordered most-likely-needed first (wave by wave across the current
-    // groups, then the halves subset by subset) and truncated to the
-    // speculation budget: the subset enumeration is exponential in |A|,
-    // and an unbounded policy would re-introduce exactly the blowup the
-    // demanded search's early exit avoids.
+    // later waves, mirroring the sequential ∃-search's early exit.
     session.set_phase("grpsel/phase1");
-    let budget = speculation_budget(workers);
     let mut remaining: Vec<VarId> = Vec::new();
     let mut planner = root_planner(&features, cfg);
     while !planner.is_done() {
-        let speculate_now = cfg.speculate
-            && (!cfg.adaptive_speculation || speculation_worthwhile(session.stats(), workers));
-        let spec: Vec<CiQuery> = if speculate_now {
-            let frontier = planner.frontier();
-            let halves = planner.speculative_halves();
-            let later_waves = subsets
-                .iter()
-                .skip(1)
-                .flat_map(|a| frontier.iter().map(move |g| (g, a)));
-            let next_level = halves
-                .iter()
-                .flat_map(|h| subsets.iter().map(move |a| (h, a)));
-            later_waves
-                .chain(next_level)
-                .take(budget)
-                .map(|(g, a)| CiQuery::new(g, &problem.sensitive, a))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let verdicts = exists_over_frontier(
-            session,
-            exec,
-            planner.frontier(),
-            &problem.sensitive,
-            &subsets,
-            &spec,
-        );
+        let verdicts =
+            fairsel_engine::exists_with(planner.frontier(), &problem.sensitive, &subsets, |qs| {
+                exec(session, qs)
+            });
         let step = planner.advance(&verdicts);
         for group in step.admitted {
             out.c1.extend(group);
@@ -310,9 +144,8 @@ fn run<T: CiTest>(
 
     // Phase 2 (Algorithm 4): remaining groups against Y given A ∪ C₁
     // (the Lemma-6 conditioning set; see the erratum note above). The
-    // whole phase shares one conditioning set, so speculation here is
-    // exactly the next frontier's halves. The set is canonical once, so
-    // no query's key has to sort it again.
+    // whole phase shares one conditioning set, canonical once, so no
+    // query's key has to sort it again.
     session.set_phase("grpsel/phase2");
     let cond = fairsel_ci::canonical_set(&[problem.admissible.as_slice(), &out.c1].concat());
     let mut planner = root_planner(&remaining, cfg);
@@ -322,19 +155,7 @@ fn run<T: CiTest>(
             .iter()
             .map(|g| CiQuery::new(g, &[problem.target], &cond))
             .collect();
-        let speculate_now = cfg.speculate
-            && (!cfg.adaptive_speculation || speculation_worthwhile(session.stats(), workers));
-        let spec: Vec<CiQuery> = if speculate_now {
-            planner
-                .speculative_halves()
-                .iter()
-                .take(budget)
-                .map(|h| CiQuery::new(h, &[problem.target], &cond))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let outcomes = exec(session, &batch, &spec);
+        let outcomes = exec(session, &batch);
         let verdicts: Vec<bool> = outcomes.iter().map(|o| o.independent).collect();
         let step = planner.advance(&verdicts);
         for group in step.admitted {
@@ -358,24 +179,6 @@ fn root_planner(items: &[VarId], cfg: &SelectConfig) -> HalvingPlanner {
     }
 }
 
-/// One frontier's ∃-search: wave `k` batches subset `k` for every group
-/// not yet certified, with `spec` riding along on wave 0. Delegates to
-/// the engine's wave machinery ([`fairsel_engine::exists_with_spec`]),
-/// plugging in this run's batch dispatch (sequential, worker pool, or
-/// Z-grouped).
-fn exists_over_frontier<T: CiTest>(
-    session: &mut CiSession<T>,
-    exec: BatchExec<'_, T>,
-    groups: &[Vec<VarId>],
-    sensitive: &[VarId],
-    subsets: &[Vec<VarId>],
-    spec: &[CiQuery],
-) -> Vec<bool> {
-    fairsel_engine::exists_with_spec(groups, sensitive, subsets, spec, |qs, sp| {
-        exec(session, qs, sp)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,86 +193,6 @@ mod tests {
         vars.iter()
             .map(|&v| dag.name(fairsel_graph::NodeId(v as u32)).to_owned())
             .collect()
-    }
-
-    /// The adaptive gate's decision table: no idle workers → never;
-    /// small sample → always; large sample → iff the waste rate is at
-    /// most the threshold.
-    #[test]
-    fn adaptive_gate_decision_table() {
-        let stats = |issued: u64, hits: u64| fairsel_engine::EngineStats {
-            speculative_issued: issued,
-            speculative_hits: hits,
-            ..Default::default()
-        };
-        // workers <= 1: gated off regardless of telemetry.
-        assert!(!speculation_worthwhile(&stats(0, 0), 1));
-        assert!(!speculation_worthwhile(&stats(100, 100), 0));
-        // Below the evidence threshold: speculate to learn.
-        assert!(speculation_worthwhile(&stats(0, 0), 4));
-        assert!(speculation_worthwhile(
-            &stats(SPECULATION_MIN_SAMPLE - 1, 0),
-            4
-        ));
-        // At or past the threshold: the waste rate decides. 100 issued /
-        // 50 consumed is exactly the 1/2 bound (allowed); one fewer hit
-        // tips it over.
-        assert!(speculation_worthwhile(&stats(100, 50), 4));
-        assert!(!speculation_worthwhile(&stats(100, 49), 4));
-        assert!(speculation_worthwhile(&stats(1000, 1000), 4));
-        assert!(!speculation_worthwhile(&stats(1000, 0), 4));
-    }
-
-    /// With the adaptive gate on, selections and the speculation
-    /// conservation law are unchanged — the gate can only skip waves,
-    /// never alter answers.
-    #[test]
-    fn adaptive_gate_preserves_selections() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let inst = synthetic_instance(
-            &mut rng,
-            &SyntheticConfig {
-                n_features: 12,
-                biased_fraction: 0.3,
-                ..Default::default()
-            },
-        );
-        let problem = Problem::from_roles(&inst.roles);
-        let base_cfg = SelectConfig {
-            speculate: true,
-            ..Default::default()
-        };
-        let adaptive_cfg = SelectConfig {
-            adaptive_speculation: true,
-            ..base_cfg.clone()
-        };
-        for workers in [1usize, 4] {
-            let run = |cfg: &SelectConfig| {
-                let mut tester = OracleCi::from_dag(inst.dag.clone());
-                let mut session = CiSession::new(&mut tester);
-                let sel =
-                    grpsel_batched_in(&mut session, &problem, cfg, None, workers).normalized();
-                (sel, session.stats().clone())
-            };
-            let (plain_sel, plain) = run(&base_cfg);
-            let (gated_sel, gated) = run(&adaptive_cfg);
-            assert_eq!(plain_sel.c1, gated_sel.c1, "workers={workers}");
-            assert_eq!(plain_sel.c2, gated_sel.c2, "workers={workers}");
-            assert_eq!(plain_sel.rejected, gated_sel.rejected, "workers={workers}");
-            // Conservation: issued + consumed speculation is the same
-            // total demanded work under both policies.
-            assert_eq!(
-                plain.issued + plain.speculative_hits,
-                gated.issued + gated.speculative_hits,
-                "workers={workers}"
-            );
-            if workers == 1 {
-                assert_eq!(
-                    gated.speculative_issued, 0,
-                    "no idle workers: the gate must skip every wave"
-                );
-            }
-        }
     }
 
     #[test]
@@ -556,7 +279,8 @@ mod tests {
         }
     }
 
-    /// The parallel path must be byte-identical to the sequential one.
+    /// The Z-grouped path on a worker pool must be byte-identical to the
+    /// reference path.
     #[test]
     fn parallel_matches_sequential_grpsel() {
         for seed in 0..8u64 {
@@ -574,8 +298,8 @@ mod tests {
             let cfg = SelectConfig::default();
             let seq = grpsel(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg);
             for workers in [2usize, 4] {
-                let mut oracle = OracleCi::from_dag(dag.clone());
-                let par = grpsel_par(&mut oracle, &problem, &cfg, None, workers);
+                let mut session = CiSession::new(OracleCi::from_dag(dag.clone()));
+                let par = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
                 assert_eq!(seq.c1, par.c1, "seed {seed}, workers {workers}");
                 assert_eq!(seq.c2, par.c2);
                 assert_eq!(seq.rejected, par.rejected);
@@ -602,9 +326,8 @@ mod tests {
         let cfg = SelectConfig::default();
         let base = grpsel(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg).normalized();
         for seed in 0..5 {
-            let shuffled =
-                grpsel_seeded(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg, seed)
-                    .normalized();
+            let mut session = CiSession::new(OracleCi::from_dag(dag.clone()));
+            let shuffled = grpsel_in(&mut session, &problem, &cfg, Some(seed)).normalized();
             assert_eq!(base.c1, shuffled.c1);
             assert_eq!(base.c2, shuffled.c2);
             assert_eq!(base.rejected, shuffled.rejected);

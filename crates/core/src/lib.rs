@@ -8,12 +8,12 @@
 //! interventional fairness)? The paper answers with two algorithms that
 //! need only conditional-independence tests, never the causal graph:
 //!
-//! * [`seqsel`] — Algorithm 1. Phase one admits every feature `X` with
+//! * [`seqsel()`] — Algorithm 1. Phase one admits every feature `X` with
 //!   `X ⊥ S | A'` for some `A' ⊆ A` (the feature carries no *new* sensitive
 //!   information); phase two admits every remaining feature with
 //!   `X ⊥ Y | A ∪ C₁` (it carries sensitive information but the Bayes
 //!   predictor cannot use it). `O(2^|A| · n)` tests.
-//! * [`grpsel`] — Algorithms 2–4. The same two phases run on *groups* of
+//! * [`grpsel()`] — Algorithms 2–4. The same two phases run on *groups* of
 //!   features, recursively halving only on dependence. The graphoid
 //!   decomposition/composition axioms (Lemmas 7–8) make group answers
 //!   sound, giving `O(2^|A| · k log n)` tests for `k` unsafe features —
@@ -21,8 +21,9 @@
 //!
 //! Both selectors route every query through the execution engine
 //! ([`fairsel_engine::CiSession`]): canonicalized keys, a memo cache, and
-//! — for GrpSel — level-synchronous frontier batches a worker pool can
-//! evaluate in parallel ([`grpsel::grpsel_par`]).
+//! — for GrpSel — level-synchronous frontier batches, evaluated one query
+//! at a time ([`grpsel_in`]) or on the Z-grouped scheduler, whose worker
+//! pool can evaluate them in parallel ([`grpsel_batched_in`]).
 //!
 //! Supporting modules:
 //! * [`oracle`] — the Theorem 1 ground-truth classification computed from
@@ -45,14 +46,11 @@ pub use baselines::{
     render_methods_report, run_all_methods, run_all_methods_in, run_method, Method, MethodOutput,
     TesterSpec,
 };
-pub use grpsel::{
-    grpsel, grpsel_batched, grpsel_batched_in, grpsel_in, grpsel_par, grpsel_par_in, grpsel_seeded,
-    grpsel_ungrouped_in,
-};
+pub use grpsel::{grpsel, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
     render_pipeline_report, run_pipeline, run_pipeline_batched, run_pipeline_batched_in,
-    run_pipeline_par, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
+    ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};

@@ -1,4 +1,4 @@
-//! Causal structure discovery: the PC algorithm (Spirtes et al. [49]).
+//! Causal structure discovery: the PC algorithm (Spirtes et al. \[49\]).
 //!
 //! The paper's Remark 3 contrasts SeqSel/GrpSel with full causal discovery
 //! — PC needs a number of CI tests that is exponential in the worst case —

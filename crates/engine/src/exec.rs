@@ -1,13 +1,14 @@
-//! Batch execution: cache-aware deduplication plus the worker pool and
-//! the batch-aware tester routing.
+//! Batch execution: cache-aware deduplication, then one of the two
+//! executors — per-query evaluation ([`CiSession::run_batch`]) or the
+//! Z-grouped scheduler on the worker pool ([`CiSession::run_batch_grouped`]).
 
 use crate::key::{CiQuery, QueryKey};
 use crate::session::{BatchKind, CiSession};
-use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, VarId};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
-/// Worker count the parallel scheduler defaults to: one per available
+/// Worker count the Z-grouped scheduler defaults to: one per available
 /// hardware thread.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -128,80 +129,6 @@ impl<T: CiTest> CiSession<T> {
     }
 }
 
-impl<T: CiTestShared> CiSession<T> {
-    /// Evaluate a batch of independent queries across `workers` threads.
-    ///
-    /// The unique cache misses are split into contiguous chunks dispatched
-    /// on the session's persistent [`crate::pool::WorkerPool`]; each
-    /// worker evaluates through a shared reference
-    /// ([`CiTestShared::ci_shared`]), and results are reassembled by slot
-    /// index — so the output is byte-identical to [`CiSession::run_batch`]
-    /// regardless of thread scheduling. Small batches (or `workers <= 1`)
-    /// take the sequential path to avoid dispatch overhead.
-    pub fn run_batch_parallel(&mut self, queries: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        let n_miss = plan.miss_repr.len();
-        let workers = workers.min(n_miss);
-        if workers <= 1 {
-            // Evaluate the misses inline (identical to run_batch) but keep
-            // the plan we already computed.
-            // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-            let t0 = Instant::now();
-            let evaluated: Vec<CiOutcome> = plan
-                .miss_repr
-                .iter()
-                .map(|&i| {
-                    let q = &queries[i];
-                    self.tester_mut().ci(&q.x, &q.y, &q.z)
-                })
-                .collect();
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            return finish(
-                self,
-                queries,
-                plan,
-                evaluated,
-                wall_ms,
-                BatchKind::Sequential,
-            );
-        }
-
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![("kind", "parallel".into()), ("misses", n_miss.to_string())]
-        });
-        let repr: Vec<&CiQuery> = plan.miss_repr.iter().map(|&i| &queries[i]).collect();
-        let chunk = n_miss.div_ceil(workers);
-        let chunks: Vec<&[&CiQuery]> = repr.chunks(chunk).collect();
-        let mut outs: Vec<Option<Vec<CiOutcome>>> = vec![None; chunks.len()];
-        let (tester, pool) = self.exec_parts(workers);
-        pool.run_scoped(
-            outs.iter_mut()
-                .zip(&chunks)
-                .map(|(slot, qs)| {
-                    move || {
-                        let _sp = fairsel_obs::span_kv("pool.chunk", || {
-                            vec![("queries", qs.len().to_string())]
-                        });
-                        *slot = Some(
-                            qs.iter()
-                                .map(|q| tester.ci_shared(&q.x, &q.y, &q.z))
-                                .collect::<Vec<CiOutcome>>(),
-                        );
-                    }
-                })
-                .collect(),
-        );
-        let evaluated: Vec<CiOutcome> = outs
-            .into_iter()
-            .flat_map(|o| o.expect("pool task completed"))
-            .collect();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        finish(self, queries, plan, evaluated, wall_ms, BatchKind::Parallel)
-    }
-}
-
 /// Borrow the representative query of each unique miss as a
 /// [`CiQueryRef`] batch.
 fn miss_repr_refs<'q>(plan: &BatchPlan, queries: &'q [CiQuery]) -> Vec<CiQueryRef<'q>> {
@@ -219,99 +146,6 @@ fn miss_repr_refs<'q>(plan: &BatchPlan, queries: &'q [CiQuery]) -> Vec<CiQueryRe
 }
 
 impl<T: CiTestBatch> CiSession<T> {
-    /// Evaluate a batch through the tester's [`CiTestBatch::eval_batch`]:
-    /// cache planning and result assembly are identical to
-    /// [`CiSession::run_batch`], but the unique misses are handed to the
-    /// tester as *one* batch so it can amortize per-variable-set work
-    /// (columnar encodings, residualizations) across the whole frontier.
-    /// Outcomes are byte-identical to the per-query paths (the
-    /// `CiTestBatch` contract).
-    pub fn run_batch_batched(&mut self, queries: &[CiQuery]) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        self.eval_batched(queries, plan)
-    }
-
-    /// Parallel twin of [`CiSession::run_batch_batched`]: the unique
-    /// misses are split into contiguous chunks, one `eval_batch` call per
-    /// worker, dispatched on the persistent pool and reassembled by slot
-    /// index. The tester's shared caches make the encoding pass common to
-    /// all workers; results are byte-identical to every other execution
-    /// path regardless of worker count.
-    pub fn run_batch_batched_parallel(
-        &mut self,
-        queries: &[CiQuery],
-        workers: usize,
-    ) -> Vec<CiOutcome> {
-        let plan = plan(self, queries);
-        let n_miss = plan.miss_repr.len();
-        let workers = workers.min(n_miss);
-        if workers <= 1 {
-            return self.eval_batched(queries, plan);
-        }
-
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![
-                ("kind", "batched_parallel".into()),
-                ("misses", n_miss.to_string()),
-            ]
-        });
-        let repr = miss_repr_refs(&plan, queries);
-        let chunk = n_miss.div_ceil(workers);
-        let chunks: Vec<&[CiQueryRef<'_>]> = repr.chunks(chunk).collect();
-        let mut outs: Vec<Option<Vec<CiOutcome>>> = vec![None; chunks.len()];
-        let (tester, pool) = self.exec_parts(workers);
-        pool.run_scoped(
-            outs.iter_mut()
-                .zip(&chunks)
-                .map(|(slot, qs)| {
-                    move || {
-                        let _sp = fairsel_obs::span_kv("pool.chunk", || {
-                            vec![("queries", qs.len().to_string())]
-                        });
-                        *slot = Some(tester.eval_batch(qs));
-                    }
-                })
-                .collect(),
-        );
-        let evaluated: Vec<CiOutcome> = outs
-            .into_iter()
-            .flat_map(|o| o.expect("pool task completed"))
-            .collect();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let out = finish(
-            self,
-            queries,
-            plan,
-            evaluated,
-            wall_ms,
-            BatchKind::BatchedParallel,
-        );
-        self.refresh_encode_stats();
-        out
-    }
-
-    /// One `eval_batch` call over a planned batch's unique misses —
-    /// shared by the sequential batched path and the parallel path's
-    /// small-batch fallback.
-    fn eval_batched(&mut self, queries: &[CiQuery], plan: BatchPlan) -> Vec<CiOutcome> {
-        // analyze: wall-clock batch wall_ms telemetry only; never branches execution
-        let t0 = Instant::now();
-        let _sp = fairsel_obs::span_kv("tester.eval", || {
-            vec![
-                ("kind", "batched".into()),
-                ("misses", plan.miss_repr.len().to_string()),
-            ]
-        });
-        let repr = miss_repr_refs(&plan, queries);
-        let evaluated = self.tester().eval_batch(&repr);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let out = finish(self, queries, plan, evaluated, wall_ms, BatchKind::Batched);
-        self.refresh_encode_stats();
-        out
-    }
-
     /// The Z-grouped scheduler — the production batch path.
     ///
     /// The unique cache misses are partitioned by *canonical conditioning
@@ -324,69 +158,17 @@ impl<T: CiTestBatch> CiSession<T> {
     /// so a giant group cannot serialize a frontier level — and results
     /// are reassembled in input order; outcomes are byte-identical at
     /// every worker count (the `eval_z_group` contract).
-    ///
-    /// `speculative` queries are predicted future work (e.g. the next
-    /// frontier level's halves): the ones not already cached or demanded
-    /// by this batch ride along in the same dispatch, are cached, and are
-    /// accounted under `speculative_issued` — never `issued` — until a
-    /// demanded query consumes them (`speculative_hits`). Speculation can
-    /// therefore never change results, only when they are computed, and
-    /// `issued + speculative_hits` is conserved against a
-    /// speculation-free run of the same workload.
-    pub fn run_batch_grouped(
-        &mut self,
-        queries: &[CiQuery],
-        speculative: &[CiQuery],
-        workers: usize,
-    ) -> Vec<CiOutcome> {
+    pub fn run_batch_grouped(&mut self, queries: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
         let plan = plan(self, queries);
-        let n_demand = plan.miss_repr.len();
-
-        // Accept each speculative key once, and only if nothing else —
-        // cache or this batch — already answers it.
-        let mut spec_keys: Vec<QueryKey> = Vec::new();
-        let mut spec_refs: Vec<CiQueryRef<'_>> = Vec::new();
-        if !speculative.is_empty() {
-            let demanded: std::collections::HashSet<&QueryKey> = plan.miss_keys.iter().collect();
-            let mut seen: std::collections::HashSet<QueryKey> = std::collections::HashSet::new();
-            for q in speculative {
-                let key = q.key();
-                // A parked patched outcome already answers the key; it is
-                // skipped *without* being consumed — only a demanded
-                // query may book the `memo_patch_hit`.
-                if self.cache_get(&key).is_some()
-                    || self.patched_pending_contains(&key)
-                    || demanded.contains(&key)
-                    || !seen.insert(key.clone())
-                {
-                    continue;
-                }
-                spec_keys.push(key);
-                spec_refs.push(CiQueryRef {
-                    x: &q.x,
-                    y: &q.y,
-                    z: &q.z,
-                });
-            }
-        }
-
-        // Demanded miss representatives first (slot order), speculative
-        // extras after; canonical conditioning sets come from the keys.
-        let mut items: Vec<CiQueryRef<'_>> = miss_repr_refs(&plan, queries);
-        items.extend(spec_refs);
+        let items: Vec<CiQueryRef<'_>> = miss_repr_refs(&plan, queries);
         let total = items.len();
-        let zs: Vec<&[VarId]> = plan
-            .miss_keys
-            .iter()
-            .chain(&spec_keys)
-            .map(|k| k.z())
-            .collect();
 
-        // Partition by conditioning set, first-occurrence order.
-        let mut group_of: std::collections::HashMap<&[VarId], usize> =
-            std::collections::HashMap::new();
+        // Partition by canonical conditioning set (taken from the keys),
+        // first-occurrence order.
+        let mut group_of: HashMap<&[VarId], usize> = HashMap::new();
         let mut groups: Vec<(&[VarId], Vec<usize>)> = Vec::new();
-        for (i, &z) in zs.iter().enumerate() {
+        for (i, key) in plan.miss_keys.iter().enumerate() {
+            let z = key.z();
             match group_of.get(z) {
                 Some(&g) => groups[g].1.push(i),
                 None => {
@@ -410,8 +192,7 @@ impl<T: CiTestBatch> CiSession<T> {
                     }
                     .into(),
                 ),
-                ("misses", n_demand.to_string()),
-                ("speculative", (total - n_demand).to_string()),
+                ("misses", total.to_string()),
                 ("zgroups", groups.len().to_string()),
             ]
         });
@@ -469,25 +250,17 @@ impl<T: CiTestBatch> CiSession<T> {
         }
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let demand_out: Vec<CiOutcome> = evaluated[..n_demand]
-            .iter()
-            .map(|o| o.expect("demanded query evaluated"))
+        let evaluated: Vec<CiOutcome> = evaluated
+            .into_iter()
+            .map(|o| o.expect("missed query evaluated"))
             .collect();
-        let spec_out: Vec<CiOutcome> = evaluated[n_demand..]
-            .iter()
-            .map(|o| o.expect("speculative query evaluated"))
-            .collect();
-        drop(zs);
         drop(groups);
         let kind = if parallel {
             BatchKind::GroupedParallel
         } else {
             BatchKind::Grouped
         };
-        let out = finish(self, queries, plan, demand_out, wall_ms, kind);
-        for (key, o) in spec_keys.into_iter().zip(spec_out) {
-            self.cache_insert_speculative(key, o);
-        }
+        let out = finish(self, queries, plan, evaluated, wall_ms, kind);
         self.refresh_encode_stats();
         out
     }
@@ -624,6 +397,8 @@ mod tests {
         }
     }
 
+    impl CiTestBatch for GapCi {}
+
     fn queries(n: usize) -> Vec<CiQuery> {
         (0..n).map(|i| CiQuery::new(&[i], &[i + 2], &[])).collect()
     }
@@ -669,7 +444,7 @@ mod tests {
         let a = seq.run_batch(&qs);
         for workers in [2, 3, 8] {
             let mut par = CiSession::new(GapCi::new(1024));
-            let b = par.run_batch_parallel(&qs, workers);
+            let b = par.run_batch_grouped(&qs, workers);
             assert_eq!(a, b, "parallel({workers}) diverged");
             assert_eq!(par.stats().issued, seq.stats().issued);
             assert_eq!(par.stats().parallel_batches, 1);
@@ -679,7 +454,7 @@ mod tests {
     #[test]
     fn parallel_small_batch_falls_back() {
         let mut s = CiSession::new(GapCi::new(8));
-        let out = s.run_batch_parallel(&[CiQuery::new(&[0], &[3], &[])], 8);
+        let out = s.run_batch_grouped(&[CiQuery::new(&[0], &[3], &[])], 8);
         assert!(out[0].independent);
         assert_eq!(
             s.stats().parallel_batches,
@@ -693,7 +468,7 @@ mod tests {
         let mut s = CiSession::new(GapCi::new(64));
         let qs = queries(20);
         s.run_batch(&qs[..10]);
-        s.run_batch_parallel(&qs, 4);
+        s.run_batch_grouped(&qs, 4);
         assert_eq!(s.stats().issued, 20);
         assert_eq!(s.tester().calls.load(Ordering::Relaxed), 20);
         assert_eq!(s.stats().cache_hits, 10);
@@ -706,17 +481,17 @@ mod tests {
     }
 
     /// Batch-aware tester: same decision rule as [`GapCi`], but counts
-    /// `eval_batch` invocations and reports fake encode-cache telemetry.
+    /// `eval_z_group` invocations and reports fake encode-cache telemetry.
     struct BatchGapCi {
         inner: GapCi,
-        batch_calls: AtomicU64,
+        group_calls: AtomicU64,
     }
 
     impl BatchGapCi {
         fn new(n: usize) -> Self {
             Self {
                 inner: GapCi::new(n),
-                batch_calls: AtomicU64::new(0),
+                group_calls: AtomicU64::new(0),
             }
         }
     }
@@ -737,8 +512,8 @@ mod tests {
     }
 
     impl CiTestBatch for BatchGapCi {
-        fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+        fn eval_z_group(&self, _z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
+            self.group_calls.fetch_add(1, Ordering::Relaxed);
             queries
                 .iter()
                 .map(|q| self.ci_shared(q.x, q.y, q.z))
@@ -750,33 +525,6 @@ mod tests {
                 misses: 1,
                 ..Default::default()
             }
-        }
-    }
-
-    #[test]
-    fn batched_matches_per_query_paths() {
-        let qs = queries(57);
-        let mut seq = CiSession::new(GapCi::new(1024));
-        let reference = seq.run_batch(&qs);
-
-        let mut batched = CiSession::new(BatchGapCi::new(1024));
-        let got = batched.run_batch_batched(&qs);
-        assert_eq!(reference, got);
-        assert_eq!(batched.stats().issued, seq.stats().issued);
-        assert_eq!(batched.stats().batched_batches, 1);
-        assert_eq!(batched.stats().parallel_batches, 0);
-        assert_eq!(
-            batched.tester().batch_calls.load(Ordering::Relaxed),
-            1,
-            "whole frontier must be one eval_batch call"
-        );
-
-        for workers in [1usize, 2, 4] {
-            let mut par = CiSession::new(BatchGapCi::new(1024));
-            let got = par.run_batch_batched_parallel(&qs, workers);
-            assert_eq!(reference, got, "workers {workers}");
-            assert_eq!(par.stats().issued, seq.stats().issued);
-            assert_eq!(par.stats().batched_batches, 1);
         }
     }
 
@@ -795,75 +543,16 @@ mod tests {
         let reference = seq.run_batch(&qs);
         for workers in [1usize, 2, 4] {
             let mut s = CiSession::new(BatchGapCi::new(1024));
-            let got = s.run_batch_grouped(&qs, &[], workers);
+            let got = s.run_batch_grouped(&qs, workers);
             assert_eq!(reference, got, "workers {workers}");
             assert_eq!(s.stats().issued, seq.stats().issued);
             assert_eq!(s.stats().grouped_batches, 1);
-            assert_eq!(s.stats().batched_batches, 1);
             assert_eq!(
                 s.stats().parallel_batches,
                 u64::from(workers > 1),
                 "workers {workers}"
             );
         }
-    }
-
-    #[test]
-    fn speculation_accounts_and_conserves_issued() {
-        let qs = grouped_queries(30);
-        let (first, second) = qs.split_at(18);
-
-        // Reference: the same two batches without speculation.
-        let mut off = CiSession::new(BatchGapCi::new(1024));
-        off.run_batch_grouped(first, &[], 2);
-        let ref_second = off.run_batch_grouped(second, &[], 2);
-        let issued_off = off.stats().issued;
-
-        // Speculative run: the second batch rides along with the first.
-        let mut on = CiSession::new(BatchGapCi::new(1024));
-        on.run_batch_grouped(first, second, 2);
-        assert_eq!(on.stats().issued, 18, "speculation must not inflate issued");
-        assert_eq!(on.stats().speculative_issued, 12);
-        assert_eq!(on.stats().speculative_hits, 0);
-        assert_eq!(on.stats().speculative_wasted(), 12, "nothing consumed yet");
-        let got_second = on.run_batch_grouped(second, &[], 2);
-        assert_eq!(
-            ref_second, got_second,
-            "speculation must not change results"
-        );
-        assert_eq!(on.stats().speculative_hits, 12);
-        assert_eq!(on.stats().speculative_wasted(), 0);
-        assert_eq!(
-            on.stats().issued + on.stats().speculative_hits,
-            issued_off,
-            "issued is conserved: every speculative hit replaces one demand-issued test"
-        );
-        // A speculative hit is also an ordinary cache hit.
-        assert_eq!(on.stats().cache_hits, 12);
-    }
-
-    #[test]
-    fn speculation_skips_cached_demanded_and_duplicate_keys() {
-        let qs = grouped_queries(12);
-        let mut s = CiSession::new(BatchGapCi::new(1024));
-        s.run_batch_grouped(&qs[..4], &[], 1);
-        // Speculative list: already-cached keys, keys demanded by this
-        // very batch (plus a symmetric respelling), and one duplicate.
-        let mut spec: Vec<CiQuery> = qs[..8].to_vec();
-        spec.push(CiQuery::new(&qs[8].y, &qs[8].x, &qs[8].z)); // respelled dup of a fresh key
-        spec.push(qs[8].clone());
-        spec.push(qs[9].clone());
-        s.run_batch_grouped(&qs[4..8], &spec, 1);
-        assert_eq!(
-            s.stats().speculative_issued,
-            2,
-            "only the two genuinely new keys (8, 9) are speculated"
-        );
-        assert_eq!(s.stats().issued, 8);
-        // Consuming one of them counts exactly one hit.
-        s.run_batch_grouped(&qs[8..9], &[], 1);
-        assert_eq!(s.stats().speculative_hits, 1);
-        assert_eq!(s.stats().issued, 8, "query 8 was answered speculatively");
     }
 
     #[test]
@@ -874,16 +563,16 @@ mod tests {
             CiQuery::new(&[2], &[0], &[]), // symmetric duplicate
             CiQuery::new(&[5], &[6], &[]),
         ];
-        s.run_batch_batched(&qs);
+        s.run_batch_grouped(&qs, 1);
         assert_eq!(s.stats().issued, 2);
         assert_eq!(s.stats().cache_hits, 1);
         // Encode counters were synced from the tester after the batch.
         assert_eq!(s.stats().encode_cache_hits, 2);
         assert_eq!(s.stats().encode_cache_misses, 1);
-        // Replaying the batch is all memo hits: no new eval_batch work.
-        s.run_batch_batched(&qs);
+        // Replaying the batch is all memo hits: no new group evaluation.
+        s.run_batch_grouped(&qs, 1);
         assert_eq!(s.stats().issued, 2);
-        assert_eq!(s.tester().batch_calls.load(Ordering::Relaxed), 2);
+        assert_eq!(s.tester().group_calls.load(Ordering::Relaxed), 1);
         assert_eq!(s.tester().inner.calls.load(Ordering::Relaxed), 2);
     }
 
@@ -942,7 +631,7 @@ mod tests {
 
         let parent_enc = std::sync::Arc::new(fairsel_ci::EncodedTable::new(&parent_t));
         let mut parent = CiSession::new(GTest::over(parent_enc.clone(), 0.05));
-        parent.run_batch_grouped(&qs, &[], 1);
+        parent.run_batch_grouped(&qs, 1);
 
         let child_enc = std::sync::Arc::new(parent_enc.extend(&batch).unwrap());
         let mut warm = parent
@@ -968,8 +657,8 @@ mod tests {
         let concat = parent_t.concat(&batch).unwrap();
         let mut cold = CiSession::new(GTest::new(&concat, 0.05));
         for workers in [1, 4] {
-            let a = warm.run_batch_grouped(&qs, &[], workers);
-            let b = cold.run_batch_grouped(&qs, &[], workers);
+            let a = warm.run_batch_grouped(&qs, workers);
+            let b = cold.run_batch_grouped(&qs, workers);
             assert_eq!(a, b, "workers={workers}");
         }
         assert_eq!(warm.outcomes_fingerprint(), cold.outcomes_fingerprint());

@@ -11,37 +11,27 @@
 //!   [`QueryKey`]s (symmetric `x`/`y` normalization, sorted `Z`) and a memo
 //!   cache, so a repeated or reordered query is answered without touching
 //!   the tester;
-//! * [`CiSession::run_batch`] / [`CiSession::run_batch_parallel`] evaluate
-//!   a batch of independent queries — deduplicated against the cache and
-//!   against each other — sequentially or across a `std::thread` worker
-//!   pool, with deterministic result ordering either way (parallelism
-//!   requires the tester to implement [`fairsel_ci::CiTestShared`]);
-//! * [`CiSession::run_batch_batched`] /
-//!   [`CiSession::run_batch_batched_parallel`] route the unique misses
-//!   through a batch-aware tester's [`fairsel_ci::CiTestBatch::eval_batch`]
-//!   so a whole frontier shares one columnar encoding pass
-//!   ([`fairsel_table::EncodedTable`]); the tester's encode-cache telemetry
-//!   surfaces as `encode_cache_hits` / `encode_cache_misses` in
-//!   [`EngineStats`];
-//! * [`CiSession::run_batch_grouped`] — the production path — partitions
-//!   the misses by *canonical conditioning set* and evaluates each group
-//!   through [`fairsel_ci::CiTestBatch::eval_z_group`], so the per-`Z`
-//!   scaffold (stratification, ridge factorization, standardized
-//!   conditioning block) is built once per distinct set; with workers the
-//!   groups become steal-able chunks on the session's persistent
-//!   [`WorkerPool`], and *speculative* ride-along queries pre-warm the
-//!   cache under dedicated accounting (`speculative_issued` /
-//!   `speculative_hits`, with `issued + speculative_hits` conserved
-//!   against a speculation-free run);
+//! * two batch executors evaluate a batch of independent queries —
+//!   deduplicated against the cache and against each other — with
+//!   deterministic result ordering:
+//!   - [`CiSession::run_batch`], the reference path, evaluates the misses
+//!     one query at a time through any [`fairsel_ci::CiTest`];
+//!   - [`CiSession::run_batch_grouped`], the production path, partitions
+//!     the misses by *canonical conditioning set* and evaluates each
+//!     group through [`fairsel_ci::CiTestBatch::eval_z_group`], so the
+//!     per-`Z` scaffold (stratification, ridge factorization,
+//!     standardized conditioning block) is built once per distinct set;
+//!     with workers the groups become steal-able chunks on the session's
+//!     persistent [`WorkerPool`]. The tester's encode-cache telemetry
+//!     surfaces as `encode_cache_hits` / `encode_cache_misses` in
+//!     [`EngineStats`];
 //! * [`EngineStats`] tracks per-session and per-phase telemetry (queries
 //!   requested, tests actually issued, cache hits, dedup rate, wall time)
 //!   and serializes to JSON for the `BENCH_*.json` trajectories;
 //! * [`HalvingPlanner`] / [`exists_certificate`] surface GrpSel's
 //!   recursive halving as level-synchronous *frontiers* of independent
 //!   group queries — the shape the batch scheduler can actually exploit —
-//!   while issuing exactly the query set the depth-first recursion would;
-//!   [`HalvingPlanner::speculative_halves`] names the next level's
-//!   predictable queries for the speculative scheduler.
+//!   while issuing exactly the query set the depth-first recursion would.
 
 pub mod exec;
 pub mod key;
@@ -51,9 +41,6 @@ pub mod session;
 
 pub use exec::default_workers;
 pub use key::{CiQuery, QueryKey};
-pub use planner::{
-    exists_certificate, exists_certificate_parallel, exists_with, exists_with_spec,
-    FrontierOutcome, HalvingPlanner,
-};
+pub use planner::{exists_certificate, exists_with, FrontierOutcome, HalvingPlanner};
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

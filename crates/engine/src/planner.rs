@@ -15,7 +15,7 @@
 
 use crate::key::CiQuery;
 use crate::session::CiSession;
-use fairsel_ci::{CiOutcome, CiTest, CiTestShared, VarId};
+use fairsel_ci::{CiOutcome, CiTest, VarId};
 
 /// Result of advancing the frontier one level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -74,23 +74,6 @@ impl HalvingPlanner {
         self.levels
     }
 
-    /// The groups the *next* frontier will contain for every current
-    /// group whose test fails: its left and right halves, in frontier
-    /// order. These are the predictable queries a speculative scheduler
-    /// can issue while the current level evaluates — if a group passes,
-    /// its halves' answers are wasted work; if it fails, the next level
-    /// is already cached. Groups of one have no halves (they exhaust).
-    pub fn speculative_halves(&self) -> Vec<Vec<VarId>> {
-        self.frontier
-            .iter()
-            .filter(|g| g.len() > 1)
-            .flat_map(|g| {
-                let mid = g.len() / 2;
-                [g[..mid].to_vec(), g[mid..].to_vec()]
-            })
-            .collect()
-    }
-
     /// Consume one verdict per frontier group (`true` = the group's test
     /// passed). Passing groups are admitted whole; failing singletons are
     /// exhausted; failing larger groups are split at the midpoint into the
@@ -140,23 +123,10 @@ pub fn exists_certificate<T: CiTest>(
     exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
 }
 
-/// Parallel twin of [`exists_certificate`]: each wave fans out across
-/// `workers` threads.
-pub fn exists_certificate_parallel<T: CiTestShared>(
-    session: &mut CiSession<T>,
-    groups: &[Vec<VarId>],
-    target: &[VarId],
-    alternatives: &[Vec<VarId>],
-    workers: usize,
-) -> Vec<bool> {
-    exists_with(groups, target, alternatives, |qs| {
-        session.run_batch_parallel(qs, workers)
-    })
-}
-
-/// The wave engine behind both variants, generic over how a batch is
-/// executed — callers with their own dispatch (e.g. GrpSel choosing
-/// sequential vs parallel per run) plug in a closure.
+/// The wave engine behind [`exists_certificate`], generic over how a
+/// batch is executed — callers with their own dispatch (e.g. GrpSel on
+/// the Z-grouped scheduler) plug in a closure that runs one wave's
+/// queries.
 pub fn exists_with<F>(
     groups: &[Vec<VarId>],
     target: &[VarId],
@@ -165,25 +135,6 @@ pub fn exists_with<F>(
 ) -> Vec<bool>
 where
     F: FnMut(&[CiQuery]) -> Vec<CiOutcome>,
-{
-    exists_with_spec(groups, target, alternatives, &[], |qs, _| run(qs))
-}
-
-/// [`exists_with`] with speculation: the closure receives the wave's
-/// demanded queries *and* a list of speculative extras to evaluate in the
-/// same dispatch. `speculative` — typically the later waves of this
-/// frontier plus the next level's halves — rides with wave 0 only; later
-/// waves then resolve from cache. The demanded query stream (and hence
-/// the certification result) is exactly that of [`exists_with`].
-pub fn exists_with_spec<F>(
-    groups: &[Vec<VarId>],
-    target: &[VarId],
-    alternatives: &[Vec<VarId>],
-    speculative: &[CiQuery],
-    mut run: F,
-) -> Vec<bool>
-where
-    F: FnMut(&[CiQuery], &[CiQuery]) -> Vec<CiOutcome>,
 {
     let mut certified = vec![false; groups.len()];
     let mut undecided: Vec<usize> = (0..groups.len()).collect();
@@ -195,15 +146,13 @@ where
             .iter()
             .map(|&g| CiQuery::new(&groups[g], target, alt))
             .collect();
-        let spec = if wave == 0 { speculative } else { &[] };
         let _sp = fairsel_obs::span_kv("planner.level", || {
             vec![
                 ("wave", wave.to_string()),
                 ("undecided", batch.len().to_string()),
-                ("speculative", spec.len().to_string()),
             ]
         });
-        let outcomes = run(&batch, spec);
+        let outcomes = run(&batch);
         let mut still = Vec::with_capacity(undecided.len());
         for (&g, out) in undecided.iter().zip(&outcomes) {
             if out.independent {

@@ -3,7 +3,7 @@
 use crate::key::QueryKey;
 use crate::pool::WorkerPool;
 use fairsel_ci::{CiOutcome, CiTest, EncodeStats, VarId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Telemetry for one phase of a session (e.g. "phase1", "skeleton-L2").
@@ -34,19 +34,9 @@ pub struct EngineStats {
     pub batches: u64,
     /// Batches that ran on the parallel worker pool.
     pub parallel_batches: u64,
-    /// Batches routed through a batch-aware tester's `eval_batch`.
-    pub batched_batches: u64,
     /// Batches executed by the Z-grouped scheduler (conditioning-set
     /// partitioning + `eval_z_group`, inline or on the worker pool).
     pub grouped_batches: u64,
-    /// Queries evaluated *speculatively* — predicted next-level frontier
-    /// work issued ahead of demand while workers were available.
-    pub speculative_issued: u64,
-    /// Demanded queries answered by a speculatively computed outcome
-    /// (each speculated key is counted at most once, on first use, so
-    /// `issued + speculative_hits` of a speculative run equals `issued`
-    /// of the same workload without speculation).
-    pub speculative_hits: u64,
     /// Largest number of unique misses a single batch fanned out.
     pub max_batch: usize,
     /// Wall time spent inside tester evaluation, in milliseconds.
@@ -113,13 +103,6 @@ impl EngineStats {
         }
     }
 
-    /// Speculative work that has not (yet) answered a demanded query —
-    /// the cost side of the speculation policy's ledger.
-    pub fn speculative_wasted(&self) -> u64 {
-        self.speculative_issued
-            .saturating_sub(self.speculative_hits)
-    }
-
     /// Counter deltas since an earlier snapshot of the *same* session —
     /// what one request (or one method of a shared-session sweep) cost on
     /// its own. Every counter is a delta, including the encode-cache
@@ -135,10 +118,7 @@ impl EngineStats {
             cache_hits: self.cache_hits - before.cache_hits,
             batches: self.batches - before.batches,
             parallel_batches: self.parallel_batches - before.parallel_batches,
-            batched_batches: self.batched_batches - before.batched_batches,
             grouped_batches: self.grouped_batches - before.grouped_batches,
-            speculative_issued: self.speculative_issued - before.speculative_issued,
-            speculative_hits: self.speculative_hits - before.speculative_hits,
             max_batch: self.max_batch,
             wall_ms: self.wall_ms - before.wall_ms,
             encode_cache_hits: self
@@ -219,32 +199,8 @@ impl EngineStats {
         );
         push_kv(
             &mut s,
-            "batched_batches",
-            self.batched_batches as f64,
-            false,
-        );
-        push_kv(
-            &mut s,
             "grouped_batches",
             self.grouped_batches as f64,
-            false,
-        );
-        push_kv(
-            &mut s,
-            "speculative_issued",
-            self.speculative_issued as f64,
-            false,
-        );
-        push_kv(
-            &mut s,
-            "speculative_hits",
-            self.speculative_hits as f64,
-            false,
-        );
-        push_kv(
-            &mut s,
-            "speculative_wasted",
-            self.speculative_wasted() as f64,
             false,
         );
         push_kv(&mut s, "max_batch", self.max_batch as f64, false);
@@ -378,12 +334,6 @@ pub(crate) fn escape(s: &str) -> String {
 pub(crate) enum BatchKind {
     /// Per-query sequential evaluation.
     Sequential,
-    /// Per-query evaluation fanned across the worker pool.
-    Parallel,
-    /// One `eval_batch` call on a batch-aware tester.
-    Batched,
-    /// `eval_batch` chunks fanned across the worker pool.
-    BatchedParallel,
     /// Z-grouped scheduling (`eval_z_group` per conditioning-set group),
     /// evaluated inline.
     Grouped,
@@ -396,9 +346,6 @@ impl BatchKind {
     pub(crate) fn histogram(self) -> std::sync::Arc<fairsel_obs::Histogram> {
         fairsel_obs::histogram(match self {
             BatchKind::Sequential => "engine_batch/sequential",
-            BatchKind::Parallel => "engine_batch/parallel",
-            BatchKind::Batched => "engine_batch/batched",
-            BatchKind::BatchedParallel => "engine_batch/batched_parallel",
             BatchKind::Grouped => "engine_batch/grouped",
             BatchKind::GroupedParallel => "engine_batch/grouped_parallel",
         })
@@ -425,14 +372,10 @@ pub struct CiSession<T> {
     stats: EngineStats,
     /// Index into `stats.phases` receiving current accounting.
     current_phase: Option<usize>,
-    /// Long-lived worker pool for the parallel schedulers, spawned on
+    /// Long-lived worker pool for the Z-grouped scheduler, spawned on
     /// first use and kept for the session's lifetime (rebuilt only when a
     /// batch asks for a different worker count).
     pool: Option<WorkerPool>,
-    /// Speculatively computed keys not yet consumed by a demanded query —
-    /// the ledger behind `speculative_hits` (each key counted once).
-    // analyze: bounded-by subset of the memo keys (speculative wave size <= frontier size)
-    spec_pending: HashSet<QueryKey>,
     /// Outcomes recomputed by sufficient-statistic patching at dataset
     /// extension, parked until demanded. Kept *outside* the memo so
     /// `cache_len()` starts at 0 and `outcomes_fingerprint()` covers
@@ -453,7 +396,6 @@ impl<T: CiTest> CiSession<T> {
             stats: EngineStats::default(),
             current_phase: None,
             pool: None,
-            spec_pending: HashSet::new(),
             patched_pending: HashMap::new(),
         }
     }
@@ -563,10 +505,6 @@ impl<T: CiTest> CiSession<T> {
         self.tester
     }
 
-    pub(crate) fn cache_get(&self, key: &QueryKey) -> Option<CiOutcome> {
-        self.cache.get(key).copied()
-    }
-
     /// Every memoized entry in canonical key order — the deterministic
     /// walk order the extension patch loop re-derives outcomes in.
     pub(crate) fn memo_snapshot(&self) -> Vec<(QueryKey, CiOutcome)> {
@@ -576,14 +514,10 @@ impl<T: CiTest> CiSession<T> {
         entries
     }
 
-    /// Cache lookup that also settles the speculation ledger: the first
-    /// demanded hit on a speculatively computed key books one
-    /// `speculative_hit` and retires the key.
+    /// Cache lookup for a demanded query: the memo first, then the
+    /// patched outcomes parked at dataset extension.
     pub(crate) fn cache_get_tracked(&mut self, key: &QueryKey) -> Option<CiOutcome> {
         if let Some(hit) = self.cache.get(key).copied() {
-            if self.spec_pending.remove(key) {
-                self.stats.speculative_hits += 1;
-            }
             return Some(hit);
         }
         // A memo miss consumes a parked patched outcome instead of
@@ -598,13 +532,6 @@ impl<T: CiTest> CiSession<T> {
             return Some(out);
         }
         None
-    }
-
-    /// Non-consuming probe: is a patched outcome parked for `key`?
-    /// Used by the speculation filter, which must not consume (only a
-    /// demanded query may book a `memo_patch_hit`).
-    pub(crate) fn patched_pending_contains(&self, key: &QueryKey) -> bool {
-        self.patched_pending.contains_key(key)
     }
 
     /// Park a batch of patched outcomes and stamp the extension ledger.
@@ -623,15 +550,6 @@ impl<T: CiTest> CiSession<T> {
 
     pub(crate) fn cache_insert(&mut self, key: QueryKey, out: CiOutcome) {
         self.cache.insert(key, out);
-    }
-
-    /// Record a speculatively evaluated key: cached like any outcome, but
-    /// accounted under `speculative_issued` (not `issued`) until a
-    /// demanded query consumes it.
-    pub(crate) fn cache_insert_speculative(&mut self, key: QueryKey, out: CiOutcome) {
-        self.cache.insert(key.clone(), out);
-        self.spec_pending.insert(key);
-        self.stats.speculative_issued += 1;
     }
 
     pub(crate) fn tester_mut(&mut self) -> &mut T {
@@ -693,20 +611,8 @@ impl<T: CiTest> CiSession<T> {
         st.issued += issued;
         st.cache_hits += hits;
         st.batches += 1;
-        if matches!(
-            kind,
-            BatchKind::Parallel | BatchKind::BatchedParallel | BatchKind::GroupedParallel
-        ) {
+        if kind == BatchKind::GroupedParallel {
             st.parallel_batches += 1;
-        }
-        if matches!(
-            kind,
-            BatchKind::Batched
-                | BatchKind::BatchedParallel
-                | BatchKind::Grouped
-                | BatchKind::GroupedParallel
-        ) {
-            st.batched_batches += 1;
         }
         if matches!(kind, BatchKind::Grouped | BatchKind::GroupedParallel) {
             st.grouped_batches += 1;

@@ -333,7 +333,7 @@ impl Mat {
     ///
     /// Falls back to the full [`Mat::t_matmul_naive`] when the naive
     /// kernels are forced (see [`set_naive_kernels`]) or when the matrix
-    /// is narrower than [`GRAM_TRI_MIN`] columns: the triangle's
+    /// is narrower than `GRAM_TRI_MIN` columns: the triangle's
     /// shrinking inner loops (average length `cols / 2`) lose more to
     /// loop overhead than the halved FLOPs save until the width clears
     /// the vectorization break-even. Both paths are bit-identical, so

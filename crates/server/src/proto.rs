@@ -189,10 +189,6 @@ pub struct WorkloadRequest {
     pub alpha: f64,
     pub workers: usize,
     pub max_group: MaxGroupSpec,
-    /// Speculative frontier scheduling (`SelectConfig::speculate`) — an
-    /// execution knob: selections are byte-identical either way, so like
-    /// `workers` it does not shard the session registry.
-    pub speculate: bool,
     pub train_frac: f64,
     pub seed: u64,
     pub classifier: String,
@@ -207,7 +203,6 @@ impl Default for WorkloadRequest {
             alpha: 0.01,
             workers: 1,
             max_group: MaxGroupSpec::None,
-            speculate: false,
             train_frac: 0.7,
             seed: 0,
             classifier: "logistic".into(),
@@ -240,7 +235,6 @@ impl WorkloadRequest {
             ("alpha", Json::Num(self.alpha)),
             ("workers", Json::Num(self.workers as f64)),
             ("max_group", self.max_group.to_json()),
-            ("speculate", Json::Bool(self.speculate)),
             ("train_frac", Json::Num(self.train_frac)),
             // Seeds are full u64s; JSON numbers are f64 and would silently
             // round seeds above 2^53 — travel as a decimal string instead,
@@ -291,7 +285,6 @@ impl WorkloadRequest {
             alpha,
             workers: workers as usize,
             max_group: MaxGroupSpec::from_json(v.get("max_group"))?,
-            speculate: v.get_bool("speculate").unwrap_or(d.speculate),
             train_frac,
             seed,
             classifier: v.get_str("classifier").unwrap_or(&d.classifier).to_owned(),
@@ -574,7 +567,6 @@ mod tests {
                 alpha: 0.05,
                 workers: 4,
                 max_group: MaxGroupSpec::Auto,
-                speculate: true,
                 train_frac: 0.8,
                 // Above 2^53: would corrupt silently if sent as a JSON
                 // number.
@@ -609,6 +601,29 @@ mod tests {
             let back = Request::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(req, back);
         }
+    }
+
+    /// Older clients send `"speculate"` in every select frame. The
+    /// decoder ignores keys it does not read, so that frame — and one
+    /// with any other unknown key — decodes to exactly the request the
+    /// frame without them does.
+    #[test]
+    fn select_frames_with_unread_keys_decode_unchanged() {
+        let req = Request::Select(WorkloadRequest {
+            dataset: DatasetRef::Fp(0x00c0_ffee_0000_0001),
+            workers: 2,
+            max_group: MaxGroupSpec::Auto,
+            ..Default::default()
+        });
+        let plain = req.to_json().to_string();
+        assert!(!plain.contains("speculate"), "{plain}");
+        let older = format!(
+            "{},\"speculate\":true,\"frobnicate\":[1,2]}}",
+            plain.strip_suffix('}').expect("object frame")
+        );
+        let decode = |text: &str| Request::from_json(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(decode(&older), decode(&plain));
+        assert_eq!(decode(&older), req);
     }
 
     #[test]
@@ -715,7 +730,6 @@ mod tests {
         let req = Request::Select(WorkloadRequest {
             dataset: DatasetRef::Fp(u64::MAX),
             max_group: MaxGroupSpec::Auto,
-            speculate: true,
             ..Default::default()
         });
         let frame_bytes = req.to_json().to_string().len() + 4;

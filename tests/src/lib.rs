@@ -127,7 +127,9 @@ pub mod reference {
 mod tests {
     use super::reference::{grpsel_direct, seqsel_direct};
     use fairsel_ci::{GTest, OracleCi};
-    use fairsel_core::{grpsel, grpsel_in, grpsel_par, seqsel, seqsel_in, Problem, SelectConfig};
+    use fairsel_core::{
+        grpsel, grpsel_batched_in, grpsel_in, seqsel, seqsel_in, Problem, SelectConfig,
+    };
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_discovery::{pc, pc_in};
@@ -184,7 +186,7 @@ mod tests {
 
     /// The equivalence also holds on sampled data with the G-test — the
     /// tester the paper uses for discrete benchmarks — including the
-    /// parallel execution path.
+    /// Z-grouped scheduler on the worker pool.
     #[test]
     fn selections_equal_on_data_tester() {
         let cfg_inst = SyntheticConfig {
@@ -212,8 +214,8 @@ mod tests {
         assert_eq!(g_direct.tests_used, g_engine.tests_used);
 
         for workers in [2usize, 4] {
-            let mut tester = GTest::new(&table, 0.01);
-            let g_par = grpsel_par(&mut tester, &problem, &cfg, None, workers).normalized();
+            let mut session = CiSession::new(GTest::new(&table, 0.01));
+            let g_par = grpsel_batched_in(&mut session, &problem, &cfg, None, workers).normalized();
             assert_eq!(g_direct.c1, g_par.c1, "workers {workers}");
             assert_eq!(g_direct.c2, g_par.c2);
             assert_eq!(g_direct.rejected, g_par.rejected);
@@ -340,8 +342,8 @@ mod tests {
         let cfg = SelectConfig::default();
         let base = grpsel(&mut OracleCi::from_dag(dag.clone()), &problem, &cfg);
         for workers in [1usize, 2, 3, 7, 16] {
-            let mut tester = OracleCi::from_dag(dag.clone());
-            let got = grpsel_par(&mut tester, &problem, &cfg, None, workers);
+            let mut session = CiSession::new(OracleCi::from_dag(dag.clone()));
+            let got = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
             assert_eq!(base.c1, got.c1, "workers {workers}");
             assert_eq!(base.c2, got.c2);
             assert_eq!(base.rejected, got.rejected);
@@ -372,7 +374,7 @@ mod tests {
 #[cfg(test)]
 mod wide_group_regression {
     use fairsel_ci::GTest;
-    use fairsel_core::{grpsel_par, seqsel, Problem, SelectConfig};
+    use fairsel_core::{grpsel_batched_in, seqsel, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use rand::rngs::StdRng;
@@ -395,8 +397,8 @@ mod wide_group_regression {
         let table = sample_table(&scm, &inst.roles, 1200, &mut rng);
         let problem = Problem::from_table(&table);
         let cfg = SelectConfig::default();
-        let mut tester = GTest::new(&table, 0.01);
-        let sel = grpsel_par(&mut tester, &problem, &cfg, None, 4);
+        let mut session = fairsel_engine::CiSession::new(GTest::new(&table, 0.01));
+        let sel = grpsel_batched_in(&mut session, &problem, &cfg, None, 4);
         // Partition covers every feature; no panic is the real assertion.
         assert_eq!(
             sel.c1.len() + sel.c2.len() + sel.rejected.len(),
@@ -416,17 +418,17 @@ mod wide_group_regression {
 #[cfg(test)]
 mod batch_equivalence {
     //! The `CiTestBatch` contract, verified: for every batch-aware data
-    //! tester, `eval_batch` — direct, through the engine, or fanned across
-    //! worker pools — returns outcomes *byte-identical* to sequential
-    //! per-query evaluation, and batched GrpSel selections are
-    //! byte-identical to the per-query engine path and to the
+    //! tester, `eval_batch` called directly and the engine's Z-grouped
+    //! scheduler at workers 1/2/4 return outcomes *byte-identical* to
+    //! sequential per-query evaluation, and Z-grouped GrpSel selections
+    //! are byte-identical to the per-query engine path and to the
     //! pre-refactor encoding path.
 
     use super::reference::grpsel_direct;
     use fairsel_ci::{
         CiOutcome, CiQueryRef, CiTest, CiTestBatch, FisherZ, GTest, PermutationCmi, Rcit, VarId,
     };
-    use fairsel_core::{grpsel, grpsel_batched, Problem, SelectConfig};
+    use fairsel_core::{grpsel, grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::{CiQuery, CiSession};
@@ -499,7 +501,7 @@ mod batch_equivalence {
             let got = t.run_through_session(queries, workers);
             assert_eq!(
                 reference, got,
-                "{label}: engine batched (workers={workers}) diverged"
+                "{label}: engine grouped (workers={workers}) diverged"
             );
         }
     }
@@ -519,12 +521,7 @@ mod batch_equivalence {
             self.eval_batch(qs)
         }
         fn run_through_session(&self, qs: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
-            let mut session = CiSession::new(self);
-            if workers > 1 {
-                session.run_batch_batched_parallel(qs, workers)
-            } else {
-                session.run_batch_batched(qs)
-            }
+            CiSession::new(self).run_batch_grouped(qs, workers)
         }
     }
 
@@ -584,8 +581,8 @@ mod batch_equivalence {
         ] {
             let base = grpsel(&mut GTest::new(&table, 0.01), &problem, &cfg);
             for workers in [1usize, 2, 4] {
-                let mut tester = GTest::new(&table, 0.01);
-                let got = grpsel_batched(&mut tester, &problem, &cfg, None, workers);
+                let mut session = CiSession::new(GTest::new(&table, 0.01));
+                let got = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
                 assert_eq!(base.c1, got.c1, "workers {workers}");
                 assert_eq!(base.c2, got.c2);
                 assert_eq!(base.rejected, got.rejected);
@@ -641,8 +638,8 @@ mod batch_equivalence {
                 &cfg,
             )
             .normalized();
-            let mut tester = GTest::new(&table, 0.01);
-            let new = grpsel_batched(&mut tester, &problem, &cfg, None, 4).normalized();
+            let mut session = CiSession::new(GTest::new(&table, 0.01));
+            let new = grpsel_batched_in(&mut session, &problem, &cfg, None, 4).normalized();
             assert_eq!(legacy.c1, new.c1, "seed {seed}");
             assert_eq!(legacy.c2, new.c2, "seed {seed}");
             assert_eq!(legacy.rejected, new.rejected, "seed {seed}");
@@ -659,13 +656,11 @@ mod grouped_equivalence {
     //! (`run_batch_grouped`) at workers 1/2/4/8 — returns outcomes
     //! **byte-identical** to sequential per-query `ci_shared`, on
     //! workloads with duplicated and symmetrically-respelled conditioning
-    //! sets; and GrpSel selections are byte-identical with speculation on
-    //! or off, with `issued` conserved.
+    //! sets.
 
     use fairsel_ci::{
         CiOutcome, CiQueryRef, CiTestBatch, FisherZ, GTest, PermutationCmi, Rcit, VarId,
     };
-    use fairsel_core::{grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::{CiQuery, CiSession};
@@ -775,7 +770,7 @@ mod grouped_equivalence {
         for workers in [1usize, 2, 4, 8] {
             let t = make();
             let mut session = CiSession::new(&t);
-            let got = session.run_batch_grouped(queries, &[], workers);
+            let got = session.run_batch_grouped(queries, workers);
             assert_eq!(
                 reference, got,
                 "{label}: grouped scheduler (workers={workers}) diverged"
@@ -827,42 +822,6 @@ mod grouped_equivalence {
             queries.push(CiQuery::new(&x, &y, &z));
         }
         assert_grouped_equivalence(|| GTest::new(&table, 0.01), &queries, "g-test/wide");
-    }
-
-    /// Speculation on/off: byte-identical selections at every worker
-    /// count, and exact conservation of issued work
-    /// (`issued_spec + speculative_hits == issued_plain`).
-    #[test]
-    fn speculation_preserves_selections_and_conserves_issued() {
-        let table = sampled(73, 20, 1500);
-        let problem = Problem::from_table(&table);
-        let base_cfg = SelectConfig {
-            max_group: Some(5),
-            ..Default::default()
-        };
-        let mut plain_session = CiSession::new(GTest::new(&table, 0.01));
-        let plain = grpsel_batched_in(&mut plain_session, &problem, &base_cfg, None, 1);
-        let plain_issued = plain_session.stats().issued;
-        assert_eq!(plain_session.stats().speculative_issued, 0);
-
-        let spec_cfg = SelectConfig {
-            speculate: true,
-            ..base_cfg.clone()
-        };
-        for workers in [1usize, 4, 8] {
-            let mut session = CiSession::new(GTest::new(&table, 0.01));
-            let got = grpsel_batched_in(&mut session, &problem, &spec_cfg, None, workers);
-            assert_eq!(plain.c1, got.c1, "workers {workers}");
-            assert_eq!(plain.c2, got.c2, "workers {workers}");
-            assert_eq!(plain.rejected, got.rejected, "workers {workers}");
-            let stats = session.stats();
-            assert!(stats.speculative_issued > 0, "workers {workers}");
-            assert_eq!(
-                stats.issued + stats.speculative_hits,
-                plain_issued,
-                "workers {workers}: speculation must conserve issued work"
-            );
-        }
     }
 }
 
@@ -945,7 +904,7 @@ mod kernel_identity {
         workers: usize,
     ) -> Vec<CiOutcome> {
         let mut session = CiSession::new(t);
-        session.run_batch_grouped(queries, &[], workers)
+        session.run_batch_grouped(queries, workers)
     }
 
     fn assert_bits(a: &[CiOutcome], b: &[CiOutcome], label: &str) {
@@ -1080,10 +1039,11 @@ mod wide_group_power {
     //! into C₁). Pre-splitting to width ⌊log₂ rows⌋ restores power.
 
     use fairsel_ci::{GTest, OracleCi};
-    use fairsel_core::{grpsel, grpsel_batched, Problem, SelectConfig};
+    use fairsel_core::{grpsel, grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::fixtures;
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
+    use fairsel_engine::CiSession;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1115,9 +1075,9 @@ mod wide_group_power {
 
         // Without the knob: the wide root passes vacuously and every
         // biased feature leaks into C1.
-        let mut wide_tester = GTest::new(&table, 0.01);
-        let wide = grpsel_batched(
-            &mut wide_tester,
+        let mut wide_session = CiSession::new(GTest::new(&table, 0.01));
+        let wide = grpsel_batched_in(
+            &mut wide_session,
             &problem,
             &SelectConfig::default(),
             None,
@@ -1137,8 +1097,8 @@ mod wide_group_power {
             ..Default::default()
         };
         assert_eq!(SelectConfig::auto_max_group(rows), 10);
-        let mut tester = GTest::new(&table, 0.01);
-        let narrow = grpsel_batched(&mut tester, &problem, &cfg, None, 1).normalized();
+        let mut session = CiSession::new(GTest::new(&table, 0.01));
+        let narrow = grpsel_batched_in(&mut session, &problem, &cfg, None, 1).normalized();
         assert_eq!(narrow.c1, truth.c1, "phase-1 recovery of the oracle C1");
         for rejected in &truth.rejected {
             assert!(
@@ -1174,8 +1134,8 @@ mod wide_group_power {
             max_group: Some(SelectConfig::auto_max_group(rows)),
             ..Default::default()
         };
-        let mut tester = GTest::new(&table, 0.01);
-        let got = grpsel_batched(&mut tester, &problem, &cfg, None, 2).normalized();
+        let mut session = CiSession::new(GTest::new(&table, 0.01));
+        let got = grpsel_batched_in(&mut session, &problem, &cfg, None, 2).normalized();
         assert_eq!(got.c1, truth.c1);
         assert_eq!(got.c2, truth.c2);
         assert_eq!(got.rejected, truth.rejected);
@@ -1874,7 +1834,12 @@ mod request_validation {
 
     /// One request/response exchange on an open connection.
     fn call(stream: &mut TcpStream, req: &Request) -> Response {
-        write_frame(stream, req.to_json().to_string().as_bytes()).expect("send");
+        call_raw(stream, req.to_json().to_string().as_bytes())
+    }
+
+    /// One exchange of a request frame exactly as given.
+    fn call_raw(stream: &mut TcpStream, frame: &[u8]) -> Response {
+        write_frame(stream, frame).expect("send");
         let bytes = read_frame(stream)
             .expect("read")
             .expect("server closed the connection");
@@ -1926,9 +1891,19 @@ mod request_validation {
         let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
         let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
         let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        // Older clients still send "speculate"; the decoder ignores it.
+        let plain = Request::Select(wl.clone()).to_json().to_string();
+        let older = format!(
+            "{},\"speculate\":true}}",
+            plain.strip_suffix('}').expect("object frame")
+        );
         match call(&mut stream, &Request::Select(wl)) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("valid select after the rejected ones failed: {other:?}"),
+        }
+        match call_raw(&mut stream, older.as_bytes()) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("select frame carrying speculate failed: {other:?}"),
         }
         drop(stream);
         handle.shutdown();
@@ -1985,10 +1960,7 @@ mod observability {
         cache_hits: u64,
         batches: u64,
         parallel_batches: u64,
-        batched_batches: u64,
         grouped_batches: u64,
-        speculative_issued: u64,
-        speculative_hits: u64,
         max_batch: usize,
         encode_cache_hits: u64,
         encode_cache_misses: u64,
@@ -2003,10 +1975,7 @@ mod observability {
             cache_hits: s.cache_hits,
             batches: s.batches,
             parallel_batches: s.parallel_batches,
-            batched_batches: s.batched_batches,
             grouped_batches: s.grouped_batches,
-            speculative_issued: s.speculative_issued,
-            speculative_hits: s.speculative_hits,
             max_batch: s.max_batch,
             encode_cache_hits: s.encode_cache_hits,
             encode_cache_misses: s.encode_cache_misses,
@@ -2370,7 +2339,7 @@ mod streaming_append {
         label: &str,
     ) {
         let mut psession = CiSession::new(parent);
-        psession.run_batch_grouped(warm, &[], workers);
+        psession.run_batch_grouped(warm, workers);
         let memoized_before = psession.cache_len() as u64;
 
         let child_enc = Arc::new(parent_enc.extend(batch).expect("schema-compatible batch"));
@@ -2447,8 +2416,8 @@ mod streaming_append {
 
         // Probe: extended vs cold, bit-for-bit, same counters.
         let mut cold_session = CiSession::new(cold);
-        let got = ext.run_batch_grouped(probe, &[], workers);
-        let want = cold_session.run_batch_grouped(probe, &[], workers);
+        let got = ext.run_batch_grouped(probe, workers);
+        let want = cold_session.run_batch_grouped(probe, workers);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
@@ -2628,7 +2597,7 @@ mod streaming_append {
                 tiny,
             ));
             let mut parent = CiSession::new(GTest::over(Arc::clone(&enc), 0.01));
-            parent.run_batch_grouped(&warm, &[], workers);
+            parent.run_batch_grouped(&warm, workers);
             let memoized_before = parent.cache_len() as u64;
 
             let child_enc = Arc::new(enc.extend(&batch).expect("compatible batch"));
@@ -2644,8 +2613,8 @@ mod streaming_append {
             let concat = base.concat(&batch).unwrap();
             let cold_enc = Arc::new(EncodedTable::from_arc_with_cap(Arc::new(concat), tiny));
             let mut cold = CiSession::new(GTest::over(cold_enc, 0.01));
-            let got = ext.run_batch_grouped(&probe, &[], workers);
-            let want = cold.run_batch_grouped(&probe, &[], workers);
+            let got = ext.run_batch_grouped(&probe, workers);
+            let want = cold.run_batch_grouped(&probe, workers);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.p_value.to_bits(),
@@ -2678,7 +2647,7 @@ mod streaming_append {
             DEFAULT_CACHE_CAP,
         ));
         let mut parent = CiSession::new(GTest::over(Arc::clone(&enc), 0.01));
-        parent.run_batch_grouped(&warm, &[], 2);
+        parent.run_batch_grouped(&warm, 2);
         let memoized_before = parent.cache_len() as u64;
         let parent_fp = parent.outcomes_fingerprint();
 
@@ -2692,7 +2661,7 @@ mod streaming_append {
         assert!(birth.memos_conserved());
         assert_eq!(ext.cache_len(), 0, "patched outcomes park until demanded");
 
-        ext.run_batch_grouped(&warm, &[], 2);
+        ext.run_batch_grouped(&warm, 2);
         let es = ext.stats();
         assert_eq!(es.issued, 0, "n unchanged: nothing may be re-issued");
         assert_eq!(es.memo_patch_hits, memoized_before);
@@ -2751,8 +2720,7 @@ mod serialization_order {
     fn engine_stats_json_bytes_are_pinned() {
         let expected = concat!(
             "{\"requested\":0,\"issued\":0,\"cache_hits\":0,\"batches\":0,",
-            "\"parallel_batches\":0,\"batched_batches\":0,\"grouped_batches\":0,",
-            "\"speculative_issued\":0,\"speculative_hits\":0,\"speculative_wasted\":0,",
+            "\"parallel_batches\":0,\"grouped_batches\":0,",
             "\"max_batch\":0,\"dedup_rate\":0,\"wall_ms\":0,",
             "\"encode_cache_hits\":0,\"encode_cache_misses\":0,",
             "\"encode_cache_evictions\":0,\"narrow_code_bytes\":0,",
