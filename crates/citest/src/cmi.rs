@@ -7,7 +7,9 @@
 //! estimator. Slightly negative plug-in estimates are truncated to 0
 //! following Mukherjee et al. \[39\], as footnote 3 of the paper prescribes.
 
-use crate::contingency::{Arenas, Strata, StratumRows, SuffKey, SuffTable, ZPartition};
+use crate::contingency::{
+    carry_over, Arenas, ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
+};
 use crate::{CiOutcome, CiTest, KernelMode, VarId};
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding, Table};
 use rand::rngs::StdRng;
@@ -83,7 +85,7 @@ pub struct PermutationCmi {
     /// Memoized conditioning-set scaffolds, keyed by canonical set and
     /// bounded like every other data-path cache — so concurrent chunks of
     /// one Z-group (and later frontier levels) share one stratification.
-    partitions: CappedCache<Vec<VarId>, Arc<CmiScaffold>>,
+    partitions: ScaffoldCache,
     /// Retained sufficient statistics — the observed-data contingency
     /// table of each evaluated query, keyed by the canonical query
     /// triple. On dataset extension each resident table is patched with
@@ -130,42 +132,23 @@ impl PermutationCmi {
 
     /// Build a tester over an extended (appended-to) dataset, carrying the
     /// parent's memoized conditioning scaffolds forward: each resident
-    /// stratification is extended over the appended rows
-    /// (`ZPartition::extend`) and its CSR row layout rebuilt from the
-    /// extended partition — deterministic, so every transferred scaffold
-    /// is bit-identical to what a cold tester on the concatenated table
-    /// would derive. Test configuration (alpha, permutation count, base
-    /// seed, kernel mode) is inherited; evaluation telemetry starts fresh,
-    /// matching a cold run's counters.
+    /// stratification and its CSR row layout are extended over the
+    /// appended rows (`extend_scaffold`) — deterministic, so every
+    /// transferred scaffold is bit-identical to what a cold tester on the
+    /// concatenated table would derive — and every retained observed-data
+    /// table is patched with the appended rows. Test configuration (alpha,
+    /// permutation count, base seed, kernel mode) is inherited; evaluation
+    /// telemetry starts fresh, matching a cold run's counters.
     pub fn extended_from(parent: &PermutationCmi, enc: Arc<EncodedTable>) -> PermutationCmi {
         let mut child = PermutationCmi::over(enc, parent.alpha, parent.permutations, parent.seed)
             .with_kernel_mode(parent.kernel);
-        if child.enc.caching() {
-            let mut snap = parent.partitions.snapshot();
-            snap.sort_by(|a, b| a.0.cmp(&b.0));
-            for (zkey, scaffold) in snap {
-                let ze = child.enc.encode(&zkey);
-                let part = ZPartition::extend(&scaffold.0, &ze);
-                let rows = StratumRows::from_partition(&part);
-                child
-                    .partitions
-                    .insert_transferred(zkey, Arc::new((part, rows)));
-                child.extended_scaffolds += 1;
-            }
-            // Carry retained observed-data tables over, patching each
-            // with the appended rows now (O(batch) integer counting per
-            // table). Tables failing the patch preconditions are dropped;
-            // their queries take the invalidate path instead.
-            let mut tables = parent.suff.snapshot();
-            tables.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, t) in tables {
-                let patched =
-                    crate::contingency::patch_suff_table(&child.enc, &child.partitions, &key.2, &t);
-                if let Some(patched) = patched {
-                    child.suff.insert_transferred(key, Arc::new(patched));
-                }
-            }
-        }
+        child.extended_scaffolds = carry_over(
+            &child.enc,
+            &parent.partitions,
+            &parent.suff,
+            &child.partitions,
+            &child.suff,
+        );
         child
     }
 
@@ -526,19 +509,24 @@ impl crate::CiTestBatch for PermutationCmi {
             return Some(CiOutcome::decided(true));
         }
         let zkey = crate::canonical_set(z);
-        let ze = self.enc.encode(&zkey);
-        if ze.all_singletons() {
+        let (x, y) = crate::canonical_sides(x, y);
+        // A retained table was counted on a conditioning set that was not
+        // all singletons, and the extended rows keep every one of its
+        // strata, so only a query without one can be degenerate now.
+        let Some(t) = self.suff.peek(&(x.clone(), y.clone(), zkey.clone())) else {
             // Degenerate on the extended rows too — the same short-circuit
             // a cold evaluation takes.
-            return Some(CiOutcome {
-                independent: true,
-                p_value: 1.0,
-                statistic: 0.0,
-            });
-        }
-        let (x, y) = crate::canonical_sides(x, y);
-        let n = ze.codes.len();
-        let t = self.suff.peek(&(x.clone(), y.clone(), zkey.clone()))?;
+            return self
+                .enc
+                .encode(&zkey)
+                .all_singletons()
+                .then_some(CiOutcome {
+                    independent: true,
+                    p_value: 1.0,
+                    statistic: 0.0,
+                });
+        };
+        let n = self.enc.n_rows();
         if t.n_rows != n {
             return None;
         }

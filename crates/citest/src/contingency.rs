@@ -38,6 +38,10 @@ use std::sync::Arc;
 /// exact order [`Strata::count`] discovers them — so statistics computed
 /// through [`Strata::count_within`] accumulate in the same floating-point
 /// order and come out byte-identical.
+///
+/// On dataset extension the partition and its CSR layout are extended
+/// together by [`extend_scaffold`], which hashes one code per parent
+/// stratum and one per appended row and otherwise only copies.
 pub(crate) struct ZPartition {
     /// Per-row stratum index. (The fill loops stream the CSR row layout
     /// ([`StratumRows`]) rather than this per-row array; this stays for
@@ -87,47 +91,6 @@ impl ZPartition {
     /// identical either way.
     pub fn from_encoding(ze: &Encoding) -> ZPartition {
         with_codes!(&ze.codes, |c| Self::from_codes_bounded(c, ze.arity))
-    }
-
-    /// Extend a parent partition to an appended table's conditioning
-    /// encoding. Stratum numbering is first-occurrence over rows and an
-    /// extended table's prefix rows *are* the parent's rows, so the
-    /// parent's `stratum_of` carries over verbatim (this holds even when
-    /// the parent and child encodings chose different code
-    /// *representations* for the same joint values — the induced row
-    /// partition is representation-independent). The code→stratum map is
-    /// replayed from the child codes against the parent numbering, and
-    /// strata first appearing in the appended suffix are numbered from
-    /// `n_strata` on — exactly the numbering [`ZPartition::from_encoding`]
-    /// on the full child produces, so the result is bit-identical to a
-    /// cold build. The narrow `strata` copy re-widens automatically when
-    /// new strata push `n_strata` past a width boundary.
-    pub fn extend(parent: &ZPartition, child_ze: &Encoding) -> ZPartition {
-        with_codes!(&child_ze.codes, |c| Self::extend_from_codes(parent, c))
-    }
-
-    fn extend_from_codes<C: CodeValue>(parent: &ZPartition, z: &[C]) -> ZPartition {
-        let n_parent = parent.stratum_of.len();
-        debug_assert!(z.len() >= n_parent, "child must not shrink the table");
-        let mut stratum_of = Vec::with_capacity(z.len());
-        stratum_of.extend_from_slice(&parent.stratum_of);
-        let mut index: HashMap<u32, u32> = HashMap::with_capacity(parent.n_strata);
-        for (i, &zv) in z[..n_parent].iter().enumerate() {
-            index.entry(zv.widen()).or_insert(parent.stratum_of[i]);
-        }
-        let mut n_strata = parent.n_strata as u32;
-        for &zv in &z[n_parent..] {
-            let s = match index.get(&zv.widen()) {
-                Some(&s) => s,
-                None => {
-                    index.insert(zv.widen(), n_strata);
-                    n_strata += 1;
-                    n_strata - 1
-                }
-            };
-            stratum_of.push(s);
-        }
-        Self::from_stratum_of(stratum_of, n_strata as usize)
     }
 
     fn from_codes_bounded<C: CodeValue>(z: &[C], arity: u32) -> ZPartition {
@@ -190,6 +153,119 @@ impl StratumRows {
     pub fn stratum(&self, s: usize) -> &[u32] {
         &self.rows[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
+}
+
+/// Extend a parent scaffold — a partition and its CSR row layout — to the
+/// conditioning encoding of an appended table, bit-identical to
+/// [`ZPartition::from_encoding`] and [`StratumRows::from_partition`] on the
+/// whole child.
+///
+/// Strata are numbered in first-occurrence order and the child's first
+/// rows *are* the parent's rows, so the parent's numbering, sizes and
+/// per-stratum rows carry over as copies. Only the child codes at each
+/// parent stratum's first row are hashed, which maps every code seen
+/// before to its stratum (child codes are injective on joint values even
+/// where they represent them differently from the parent's). Appended
+/// rows then take their stratum from that index or open a new one, bump
+/// its size, and join the end of its CSR run.
+pub(crate) fn extend_scaffold(
+    parent: &(ZPartition, StratumRows),
+    child_ze: &Encoding,
+) -> (ZPartition, StratumRows) {
+    with_codes!(&child_ze.codes, |z| extend_scaffold_codes(parent, z))
+}
+
+fn extend_scaffold_codes<C: CodeValue>(
+    (part, csr): &(ZPartition, StratumRows),
+    z: &[C],
+) -> (ZPartition, StratumRows) {
+    let n_parent = part.stratum_of.len();
+    assert!(z.len() >= n_parent, "a child must not shrink the table");
+    assert!(
+        z.len() <= u32::MAX as usize,
+        "row count exceeds u32 CSR layout"
+    );
+    let appended = z.len() - n_parent;
+    let mut index: HashMap<u32, u32> = HashMap::with_capacity(part.n_strata + appended);
+    for s in 0..part.n_strata {
+        index.insert(z[csr.stratum(s)[0] as usize].widen(), s as u32);
+    }
+    let mut stratum_of = Vec::with_capacity(z.len());
+    stratum_of.extend_from_slice(&part.stratum_of);
+    let mut sizes = Vec::with_capacity(part.n_strata + appended);
+    sizes.extend_from_slice(&part.sizes);
+    let mut fresh = Vec::with_capacity(appended);
+    for (r, &zv) in z.iter().enumerate().skip(n_parent) {
+        let next = sizes.len() as u32;
+        let s = *index.entry(zv.widen()).or_insert(next);
+        if s == next {
+            sizes.push(0);
+        }
+        sizes[s as usize] += 1;
+        stratum_of.push(s);
+        fresh.push((s, r as u32));
+    }
+    let n_strata = sizes.len();
+    let (offsets, rows) = append_to_runs(&csr.offsets, &csr.rows, fresh, n_strata);
+    (
+        ZPartition {
+            stratum_of,
+            n_strata,
+            sizes,
+        },
+        StratumRows { offsets, rows },
+    )
+}
+
+/// Append items to the ends of their strata's runs in a CSR layout
+/// (`offsets`, `items`) that grows to `n_strata` strata. `fresh` holds
+/// `(stratum, item)` in the order the items must follow within their
+/// stratum; the sort by stratum is stable, so that order is kept. Runs
+/// without fresh items are copied a block of strata at a time.
+fn append_to_runs<T: Copy>(
+    offsets: &[u32],
+    items: &[T],
+    mut fresh: Vec<(u32, T)>,
+    n_strata: usize,
+) -> (Vec<u32>, Vec<T>) {
+    fresh.sort_by_key(|&(s, _)| s);
+    let mut out_offsets = Vec::with_capacity(n_strata + 1);
+    out_offsets.push(0);
+    let mut out = Vec::with_capacity(items.len() + fresh.len());
+    let mut copied = 0;
+    let mut i = 0;
+    while i < fresh.len() {
+        let s = fresh[i].0 as usize;
+        copy_runs(offsets, items, copied..s + 1, &mut out_offsets, &mut out);
+        while i < fresh.len() && fresh[i].0 as usize == s {
+            out.push(fresh[i].1);
+            i += 1;
+        }
+        *out_offsets.last_mut().expect("offsets start at 0") = out.len() as u32;
+        copied = s + 1;
+    }
+    copy_runs(offsets, items, copied..n_strata, &mut out_offsets, &mut out);
+    (out_offsets, out)
+}
+
+/// Copy the old runs of `strata` (empty past the old stratum count) onto
+/// the ends of `out` and `out_offsets`.
+fn copy_runs<T: Copy>(
+    offsets: &[u32],
+    items: &[T],
+    strata: std::ops::Range<usize>,
+    out_offsets: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) {
+    let old = offsets.len() - 1;
+    let (a, b) = (strata.start.min(old), strata.end.min(old));
+    if a < b {
+        let shift = out.len() as u32 - offsets[a];
+        out.extend_from_slice(&items[offsets[a] as usize..offsets[b] as usize]);
+        out_offsets.extend(offsets[a + 1..=b].iter().map(|&o| o + shift));
+    }
+    let new_strata = strata.end - strata.start.max(old).min(strata.end);
+    out_offsets.extend(std::iter::repeat_n(out.len() as u32, new_strata));
 }
 
 /// Dense-counting threshold: the flat table is worth it only while the
@@ -363,6 +439,14 @@ impl DenseArena {
     /// valid any time after a fill). `n_rows` is the row count the fill
     /// ran over; the caller stamps the side sets.
     pub fn snapshot_suff(&self, n_rows: usize) -> SuffTable {
+        let runs = &self.cell_order[..self.n_strata];
+        let mut cells = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(self.n_strata + 1);
+        offsets.push(0);
+        for run in runs {
+            cells.extend_from_slice(run);
+            offsets.push(cells.len() as u32);
+        }
         SuffTable {
             xset: Vec::new(),
             yset: Vec::new(),
@@ -372,7 +456,8 @@ impl DenseArena {
             n_rows,
             counts: self.counts.clone(),
             totals: self.totals.clone(),
-            cell_order: self.cell_order[..self.n_strata].to_vec(),
+            cells,
+            offsets,
         }
     }
 
@@ -713,15 +798,17 @@ pub(crate) type SuffKey = (Vec<crate::VarId>, Vec<crate::VarId>, Vec<crate::VarI
 /// refilled from scratch, which is what turns an appended re-select's
 /// statistical work from O(workload·n) into O(batch).
 ///
-/// Patching is exact: counts are integers (integer adds never round),
-/// the flat cell index `(s·xa + x)·ya + y` is independent of the stratum
-/// count (grown strata extend the table without relayout), and appended
-/// rows are visited in ascending order, so a cell first observed in the
-/// batch joins `cell_order` exactly where a cold fill over the
-/// concatenated rows would discover it. The statistic walks below then
-/// visit the same cells in the same order as [`DenseArena::g_walk`] /
-/// [`DenseArena::cmi_walk`] — bit-identical to a cold evaluation.
-#[derive(Clone)]
+/// The cells are flat, in the CSR layout [`StratumRows`] uses for rows:
+/// stratum `s` holds `cells[offsets[s]..offsets[s + 1]]`, in the order a
+/// fill first met them. Patching is exact: counts are integers (integer
+/// adds never round), the flat cell index `(s·xa + x)·ya + y` is
+/// independent of the stratum count (grown strata extend the table
+/// without relayout), and appended rows are visited in ascending order,
+/// so a cell first observed in the batch joins the end of its stratum's
+/// run exactly where a cold fill over the concatenated rows would
+/// discover it. The statistic walks below then visit the same cells in
+/// the same order as [`DenseArena::g_walk`] / [`DenseArena::cmi_walk`] —
+/// bit-identical to a cold evaluation.
 pub(crate) struct SuffTable {
     /// Side variable sets exactly as the statistic was evaluated — the
     /// spelling re-encoded against the extended table when patching.
@@ -739,14 +826,17 @@ pub(crate) struct SuffTable {
     pub n_rows: usize,
     counts: Vec<u32>,
     totals: Vec<u64>,
-    cell_order: Vec<Vec<(u32, u32)>>,
+    cells: Vec<(u32, u32)>,
+    offsets: Vec<u32>,
 }
 
 impl SuffTable {
     /// Count only the appended rows `self.n_rows..` of the extended codes
-    /// into a copy of this table, against the extended partition (whose
-    /// prefix numbering equals the partition this table was counted
-    /// over — [`ZPartition::extend`] guarantees it).
+    /// into a new table, against the extended partition (whose prefix
+    /// numbering equals the partition this table was counted over —
+    /// [`extend_scaffold`] guarantees it). The counts are copied once,
+    /// each stratum's run of cells is copied, and the cells first seen in
+    /// the batch follow at the end of their stratum's run in row order.
     pub fn patch<X: CodeValue, Y: CodeValue>(
         &self,
         x: &[X],
@@ -759,19 +849,19 @@ impl SuffTable {
         debug_assert!(part.n_strata >= self.n_strata, "strata cannot shrink");
         debug_assert!(self.n_rows <= n, "rows cannot shrink");
         let (xa, ya) = (self.xa, self.ya);
-        let mut counts = vec![0u32; part.n_strata * xa * ya];
-        counts[..self.counts.len()].copy_from_slice(&self.counts);
-        let mut cell_order: Vec<Vec<(u32, u32)>> = Vec::with_capacity(part.n_strata);
-        cell_order.extend(self.cell_order.iter().cloned());
-        cell_order.resize_with(part.n_strata, Vec::new);
+        let mut counts = Vec::with_capacity(part.n_strata * xa * ya);
+        counts.extend_from_slice(&self.counts);
+        counts.resize(part.n_strata * xa * ya, 0);
+        let mut fresh = Vec::new();
         for r in self.n_rows..n {
-            let s = part.stratum_of[r] as usize;
-            let flat = (s * xa + x[r].index()) * ya + y[r].index();
+            let s = part.stratum_of[r];
+            let flat = (s as usize * xa + x[r].index()) * ya + y[r].index();
             if counts[flat] == 0 {
-                cell_order[s].push((x[r].widen(), y[r].widen()));
+                fresh.push((s, (x[r].widen(), y[r].widen())));
             }
             counts[flat] += 1;
         }
+        let (offsets, cells) = append_to_runs(&self.offsets, &self.cells, fresh, part.n_strata);
         SuffTable {
             xset: self.xset.clone(),
             yset: self.yset.clone(),
@@ -783,8 +873,14 @@ impl SuffTable {
             // Totals are a property of the partition alone — exact
             // integers, identical to what a cold fill copies in.
             totals: part.sizes.clone(),
-            cell_order,
+            cells,
+            offsets,
         }
+    }
+
+    /// Stratum `s`'s cells in first-occurrence order.
+    fn run(&self, s: usize) -> &[(u32, u32)] {
+        &self.cells[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 
     /// The G statistic and degrees of freedom from the retained counts —
@@ -800,7 +896,7 @@ impl SuffTable {
         for s in 0..self.n_strata {
             let mut r = 0usize;
             let mut c = 0usize;
-            for &(xv, yv) in &self.cell_order[s] {
+            for &(xv, yv) in self.run(s) {
                 let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
                 let xslot = &mut xm[s * xa + xv as usize];
                 if *xslot == 0.0 {
@@ -814,7 +910,7 @@ impl SuffTable {
                 *yslot += nxy;
             }
             let total = self.totals[s] as f64;
-            for &(xv, yv) in &self.cell_order[s] {
+            for &(xv, yv) in self.run(s) {
                 let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
                 let nx = xm[s * xa + xv as usize];
                 let ny = ym[s * ya + yv as usize];
@@ -836,13 +932,13 @@ impl SuffTable {
         let mut ym = vec![0.0f64; self.n_strata * ya];
         let mut cmi = 0.0;
         for s in 0..self.n_strata {
-            for &(xv, yv) in &self.cell_order[s] {
+            for &(xv, yv) in self.run(s) {
                 let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
                 xm[s * xa + xv as usize] += nxy;
                 ym[s * ya + yv as usize] += nxy;
             }
             let total = self.totals[s] as f64;
-            for &(xv, yv) in &self.cell_order[s] {
+            for &(xv, yv) in self.run(s) {
                 let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
                 let nx = xm[s * xa + xv as usize];
                 let ny = ym[s * ya + yv as usize];
@@ -874,7 +970,7 @@ impl SuffTable {
 /// `(ZPartition, StratumRows)` tuple.
 pub(crate) fn patch_suff_table(
     enc: &EncodedTable,
-    partitions: &CappedCache<Vec<crate::VarId>, Arc<(ZPartition, StratumRows)>>,
+    partitions: &ScaffoldCache,
     zkey: &[crate::VarId],
     t: &SuffTable,
 ) -> Option<SuffTable> {
@@ -895,6 +991,42 @@ pub(crate) fn patch_suff_table(
     Some(with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
         t.patch(xc, yc, part)
     })))
+}
+
+/// A discrete tester's conditioning scaffolds, keyed by canonical set.
+pub(crate) type ScaffoldCache = CappedCache<Vec<crate::VarId>, Arc<(ZPartition, StratumRows)>>;
+
+/// Carry a parent tester's state into the caches of a tester over the
+/// extended encoding layer `enc`: every resident scaffold is extended over
+/// the appended rows ([`extend_scaffold`]), then every retained table
+/// whose preconditions hold is patched ([`patch_suff_table`]); the rest
+/// are dropped and their queries take the invalidate path. Keys are
+/// visited in sorted order. Returns the number of scaffolds carried.
+pub(crate) fn carry_over(
+    enc: &EncodedTable,
+    parent_partitions: &ScaffoldCache,
+    parent_suff: &CappedCache<SuffKey, Arc<SuffTable>>,
+    partitions: &ScaffoldCache,
+    suff: &CappedCache<SuffKey, Arc<SuffTable>>,
+) -> u64 {
+    if !enc.caching() {
+        return 0;
+    }
+    let mut scaffolds = parent_partitions.snapshot();
+    scaffolds.sort_by(|a, b| a.0.cmp(&b.0));
+    let carried = scaffolds.len() as u64;
+    for (zkey, sc) in scaffolds {
+        let ze = enc.encode(&zkey);
+        partitions.insert_transferred(zkey, Arc::new(extend_scaffold(&sc, &ze)));
+    }
+    let mut tables = parent_suff.snapshot();
+    tables.sort_by(|a, b| a.0.cmp(&b.0));
+    for (key, t) in tables {
+        if let Some(patched) = patch_suff_table(enc, partitions, &key.2, &t) {
+            suff.insert_transferred(key, Arc::new(patched));
+        }
+    }
+    carried
 }
 
 /// Counts for one stratum of the conditioning variables.
@@ -1076,11 +1208,7 @@ mod tests {
         // from_encoding's flat-array numbering must equal the hashed
         // first-occurrence numbering.
         let codes = [5u32, 2, 5, 9, 2, 0, 9, 5];
-        let enc = Encoding {
-            codes: fairsel_table::Codes::from_slice(&codes, 10),
-            arity: 10,
-            distinct: 4,
-        };
+        let enc = Encoding::new(fairsel_table::Codes::from_slice(&codes, 10), 10);
         let dense = ZPartition::from_encoding(&enc);
         let hashed = ZPartition::from_codes(&codes);
         assert_eq!(dense.stratum_of, hashed.stratum_of);
@@ -1098,16 +1226,16 @@ mod tests {
         child_codes.extend((0..200).map(|i| 1000 + (i % 100) as u32));
         let parent = ZPartition::from_codes(&parent_codes);
         assert_eq!(parent.n_strata, 200);
-        let child_ze = Encoding {
-            codes: fairsel_table::Codes::from_slice(&child_codes, 2000),
-            arity: 2000,
-            distinct: 300,
-        };
-        let ext = ZPartition::extend(&parent, &child_ze);
+        let parent_rows = StratumRows::from_partition(&parent);
+        let child_ze = Encoding::new(fairsel_table::Codes::from_slice(&child_codes, 2000), 2000);
+        let (ext, ext_rows) = extend_scaffold(&(parent, parent_rows), &child_ze);
         let cold = ZPartition::from_encoding(&child_ze);
+        let cold_rows = StratumRows::from_partition(&cold);
         assert_eq!(ext.stratum_of, cold.stratum_of);
         assert_eq!(ext.n_strata, cold.n_strata);
         assert_eq!(ext.sizes, cold.sizes);
+        assert_eq!(ext_rows.offsets, cold_rows.offsets);
+        assert_eq!(ext_rows.rows, cold_rows.rows);
     }
 
     #[test]
@@ -1191,7 +1319,8 @@ mod tests {
         arena.fill(&x, &y, xa, ya, &full_part, &full_rows, full_cells);
         let cold = arena.snapshot_suff(x.len());
         assert_eq!(patched.counts, cold.counts, "cell-for-cell equality");
-        assert_eq!(patched.cell_order, cold.cell_order, "walk order equality");
+        assert_eq!(patched.cells, cold.cells, "walk order equality");
+        assert_eq!(patched.offsets, cold.offsets, "walk order equality");
         assert_eq!(patched.totals, cold.totals);
 
         let (g_cold, df_cold) = arena.g_walk();
@@ -1204,7 +1333,8 @@ mod tests {
         // An empty patch (no appended rows) is the identity.
         let noop = patched.patch(&x[..], &y[..], &full_part);
         assert_eq!(noop.counts, patched.counts);
-        assert_eq!(noop.cell_order, patched.cell_order);
+        assert_eq!(noop.cells, patched.cells);
+        assert_eq!(noop.offsets, patched.offsets);
     }
 
     /// The sparse arena's G, df, p and CMI, bit for bit against the hashed
@@ -1322,5 +1452,215 @@ mod tests {
             "width pairings {pairings:?}"
         );
         assert!(wraps >= 2, "stamp wrap-arounds {wraps}");
+    }
+
+    /// Code storage of `codes` at width `w` (0: u8, 1: u16, 2: u32).
+    fn stored_at(codes: &[u32], w: usize) -> fairsel_table::Codes {
+        use fairsel_table::Codes;
+        match w {
+            0 => Codes::U8(codes.iter().map(|&c| c as u8).collect()),
+            1 => Codes::U16(codes.iter().map(|&c| c as u16).collect()),
+            _ => Codes::U32(codes.to_vec()),
+        }
+    }
+
+    /// The row-replay extension that [`extend_scaffold`] replaced, kept as
+    /// its reference: every parent row re-indexed through a hash map, new
+    /// strata numbered from the parent's count on.
+    fn replay_extend(parent: &ZPartition, z: &[u32]) -> ZPartition {
+        let n_parent = parent.stratum_of.len();
+        let mut index: HashMap<u32, u32> = HashMap::new();
+        for (i, &zv) in z[..n_parent].iter().enumerate() {
+            index.entry(zv).or_insert(parent.stratum_of[i]);
+        }
+        let mut stratum_of = parent.stratum_of.clone();
+        let mut n_strata = parent.n_strata as u32;
+        for &zv in &z[n_parent..] {
+            let s = *index.entry(zv).or_insert_with(|| {
+                n_strata += 1;
+                n_strata - 1
+            });
+            stratum_of.push(s);
+        }
+        ZPartition::from_stratum_of(stratum_of, n_strata as usize)
+    }
+
+    fn assert_same_scaffold(
+        (a, a_rows): &(ZPartition, StratumRows),
+        (b, b_rows): &(ZPartition, StratumRows),
+        label: &str,
+    ) {
+        assert_eq!(a.stratum_of, b.stratum_of, "stratum_of, {label}");
+        assert_eq!(a.n_strata, b.n_strata, "n_strata, {label}");
+        assert_eq!(a.sizes, b.sizes, "sizes, {label}");
+        assert_eq!(a_rows.offsets, b_rows.offsets, "CSR offsets, {label}");
+        assert_eq!(a_rows.rows, b_rows.rows, "CSR rows, {label}");
+    }
+
+    /// The scaffold extension equals the row-replay reference followed by
+    /// a full CSR rebuild, and a cold build on the child codes, over 1,000
+    /// random shapes: batches that open new strata, zero-row batches, a
+    /// single stratum, mostly one-row strata, arities up to 5,000, every
+    /// code width, and parents whose codes represent the same strata
+    /// differently from the child's.
+    #[test]
+    fn extend_scaffold_matches_replay_reference_on_random_shapes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xe57e);
+        let mut kinds = [0usize; 4];
+        let mut widths = [0usize; 3];
+        let (mut empty_batches, mut opened, mut recoded) = (0, 0, 0);
+        for shape in 0..1000 {
+            let n_parent = rng.gen_range(1..=600);
+            let batch = if shape % 10 == 0 {
+                0
+            } else {
+                rng.gen_range(1..=300)
+            };
+            let n = n_parent + batch;
+            let width = rng.gen_range(0..3);
+            let arity: u32 = rng.gen_range(1..=if width == 0 { 256 } else { 5000 });
+            let kind = rng.gen_range(0..4);
+            let z: Vec<u32> = match kind {
+                // The parent sees half the code space; the batch all of it.
+                0 => (0..n)
+                    .map(|i| {
+                        let span = if i < n_parent {
+                            arity.div_ceil(2)
+                        } else {
+                            arity
+                        };
+                        rng.gen_range(0..span)
+                    })
+                    .collect(),
+                1 => vec![arity - 1; n],
+                2 => (0..n).map(|_| rng.gen_range(0..arity)).collect(),
+                _ => {
+                    let k = rng.gen_range(1..=arity.min(8));
+                    (0..n).map(|_| rng.gen_range(0..k)).collect()
+                }
+            };
+            let parent_codes: Vec<u32> = if rng.gen_bool(0.5) {
+                recoded += 1;
+                z[..n_parent].iter().map(|&c| arity - 1 - c).collect()
+            } else {
+                z[..n_parent].to_vec()
+            };
+            let parent =
+                ZPartition::from_encoding(&Encoding::new(stored_at(&parent_codes, width), arity));
+            let parent_rows = StratumRows::from_partition(&parent);
+            let replayed = replay_extend(&parent, &z);
+            let reference = {
+                let rows = StratumRows::from_partition(&replayed);
+                (replayed, rows)
+            };
+            let child_ze = Encoding::new(stored_at(&z, width), arity);
+            let cold = ZPartition::from_encoding(&child_ze);
+            let cold = {
+                let rows = StratumRows::from_partition(&cold);
+                (cold, rows)
+            };
+            let parent_strata = parent.n_strata;
+            let extended = extend_scaffold(&(parent, parent_rows), &child_ze);
+            let label = format!(
+                "shape {shape}: kind {kind}, {n_parent} + {batch} rows, arity {arity}, width {width}"
+            );
+            assert_same_scaffold(&extended, &reference, &format!("reference, {label}"));
+            assert_same_scaffold(&extended, &cold, &format!("cold, {label}"));
+            kinds[kind] += 1;
+            widths[width] += 1;
+            empty_batches += usize::from(batch == 0);
+            opened += usize::from(extended.0.n_strata > parent_strata);
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "shape kinds {kinds:?}");
+        assert!(widths.iter().all(|&w| w > 0), "code widths {widths:?}");
+        assert!(empty_batches > 0 && opened > 100 && recoded > 100);
+    }
+
+    /// Patched sufficient statistics equal a cold fill over the same rows,
+    /// over 1,000 random dense shapes each patched in a chain of three
+    /// (zero-row patches, new cells in old strata and new strata
+    /// included), with the scaffold extended along the chain as the
+    /// testers extend it: counts, cells, offsets and totals are equal, and
+    /// G, df and CMI are equal bit for bit.
+    #[test]
+    fn suff_patch_chains_match_cold_fill_on_random_shapes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5aff);
+        let mut arena = DenseArena::default();
+        let (mut zero_row, mut old_strata_cells, mut opened, mut checked) = (0, 0, 0, 0);
+        while checked < 1000 {
+            let n = rng.gen_range(4..=1200);
+            let (xa, ya) = (rng.gen_range(1..=6usize), rng.gen_range(1..=6usize));
+            let za = rng.gen_range(1..=200u32);
+            let z: Vec<u32> = (0..n).map(|_| rng.gen_range(0..za)).collect();
+            let strata = ZPartition::from_codes(z.as_slice()).n_strata;
+            if dense_cell_space(n, strata, xa, ya).is_none() {
+                continue;
+            }
+            let x: Vec<u32> = (0..n).map(|_| rng.gen_range(0..xa as u32)).collect();
+            let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..ya as u32)).collect();
+            let (xc, yc) = (
+                stored_at(&x, rng.gen_range(0..3)),
+                stored_at(&y, rng.gen_range(0..3)),
+            );
+            let mut cuts: Vec<usize> = (0..4).map(|_| rng.gen_range(1..=n)).collect();
+            cuts.sort_unstable();
+            cuts[3] = n;
+            let cold_fill = |arena: &mut DenseArena, rows: usize| {
+                let part = ZPartition::from_codes(&z[..rows]);
+                let csr = StratumRows::from_partition(&part);
+                with_codes!(&xc, |xs| with_codes!(&yc, |ys| {
+                    arena.fill(
+                        &xs[..rows],
+                        &ys[..rows],
+                        xa,
+                        ya,
+                        &part,
+                        &csr,
+                        part.n_strata * xa * ya,
+                    )
+                }));
+                (part, csr)
+            };
+            let mut scaffold = cold_fill(&mut arena, cuts[0]);
+            let mut table = arena.snapshot_suff(cuts[0]);
+            for (k, &rows) in cuts.iter().enumerate().skip(1) {
+                let ze = Encoding::new(stored_at(&z[..rows], 2), za);
+                let extended = extend_scaffold(&scaffold, &ze);
+                let patched = with_codes!(&xc, |xs| with_codes!(&yc, |ys| {
+                    table.patch(&xs[..rows], &ys[..rows], &extended.0)
+                }));
+                let cold_scaffold = cold_fill(&mut arena, rows);
+                assert_same_scaffold(&extended, &cold_scaffold, "chained scaffold");
+                let cold = arena.snapshot_suff(rows);
+                let label = format!(
+                    "shape {checked}, patch {k}: {rows} of {n} rows, ({xa}, {ya}) over {za}"
+                );
+                assert_eq!(patched.n_strata, cold.n_strata, "strata, {label}");
+                assert_eq!(patched.n_rows, cold.n_rows, "rows, {label}");
+                assert_eq!(patched.counts, cold.counts, "counts, {label}");
+                assert_eq!(patched.cells, cold.cells, "cells, {label}");
+                assert_eq!(patched.offsets, cold.offsets, "offsets, {label}");
+                assert_eq!(patched.totals, cold.totals, "totals, {label}");
+                let (g, df) = arena.g_walk();
+                let (pg, pdf) = patched.g();
+                assert_eq!((pg.to_bits(), pdf), (g.to_bits(), df), "G and df, {label}");
+                cold_fill(&mut arena, rows);
+                let cmi = arena.cmi_walk(rows);
+                assert_eq!(patched.cmi(rows).to_bits(), cmi.to_bits(), "CMI, {label}");
+                zero_row += usize::from(rows == table.n_rows);
+                opened += usize::from(patched.n_strata > table.n_strata);
+                old_strata_cells += usize::from(
+                    (0..table.n_strata).any(|s| patched.run(s).len() > table.run(s).len()),
+                );
+                scaffold = extended;
+                table = patched;
+            }
+            checked += 1;
+        }
+        assert!(zero_row > 0 && opened > 100 && old_strata_cells > 100);
     }
 }

@@ -9,7 +9,10 @@
 //! keeps the test calibrated on sparse strata — important here because
 //! group testing multiplies arities together.
 
-use crate::contingency::{Arenas, DenseArena, Strata, StratumRows, SuffKey, SuffTable, ZPartition};
+use crate::contingency::{
+    carry_over, Arenas, DenseArena, ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable,
+    ZPartition,
+};
 use crate::{CiOutcome, CiTest, KernelMode, VarId};
 use fairsel_math::special::chi2_sf;
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Table};
@@ -43,7 +46,7 @@ pub struct GTest {
     /// rows) for grouped evaluation, keyed by the canonical (sorted,
     /// deduplicated) variable set and bounded like every other data-path
     /// cache.
-    partitions: CappedCache<Vec<VarId>, Arc<GScaffold>>,
+    partitions: ScaffoldCache,
     /// Retained sufficient statistics — the per-query contingency tables —
     /// keyed by the canonical query triple. On dataset extension each
     /// resident table is patched with the appended rows
@@ -88,40 +91,21 @@ impl GTest {
     /// Build the tester a dataset *extension* warrants: same configuration
     /// as `parent`, reading the extended encoding layer `enc`, with every
     /// resident conditioning-set stratification carried over and extended
-    /// (`ZPartition::extend`) instead of rebuilt. Query outcomes are
+    /// (`extend_scaffold`) instead of rebuilt. Query outcomes are
     /// byte-identical to a cold `GTest::over(enc, alpha)` — only where the
     /// scaffolds come from changes. Telemetry (degenerate short-circuits,
     /// dense-arena cells) starts fresh, matching a cold tester's counters.
     pub fn extended_from(parent: &GTest, enc: Arc<EncodedTable>) -> GTest {
         let mut child = GTest::over(enc, parent.alpha).with_kernel_mode(parent.kernel);
-        if child.enc.caching() {
-            let mut snap = parent.partitions.snapshot();
-            snap.sort_by(|a, b| a.0.cmp(&b.0));
-            for (zkey, sc) in snap {
-                let ze = child.enc.encode(&zkey);
-                let part = ZPartition::extend(&sc.0, &ze);
-                let rows = StratumRows::from_partition(&part);
-                child
-                    .partitions
-                    .insert_transferred(zkey, Arc::new((part, rows)));
-                child.extended_scaffolds += 1;
-            }
-            // Carry retained sufficient statistics over, patching each
-            // with the appended rows now — O(batch) integer counting per
-            // table. Tables whose preconditions fail (conditioning
-            // scaffold evicted, side encodings not provably append-stable,
-            // arity grown by the batch, cell space no longer dense) are
-            // dropped: their queries take the invalidate path instead.
-            let mut tables = parent.suff.snapshot();
-            tables.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, t) in tables {
-                let patched =
-                    crate::contingency::patch_suff_table(&child.enc, &child.partitions, &key.2, &t);
-                if let Some(patched) = patched {
-                    child.suff.insert_transferred(key, Arc::new(patched));
-                }
-            }
-        }
+        // Retained sufficient statistics are patched with the appended
+        // rows now — O(batch) integer counting per table.
+        child.extended_scaffolds = carry_over(
+            &child.enc,
+            &parent.partitions,
+            &parent.suff,
+            &child.partitions,
+            &child.suff,
+        );
         child
     }
 
@@ -378,19 +362,24 @@ impl crate::CiTestBatch for GTest {
             return Some(CiOutcome::decided(true));
         }
         let zkey = crate::canonical_set(z);
-        let ze = self.enc.encode(&zkey);
-        if ze.all_singletons() {
+        let (xs, ys) = crate::canonical_sides(x, y);
+        // A retained table was counted on a conditioning set that was not
+        // all singletons, and the extended rows keep every one of its
+        // strata, so only a query without one can be degenerate now.
+        let Some(t) = self.suff.peek(&(xs, ys, zkey.clone())) else {
             // Degenerate on the *extended* rows too — same short-circuit
             // a cold evaluation takes (the counter is deliberately not
             // bumped: patched answers do no contingency work to skip).
-            return Some(CiOutcome {
-                independent: true,
-                p_value: 1.0,
-                statistic: 0.0,
-            });
-        }
-        let (xs, ys) = crate::canonical_sides(x, y);
-        let t = self.suff.peek(&(xs, ys, zkey))?;
+            return self
+                .enc
+                .encode(&zkey)
+                .all_singletons()
+                .then_some(CiOutcome {
+                    independent: true,
+                    p_value: 1.0,
+                    statistic: 0.0,
+                });
+        };
         if t.n_rows != self.enc.n_rows() {
             return None;
         }

@@ -106,7 +106,11 @@ impl Json {
     /// error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -159,6 +163,13 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; a
+/// document nested deeper is a [`JsonError`]. The parser recurses once per
+/// level, so this bound is what keeps a frame of `[` characters from
+/// overflowing a connection thread's stack. The protocol's own requests
+/// and responses nest a few levels.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parse failure with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -177,6 +188,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,12 +234,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -516,6 +544,33 @@ mod tests {
             "\"\\ud834\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// Arrays and objects nested to [`MAX_JSON_DEPTH`] parse; one level
+    /// more is an error, as is a long run of `[` that would otherwise
+    /// recurse once per byte.
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        for doc in [arrays(MAX_JSON_DEPTH), objects(MAX_JSON_DEPTH)] {
+            assert!(Json::parse(&doc).is_ok(), "nesting at the bound: {doc}");
+        }
+        for doc in [
+            arrays(MAX_JSON_DEPTH + 1),
+            objects(MAX_JSON_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let err = Json::parse(&doc).expect_err("nesting past the bound");
+            assert!(err.msg.contains("nesting deeper"), "{err}");
+            // The parser stops at the first level past the bound.
+            let level = if doc.starts_with('[') {
+                1
+            } else {
+                "{\"k\":".len()
+            };
+            assert_eq!(err.pos, MAX_JSON_DEPTH * level, "{err}");
         }
     }
 

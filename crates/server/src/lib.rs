@@ -31,7 +31,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, MAX_JSON_DEPTH};
 pub use prom::render_prom;
 pub use proto::{
     valid_alpha, valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request, Response,

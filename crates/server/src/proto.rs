@@ -113,18 +113,18 @@ pub fn write_json<W: Write>(w: &mut W, v: &Json) -> io::Result<()> {
     write_frame(w, v.to_string().as_bytes())
 }
 
+/// Parse one received frame: UTF-8 text holding one JSON document.
+pub(crate) fn parse_json_frame(bytes: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not utf-8: {e}"))?;
+    Json::parse(text).map_err(|e| e.to_string())
+}
+
 /// Receive and parse one JSON frame; `Ok(None)` on clean EOF.
 pub fn read_json<R: Read>(r: &mut R) -> io::Result<Option<Json>> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(bytes) => {
-            let text = String::from_utf8(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Json::parse(&text)
-                .map(Some)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        }
-    }
+    read_frame(r)?
+        .map(|bytes| parse_json_frame(&bytes))
+        .transpose()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// The GrpSel root-group width knob, mirroring the CLI's

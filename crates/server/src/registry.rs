@@ -8,14 +8,20 @@
 //! is the whole point of running `fairsel serve` instead of one process
 //! per request.
 //!
-//! Sharding is by *dataset fingerprint* (a stable hash of the schema and
-//! every column's data) mixed with the split and tester knobs that define
-//! the session's ground truth (`seed`, `train_frac`, tester, `alpha`).
-//! Knobs that provably do not change CI outcomes — algorithm, worker
-//! count, `max_group`, classifier — deliberately do *not* shard: a
-//! `seqsel` request warms the cache for a later `grpsel` request on the
-//! same data, exactly like the cross-algorithm dedup the engine property
-//! tests establish.
+//! Sharding is by *dataset fingerprint* mixed with the split and tester
+//! knobs that define the session's ground truth (`seed`, `train_frac`,
+//! tester, `alpha`). Knobs that provably do not change CI outcomes —
+//! algorithm, worker count, `max_group`, classifier — deliberately do
+//! *not* shard: a `seqsel` request warms the cache for a later `grpsel`
+//! request on the same data, exactly like the cross-algorithm dedup the
+//! engine property tests establish.
+//!
+//! The fingerprint ([`fingerprint_table`]) folds each column on its own
+//! from a fixed basis, one 64-bit word per value, and combines the
+//! schema, the row count, the arities and those column states through
+//! [`StableHash`]. The put store keeps every dataset's column states, so
+//! [`Registry::append`] fingerprints a child by continuing its parent's
+//! states over the appended rows alone.
 //!
 //! The registry itself is LRU-bounded (`max_datasets`), and each
 //! workload's encoding caches are bounded by `cache_cap` — both with
@@ -76,29 +82,71 @@ impl Default for StableHash {
     }
 }
 
-/// Fingerprint of a table: schema (names, roles, types) plus every
-/// column's raw data. Two tables fingerprint equal iff a CI tester cannot
-/// tell them apart.
-pub fn fingerprint_table(table: &Table) -> u64 {
-    let mut h = StableHash::new();
-    h.bytes(table.schema_string().as_bytes());
-    h.u64(table.n_rows() as u64);
-    for col in table.columns() {
-        match &col.data {
-            ColumnData::Cat { codes, arity } => {
-                h.u64(*arity as u64);
-                for &c in codes {
-                    h.u64(c as u64);
-                }
-            }
-            ColumnData::Num(values) => {
-                for &v in values {
-                    h.u64(v.to_bits());
-                }
-            }
-        }
+/// Fixed basis every column's fingerprint state starts from.
+const FOLD_BASIS: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Continue a column's fingerprint state over one value word. The rotate
+/// carries high bits down and the odd multiplier carries low bits up, and
+/// each step is a bijection in both the state and the word, so changing
+/// any one value changes the column's state.
+fn fold_word(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Per-column fingerprint states: each column folded on its own from
+/// [`FOLD_BASIS`], one word per value (a categorical code, or an `f64`'s
+/// bits). Appending rows continues every state over the new rows alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ColumnFolds(Vec<u64>);
+
+impl ColumnFolds {
+    /// Every column of `table` folded from the basis.
+    pub(crate) fn of(table: &Table) -> ColumnFolds {
+        ColumnFolds(vec![FOLD_BASIS; table.n_cols()]).extended(table)
     }
-    h.finish()
+
+    /// The states continued over the rows of `rows`, a table with the
+    /// folded table's schema.
+    pub(crate) fn extended(&self, rows: &Table) -> ColumnFolds {
+        debug_assert_eq!(self.0.len(), rows.n_cols(), "fold schema mismatch");
+        let states = self.0.iter().zip(rows.columns());
+        ColumnFolds(
+            states
+                .map(|(&state, col)| match &col.data {
+                    ColumnData::Cat { codes, .. } => {
+                        codes.iter().fold(state, |h, &c| fold_word(h, c as u64))
+                    }
+                    ColumnData::Num(values) => {
+                        values.iter().fold(state, |h, &v| fold_word(h, v.to_bits()))
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// The fingerprint of `table`, whose columns these states fold.
+    pub(crate) fn fingerprint(&self, table: &Table) -> u64 {
+        let mut h = StableHash::new();
+        h.bytes(table.schema_string().as_bytes());
+        h.u64(table.n_rows() as u64);
+        for (col, &state) in table.columns().iter().zip(&self.0) {
+            if let Some(arity) = col.arity() {
+                h.u64(arity as u64);
+            }
+            h.u64(state);
+        }
+        h.finish()
+    }
+}
+
+/// Fingerprint of a table: schema (names, roles, types), row count,
+/// arities and every column's raw data, each column folded on its own
+/// from a fixed basis. Two tables fingerprint equal iff a CI tester cannot
+/// tell them apart. A table extended by appended rows fingerprints the
+/// same whether its states are folded from scratch or continued from its
+/// parent's.
+pub fn fingerprint_table(table: &Table) -> u64 {
+    ColumnFolds::of(table).fingerprint(table)
 }
 
 /// The session type every workload holds: a boxed batch tester behind
@@ -144,9 +192,11 @@ impl Default for RegistryConfig {
     }
 }
 
-/// A dataset uploaded via `put`, addressable by fingerprint.
+/// A dataset uploaded via `put` or born by `append`, addressable by
+/// fingerprint, with the column states its fingerprint folds.
 struct PutSlot {
     table: Arc<Table>,
+    folds: ColumnFolds,
     last_used: u64,
 }
 
@@ -253,21 +303,30 @@ impl Registry {
     /// Fails clean (no state change) when the parent fingerprint is
     /// unknown or evicted, or when the batch's schema does not match —
     /// the same validation discipline as [`Table::concat`].
+    ///
+    /// The child's fingerprint continues the parent's column states over
+    /// the batch, so it costs O(batch × columns) and equals
+    /// [`fingerprint_table`] of the concatenation.
     pub fn append(&self, fp: u64, batch: Table) -> Result<(u64, usize), String> {
         if batch.n_rows() == 0 {
             return Err("append batch has no rows".into());
         }
-        let parent = self.dataset(fp).ok_or_else(|| {
-            format!(
-                "unknown dataset fingerprint {fp:016x} \
-                 (not uploaded, or evicted — put it again)"
-            )
-        })?;
+        let (parent, folds) = {
+            let mut puts = self.puts.lock();
+            let slot = puts.get_mut(&fp).ok_or_else(|| {
+                format!(
+                    "unknown dataset fingerprint {fp:016x} \
+                     (not uploaded, or evicted — put it again)"
+                )
+            })?;
+            slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+            (Arc::clone(&slot.table), slot.folds.clone())
+        };
         let child = parent
             .concat(&batch)
             .map_err(|e| format!("append batch rejected: {e}"))?;
         let rows = child.n_rows();
-        let child_fp = self.put(child)?;
+        let child_fp = self.store(child, folds.extended(&batch))?;
         if child_fp != fp {
             self.lineage.lock().insert(child_fp, fp);
         }
@@ -278,10 +337,17 @@ impl Registry {
     /// an identical table is a cheap no-op (same fingerprint, the first
     /// copy stays). The store is LRU-bounded by `max_datasets`.
     pub fn put(&self, table: Table) -> Result<u64, String> {
+        let folds = ColumnFolds::of(&table);
+        self.store(table, folds)
+    }
+
+    /// Store `table`, whose column states are `folds`, under its
+    /// fingerprint.
+    fn store(&self, table: Table, folds: ColumnFolds) -> Result<u64, String> {
         if table.n_rows() < 10 {
             return Err(format!("too few rows ({})", table.n_rows()));
         }
-        let fp = fingerprint_table(&table);
+        let fp = folds.fingerprint(&table);
         let mut puts = self.puts.lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         if let Some(slot) = puts.get_mut(&fp) {
@@ -309,6 +375,7 @@ impl Registry {
             fp,
             PutSlot {
                 table: Arc::new(table),
+                folds,
                 last_used: tick,
             },
         );
@@ -439,21 +506,24 @@ impl Registry {
     }
 
     /// Attempt to seed a child workload warm from a resident parent
-    /// session recorded in the append lineage. The row-stable split's
-    /// prefix property guarantees the child's train table is exactly the
-    /// parent's train table followed by the appended train rows, so the
-    /// parent's encodings and tester scaffolds can be *extended* over the
-    /// suffix instead of rebuilt. Any missing precondition — no lineage,
-    /// parent session not resident, parent built on a fallback split,
-    /// tester declines extension, or no appended row landed in train —
-    /// returns `None` and the caller builds cold (always correct, just
-    /// slower).
+    /// session recorded in the append lineage. The parent's rows are the
+    /// child's first rows and the parent's split did not fall back, so the
+    /// child's split is the parent's split plus the split of the appended
+    /// rows alone ([`Table::split_suffix_stable`]): the child's train
+    /// table is the parent's train table followed by the appended train
+    /// rows, and the parent's encodings and tester scaffolds are
+    /// *extended* over those rows instead of rebuilt. Any missing
+    /// precondition — no lineage, parent session not resident, parent
+    /// built on a fallback split, tester declines extension, or no
+    /// appended row landed in train — returns `None` and the caller builds
+    /// cold (always correct, just slower). The parent workload's lock is
+    /// held throughout.
     fn try_warm_child(
         &self,
         child_fp: u64,
-        child_train: &Arc<Table>,
+        child: &Table,
         req: &WorkloadRequest,
-    ) -> Option<(Arc<EncodedTable>, BoxedSession)> {
+    ) -> Option<Workload> {
         let parent_fp = self.parent_of(child_fp)?;
         let parent_key = self.workload_key(parent_fp, req);
         let parent_state = {
@@ -464,26 +534,27 @@ impl Registry {
         if pw.split_fallback {
             return None;
         }
-        let n_parent = pw.train.n_rows();
-        let n_child = child_train.n_rows();
-        if n_child <= n_parent {
-            // No appended row landed on the train side (or something is
-            // inconsistent) — nothing to extend over.
+        let n_parent = pw.train.n_rows() + pw.test.n_rows();
+        if child.n_rows() <= n_parent {
             return None;
         }
-        // Times the extension itself: the batch copy, the encoding
-        // extension and the session hand-off (its `engine.extend` child).
+        let (train_rows, test_rows) = child.split_suffix_stable(n_parent, req.seed, req.train_frac);
+        if train_rows.n_rows() == 0 {
+            // No appended row landed on the train side: nothing to extend.
+            return None;
+        }
+        // Times the extension itself: the encoding extension, the session
+        // hand-off (its `engine.extend` child) and the test-side concat.
         let _sp = fairsel_obs::span_kv("session.warm_child", || {
             vec![
                 ("fingerprint", format!("{child_fp:016x}")),
                 ("parent", format!("{parent_fp:016x}")),
-                ("appended_train_rows", (n_child - n_parent).to_string()),
+                ("appended_train_rows", train_rows.n_rows().to_string()),
             ]
         });
-        let suffix: Vec<usize> = (n_parent..n_child).collect();
-        let batch = child_train.take_rows(&suffix);
-        let enc = Arc::new(pw.enc.extend(&batch).ok()?);
+        let enc = Arc::new(pw.enc.extend(&train_rows).ok()?);
         let session = pw.session.extended_over(Arc::clone(&enc))?;
+        let test = pw.test.concat(&test_rows).ok()?;
         // The child's birth stats carry the memo ledger: how many of the
         // parent's memoized outcomes were re-derived in O(batch) from
         // patched sufficient statistics vs invalidated for re-issue.
@@ -494,7 +565,51 @@ impl Registry {
         self.memo_patched.fetch_add(patched, Ordering::Relaxed);
         self.memo_invalidated
             .fetch_add(invalidated, Ordering::Relaxed);
-        Some((enc, session))
+        Some(Workload {
+            // The extended layer holds the concatenated train table;
+            // share it instead of keeping two copies resident.
+            train: Arc::clone(enc.table_arc()),
+            test,
+            enc,
+            session,
+            fingerprint: child_fp,
+            sessions_served: 0,
+            split_fallback: false,
+        })
+    }
+
+    /// Build a workload from scratch: split the whole table, a fresh
+    /// encoding layer and a fresh session.
+    fn build_cold(
+        &self,
+        fingerprint: u64,
+        table: &Table,
+        req: &WorkloadRequest,
+    ) -> Result<Workload, String> {
+        // Row-stable split: membership depends only on (seed, row index),
+        // so a dataset extended by append splits into exactly the parent's
+        // split plus the new rows — the prefix property the warm-child
+        // path relies on.
+        let split = table.split_rows_stable(req.seed, req.train_frac);
+        let train = Arc::new(split.train);
+        let enc = Arc::new(EncodedTable::from_arc_with_cap(
+            Arc::clone(&train),
+            self.cfg.cache_cap,
+        ));
+        let tester: Box<dyn CiTestBatch + Send + Sync> = match req.tester.as_str() {
+            "gtest" => Box::new(GTest::over(Arc::clone(&enc), req.alpha)),
+            "fisherz" => Box::new(FisherZ::over(Arc::clone(&enc), req.alpha)),
+            other => return Err(format!("unknown tester: {other} (gtest|fisherz)")),
+        };
+        Ok(Workload {
+            train,
+            test: split.test,
+            enc,
+            session: CiSession::new(tester),
+            fingerprint,
+            sessions_served: 0,
+            split_fallback: split.fallback,
+        })
     }
 
     fn get_or_insert(
@@ -524,64 +639,26 @@ impl Registry {
                 )
             })?,
         };
-        // Cold path: build the workload with NO lock held — the train/test
-        // split copies every column, which must not stall warm requests
-        // for other datasets. Two racing cold requests may both build;
-        // the publish step below keeps the first and discards the other
-        // (the state is a pure function of the request, so either copy is
-        // correct).
+        // Build the workload with no registry lock held — the split and
+        // the extension copy every column, which must not stall warm
+        // requests for other datasets. Two racing cold requests may both
+        // build; the publish step below keeps the first and discards the
+        // other (the state is a pure function of the request, so either
+        // copy is correct).
         let _sp = fairsel_obs::span_kv("session.build", || {
             vec![
                 ("fingerprint", format!("{fingerprint:016x}")),
                 ("rows", table.n_rows().to_string()),
             ]
         });
-        // Row-stable split: membership depends only on (seed, row index),
-        // so a dataset extended by append splits into exactly the parent's
-        // split plus the new rows — the prefix property the warm-child
-        // path below relies on.
-        let split = table.split_rows_stable(req.seed, req.train_frac);
-        let test = split.test;
-        let mut train = Arc::new(split.train);
-        let warm = if split.fallback {
-            None
-        } else {
-            self.try_warm_child(fingerprint, &train, req)
-        };
-        let (enc, session) = match warm {
-            Some((enc, session)) => {
+        let workload = match self.try_warm_child(fingerprint, &table, req) {
+            Some(w) => {
                 self.warm_children.fetch_add(1, Ordering::Relaxed);
-                // The extended layer already holds the concatenated train
-                // table (bit-identical to `train` by the prefix property);
-                // share it instead of keeping two copies resident.
-                train = Arc::clone(enc.table_arc());
-                (enc, session)
+                w
             }
-            None => {
-                let enc = Arc::new(EncodedTable::from_arc_with_cap(
-                    Arc::clone(&train),
-                    self.cfg.cache_cap,
-                ));
-                let tester: Box<dyn CiTestBatch + Send + Sync> = match req.tester.as_str() {
-                    "gtest" => Box::new(GTest::over(Arc::clone(&enc), req.alpha)),
-                    "fisherz" => Box::new(FisherZ::over(Arc::clone(&enc), req.alpha)),
-                    other => return Err(format!("unknown tester: {other} (gtest|fisherz)")),
-                };
-                (enc, CiSession::new(tester))
-            }
+            None => self.build_cold(fingerprint, &table, req)?,
         };
-        let state = Arc::new(TrackedMutex::new(
-            "server.registry.workload",
-            Workload {
-                train,
-                test,
-                enc,
-                session,
-                fingerprint,
-                sessions_served: 0,
-                split_fallback: split.fallback,
-            },
-        ));
+        let state = Arc::new(TrackedMutex::new("server.registry.workload", workload));
 
         let mut slots = self.slots.lock();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -910,6 +987,191 @@ mod tests {
             "warm child select must be byte-identical to the cold run"
         );
         assert_eq!(cold.warm_children(), 0);
+    }
+
+    /// A table whose columns depend on each other, so selections test
+    /// and keep something: `s` drives `x1`, `x1` and `a` drive `y`, `x2`
+    /// follows `y`, `x3` is noise.
+    fn sampled_table(rows: usize, seed: u64) -> Table {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cols: [Vec<u32>; 6] = Default::default();
+        for _ in 0..rows {
+            let s = rng.gen_range(0..2);
+            let a = rng.gen_range(0..3);
+            let x1 = if rng.gen_bool(0.8) { s } else { 1 - s };
+            let y = u32::from((x1 + a) % 2 == 1) ^ u32::from(rng.gen_bool(0.15));
+            let x2 = if rng.gen_bool(0.75) {
+                y
+            } else {
+                rng.gen_range(0..3)
+            };
+            let x3 = rng.gen_range(0..3);
+            for (col, v) in cols.iter_mut().zip([s, a, x1, x2, x3, y]) {
+                col.push(v);
+            }
+        }
+        let [s, a, x1, x2, x3, y] = cols;
+        Table::new(vec![
+            Column::cat("s", Role::Sensitive, s, 2),
+            Column::cat("a", Role::Admissible, a, 3),
+            Column::cat("x1", Role::Feature, x1, 2),
+            Column::cat("x2", Role::Feature, x2, 3),
+            Column::cat("x3", Role::Feature, x3, 3),
+            Column::cat("y", Role::Target, y, 2),
+        ])
+        .unwrap()
+    }
+
+    /// Append lineage past one child: a three-generation chain, a fork
+    /// (two children of one parent), a batch whose rows all land on the
+    /// test side (built cold: nothing to extend), and a child of a parent
+    /// whose split fell back to a prefix cut (built cold: no prefix
+    /// property). Every child fingerprints as its concatenation, every
+    /// select is byte-identical to a cold registry run on the
+    /// concatenation, and `warm_children` counts exactly the warm births.
+    #[test]
+    fn append_lineage_chains_forks_and_cold_births() {
+        let reg = Registry::new(RegistryConfig::default());
+        let request = |dataset, seed, train_frac| WorkloadRequest {
+            dataset,
+            seed,
+            train_frac,
+            ..Default::default()
+        };
+        // Select `fp` and compare with a cold registry on `table`.
+        let check = |fp: u64, table: &Table, seed: u64, train_frac: f64| {
+            assert_eq!(
+                fp,
+                fingerprint_table(table),
+                "fingerprint of the concatenation"
+            );
+            let (body, _, _) = reg
+                .select(&request(DatasetRef::Fp(fp), seed, train_frac))
+                .unwrap();
+            let csv = DatasetRef::Csv(csv::to_csv_string(table));
+            let (cold, _, _) = Registry::new(RegistryConfig::default())
+                .select(&request(csv, seed, train_frac))
+                .unwrap();
+            assert_eq!(body, cold, "select on {fp:016x} differs from the cold run");
+        };
+        // Rows from `start` on that seed 0 at 0.7 puts on the test side.
+        let test_rows_from = |start: usize| -> Vec<usize> {
+            let rows = (0..start + 64).map(|i| i as f64).collect();
+            let probe = Table::new(vec![Column::num("i", Role::Feature, rows)]).unwrap();
+            let (_, test) = probe.split_suffix_stable(start, 0, 0.7);
+            test.col(0).to_f64().iter().map(|&i| i as usize).collect()
+        };
+
+        let base = sampled_table(400, 1);
+        let fp = reg.put(base.clone()).unwrap();
+        check(fp, &base, 0, 0.7);
+        // Three generations: base → child → grandchild, each born warm.
+        let mut chain = (fp, base.clone());
+        for (gen, rows) in [(1u64, 80), (2, 70)] {
+            let batch = sampled_table(rows, 10 + gen);
+            let table = chain.1.concat(&batch).unwrap();
+            let (child, n) = reg.append(chain.0, batch).unwrap();
+            assert_eq!((reg.parent_of(child), n), (Some(chain.0), table.n_rows()));
+            check(child, &table, 0, 0.7);
+            assert_eq!(reg.warm_children(), gen, "generation {gen} is born warm");
+            chain = (child, table);
+        }
+        // A fork: a second child of the base, sized so that the row after
+        // it lands on the test side.
+        let fork_rows = (40..)
+            .find(|&b| test_rows_from(base.n_rows() + b)[0] == base.n_rows() + b)
+            .unwrap();
+        let batch = sampled_table(fork_rows, 20);
+        let fork = base.concat(&batch).unwrap();
+        let (fork_fp, _) = reg.append(fp, batch).unwrap();
+        check(fork_fp, &fork, 0, 0.7);
+        assert_eq!(reg.warm_children(), 3, "the fork is born warm");
+        // A batch of test rows only: nothing to extend, so built cold.
+        let run = test_rows_from(fork.n_rows());
+        let all_test = run
+            .iter()
+            .zip(fork.n_rows()..)
+            .take_while(|&(&a, b)| a == b)
+            .count();
+        assert!(all_test >= 1);
+        let batch = sampled_table(all_test, 21);
+        let tested = fork.concat(&batch).unwrap();
+        let (tested_fp, _) = reg.append(fork_fp, batch).unwrap();
+        check(tested_fp, &tested, 0, 0.7);
+        assert_eq!(reg.warm_children(), 3, "an all-test batch builds cold");
+
+        // A parent whose split fell back to a prefix cut.
+        let small = sampled_table(30, 30);
+        let seed = (0..64)
+            .find(|&seed| small.split_rows_stable(seed, 0.999).fallback)
+            .expect("a seed whose split puts every row on the train side");
+        let small_fp = reg.put(small.clone()).unwrap();
+        check(small_fp, &small, seed, 0.999);
+        let batch = sampled_table(20, 31);
+        let grown = small.concat(&batch).unwrap();
+        let (grown_fp, _) = reg.append(small_fp, batch).unwrap();
+        check(grown_fp, &grown, seed, 0.999);
+        assert_eq!(
+            reg.warm_children(),
+            3,
+            "a fallback parent seeds no warm child"
+        );
+    }
+
+    /// The fingerprint continued over appended rows equals the one folded
+    /// from scratch, over chains of appends to random tables with
+    /// categorical and numeric columns (NaN, -0.0, +0.0 and ±∞ included,
+    /// and empty batches).
+    #[test]
+    fn resumed_fingerprint_equals_fingerprint_of_the_concatenation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xf1a9);
+        let specials = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let mk = |rng: &mut StdRng, arities: &[Option<u32>], rows: usize| {
+            let cols = arities.iter().enumerate().map(|(i, arity)| match *arity {
+                Some(a) => Column::cat(
+                    format!("c{i}"),
+                    Role::Feature,
+                    (0..rows).map(|_| rng.gen_range(0..a)).collect(),
+                    a,
+                ),
+                None => Column::num(
+                    format!("c{i}"),
+                    Role::Feature,
+                    (0..rows)
+                        .map(|_| match rng.gen_range(0..8) {
+                            k @ 0..=4 => specials[k],
+                            _ => rng.gen_range(-1e3..1e3),
+                        })
+                        .collect(),
+                ),
+            });
+            Table::new(cols.collect()).unwrap()
+        };
+        for _ in 0..100 {
+            let arities: Vec<Option<u32>> = (0..rng.gen_range(1..6))
+                .map(|_| rng.gen_bool(0.5).then(|| rng.gen_range(1..300)))
+                .collect();
+            let rows = rng.gen_range(0..60);
+            let mut table = mk(&mut rng, &arities, rows);
+            let mut folds = ColumnFolds::of(&table);
+            for _ in 0..3 {
+                let rows = rng.gen_range(0..40);
+                let batch = mk(&mut rng, &arities, rows);
+                table = table.concat(&batch).unwrap();
+                folds = folds.extended(&batch);
+                assert_eq!(folds, ColumnFolds::of(&table));
+                assert_eq!(folds.fingerprint(&table), fingerprint_table(&table));
+            }
+        }
+        // Bit patterns count: the two zeros fingerprint apart.
+        let zero = |z: f64| {
+            fingerprint_table(&Table::new(vec![Column::num("x", Role::Feature, vec![z])]).unwrap())
+        };
+        assert_ne!(zero(0.0), zero(-0.0));
     }
 
     /// Appending to a fingerprint that was never uploaded — or whose

@@ -22,7 +22,7 @@
 //! a clean error exit.
 
 use crate::json::Json;
-use crate::proto::{read_frame, read_json, write_json, Request, Response};
+use crate::proto::{parse_json_frame, read_frame, read_json, write_json, Request, Response};
 use crate::registry::{Registry, RegistryConfig};
 use fairsel_obs::TrackedMutex;
 use fairsel_obs::{CompletedSpan, HistSnapshot, Histogram};
@@ -512,15 +512,20 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
         stream: &stream,
         state,
     };
-    while let Some(value) = read_json(&mut io)? {
+    while let Some(frame) = read_frame(&mut io)? {
         let t0 = Instant::now();
+        // A frame that is not UTF-8 JSON is answered like any other bad
+        // request; only I/O errors end the connection.
+        let value = parse_json_frame(&frame);
         // Label from the raw frame so the request span and histogram
         // bucket are right even when full parsing fails.
-        let cmd = cmd_label(value.get_str("cmd"));
+        let cmd = cmd_label(value.as_ref().ok().and_then(|v| v.get_str("cmd")));
         let _req_span = fairsel_obs::span_kv("server.request", || vec![("cmd", cmd.into())]);
         let parsed = {
             let _sp = fairsel_obs::span("server.parse");
-            Request::from_json(&value)
+            value
+                .map_err(|e| format!("malformed request frame: {e}"))
+                .and_then(|v| Request::from_json(&v))
         };
         let (response, stop) = match parsed {
             Err(e) => (Response::Err(e), false),

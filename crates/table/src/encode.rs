@@ -26,7 +26,7 @@
 use crate::lru::CappedCache;
 use crate::table::{ColId, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Default bound on memoized set encodings (and, downstream, on Fisher-z's
 /// per-conditioning-set caches). Generous: a GrpSel run over hundreds of
@@ -193,16 +193,63 @@ pub struct Encoding {
     pub codes: Codes,
     /// Size of the code space (`codes` values are `< arity`).
     pub arity: u32,
-    /// Number of distinct codes actually observed.
-    pub distinct: usize,
+    /// Observed distinct codes: set at construction when the builder
+    /// already knows it, otherwise counted on the first read.
+    distinct: OnceLock<usize>,
 }
 
 impl Encoding {
+    /// An encoding whose distinct count is computed on the first call to
+    /// [`Encoding::distinct`].
+    pub fn new(codes: Codes, arity: u32) -> Encoding {
+        Encoding {
+            codes,
+            arity,
+            distinct: OnceLock::new(),
+        }
+    }
+
+    /// An encoding whose distinct count the builder already knows.
+    fn counted(codes: Codes, arity: u32, distinct: usize) -> Encoding {
+        Encoding {
+            codes,
+            arity,
+            distinct: OnceLock::from(distinct),
+        }
+    }
+
+    /// Number of distinct codes actually observed. Cold builds count while
+    /// they build. An encoding carried into an appended child by
+    /// [`EncodedTable::extend`] knows its count only when the parent had
+    /// already seen every code of the child's code space (or when dense
+    /// re-numbering counted it); otherwise the count runs over every row
+    /// on this first read and is kept. Either way the value is exact.
+    pub fn distinct(&self) -> usize {
+        *self
+            .distinct
+            .get_or_init(|| with_codes!(&self.codes, |c| count_distinct(c, self.arity)))
+    }
+
     /// True when every row is its own stratum — the degenerate case where
     /// conditioning on this set makes any CI test vacuous (each stratum
     /// holds one observation, so no stratum is informative and p = 1).
+    /// A code space smaller than the row count rules it out without
+    /// counting.
     pub fn all_singletons(&self) -> bool {
-        !self.codes.is_empty() && self.distinct == self.codes.len()
+        let n = self.codes.len();
+        n > 0 && self.arity as usize >= n && self.distinct() == n
+    }
+
+    /// The encoding an extension builds from `parent`'s codes plus the
+    /// batch's: a parent that has already seen every code of the child's
+    /// code space passes its count on (the child holds every parent code
+    /// and no code outside that space); any other count waits for its
+    /// first read.
+    fn extended(parent: &Encoding, codes: Codes, arity: u32) -> Encoding {
+        match parent.distinct.get() {
+            Some(&seen) if seen == arity as usize => Encoding::counted(codes, arity, seen),
+            _ => Encoding::new(codes, arity),
+        }
     }
 }
 
@@ -442,11 +489,7 @@ impl EncodedTable {
     fn build_encoding(&self, key: &[ColId]) -> Encoding {
         let n = self.table.n_rows();
         match key.len() {
-            0 => Encoding {
-                codes: Codes::U8(vec![0; n]),
-                arity: 1,
-                distinct: usize::from(n > 0),
-            },
+            0 => Encoding::counted(Codes::U8(vec![0; n]), 1, usize::from(n > 0)),
             1 => self.base_column(key[0]),
             _ => {
                 let prefix = self.encode_sorted(key[..key.len() - 1].to_vec());
@@ -471,11 +514,7 @@ impl EncodedTable {
     fn base_column(&self, col: ColId) -> Encoding {
         let (codes, arity) = self.column_codes(col);
         let distinct = count_distinct(codes, arity);
-        Encoding {
-            codes: Codes::from_slice(codes, arity),
-            arity,
-            distinct,
-        }
+        Encoding::counted(Codes::from_slice(codes, arity), arity, distinct)
     }
 
     /// Extend this dataset with an appended row batch, producing a child
@@ -490,6 +529,13 @@ impl EncodedTable {
     /// extended are simply left to rebuild cold on first use. Either way
     /// every child encoding is bit-identical to a cold build over the
     /// concatenated table.
+    ///
+    /// The parent's rows are only copied, never re-read: no distinct count
+    /// is recounted here. A key whose parent had seen every code of the
+    /// child's code space inherits that count, a dense re-numbered key
+    /// knows its count from the numbering, and every other key counts on
+    /// the first read of [`Encoding::distinct`] — in practice only
+    /// conditioning sets, through [`Encoding::all_singletons`].
     pub fn extend(&self, batch: &Table) -> Result<EncodedTable, crate::table::TableError> {
         let n_parent = self.table.n_rows();
         let child_table = Arc::new(self.table.concat(batch)?);
@@ -557,22 +603,16 @@ impl EncodedTable {
     ) -> Option<Encoding> {
         let n = self.table.n_rows();
         if key.is_empty() {
-            return Some(Encoding {
-                codes: Codes::U8(vec![0; n]),
-                arity: 1,
-                distinct: usize::from(n > 0),
-            });
+            return Some(Encoding::counted(
+                Codes::U8(vec![0; n]),
+                1,
+                usize::from(n > 0),
+            ));
         }
         if key.len() == 1 {
             let (codes, arity) = self.column_codes(key[0]);
-            let suffix = codes[n_parent..].to_vec();
-            let codes = extend_codes(&parent.codes, &suffix, arity);
-            let distinct = with_codes!(&codes, |c| count_distinct(c, arity));
-            return Some(Encoding {
-                codes,
-                arity,
-                distinct,
-            });
+            let codes = extend_codes(&parent.codes, &codes[n_parent..], arity);
+            return Some(Encoding::extended(parent, codes, arity));
         }
         if let Some(joint) = self.mixed_key_arity(key) {
             // Fully mixed chain: suffix codes fold straight off the raw
@@ -587,12 +627,7 @@ impl EncodedTable {
                 }
             }
             let codes = extend_codes(&parent.codes, &suffix, joint);
-            let distinct = with_codes!(&codes, |c| count_distinct(c, joint));
-            return Some(Encoding {
-                codes,
-                arity: joint,
-                distinct,
-            });
+            return Some(Encoding::extended(parent, codes, joint));
         }
         // The chain overflows u32 somewhere. The final compose step can
         // still be extended when the prefix is provably append-stable and
@@ -626,21 +661,16 @@ impl EncodedTable {
                 }
             }));
             let codes = extend_codes(&parent.codes, &suffix, joint);
-            let distinct = with_codes!(&codes, |c| count_distinct(c, joint));
-            Some(Encoding {
-                codes,
-                arity: joint,
-                distinct,
-            })
+            Some(Encoding::extended(parent, codes, joint))
         } else {
             // Both dense: replay the parent's first-occurrence numbering
             // from its own codes, then number new pairs starting at the
             // parent's distinct count — exactly what a cold build's
             // first-occurrence sweep over the concatenated rows produces.
             let mut map: std::collections::HashMap<u64, u32> =
-                std::collections::HashMap::with_capacity(parent.distinct + (n - n_parent));
+                std::collections::HashMap::with_capacity(parent.distinct() + (n - n_parent));
             let mut suffix = Vec::with_capacity(n - n_parent);
-            let mut next = parent.distinct as u32;
+            let mut next = parent.distinct() as u32;
             with_codes!(&child_p.codes, |p| with_codes!(&child_c.codes, |q| {
                 for i in 0..n_parent {
                     let pair = p[i].widen() as u64 * arity_c as u64 + q[i].widen() as u64;
@@ -659,11 +689,7 @@ impl EncodedTable {
             let distinct = next as usize;
             let arity = (distinct as u32).max(1);
             let codes = extend_codes(&parent.codes, &suffix, arity);
-            Some(Encoding {
-                codes,
-                arity,
-                distinct,
-            })
+            Some(Encoding::counted(codes, arity, distinct))
         }
     }
 
@@ -710,11 +736,7 @@ fn compose(
         let (out, distinct) = with_codes!(&prefix.codes, |p| with_codes!(&last.codes, |q| {
             compose_codes(p, q, arity, joint)
         }));
-        Encoding {
-            codes: out,
-            arity: joint,
-            distinct,
-        }
+        Encoding::counted(out, joint, distinct)
     } else {
         // Dense re-encode pairs (prefix code, column code) in
         // first-occurrence order; the pair fits u64 by construction.
@@ -730,11 +752,7 @@ fn compose(
         }));
         let distinct = scratch.len();
         let out_arity = (distinct as u32).max(1);
-        Encoding {
-            codes: Codes::from_u32(out, out_arity),
-            arity: out_arity,
-            distinct,
-        }
+        Encoding::counted(Codes::from_u32(out, out_arity), out_arity, distinct)
     }
 }
 
@@ -868,7 +886,7 @@ mod tests {
         let (codes, arity) = t.joint_codes(&[0, 1]);
         assert!(same_partition(&e.codes.to_u32_vec(), &codes));
         assert_eq!(e.arity, arity);
-        assert_eq!(e.distinct, 3); // (0,2) (1,0) (1,1) (0,2)
+        assert_eq!(e.distinct(), 3); // (0,2) (1,0) (1,1) (0,2)
     }
 
     #[test]
@@ -902,7 +920,7 @@ mod tests {
         let enc = EncodedTable::new(&t);
         let e = enc.encode(&[]);
         assert_eq!(e.arity, 1);
-        assert_eq!(e.distinct, 1);
+        assert_eq!(e.distinct(), 1);
         assert!(e.codes.to_u32_vec().iter().all(|&c| c == 0));
         assert!(!e.all_singletons());
     }
@@ -948,7 +966,7 @@ mod tests {
         let e = enc.encode(&all);
         let (reference, _) = t.joint_codes_dense(&all);
         assert!(same_partition(&e.codes.to_u32_vec(), &reference));
-        assert_eq!(e.distinct, 4);
+        assert_eq!(e.distinct(), 4);
         assert!(e.all_singletons());
     }
 
@@ -1002,8 +1020,8 @@ mod tests {
             .map(|r| bits.iter().fold(0u64, |acc, b| acc << 1 | b[r] as u64))
             .collect();
         let distinct = packed.iter().collect::<std::collections::HashSet<_>>();
-        assert_eq!(e.distinct, distinct.len());
-        assert!(e.arity as usize >= e.distinct);
+        assert_eq!(e.distinct(), distinct.len());
+        assert!(e.arity as usize >= e.distinct());
         // Same partition: equal joint codes iff equal packed bit patterns.
         let mut map: HashMap<u32, u64> = HashMap::new();
         let widened = e.codes.to_u32_vec();
@@ -1024,7 +1042,7 @@ mod tests {
             let b = cold.encode(&set);
             assert_eq!(a.codes, b.codes);
             assert_eq!(a.arity, b.arity);
-            assert_eq!(a.distinct, b.distinct);
+            assert_eq!(a.distinct(), b.distinct());
         }
         assert_eq!(cold.stats().hits, 0, "uncached never hits");
         // Uncached recomputes the {0} prefix for {0,1,2}.
@@ -1051,7 +1069,7 @@ mod tests {
             let b = unbounded.encode(set);
             assert_eq!(a.codes, b.codes);
             assert_eq!(a.arity, b.arity);
-            assert_eq!(a.distinct, b.distinct);
+            assert_eq!(a.distinct(), b.distinct());
         }
         assert_eq!(capped.cache_cap(), 2);
         assert_eq!(unbounded.cache_cap(), DEFAULT_CACHE_CAP);
@@ -1084,7 +1102,7 @@ mod tests {
             let c = cold.encode(s);
             assert_eq!(w.codes, c.codes, "set {s:?}");
             assert_eq!(w.arity, c.arity, "set {s:?}");
-            assert_eq!(w.distinct, c.distinct, "set {s:?}");
+            assert_eq!(w.distinct(), c.distinct(), "set {s:?}");
         }
         let stats = child.stats();
         assert_eq!(stats.append_rows, 3);
@@ -1169,7 +1187,7 @@ mod tests {
         let c = cold.encode(&[0, 1]);
         assert_eq!(w.codes, c.codes);
         assert_eq!(w.arity, c.arity);
-        assert_eq!(w.distinct, c.distinct);
+        assert_eq!(w.distinct(), c.distinct());
         assert_eq!(w.codes.width(), 2, "extension re-widened u8 -> u16");
         assert!(child.stats().extended_encodings > 0);
         // The dense-renumbered joint set was carried over in place, so the
@@ -1181,6 +1199,81 @@ mod tests {
         let unwarmed = EncodedTable::new(&parent_t).extend(&batch).unwrap();
         assert!(!unwarmed.prefix_stable(&[0, 1]));
         assert!(unwarmed.prefix_stable(&[0]), "singletons always stable");
+    }
+
+    /// An extended key's distinct count equals the cold count in each way
+    /// an extension can come by it: inherited from a parent that saw its
+    /// whole code space, counted on first read when the parent did not,
+    /// known from dense re-numbering, and counted on first read for a key
+    /// whose storage widens from u8 to u16.
+    #[test]
+    fn extended_distinct_counts_match_cold() {
+        let wide = 70_000u32;
+        let table = |n: usize, offset: u32, b_code: Option<u32>| {
+            Table::new(vec![
+                Column::cat(
+                    "a",
+                    Role::Feature,
+                    (0..n).map(|i| (i % 3) as u32).collect(),
+                    3,
+                ),
+                Column::cat(
+                    "b",
+                    Role::Feature,
+                    (0..n).map(|i| b_code.unwrap_or((i % 2) as u32)).collect(),
+                    5,
+                ),
+                Column::cat(
+                    "u",
+                    Role::Feature,
+                    (0..n).map(|i| offset + (i % 100) as u32).collect(),
+                    wide,
+                ),
+                Column::cat(
+                    "v",
+                    Role::Feature,
+                    (0..n).map(|i| 2 * (offset + (i % 100) as u32)).collect(),
+                    wide,
+                ),
+                Column::cat(
+                    "w",
+                    Role::Feature,
+                    (0..n).map(|i| (i % 2) as u32).collect(),
+                    2,
+                ),
+            ])
+            .unwrap()
+        };
+        let parent_t = table(300, 0, None);
+        let batch = table(200, 1000, Some(3));
+        let parent = EncodedTable::new(&parent_t);
+        let (saturated, unsaturated, dense, widened) =
+            (vec![0], vec![1], vec![2, 3], vec![2, 3, 4]);
+        for key in [&saturated, &unsaturated, &dense, &widened] {
+            parent.encode(key);
+        }
+        assert_eq!(parent.encode(&widened).codes.width(), 1);
+        let child = parent.extend(&batch).unwrap();
+        let cold = EncodedTable::new(&parent_t.concat(&batch).unwrap());
+        let cases = [
+            (&saturated, true, "saturated parent"),
+            (&unsaturated, false, "unsaturated parent"),
+            (&dense, true, "dense re-numbered key"),
+            (&widened, false, "u8 -> u16 key"),
+        ];
+        for (key, known_at_birth, label) in cases {
+            let e = child.encode(key);
+            assert_eq!(e.distinct.get().is_some(), known_at_birth, "{label}");
+            assert_eq!(e.distinct(), cold.encode(key).distinct(), "{label}");
+            assert_eq!(e.codes, cold.encode(key).codes, "{label}");
+        }
+        assert_eq!(
+            child.encode(&unsaturated).distinct(),
+            3,
+            "the batch's code counts"
+        );
+        assert_eq!(child.encode(&widened).codes.width(), 2);
+        assert_eq!(child.stats().misses, 0, "every case was extended");
     }
 
     #[test]

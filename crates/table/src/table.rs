@@ -233,6 +233,21 @@ fn stable_row_hash(seed: u64, row: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The rows of `rows` whose coin falls below the `train_frac` threshold
+/// (train) and the rest (test), each ascending.
+fn stable_sides(
+    rows: std::ops::Range<usize>,
+    seed: u64,
+    train_frac: f64,
+) -> (Vec<usize>, Vec<usize>) {
+    assert!(
+        (0.0..1.0).contains(&train_frac) && train_frac > 0.0,
+        "train_frac must be in (0,1)"
+    );
+    let threshold = (train_frac * (u64::MAX as f64)) as u64;
+    rows.partition(|&i| stable_row_hash(seed, i as u64) < threshold)
+}
+
 /// A columnar table: equal-length named columns plus a name index.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -500,20 +515,7 @@ impl Table {
     /// [`StableSplit::fallback`] is set — the prefix property does not hold
     /// across a fallback, so extenders must rebuild cold in that case.
     pub fn split_rows_stable(&self, seed: u64, train_frac: f64) -> StableSplit {
-        assert!(
-            (0.0..1.0).contains(&train_frac) && train_frac > 0.0,
-            "train_frac must be in (0,1)"
-        );
-        let threshold = (train_frac * (u64::MAX as f64)) as u64;
-        let mut train_rows = Vec::new();
-        let mut test_rows = Vec::new();
-        for i in 0..self.n_rows {
-            if stable_row_hash(seed, i as u64) < threshold {
-                train_rows.push(i);
-            } else {
-                test_rows.push(i);
-            }
-        }
+        let (mut train_rows, mut test_rows) = stable_sides(0..self.n_rows, seed, train_frac);
         let fallback = self.n_rows > 0 && (train_rows.is_empty() || test_rows.is_empty());
         if fallback {
             let cut = ((self.n_rows as f64) * train_frac).round() as usize;
@@ -526,6 +528,18 @@ impl Table {
             test: self.take_rows(&test_rows),
             fallback,
         }
+    }
+
+    /// The rows from `start` on, as `(train, test)` in ascending row
+    /// order, by the same `(seed, row)` coin as
+    /// [`Table::split_rows_stable`]. When a table's first `start` rows
+    /// are a parent whose split did not fall back, the split of the whole
+    /// table is the parent's split with these two sides appended — so a
+    /// child extended by appended rows is split by classifying only the
+    /// appended rows.
+    pub fn split_suffix_stable(&self, start: usize, seed: u64, train_frac: f64) -> (Table, Table) {
+        let (train_rows, test_rows) = stable_sides(start..self.n_rows, seed, train_frac);
+        (self.take_rows(&train_rows), self.take_rows(&test_rows))
     }
 
     /// Hash PK-FK join: `self` (fact table, FK in `left_key`) against
@@ -874,6 +888,59 @@ mod tests {
         assert_eq!(pt, again.train.expect_column("x").to_f64());
         let other = parent.split_rows_stable(8, 0.8);
         assert_ne!(pt, other.train.expect_column("x").to_f64());
+    }
+
+    /// The parent's split with the suffix split of the appended rows
+    /// appended to each side is exactly the split of the concatenation,
+    /// over random sizes, seeds, fractions and batch sizes (an empty batch
+    /// and batches that land on one side only included).
+    #[test]
+    fn parent_split_plus_suffix_split_is_the_concatenation_split() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5b1d);
+        let mk = |rng: &mut StdRng, n: usize| {
+            Table::new(vec![
+                Column::cat(
+                    "s",
+                    Role::Sensitive,
+                    (0..n).map(|_| rng.gen_range(0..3)).collect(),
+                    3,
+                ),
+                Column::num(
+                    "x",
+                    Role::Feature,
+                    (0..n).map(|_| rng.gen::<f64>()).collect(),
+                ),
+            ])
+            .unwrap()
+        };
+        let mut one_sided = 0;
+        let mut checked = 0;
+        while checked < 200 {
+            let (n, b) = (rng.gen_range(1..300), rng.gen_range(0..40));
+            let (seed, frac) = (rng.gen::<u64>(), rng.gen_range(0.05..0.95));
+            let parent = mk(&mut rng, n);
+            let ps = parent.split_rows_stable(seed, frac);
+            if ps.fallback {
+                continue;
+            }
+            let child = parent.concat(&mk(&mut rng, b)).unwrap();
+            let (train, test) = child.split_suffix_stable(n, seed, frac);
+            assert_eq!(train.n_rows() + test.n_rows(), b);
+            one_sided += usize::from(b > 0 && (train.n_rows() == 0 || test.n_rows() == 0));
+            let cs = child.split_rows_stable(seed, frac);
+            assert!(
+                !cs.fallback,
+                "a superset of a split parent never falls back"
+            );
+            assert_eq!(
+                ps.train.concat(&train).unwrap().columns(),
+                cs.train.columns()
+            );
+            assert_eq!(ps.test.concat(&test).unwrap().columns(), cs.test.columns());
+            checked += 1;
+        }
+        assert!(one_sided > 0, "some batches land on one side only");
     }
 
     #[test]

@@ -1803,7 +1803,8 @@ mod request_validation {
     //! Wire-controlled `train_frac`, `alpha` and `workers` are checked
     //! where they enter the server: an out-of-range value gets a
     //! structured error reply instead of a panic in the handler, and the
-    //! connection that carried it goes on serving valid requests.
+    //! connection that carried it goes on serving valid requests. So does
+    //! a frame that is not UTF-8 JSON or nests past `MAX_JSON_DEPTH`.
 
     use fairsel_ci::GTest;
     use fairsel_core::{render_pipeline_report, run_pipeline_batched};
@@ -1812,7 +1813,7 @@ mod request_validation {
     use fairsel_server::proto::{read_frame, write_frame};
     use fairsel_server::{
         pipeline_config, DatasetRef, Json, Request, Response, ServeConfig, Server, WorkloadRequest,
-        MAX_WORKERS,
+        MAX_JSON_DEPTH, MAX_WORKERS,
     };
     use fairsel_table::csv;
     use rand::rngs::StdRng;
@@ -1904,6 +1905,49 @@ mod request_validation {
         match call_raw(&mut stream, older.as_bytes()) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("select frame carrying speculate failed: {other:?}"),
+        }
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// Frames that are not a request each get a structured error reply
+    /// on the connection that carried them: nesting at `MAX_JSON_DEPTH`
+    /// (valid JSON, not a request), one level past it, a 10,000-byte run
+    /// of `[` (which once overflowed the handler's stack and aborted the
+    /// server), and bytes that are not UTF-8. The connection then serves
+    /// a select byte-identical to a local run.
+    #[test]
+    fn malformed_frames_get_errors_on_a_connection_that_survives() {
+        let csv_text = workload_csv(31, 8, 500);
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let frames: [(Vec<u8>, &str); 4] = [
+            (nested(MAX_JSON_DEPTH).into_bytes(), "missing cmd"),
+            (nested(MAX_JSON_DEPTH + 1).into_bytes(), "nesting deeper"),
+            (vec![b'['; 10_000], "nesting deeper"),
+            (vec![b'{', 0xff, 0xfe, b'}'], "not utf-8"),
+        ];
+        for (frame, expected) in &frames {
+            match call_raw(&mut stream, frame) {
+                Response::Err(e) => assert!(e.contains(expected), "{e:?} must say {expected:?}"),
+                other => panic!("a malformed frame got {other:?}"),
+            }
+        }
+
+        let wl = WorkloadRequest::with_csv(csv_text);
+        let table = csv::from_csv_string(wl.dataset.as_csv().expect("inline csv")).expect("csv");
+        let split = table.split_rows_stable(wl.seed, wl.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
+        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        match call(&mut stream, &Request::Select(wl)) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("valid select after the malformed frames failed: {other:?}"),
         }
         drop(stream);
         handle.shutdown();
