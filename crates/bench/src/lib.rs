@@ -410,10 +410,10 @@ pub fn workers_scaling(n_features: usize, rows: usize, repeats: usize) -> Vec<Be
 ///   codes, dense counting arenas, memoized CSR scaffolds) vs
 ///   `kernels-reference` (the pre-kernel path: u32-widened codes, hashed
 ///   or freshly allocated per-query counting);
-/// * `rows-scaling/fisherz/rows=R` — `kernels-blocked` (fused
-///   two-pass Pearson, cache-blocked products, triangular Gram
-///   formation) vs `kernels-naive` (the reference loops, forced via
-///   the process-wide toggle).
+/// * `rows-scaling/fisherz/rows=R` — `kernels-blocked` vs
+///   `kernels-naive`, the second run with the process-wide naive toggle
+///   set. The toggle no longer reaches Fisher-z, whose column kernels
+///   have one implementation, so both rows time the same code.
 ///
 /// Every row carries `ns_per_row` (the per-row kernel cost) and
 /// `pvalue_hash`, a bit-exact digest of every cached outcome; the

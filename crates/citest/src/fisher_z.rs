@@ -7,15 +7,24 @@
 //! the linear-Gaussian SCM workloads.
 
 use crate::{CiOutcome, CiTest, VarId};
+use fairsel_math::linalg::ridge_residuals;
 use fairsel_math::special::{fisher_z, normal_two_sided_p};
-use fairsel_math::stats::pearson;
-use fairsel_math::Mat;
+use fairsel_math::stats::{pearson_with, Moments};
 use fairsel_table::{CappedCache, ColId, EncodedTable, Table};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Memoized residual vectors keyed by `(column, canonical z set)`,
-/// bounded by the encoding layer's cache cap.
-type ResidualCache = CappedCache<(ColId, Vec<ColId>), Arc<Vec<f64>>>;
+/// The ridge added to the diagonal of the normal equations.
+const RIDGE: f64 = 1e-8;
+
+/// A residual vector and the moments every correlation of it needs.
+struct Residual {
+    values: Vec<f64>,
+    moments: Moments,
+}
+
+/// Memoized residuals keyed by `(column, canonical z set)`, bounded by the
+/// encoding layer's cache cap.
+type ResidualCache = CappedCache<(ColId, Vec<ColId>), Arc<Residual>>;
 
 /// Fisher-z tester over the columns of a [`Table`] (all columns are read
 /// as `f64`; categorical codes are treated numerically).
@@ -24,21 +33,20 @@ type ResidualCache = CappedCache<(ColId, Vec<ColId>), Arc<Vec<f64>>>;
 /// and Bonferroni-combining: the set is declared dependent if any pair is
 /// significant at `alpha / (|X|·|Y|)`.
 ///
-/// Per-query work is amortized through shared caches: materialized `f64`
-/// columns live in the [`EncodedTable`] layer, and for each conditioning
-/// set the design matrix and per-column residuals are memoized — a GrpSel
-/// frontier level conditions every query on the same `Z`, so the ridge
-/// solves collapse from `O(batch)` to `O(distinct columns)`. Both caches
-/// are bounded at the encoding layer's cap (LRU eviction), so a
-/// long-lived service holding a FisherZ tester stays memory-bounded.
+/// Residualization reads the encoded numeric columns directly
+/// ([`ridge_residuals`]): the normal equations are dot products of
+/// columns, and a GrpSel frontier level conditions every query on the same
+/// `Z`, so [`crate::CiTestBatch::eval_z_group`] residualizes every column
+/// the group needs in one solve. Each residual is memoized with its mean
+/// and standard deviation, so a test pair costs one pass over the two
+/// vectors. The residual cache is bounded at the encoding layer's cap (LRU
+/// eviction); the raw columns' moments, which the `|Z| = 0` correlations
+/// read, sit in one slot per column, bounded by the table's width.
 pub struct FisherZ {
     enc: Arc<EncodedTable>,
     alpha: f64,
-    designs: CappedCache<Vec<ColId>, Arc<Mat>>,
+    raw_moments: Vec<OnceLock<Moments>>,
     residuals: ResidualCache,
-    /// Design matrices carried over from a parent tester on dataset
-    /// extension (see [`FisherZ::extended_from`]).
-    extended_scaffolds: u64,
 }
 
 impl FisherZ {
@@ -50,46 +58,21 @@ impl FisherZ {
     pub fn over(enc: Arc<EncodedTable>, alpha: f64) -> Self {
         assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
         let cap = enc.cache_cap();
+        let raw_moments = (0..enc.table().n_cols()).map(|_| OnceLock::new()).collect();
         Self {
             enc,
             alpha,
-            designs: CappedCache::new(cap),
+            raw_moments,
             residuals: CappedCache::new(cap),
-            extended_scaffolds: 0,
         }
     }
 
-    /// Build a tester over an extended (appended-to) dataset. Design
-    /// matrices carry over — a design is the raw conditioning columns plus
-    /// intercept, so appending the new rows reproduces exactly what a cold
-    /// build over the concatenated table assembles. Residual vectors do
-    /// **not** carry over: the ridge solution changes with `n`, so every
-    /// residual is recomputed on demand (bit-identical to cold, because it
-    /// is the cold computation).
+    /// Build a tester over an extended (appended-to) dataset. Nothing
+    /// carries over beyond `alpha`: every residual depends on the whole
+    /// sample, so each is recomputed on demand, bit-identical to cold
+    /// because it is the cold computation.
     pub fn extended_from(parent: &FisherZ, enc: Arc<EncodedTable>) -> FisherZ {
-        let mut child = FisherZ::over(enc, parent.alpha);
-        if child.enc.caching() {
-            let n_child = child.table().n_rows();
-            let mut snap = parent.designs.snapshot();
-            snap.sort_by(|a, b| a.0.cmp(&b.0));
-            for (zkey, mat) in snap {
-                let n_parent = mat.rows();
-                let mut data = mat.as_slice().to_vec();
-                data.reserve((n_child - n_parent) * (zkey.len() + 1));
-                let cols: Vec<Arc<Vec<f64>>> =
-                    zkey.iter().map(|&c| child.enc.numeric_col(c)).collect();
-                for i in n_parent..n_child {
-                    data.push(1.0);
-                    for col in &cols {
-                        data.push(col[i]);
-                    }
-                }
-                let extended = Arc::new(Mat::from_vec(n_child, zkey.len() + 1, data));
-                child.designs.insert_transferred(zkey, extended);
-                child.extended_scaffolds += 1;
-            }
-        }
-        child
+        FisherZ::over(enc, parent.alpha)
     }
 
     /// The shared encoding layer.
@@ -101,54 +84,39 @@ impl FisherZ {
         self.enc.table()
     }
 
-    /// Residualize a column on the conditioning design matrix (with
-    /// intercept) via ridge-stabilized least squares.
-    fn residualize(col: &[f64], design: &Mat) -> Vec<f64> {
-        let n = col.len();
-        let t = Mat::from_vec(n, 1, col.to_vec());
-        let w = Mat::ridge_solve(design, &t, 1e-8);
-        let fitted = design.matmul(&w);
-        (0..n).map(|i| col[i] - fitted[(i, 0)]).collect()
+    /// Moments of a raw column, computed on first use.
+    fn raw_moments(&self, col: ColId, vals: &[f64]) -> Moments {
+        *self.raw_moments[col].get_or_init(|| Moments::of(vals))
     }
 
-    /// Design matrix (intercept + columns of the canonical `z` set),
-    /// memoized per conditioning set (unless the encoding layer runs
-    /// uncached — the per-query benchmark baseline).
-    fn design(&self, zkey: &[ColId]) -> Arc<Mat> {
-        if self.enc.caching() {
-            if let Some(hit) = self.designs.get(zkey) {
-                return hit;
-            }
-        }
-        let n = self.table().n_rows();
-        let cols: Vec<Arc<Vec<f64>>> = zkey.iter().map(|&c| self.enc.numeric_col(c)).collect();
-        let mut data = Vec::with_capacity(n * (zkey.len() + 1));
-        for i in 0..n {
-            data.push(1.0);
-            for col in &cols {
-                data.push(col[i]);
-            }
-        }
-        let design = Arc::new(Mat::from_vec(n, zkey.len() + 1, data));
-        if self.enc.caching() {
-            self.designs.insert(zkey.to_vec(), design)
-        } else {
-            self.designs.note_miss();
-            design
-        }
+    /// Residuals of each of `cols` on the canonical `z` set, one solve for
+    /// all of them.
+    fn residualize(&self, zkey: &[ColId], cols: &[ColId]) -> Vec<Arc<Residual>> {
+        let zs: Vec<Arc<Vec<f64>>> = zkey.iter().map(|&c| self.enc.numeric_col(c)).collect();
+        let ts: Vec<Arc<Vec<f64>>> = cols.iter().map(|&c| self.enc.numeric_col(c)).collect();
+        let zrefs: Vec<&[f64]> = zs.iter().map(|c| c.as_slice()).collect();
+        let trefs: Vec<&[f64]> = ts.iter().map(|c| c.as_slice()).collect();
+        ridge_residuals(&zrefs, &trefs, RIDGE)
+            .into_iter()
+            .map(|values| {
+                let moments = Moments::of(&values);
+                Arc::new(Residual { values, moments })
+            })
+            .collect()
     }
 
     /// Residuals of `col` on the canonical `z` set, memoized.
-    fn residual(&self, col: ColId, zkey: &[ColId]) -> Arc<Vec<f64>> {
+    fn residual(&self, col: ColId, zkey: &[ColId]) -> Arc<Residual> {
         let key = (col, zkey.to_vec());
         if self.enc.caching() {
             if let Some(hit) = self.residuals.get(&key) {
                 return hit;
             }
         }
-        let design = self.design(zkey);
-        let vals = self.enc.numeric_col(col);
-        let res = Arc::new(Self::residualize(&vals, &design));
+        let res = self
+            .residualize(zkey, &[col])
+            .pop()
+            .expect("one residual per column");
         if self.enc.caching() {
             self.residuals.insert(key, res)
         } else {
@@ -162,17 +130,11 @@ impl FisherZ {
     }
 
     /// Z-grouped scaffold: residualize every column a group of queries
-    /// needs on `zkey` in **one** ridge solve. The per-query path pays one
-    /// `ZᵀZ` formation + Cholesky factorization per `(column, Z)` pair;
-    /// here the factorization is shared across the whole group and only
-    /// the right-hand sides multiply. Results are inserted into the same
-    /// residual cache the per-query path reads.
-    ///
-    /// Byte-identity: `t_matmul`, `solve_spd`, and `matmul` all process
-    /// right-hand-side columns independently (the elimination multipliers
-    /// depend only on the design), so column `j` of the blocked solve is
-    /// bit-for-bit the vector [`FisherZ::residualize`] computes for that
-    /// column alone — the property the grouped-equivalence tests pin down.
+    /// needs on `zkey` in **one** solve and insert the results into the
+    /// residual cache the per-query path reads. Each residual is
+    /// bit-identical to the one [`FisherZ::residual`] computes for that
+    /// column alone: every cell of the solve treats the right-hand-side
+    /// columns independently.
     fn prefill_residuals(&self, zkey: &[ColId], queries: &[crate::CiQueryRef<'_>]) {
         let mut need: Vec<ColId> = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -190,29 +152,8 @@ impl FisherZ {
         if need.is_empty() {
             return;
         }
-        let design = self.design(zkey);
-        let n = self.table().n_rows();
-        let k = need.len();
-        let cols: Vec<Arc<Vec<f64>>> = need.iter().map(|&c| self.enc.numeric_col(c)).collect();
-        let mut data = vec![0.0; n * k];
-        for i in 0..n {
-            for (j, col) in cols.iter().enumerate() {
-                data[i * k + j] = col[i];
-            }
-        }
-        let t = Mat::from_vec(n, k, data);
-        let w = Mat::ridge_solve(&design, &t, 1e-8);
-        let fitted = design.matmul(&w);
-        // Extract each residual column with a strided read over the
-        // row-major fitted matrix. (A fused single pass filling all k
-        // buffers at once measured *slower* at 500k rows under the worker
-        // pool — too many concurrent write streams — so the per-column
-        // walk is the kernel of record; the grouped win lives in the
-        // shared ridge solve above and the fused [`pearson`] the
-        // correlations run on afterwards.)
-        for (j, (&c, col)) in need.iter().zip(&cols).enumerate() {
-            let res: Vec<f64> = (0..n).map(|i| col[i] - fitted[(i, j)]).collect();
-            self.residuals.insert((c, zkey.to_vec()), Arc::new(res));
+        for (&c, res) in need.iter().zip(self.residualize(zkey, &need)) {
+            self.residuals.insert((c, zkey.to_vec()), res);
         }
     }
 
@@ -220,11 +161,13 @@ impl FisherZ {
     pub fn partial_correlation(&self, x: VarId, y: VarId, z: &[VarId]) -> f64 {
         let zkey = Self::canonical_z(z);
         if zkey.is_empty() {
-            return pearson(&self.enc.numeric_col(x), &self.enc.numeric_col(y));
+            let (vx, vy) = (self.enc.numeric_col(x), self.enc.numeric_col(y));
+            let (mx, my) = (self.raw_moments(x, &vx), self.raw_moments(y, &vy));
+            return pearson_with(&vx, mx, &vy, my);
         }
         let rx = self.residual(x, &zkey);
         let ry = self.residual(y, &zkey);
-        pearson(&rx, &ry)
+        pearson_with(&rx.values, rx.moments, &ry.values, ry.moments)
     }
 
     /// Scalar test returning `(statistic, p_value)`.
@@ -287,11 +230,11 @@ impl crate::CiTestShared for FisherZ {
 }
 
 impl crate::CiTestBatch for FisherZ {
-    /// Z-grouped evaluation: prefill the design/residual caches with one
-    /// blocked ridge solve for the whole group, then answer each query
-    /// through the ordinary per-query path (which now only reads caches).
-    /// Outcomes are trivially byte-identical — it *is* the per-query path,
-    /// fed bit-identical residuals (see `FisherZ::prefill_residuals`).
+    /// Z-grouped evaluation: prefill the residual cache with one solve for
+    /// the whole group, then answer each query through the ordinary
+    /// per-query path (which now only reads the cache). Outcomes are
+    /// byte-identical — it *is* the per-query path, fed bit-identical
+    /// residuals (see `FisherZ::prefill_residuals`).
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = Self::canonical_z(z);
         if !zkey.is_empty() && self.enc.caching() {
@@ -304,10 +247,7 @@ impl crate::CiTestBatch for FisherZ {
     }
 
     fn encode_cache_stats(&self) -> crate::EncodeStats {
-        self.enc
-            .stats()
-            .merged(self.designs.stats())
-            .merged(self.residuals.stats())
+        self.enc.stats().merged(self.residuals.stats())
     }
 
     fn extend_over(
@@ -318,17 +258,13 @@ impl crate::CiTestBatch for FisherZ {
     }
 
     fn scaffold_stats(&self) -> crate::ScaffoldStats {
-        // Two scaffold caches share one ledger: designs (extendable) and
-        // residuals (always rebuilt — the solution changes with n).
+        // Residuals are the only scaffolds, and none survives extension
+        // (the solution changes with n), so `extended` is zero.
         crate::ScaffoldStats {
-            extended: self.extended_scaffolds,
-            rebuilt: self
-                .designs
-                .inserted()
-                .saturating_sub(self.extended_scaffolds)
-                + self.residuals.inserted(),
-            resident: (self.designs.len() + self.residuals.len()) as u64,
-            evictions: self.designs.evictions() + self.residuals.evictions(),
+            extended: 0,
+            rebuilt: self.residuals.inserted(),
+            resident: self.residuals.len() as u64,
+            evictions: self.residuals.evictions(),
             // Moment sums reassociate floats under append, so this tester
             // never retains patchable sufficient statistics.
             ..crate::ScaffoldStats::default()
@@ -412,7 +348,7 @@ mod tests {
         assert!(f.ci(&[1], &[2], &[0]).independent);
     }
 
-    /// An extended tester carries designs forward, rebuilds residuals, and
+    /// An extended tester carries nothing forward, rebuilds residuals, and
     /// answers bit-for-bit what a cold tester on the concatenated table
     /// answers; the scaffold ledger stays conserved.
     #[test]
@@ -421,11 +357,11 @@ mod tests {
         let parent_t = fork_table(900, 11);
         let batch = fork_table(300, 12);
         let parent = FisherZ::new(&parent_t, 0.01);
-        parent.ci_shared(&[1], &[2], &[0]); // warms design [0] + two residuals
+        parent.ci_shared(&[1], &[2], &[0]); // warms two residuals
         let child_enc = Arc::new(parent.encoded().extend(&batch).unwrap());
         let ext = FisherZ::extended_from(&parent, child_enc);
         let birth = ext.scaffold_stats();
-        assert_eq!(birth.extended, 1, "one design matrix carried over");
+        assert_eq!(birth.extended, 0, "nothing carries over");
         assert_eq!(birth.rebuilt, 0, "residuals must not carry over");
         assert!(birth.conserved(), "{birth:?}");
 
@@ -451,9 +387,10 @@ mod tests {
             );
         }
         let s = ext.scaffold_stats();
-        assert_eq!(s.extended, 1);
-        // Rebuilt: design [1] plus residuals (1,[0]), (2,[0]), (2,[1]), (0,[1]).
-        assert_eq!(s.rebuilt, 5);
+        assert_eq!(s.extended, 0);
+        // Rebuilt: residuals (1,[0]), (2,[0]), (2,[1]) and (0,[1]); raw
+        // columns keep their moments outside the residual cache.
+        assert_eq!(s.rebuilt, 4);
         assert!(s.conserved(), "{s:?}");
     }
 

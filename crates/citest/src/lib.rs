@@ -30,7 +30,7 @@
 //! is amortized across every query of a GrpSel frontier level — and, via
 //! the Z-grouped entry point ([`CiTestBatch::eval_z_group`]), amortize
 //! the whole per-conditioning-set scaffold: one stratification for the
-//! discrete testers, one blocked ridge factorization for Fisher-z, one
+//! discrete testers, one ridge solve from the columns for Fisher-z, one
 //! standardized conditioning block for RCIT, all byte-identical to
 //! per-query evaluation. The randomized testers derive a private RNG
 //! stream per canonical query ([`derived_query_seed`]), which is what
@@ -54,7 +54,7 @@ pub use fairsel_table::{EncodeStats, EncodedTable};
 use std::sync::Arc;
 
 /// Conservation ledger for a tester's per-conditioning-set scaffolds
-/// (stratifications, design matrices, standardized conditioning blocks)
+/// (stratifications, residual vectors, standardized conditioning blocks)
 /// across a dataset extension ([`CiTestBatch::extend_over`]).
 ///
 /// Every scaffold a tester holds was either *extended* (structurally
@@ -324,7 +324,7 @@ pub fn canonical_query_hash(base: u64, xs: &[VarId], ys: &[VarId], zs: &[VarId])
 /// `eval_z_group` is the *grouped* entry point the engine's Z-grouped
 /// scheduler drives: the caller partitions a batch by canonical
 /// conditioning set and hands each group over with its shared `z`, so the
-/// tester can build the per-`Z` scaffold — stratification, design-matrix
+/// tester can build the per-`Z` scaffold — stratification, normal-equation
 /// factorization, standardized conditioning block — **once** and evaluate
 /// every `(x, y)` pair of the group against it. The same byte-identity
 /// contract applies: `eval_z_group(z, qs)[i]` must equal

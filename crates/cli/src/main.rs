@@ -17,9 +17,9 @@
 
 use fairsel_ci::{FisherZ, GTest, OracleCi};
 use fairsel_core::{
-    render_methods_report, render_pipeline_report, run_all_methods, run_pipeline_batched,
-    ClassifierKind, PipelineConfig, PipelineResult, Problem, SelectConfig, SelectionAlgo,
-    TesterSpec,
+    check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods,
+    run_pipeline_batched, ClassifierKind, PipelineConfig, PipelineResult, Problem, SelectConfig,
+    SelectionAlgo, TesterSpec,
 };
 use fairsel_datasets::fixtures;
 use fairsel_datasets::sim::sample_table;
@@ -375,9 +375,21 @@ fn alpha(opts: &Opts) -> Result<f64, String> {
     }
 }
 
-fn load_workload(opts: &Opts) -> Result<Workload, String> {
+/// Read `--csv` once, as text, and check that the pipeline can read its
+/// column kinds with the chosen tester, before any work starts or a
+/// server is dialed. Returns the parsed table and the text, which the
+/// remote path keeps for its inline fallback.
+fn checked_table(opts: &Opts) -> Result<(Table, String), String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
-    let table = csv::read_csv(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let table = csv::from_csv_string(&text).map_err(|e| format!("reading {path}: {e}"))?;
+    let g_test = opts.get("dag").is_none() && opts.get("tester").unwrap_or("gtest") == "gtest";
+    check_column_kinds(&table, g_test).map_err(|e| format!("{path}: {e}"))?;
+    Ok((table, text))
+}
+
+fn load_workload(opts: &Opts, table: Table) -> Result<Workload, String> {
+    let path = opts.get("csv").ok_or("--csv is required")?;
     if table.n_rows() < 10 {
         return Err(format!("{path}: too few rows ({})", table.n_rows()));
     }
@@ -435,11 +447,12 @@ fn load_workload(opts: &Opts) -> Result<Workload, String> {
 }
 
 fn cmd_select(opts: &Opts) -> Result<(), String> {
+    let (table, csv_text) = checked_table(opts)?;
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_select(addr, opts) {
+        match remote_select(addr, opts, &table, csv_text) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
@@ -450,7 +463,7 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
         }
     }
 
-    let w = load_workload(opts)?;
+    let w = load_workload(opts, table)?;
     let cache_cap: usize = opts.num("cache-cap", DEFAULT_CACHE_CAP)?;
     let out = if let Some(path) = opts.get("dag") {
         let dag = load_dag(path)?;
@@ -488,9 +501,9 @@ enum RemoteError {
 
 /// Build the wire workload from the CLI options (same defaults as the
 /// local path) and the raw CSV file bytes.
-fn workload_request(opts: &Opts) -> Result<WorkloadRequest, String> {
-    let path = opts.get("csv").ok_or("--csv is required")?;
-    let csv_text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+/// The wire request for this invocation, carrying `csv_text` (the
+/// `--csv` file as read by [`checked_table`]) inline.
+fn workload_request(opts: &Opts, csv_text: String) -> Result<WorkloadRequest, String> {
     let max_group = match opts.get("max-group") {
         None => MaxGroupSpec::None,
         Some("auto") => MaxGroupSpec::Auto,
@@ -560,61 +573,40 @@ fn with_dataset(wire: Request, dataset: DatasetRef) -> Request {
 fn remote_workload(
     addr: &str,
     mut req: WorkloadRequest,
+    table: &Table,
     wrap: fn(WorkloadRequest) -> Request,
 ) -> Result<(Response, Transport, usize), RemoteError> {
-    // Rewrite csv → fp, keeping the CSV text (moved, not copied) for the
-    // inline fallback and the parsed table for the (rare) upload path.
-    let mut csv_backup = None;
-    let mut parsed = None;
-    if let Some(table) = req
-        .dataset
-        .as_csv()
-        .and_then(|t| csv::from_csv_string(t).ok())
-    {
-        let fp = fairsel_server::fingerprint_table(&table);
-        parsed = Some(table);
-        if let DatasetRef::Csv(text) = std::mem::replace(&mut req.dataset, DatasetRef::Fp(fp)) {
-            csv_backup = Some(text);
-        }
-    }
-    let fp_first = csv_backup.is_some();
+    // Address the dataset by fingerprint, keeping the inline CSV (moved,
+    // not copied) for the fallback; `table` is its parse, for the (rare)
+    // upload path.
+    let fp = fairsel_server::fingerprint_table(table);
+    let inline = std::mem::replace(&mut req.dataset, DatasetRef::Fp(fp));
     let wire = wrap(req);
     let (mut resp, mut frame_bytes) = send_request(addr, &wire)?;
-    let mut transport = if fp_first {
-        Transport::FpAddressed { put_bytes: 0 }
-    } else {
-        Transport::InlineCsv
-    };
+    let mut transport = Transport::FpAddressed { put_bytes: 0 };
 
     // Cold server: upload the dataset once, retry the same fp frame. The
     // codec payload is encoded only here — the warm path (server already
     // holds the dataset) never materializes it.
-    if fp_first && matches!(&resp, Response::Err(e) if e.contains("unknown dataset fingerprint")) {
-        let uploaded = parsed.as_ref().and_then(|table| {
-            let bytes = fairsel_table::encode_table(table);
-            match fairsel_server::put_dataset(addr, &bytes) {
-                Ok(Response::Ok { .. }) => Some(bytes.len()),
-                _ => None,
-            }
-        });
-        if let Some(put_bytes) = uploaded {
+    if matches!(&resp, Response::Err(e) if e.contains("unknown dataset fingerprint")) {
+        let bytes = fairsel_table::encode_table(table);
+        if let Ok(Response::Ok { .. }) = fairsel_server::put_dataset(addr, &bytes) {
             (resp, frame_bytes) = send_request(addr, &wire)?;
-            transport = Transport::FpAddressed { put_bytes };
+            transport = Transport::FpAddressed {
+                put_bytes: bytes.len(),
+            };
         }
     }
 
     // Still failing on the fp transport (a server without `put`, or one
     // that predates `fp` entirely and answers "missing csv"): re-ship
     // the dataset inline, which every server understands.
-    if fp_first
-        && matches!(&resp, Response::Err(e) if e.contains("unknown dataset fingerprint")
-            || e.contains("missing csv"))
+    if matches!(&resp, Response::Err(e) if e.contains("unknown dataset fingerprint")
+        || e.contains("missing csv"))
     {
-        if let Some(text) = csv_backup {
-            let wire = with_dataset(wire, DatasetRef::Csv(text));
-            (resp, frame_bytes) = send_request(addr, &wire)?;
-            transport = Transport::InlineCsv;
-        }
+        let wire = with_dataset(wire, inline);
+        (resp, frame_bytes) = send_request(addr, &wire)?;
+        transport = Transport::InlineCsv;
     }
     Ok((resp, transport, frame_bytes))
 }
@@ -636,9 +628,14 @@ fn print_transport(transport: &Transport, frame_bytes: usize) {
     }
 }
 
-fn remote_select(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
-    let req = workload_request(opts).map_err(RemoteError::Server)?;
-    let (resp, transport, frame_bytes) = remote_workload(addr, req, Request::Select)?;
+fn remote_select(
+    addr: &str,
+    opts: &Opts,
+    table: &Table,
+    csv_text: String,
+) -> Result<(), RemoteError> {
+    let req = workload_request(opts, csv_text).map_err(RemoteError::Server)?;
+    let (resp, transport, frame_bytes) = remote_workload(addr, req, table, Request::Select)?;
     match resp {
         Response::Ok { body, stats, cache } => {
             print!("{body}");
@@ -729,9 +726,14 @@ fn align_dag_to_table(dag: &Dag, table: &Table) -> Result<Dag, String> {
 /// server's per-dataset registry session, so it shares dedup with every
 /// other request on the same dataset (the per-method tests/issued columns
 /// report post-dedup costs — a warm sweep issues almost nothing).
-fn remote_methods(addr: &str, opts: &Opts) -> Result<(), RemoteError> {
-    let req = workload_request(opts).map_err(RemoteError::Server)?;
-    let (resp, transport, frame_bytes) = remote_workload(addr, req, Request::Methods)?;
+fn remote_methods(
+    addr: &str,
+    opts: &Opts,
+    table: &Table,
+    csv_text: String,
+) -> Result<(), RemoteError> {
+    let req = workload_request(opts, csv_text).map_err(RemoteError::Server)?;
+    let (resp, transport, frame_bytes) = remote_workload(addr, req, table, Request::Methods)?;
     match resp {
         Response::Ok { body, cache, .. } => {
             print!("{body}");
@@ -904,11 +906,12 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_methods(opts: &Opts) -> Result<(), String> {
+    let (table, csv_text) = checked_table(opts)?;
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_methods(addr, opts) {
+        match remote_methods(addr, opts, &table, csv_text) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
@@ -918,7 +921,7 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
             Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}")),
         }
     }
-    let w = load_workload(opts)?;
+    let w = load_workload(opts, table)?;
     let aligned_dag = match opts.get("dag") {
         Some(path) => Some(align_dag_to_table(&load_dag(path)?, &w.train)?),
         None => None,

@@ -192,3 +192,56 @@ fn ci_and_benchmark_invocations_pass_the_flag_check() {
         assert_eq!(named, BOGUS, "{args:?}: {error}");
     }
 }
+
+/// A column whose kind the pipeline cannot read exits 1 naming it, before
+/// any work starts or the remote address is dialed: a numeric target, a
+/// numeric sensitive or admissible column, and a numeric feature under the
+/// G-test. Fisher-z reads numeric features.
+#[test]
+fn unreadable_column_kinds_are_errors_naming_the_column() {
+    let dir = std::env::temp_dir().join(format!("fairsel-column-kinds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let base = dir.join("fig1a.csv");
+    let out = fairsel()
+        .args(["gen", "--fixture", "1a", "--rows", "300", "--out"])
+        .arg(&base)
+        .output()
+        .expect("run fairsel gen");
+    assert!(out.status.success(), "fairsel gen failed: {out:?}");
+    let text = std::fs::read_to_string(&base).expect("fixture csv");
+    let cases = [
+        ("Y:cat2", "Y:num", "fisherz", "target column Y"),
+        ("S1:cat2", "S1:num", "fisherz", "sensitive column S1"),
+        ("A1:cat2", "A1:num", "fisherz", "admissible column A1"),
+        ("X1:cat2", "X1:num", "gtest", "feature column X1"),
+    ];
+    for (i, (from, to, tester, column)) in cases.iter().enumerate() {
+        let csv = dir.join(format!("case{i}.csv"));
+        std::fs::write(&csv, text.replacen(from, to, 1)).expect("write csv");
+        for cmd in ["select", "methods"] {
+            for remote in [None, Some("127.0.0.1:9")] {
+                let mut args = strings(&[cmd, "--tester", tester, "--csv"]);
+                args.push(csv.display().to_string());
+                if let Some(addr) = remote {
+                    args.extend(strings(&["--remote", addr]));
+                }
+                let line = usage_error(&args);
+                assert!(
+                    line.contains(&format!("{column} is numeric")),
+                    "{args:?}: {line}"
+                );
+            }
+        }
+    }
+    let numeric_feature = dir.join("case3.csv");
+    let out = fairsel()
+        .args(["select", "--tester", "fisherz", "--csv"])
+        .arg(&numeric_feature)
+        .output()
+        .expect("run fairsel select");
+    assert!(
+        out.status.success(),
+        "fisher-z on a numeric feature: {out:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

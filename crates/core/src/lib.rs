@@ -49,8 +49,8 @@ pub use baselines::{
 pub use grpsel::{grpsel, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
-    render_pipeline_report, run_pipeline, run_pipeline_batched, run_pipeline_batched_in,
-    ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
+    check_column_kinds, render_pipeline_report, run_pipeline, run_pipeline_batched,
+    run_pipeline_batched_in, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};

@@ -15,7 +15,7 @@ use fairsel_ml::{
     AdaBoost, Classifier, DecisionTree, FairnessReport, Featurizer, LogisticRegression, NaiveBayes,
     RandomForest,
 };
-use fairsel_table::{ColId, Table};
+use fairsel_table::{ColId, Role, Table};
 
 /// Which selection algorithm the pipeline runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -318,6 +318,31 @@ pub(crate) fn score_columns(
     let report = FairnessReport::compute(&y_test, &y_pred, &s_codes, &a_codes);
     drop(score_span);
     report
+}
+
+/// Reject a table with a column whose kind the pipeline cannot read,
+/// naming that column. The target, sensitive and admissible columns must
+/// be categorical: the classifier trains on target codes and the fairness
+/// report groups rows by sensitive and admissible codes. So must every
+/// feature when `categorical_features` is set, as the G-test reads every
+/// column it tests as codes. Callers check a dataset before any work
+/// starts on it.
+pub fn check_column_kinds(table: &Table, categorical_features: bool) -> Result<(), String> {
+    for col in table.columns().iter().filter(|c| !c.is_categorical()) {
+        let reader = match col.role {
+            Role::Target => "the classifier needs a categorical target",
+            Role::Sensitive | Role::Admissible => {
+                "the fairness report groups rows by sensitive and admissible codes"
+            }
+            Role::Feature if categorical_features => "the g-test reads only categorical columns",
+            Role::Feature | Role::Key => continue,
+        };
+        return Err(format!(
+            "{} column {} is numeric, but {reader}",
+            col.role, col.name
+        ));
+    }
+    Ok(())
 }
 
 fn target_codes(table: &Table, target: ColId) -> Vec<u32> {

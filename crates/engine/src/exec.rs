@@ -151,7 +151,7 @@ impl<T: CiTestBatch> CiSession<T> {
     /// The unique cache misses are partitioned by *canonical conditioning
     /// set* and each group is evaluated through the tester's
     /// [`CiTestBatch::eval_z_group`], so the per-`Z` scaffold
-    /// (stratification, design-matrix factorization, standardized
+    /// (stratification, normal-equation factorization, standardized
     /// conditioning block) is built once per distinct set instead of once
     /// per query. With `workers > 1` the groups are split into steal-able
     /// chunks on the session's persistent worker pool — one shared deque,

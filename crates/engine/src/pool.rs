@@ -138,7 +138,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Store the flag under the queue lock: a worker checks it under
+        // that lock and then waits, so the notify below cannot fall
+        // between its check and its wait and leave it asleep.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -175,6 +181,24 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Dropping a pool whose workers are still starting must not hang:
+    /// before the shutdown flag was stored under the queue lock, a worker
+    /// could miss the wake-up, and two thousand drops in a debug build hung
+    /// every time. The work runs on a watchdog thread so a hang fails
+    /// rather than stalls the suite.
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                drop(WorkerPool::new(2));
+            }
+            tx.send(()).ok();
+        });
+        let finished = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(finished.is_ok(), "a pool drop hung");
+    }
 
     #[test]
     fn executes_every_task_and_is_reusable() {

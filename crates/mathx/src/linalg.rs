@@ -16,6 +16,12 @@
 //! naive pair is kept as the benchmark/property-test reference and can be
 //! forced globally via [`set_naive_kernels`] or the
 //! `FAIRSEL_NAIVE_KERNELS` environment variable.
+//!
+//! [`ridge_residuals`] is Fisher-z's residualization. It computes the same
+//! sums as the `Mat` route (design matrix, [`Mat::ridge_solve`],
+//! [`Mat::matmul`]) in the same order, straight from the columns and
+//! without building any matrix of `n` rows. It has one implementation;
+//! the naive toggle does not reach it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -328,8 +334,7 @@ impl Mat {
     /// `(i, j)` (float multiplication is commutative), and the summands
     /// present in one accumulation but not the other are exact `±0.0`
     /// products, which never alter a finite running sum. Halves the FLOPs
-    /// of the normal-equation formation in [`Mat::ridge_solve`] — the
-    /// dominant cost of tall-skinny Fisher-z residualization.
+    /// of the normal-equation formation in [`Mat::ridge_solve`].
     ///
     /// Falls back to the full [`Mat::t_matmul_naive`] when the naive
     /// kernels are forced (see [`set_naive_kernels`]) or when the matrix
@@ -471,58 +476,99 @@ impl Mat {
     /// matrix; returns lower-triangular `L`, or `None` if the matrix is not
     /// (numerically) positive definite.
     pub fn cholesky(&self) -> Option<Mat> {
+        let (l, kept) = self.cholesky_kept();
+        (kept.len() == self.rows).then_some(l)
+    }
+
+    /// Cholesky factorization that drops, in order, each column whose
+    /// pivot is non-positive given the columns kept before it. Returns the
+    /// kept column indices and `L` over them: entry `(p, q)` of `L` pairs
+    /// the `p`-th and `q`-th kept columns, and only the leading
+    /// `kept.len()` square block is meaningful. When nothing is dropped
+    /// this is the plain Cholesky factor, computed in the same order.
+    fn cholesky_kept(&self) -> (Mat, Vec<usize>) {
         assert_eq!(self.rows, self.cols, "cholesky: non-square");
         let n = self.rows;
         let mut l = Mat::zeros(n, n);
+        let mut kept = Vec::with_capacity(n);
         for i in 0..n {
-            for j in 0..=i {
+            // Row `p` of `L` belongs to column `i` if its pivot survives; a
+            // dropped candidate's partial row is overwritten by the next.
+            let p = kept.len();
+            for (q, &j) in kept.iter().enumerate() {
                 let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+                for k in 0..q {
+                    sum -= l[(p, k)] * l[(q, k)];
                 }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+                l[(p, q)] = sum / l[(q, q)];
             }
+            let mut sum = self[(i, i)];
+            for k in 0..p {
+                sum -= l[(p, k)] * l[(p, k)];
+            }
+            if sum <= 0.0 {
+                continue;
+            }
+            l[(p, p)] = sum.sqrt();
+            kept.push(i);
         }
-        Some(l)
+        (l, kept)
     }
 
     /// Solve `A X = B` for SPD `A` (self) via Cholesky. Returns `None` when
     /// `A` is not positive definite.
     pub fn solve_spd(&self, b: &Mat) -> Option<Mat> {
         assert_eq!(self.rows, b.rows, "solve_spd: dimension mismatch");
-        let l = self.cholesky()?;
-        let n = self.rows;
+        let (l, kept) = self.cholesky_kept();
+        (kept.len() == self.rows).then(|| Self::substitute(&l, &kept, b))
+    }
+
+    /// Solve `A X = B` for symmetric `A` (self), dropping each column whose
+    /// Cholesky pivot is non-positive given the columns kept before it
+    /// (see [`Mat::cholesky_kept`]) and solving on the rest; the rows of
+    /// `X` for dropped columns are zero. Where `A` is positive definite
+    /// nothing is dropped and the result is bit-identical to
+    /// [`Mat::solve_spd`].
+    fn solve_spd_dropping(&self, b: &Mat) -> Mat {
+        assert_eq!(self.rows, b.rows, "solve_spd: dimension mismatch");
+        let (l, kept) = self.cholesky_kept();
+        Self::substitute(&l, &kept, b)
+    }
+
+    /// Forward then back substitution through the factor of
+    /// [`Mat::cholesky_kept`], on the rows of `b` it kept.
+    fn substitute(l: &Mat, kept: &[usize], b: &Mat) -> Mat {
+        let k = kept.len();
         let m = b.cols;
         // Forward substitution: L Y = B
-        let mut y = b.clone();
-        for i in 0..n {
+        let mut y = Mat::zeros(k, m);
+        for (p, &i) in kept.iter().enumerate() {
             for c in 0..m {
-                let mut v = y[(i, c)];
-                for k in 0..i {
-                    v -= l[(i, k)] * y[(k, c)];
+                let mut v = b[(i, c)];
+                for q in 0..p {
+                    v -= l[(p, q)] * y[(q, c)];
                 }
-                y[(i, c)] = v / l[(i, i)];
+                y[(p, c)] = v / l[(p, p)];
             }
         }
         // Back substitution: Lᵀ X = Y
-        let mut x = y;
-        for i in (0..n).rev() {
+        for p in (0..k).rev() {
             for c in 0..m {
-                let mut v = x[(i, c)];
-                for k in i + 1..n {
-                    v -= l[(k, i)] * x[(k, c)];
+                let mut v = y[(p, c)];
+                for q in p + 1..k {
+                    v -= l[(q, p)] * y[(q, c)];
                 }
-                x[(i, c)] = v / l[(i, i)];
+                y[(p, c)] = v / l[(p, p)];
             }
         }
-        Some(x)
+        if k == b.rows {
+            return y;
+        }
+        let mut x = Mat::zeros(b.rows, m);
+        for (p, &i) in kept.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(y.row(p));
+        }
+        x
     }
 
     /// Ridge-regularized least squares: returns `W` minimizing
@@ -541,6 +587,152 @@ impl Mat {
         ztz.solve_spd(&ztt)
             .expect("ridge_solve: ZᵀZ + λI must be positive definite")
     }
+}
+
+/// Ridge least-squares residuals of each `targets` column on an intercept
+/// plus the `zcols` columns: with the design `D = [1 Z]`,
+/// `rᶜ = tᶜ − D wᶜ` where `W = (DᵀD + λI)⁻¹ DᵀT`. Returns one residual
+/// vector per target, in order.
+///
+/// Bit-identical on finite input, wherever that route does not panic, to
+/// building the row-major `n × (|Z|+1)` design and computing
+/// `Mat::ridge_solve(&D, &T, lambda)` then `t − D.matmul(&W)` column by
+/// column. Every cell of `DᵀD` and `DᵀT` is the same ordered dot product
+/// of two columns ([`Mat::gram`], [`Mat::t_matmul_naive`]) and every
+/// fitted value the same ordered sum over the design columns
+/// ([`Mat::matmul_naive`]); only the loops around those sums move, so the
+/// work reads the columns where they lie and no design, right-hand-side
+/// or fitted matrix is built. The row-major kernels skip a zero left
+/// factor, where these add its product: that is ±0.0 whenever the right
+/// factor is finite, and adding ±0.0 leaves a sum that starts at +0.0
+/// unchanged (such a sum is never −0.0).
+///
+/// Where a value is NaN or ±∞ the two routes differ only inside residual
+/// vectors that are non-finite in both: a non-finite conditioning value
+/// makes every weight NaN, and a non-finite target or weight makes that
+/// target's intercept weight, and with it every fitted value of the
+/// target, non-finite.
+///
+/// Where `DᵀD + λI` is not numerically positive definite — collinear
+/// columns at a scale where `λ` is below the rounding error of the sums —
+/// the solve drops, in order, each design column whose pivot is
+/// non-positive given the columns kept before it, and dropped columns get
+/// weight 0; where nothing is dropped the solve is [`Mat::solve_spd`]'s.
+///
+/// # Panics
+/// Panics when `lambda` is not positive or the columns differ in length.
+pub fn ridge_residuals(zcols: &[&[f64]], targets: &[&[f64]], lambda: f64) -> Vec<Vec<f64>> {
+    assert!(lambda > 0.0, "ridge_residuals: lambda must be positive");
+    let n = targets.first().map_or(0, |t| t.len());
+    assert!(
+        zcols.iter().chain(targets).all(|c| c.len() == n),
+        "ridge_residuals: columns differ in length"
+    );
+    let ones = vec![1.0; n];
+    let design: Vec<&[f64]> = std::iter::once(ones.as_slice())
+        .chain(zcols.iter().copied())
+        .collect();
+    let (p, m) = (design.len(), targets.len());
+    let mut gram = Mat::zeros(p, p);
+    let mut dt = Mat::zeros(p, m);
+    let mut dots = vec![0.0; p + m];
+    let mut right: Vec<&[f64]> = Vec::with_capacity(p + m);
+    for (i, &left) in design.iter().enumerate() {
+        right.clear();
+        right.extend(design[i..].iter().chain(targets));
+        let dots = &mut dots[..right.len()];
+        column_dots(left, &right, dots);
+        gram.row_mut(i)[i..].copy_from_slice(&dots[..p - i]);
+        dt.row_mut(i).copy_from_slice(&dots[p - i..]);
+    }
+    // Cell `(i, j)` below the diagonal sums the products of cell `(j, i)`
+    // with their factors commuted, so the mirror is exact.
+    for i in 0..p {
+        for j in 0..i {
+            gram[(i, j)] = gram[(j, i)];
+        }
+    }
+    // order: single ridge add per diagonal cell, after the gram sums.
+    for i in 0..p {
+        gram[(i, i)] += lambda;
+    }
+    let w = gram.solve_spd_dropping(&dt);
+    fit_residuals(&design, targets, &w)
+}
+
+/// Row-chunk height of [`fit_residuals`]: one chunk of every design column
+/// and the fitted buffer stay cache-resident while each target's weights
+/// are applied.
+const FIT_ROWS: usize = 256;
+
+/// `out[j] = Σ_r left[r] · right[j][r]` for every right column, eight
+/// columns at a time, then four, then one: the left value is loaded once
+/// per row and each column sums in its own register.
+fn column_dots(left: &[f64], right: &[&[f64]], out: &mut [f64]) {
+    let mut j = 0;
+    while j + 8 <= right.len() {
+        let block: [&[f64]; 8] = right[j..j + 8].try_into().expect("eight columns");
+        out[j..j + 8].copy_from_slice(&dot_block(left, block));
+        j += 8;
+    }
+    if j + 4 <= right.len() {
+        let block: [&[f64]; 4] = right[j..j + 4].try_into().expect("four columns");
+        out[j..j + 4].copy_from_slice(&dot_block(left, block));
+        j += 4;
+    }
+    for (o, &col) in out[j..].iter_mut().zip(&right[j..]) {
+        *o = dot_block(left, [col])[0];
+    }
+}
+
+/// `W` dot products of `left` against `right`, in `W` independent
+/// accumulators.
+#[inline(always)]
+fn dot_block<const W: usize>(left: &[f64], right: [&[f64]; W]) -> [f64; W] {
+    let right = right.map(|c| &c[..left.len()]);
+    let mut acc = [0.0f64; W];
+    for (r, &l) in left.iter().enumerate() {
+        // order: rows ascending from +0.0 per accumulator — the per-cell
+        // order of `Mat::t_matmul_naive` and `Mat::gram`; the accumulators
+        // are independent cells, never partial sums of one cell.
+        for (a, col) in acc.iter_mut().zip(&right) {
+            *a += l * col[r];
+        }
+    }
+    acc
+}
+
+/// `tᶜ − D wᶜ` for every target `c`, a chunk of [`FIT_ROWS`] rows at a
+/// time.
+fn fit_residuals(design: &[&[f64]], targets: &[&[f64]], w: &Mat) -> Vec<Vec<f64>> {
+    let n = targets.first().map_or(0, |t| t.len());
+    let mut out: Vec<Vec<f64>> = targets.iter().map(|_| vec![0.0; n]).collect();
+    let mut buf = [0.0f64; FIT_ROWS];
+    for start in (0..n).step_by(FIT_ROWS) {
+        let end = (start + FIT_ROWS).min(n);
+        let fitted = &mut buf[..end - start];
+        for (c, (t, res)) in targets.iter().zip(&mut out).enumerate() {
+            fitted.fill(0.0);
+            for (d, col) in design.iter().enumerate() {
+                let wd = w[(d, c)];
+                // order: design columns ascending from +0.0 per fitted
+                // cell — the per-cell order of `Mat::matmul_naive`. The
+                // loop runs across rows, so it vectorizes without
+                // reordering any cell's sum.
+                for (f, &x) in fitted.iter_mut().zip(&col[start..end]) {
+                    *f += x * wd;
+                }
+            }
+            for ((r, &tv), &f) in res[start..end]
+                .iter_mut()
+                .zip(&t[start..end])
+                .zip(fitted.iter())
+            {
+                *r = tv - f;
+            }
+        }
+    }
+    out
 }
 
 impl std::ops::Index<(usize, usize)> for Mat {

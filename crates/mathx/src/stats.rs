@@ -40,65 +40,70 @@ pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
         / xs.len() as f64
 }
 
-/// Pearson correlation coefficient; 0.0 if either side is constant.
+/// The mean and population standard deviation of one vector, as
+/// [`pearson_with`] reads them: a vector shared by many correlations
+/// computes these once, and each correlation then costs one pass.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Moments {
+    /// `Σ xᵢ / n`.
+    pub mean: f64,
+    /// `√(Σ (xᵢ − mean)² / n)`.
+    pub sd: f64,
+}
+
+impl Moments {
+    /// Both moments of `xs`, each a sum over the elements in ascending
+    /// order from +0.0 (NaN for an empty slice).
+    pub fn of(xs: &[f64]) -> Moments {
+        let nf = xs.len() as f64;
+        let mut sum = 0.0f64;
+        // order: element index ascending (reassociating this sum is the
+        // known dead end: it flips low-order bits of every correlation).
+        for &x in xs {
+            sum += x;
+        }
+        let mean = sum / nf;
+        let mut sq = 0.0f64;
+        // order: element index ascending over the centered squares.
+        for &x in xs {
+            let d = x - mean;
+            sq += d * d;
+        }
+        Moments {
+            mean,
+            sd: (sq / nf).sqrt(),
+        }
+    }
+}
+
+/// The cross term of a correlation, `Σ (xᵢ − mx)(yᵢ − my)`, in one pass.
+fn centered_cross(xs: &[f64], mx: f64, ys: &[f64], my: f64) -> f64 {
+    let mut acc = 0.0f64;
+    // order: row index ascending from +0.0.
+    for (&x, &y) in xs.iter().zip(ys) {
+        acc += (x - mx) * (y - my);
+    }
+    acc
+}
+
+/// Pearson correlation coefficient of two vectors whose [`Moments`] are
+/// already known, in one pass over the pair; 0.0 if either side is
+/// constant or shorter than two.
 ///
-/// Fused two-pass kernel: one joint sweep for both means, one for the
-/// three second moments. Each running sum still visits elements in the
-/// same ascending order as the separate `std_dev`/`covariance` passes,
-/// so the result is bit-identical to [`pearson_naive`] while the slice
-/// traffic drops from eight sweeps to four — the dominant cost at the
-/// row counts the Fisher-z tester feeds this (a correlation is
-/// memory-bound: ~3 FLOPs per 16 bytes read).
+/// With `Moments::of` of each side it takes every sum in the element
+/// order of the separate [`std_dev`] and [`covariance`] passes, so it is
+/// bit-identical to `covariance(xs, ys) / (std_dev(xs) · std_dev(ys))`.
 ///
 /// # Panics
 /// Panics on a length mismatch.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    if crate::linalg::naive_kernels() {
-        return pearson_naive(xs, ys);
-    }
+pub fn pearson_with(xs: &[f64], mx: Moments, ys: &[f64], my: Moments) -> f64 {
     assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
+    if xs.len() < 2 || mx.sd == 0.0 || my.sd == 0.0 {
         return 0.0;
     }
     let nf = xs.len() as f64;
-    let (mut sx, mut sy) = (0.0f64, 0.0f64);
-    // order: row index ascending, one fused pass per moment set — the
-    // same element order as the unfused baseline, so the fusion is
-    // bit-identical (reassociating either sum is the known dead end).
-    for (&x, &y) in xs.iter().zip(ys) {
-        sx += x;
-        sy += y;
-    }
-    let (mx, my) = (sx / nf, sy / nf);
-    let (mut vxx, mut vyy, mut vxy) = (0.0f64, 0.0f64, 0.0f64);
-    // order: row index ascending for all three centered moments.
-    for (&x, &y) in xs.iter().zip(ys) {
-        let dx = x - mx;
-        let dy = y - my;
-        vxx += dx * dx;
-        vyy += dy * dy;
-        vxy += dx * dy;
-    }
-    let sdx = (vxx / nf).sqrt();
-    let sdy = (vyy / nf).sqrt();
-    if sdx == 0.0 || sdy == 0.0 {
-        return 0.0;
-    }
-    ((vxy / nf) / (sdx * sdy)).clamp(-1.0, 1.0)
-}
-
-/// Pre-fusion reference for [`pearson`]: separate `std_dev` and
-/// `covariance` passes over each slice. Bit-identical to the fused
-/// kernel; kept as the baseline behind
-/// [`crate::linalg::set_naive_kernels`] for benchmarks and the
-/// byte-identity property tests.
-pub fn pearson_naive(xs: &[f64], ys: &[f64]) -> f64 {
-    let sx = std_dev(xs);
-    let sy = std_dev(ys);
-    if sx == 0.0 || sy == 0.0 {
-        return 0.0;
-    }
-    (covariance(xs, ys) / (sx * sy)).clamp(-1.0, 1.0)
+    let vxy = centered_cross(xs, mx.mean, ys, my.mean);
+    ((vxy / nf) / (mx.sd * my.sd)).clamp(-1.0, 1.0)
 }
 
 /// `q`-quantile (0 ≤ q ≤ 1) with linear interpolation, like numpy's default.
@@ -207,6 +212,10 @@ mod tests {
         assert_eq!(variance(&[5.0]), 0.0);
     }
 
+    fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        pearson_with(xs, Moments::of(xs), ys, Moments::of(ys))
+    }
+
     #[test]
     fn covariance_and_pearson() {
         let xs = [1.0, 2.0, 3.0, 4.0];
@@ -220,8 +229,8 @@ mod tests {
 
     #[test]
     fn pearson_fused_bits_match_naive() {
-        // Awkward magnitudes so any reassociation in the fused sweeps
-        // would flip low-order bits.
+        // Awkward magnitudes so any reassociation of a moment or cross
+        // sum would flip low-order bits against the separate passes.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state
@@ -231,13 +240,14 @@ mod tests {
         };
         let xs: Vec<f64> = (0..1000).map(|i| next() * 1e6 + i as f64 * 1e-7).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x * 0.3 + next() * 1e5 - 5e4).collect();
-        assert_eq!(
-            pearson(&xs, &ys).to_bits(),
-            pearson_naive(&xs, &ys).to_bits()
-        );
-        // Degenerate shapes agree too.
-        assert_eq!(pearson(&[], &[]), pearson_naive(&[], &[]));
-        assert_eq!(pearson(&[1.0], &[2.0]), pearson_naive(&[1.0], &[2.0]));
+        let naive = (covariance(&xs, &ys) / (std_dev(&xs) * std_dev(&ys))).clamp(-1.0, 1.0);
+        assert_eq!(pearson(&xs, &ys).to_bits(), naive.to_bits());
+        let m = Moments::of(&xs);
+        assert_eq!(m.mean.to_bits(), mean(&xs).to_bits());
+        assert_eq!(m.sd.to_bits(), std_dev(&xs).to_bits());
+        // Degenerate shapes are uncorrelated.
+        assert_eq!(pearson(&[], &[]), 0.0);
+        assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
     }
 
     #[test]

@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use fairsel_graph::DagBuilder;
     use fairsel_math::assert_close;
-    use fairsel_math::stats::{mean, pearson, variance};
+    use fairsel_math::stats::{mean, pearson_with, variance, Moments};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -225,7 +225,8 @@ mod tests {
         let x = scm.dag().expect_node("x").index();
         let y = scm.dag().expect_node("y").index();
         // theoretical corr = 0.64 / (sqrt(1.64)·sqrt(1.64)) ≈ 0.39
-        let rho = pearson(&cols[x], &cols[y]);
+        let (xs, ys) = (&cols[x], &cols[y]);
+        let rho = pearson_with(xs, Moments::of(xs), ys, Moments::of(ys));
         assert_close!(rho, 0.64 / 1.64, 0.02);
     }
 

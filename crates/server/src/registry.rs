@@ -30,8 +30,8 @@
 use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
 use fairsel_ci::{CiTestBatch, FisherZ, GTest};
 use fairsel_core::{
-    render_methods_report, render_pipeline_report, run_all_methods_in, run_pipeline_batched_in,
-    ClassifierKind, PipelineConfig, Problem, SelectConfig, SelectionAlgo,
+    check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods_in,
+    run_pipeline_batched_in, ClassifierKind, PipelineConfig, Problem, SelectConfig, SelectionAlgo,
 };
 use fairsel_engine::CiSession;
 use fairsel_obs::TrackedMutex;
@@ -586,6 +586,7 @@ impl Registry {
         table: &Table,
         req: &WorkloadRequest,
     ) -> Result<Workload, String> {
+        check_column_kinds(table, req.tester == "gtest")?;
         // Row-stable split: membership depends only on (seed, row index),
         // so a dataset extended by append splits into exactly the parent's
         // split plus the new rows — the prefix property the warm-child

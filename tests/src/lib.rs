@@ -825,15 +825,23 @@ mod grouped_equivalence {
     }
 }
 
+/// The row-major Fisher-z route `FisherZ` replaced, shared with the
+/// property tests in `crates/citest/tests/fisher_z_reference.rs`.
+#[cfg(test)]
+#[path = "../../crates/citest/tests/fisher_z_reference/reference.rs"]
+mod fisher_z_reference;
+
 #[cfg(test)]
 mod kernel_identity {
     //! The hardware-shaped kernel contract: every kernel generation —
     //! narrow (u8/u16/u32) code widths + dense counting arenas vs the
-    //! pre-kernel reference paths, and blocked vs naive linear algebra —
-    //! produces **bit-identical** p-values, statistics, and selection
-    //! reports, at every worker count, on tables spanning all three
-    //! storage widths (including joints that overflow u16).
+    //! pre-kernel reference paths, and Fisher-z's column kernels vs the
+    //! row-major route they replaced — produces **bit-identical**
+    //! p-values, statistics, and selection reports, at every worker count,
+    //! on tables spanning all three storage widths (including joints that
+    //! overflow u16).
 
+    use crate::fisher_z_reference::ReferenceFisherZ;
     use fairsel_ci::{CiOutcome, CiTestBatch, FisherZ, GTest, KernelMode, PermutationCmi};
     use fairsel_core::{grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
@@ -972,6 +980,8 @@ mod kernel_identity {
         sample_table(&scm, &inst.roles, rows, &mut rng)
     }
 
+    /// Fisher-z outcomes against the row-major reference at every worker
+    /// count.
     #[test]
     fn fisherz_blocked_vs_naive_bit_identical() {
         let table = sampled(81, 14, 1100);
@@ -979,13 +989,7 @@ mod kernel_identity {
         let queries: Vec<CiQuery> = (0..n_vars - 1)
             .map(|i| CiQuery::new(&[i], &[i + 1], &[(i + 2) % n_vars, (i + 5) % n_vars]))
             .collect();
-        let reference = {
-            fairsel_math::set_naive_kernels(true);
-            let t = FisherZ::new(&table, 0.01);
-            let out = grouped_outcomes(&t, &queries, 1);
-            fairsel_math::set_naive_kernels(false);
-            out
-        };
+        let reference = grouped_outcomes(&ReferenceFisherZ::new(&table, 0.01), &queries, 1);
         for workers in [1usize, 2, 4, 8] {
             let t = FisherZ::new(&table, 0.01);
             let got = grouped_outcomes(&t, &queries, workers);
@@ -1015,13 +1019,10 @@ mod kernel_identity {
             assert_eq!(reference.c2, got.c2, "workers {workers}");
             assert_eq!(reference.rejected, got.rejected, "workers {workers}");
         }
-        // Fisher-z selections: blocked vs forced-naive kernels.
+        // Fisher-z selections: column kernels vs the row-major reference.
         let fz_ref = {
-            fairsel_math::set_naive_kernels(true);
-            let mut session = CiSession::new(FisherZ::new(&table, 0.01));
-            let out = grpsel_batched_in(&mut session, &problem, &cfg, None, 1);
-            fairsel_math::set_naive_kernels(false);
-            out
+            let mut session = CiSession::new(ReferenceFisherZ::new(&table, 0.01));
+            grpsel_batched_in(&mut session, &problem, &cfg, None, 1)
         };
         let mut session = CiSession::new(FisherZ::new(&table, 0.01));
         let got = grpsel_batched_in(&mut session, &problem, &cfg, None, 4);
@@ -1799,14 +1800,100 @@ mod fp_addressed_requests {
 }
 
 #[cfg(test)]
+mod collinear_conditioning {
+    //! Fisher-z on a conditioning set holding one column twice, at a scale
+    //! where the ridge `λ = 1e-8` is far below the rounding error of the
+    //! normal equations. The row-major route panicked in `ridge_solve`;
+    //! the column kernels drop each column whose Cholesky pivot is
+    //! non-positive given the columns kept before it.
+
+    use crate::fisher_z_reference::ReferenceFisherZ;
+    use fairsel_ci::FisherZ;
+    use fairsel_math::dist::sample_std_normal;
+    use fairsel_table::{Column, Role, Table};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// 3,000 rows: S (2 levels), A (3 levels), X1 = (N(0,1) + a)·1e7 + 5e7,
+    /// X2 = X1 bit for bit, X3 ~ N(0,1), X5 = s + N(0, 0.5) and
+    /// Y = 1[(X1 − 5e7)/1e7 + N(0, 0.3) > 1].
+    pub fn collinear_table(seed: u64) -> Table {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 3000;
+        let (mut s, mut a, mut x1) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut x3, mut x5, mut y) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..n {
+            let si: u32 = rng.gen_range(0..2);
+            let ai: u32 = rng.gen_range(0..3);
+            let v = (sample_std_normal(&mut rng) + ai as f64) * 1e7 + 5e7;
+            x3.push(sample_std_normal(&mut rng));
+            x5.push(si as f64 + 0.5 * sample_std_normal(&mut rng));
+            y.push(u32::from(
+                (v - 5e7) / 1e7 + 0.3 * sample_std_normal(&mut rng) > 1.0,
+            ));
+            s.push(si);
+            a.push(ai);
+            x1.push(v);
+        }
+        Table::new(vec![
+            Column::cat("S", Role::Sensitive, s, 2),
+            Column::cat("A", Role::Admissible, a, 3),
+            Column::num("X1", Role::Feature, x1.clone()),
+            Column::num("X2", Role::Feature, x1),
+            Column::num("X3", Role::Feature, x3),
+            Column::num("X5", Role::Feature, x5),
+            Column::cat("Y", Role::Target, y, 2),
+        ])
+        .expect("equal-length columns")
+    }
+
+    /// Where the row-major route cannot factor the normal equations of
+    /// {X1, X2}, X2 is dropped and weighted 0, so the partial correlation
+    /// given {X1, X2} is bit for bit the one given {X1}; with A in the set
+    /// too, the one given {A, X1}.
+    #[test]
+    fn duplicated_conditioning_column_is_dropped_not_a_panic() {
+        let (a, x1, x2, x3, x5, y) = (1, 2, 3, 4, 5, 6);
+        let mut dropped = 0;
+        for seed in 1..=6 {
+            let t = collinear_table(seed);
+            let reference = ReferenceFisherZ::new(&t, 0.01);
+            let fz = FisherZ::new(&t, 0.01);
+            let sets = [(vec![x1, x2], vec![x1]), (vec![a, x1, x2], vec![a, x1])];
+            for (with_dup, without) in sets {
+                let panics = catch_unwind(AssertUnwindSafe(|| {
+                    reference.residuals(&with_dup, &[x5]);
+                }))
+                .is_err();
+                for (u, v) in [(x5, y), (x3, x5), (x3, y)] {
+                    let got = fz.partial_correlation(u, v, &with_dup);
+                    if panics {
+                        let want = fz.partial_correlation(u, v, &without);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "seed {seed}: ({u}, {v}) given {with_dup:?} vs {without:?}"
+                        );
+                    }
+                }
+                dropped += usize::from(panics);
+            }
+        }
+        assert!(dropped > 0, "no seed reached the dropping solve");
+    }
+}
+
+#[cfg(test)]
 mod request_validation {
     //! Wire-controlled `train_frac`, `alpha` and `workers` are checked
     //! where they enter the server: an out-of-range value gets a
     //! structured error reply instead of a panic in the handler, and the
     //! connection that carried it goes on serving valid requests. So does
-    //! a frame that is not UTF-8 JSON or nests past `MAX_JSON_DEPTH`.
+    //! a frame that is not UTF-8 JSON or nests past `MAX_JSON_DEPTH`, and
+    //! a dataset with a column whose kind the pipeline cannot read.
 
-    use fairsel_ci::GTest;
+    use fairsel_ci::{FisherZ, GTest};
     use fairsel_core::{render_pipeline_report, run_pipeline_batched};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
@@ -1948,6 +2035,67 @@ mod request_validation {
         match call(&mut stream, &Request::Select(wl)) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("valid select after the malformed frames failed: {other:?}"),
+        }
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// Datasets with a column the pipeline cannot read each get an error
+    /// naming that column — a numeric target, a numeric admissible column,
+    /// and a numeric feature under the G-test (for `select` and `methods`)
+    /// — on a connection that then serves a Fisher-z select on the
+    /// collinear table, byte-identical to a local run.
+    #[test]
+    fn unreadable_column_kinds_get_errors_on_a_connection_that_survives() {
+        let text = csv::to_csv_string(&crate::collinear_conditioning::collinear_table(1));
+        let retyped = |from: &str, to: &str| {
+            let (header, body) = text.split_once('\n').expect("csv header");
+            format!("{}\n{body}", header.replacen(from, to, 1))
+        };
+        let workload = |csv_text: String, tester: &str| WorkloadRequest {
+            dataset: DatasetRef::Csv(csv_text),
+            tester: tester.into(),
+            ..Default::default()
+        };
+        let cases = [
+            (
+                Request::Select(workload(retyped("Y:cat2", "Y:num"), "fisherz")),
+                "target column Y is numeric",
+            ),
+            (
+                Request::Select(workload(retyped("A:cat3", "A:num"), "fisherz")),
+                "admissible column A is numeric",
+            ),
+            (
+                Request::Select(workload(text.clone(), "gtest")),
+                "feature column X1 is numeric",
+            ),
+            (
+                Request::Methods(workload(text.clone(), "gtest")),
+                "feature column X1 is numeric",
+            ),
+        ];
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        for (req, expected) in &cases {
+            match call(&mut stream, req) {
+                Response::Err(e) => assert!(e.contains(expected), "{e:?} must say {expected:?}"),
+                other => panic!("an unreadable dataset got {other:?}"),
+            }
+        }
+
+        let wl = workload(text.clone(), "fisherz");
+        let table = csv::from_csv_string(&text).expect("csv");
+        let split = table.split_rows_stable(wl.seed, wl.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(FisherZ::new(&train, wl.alpha), &train, &test, &cfg);
+        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        match call(&mut stream, &Request::Select(wl)) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("fisher-z select after the rejected datasets failed: {other:?}"),
         }
         drop(stream);
         handle.shutdown();
@@ -2582,6 +2730,8 @@ mod streaming_append {
                 "perm-cmi",
             );
 
+            // Fisher-z residuals depend on the whole sample too: nothing
+            // extends, every residual rebuilds.
             let enc = enc_over(&base);
             assert_append_matches_cold(
                 FisherZ::over(Arc::clone(&enc), 0.01),
@@ -2591,7 +2741,7 @@ mod streaming_append {
                 &warm,
                 &probe,
                 workers,
-                true,
+                false,
                 false,
                 0,
                 "fisher-z",
