@@ -1,6 +1,7 @@
 //! Usage errors exit 1 before any work starts: an out-of-range `--alpha`
 //! on the local and the `--remote` path of `select` and `methods` (never
-//! a tester panic, exit 101), and any flag a subcommand does not read.
+//! a tester panic, exit 101), any flag a subcommand does not read, and a
+//! column whose kind or values the pipeline cannot read.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -243,5 +244,66 @@ fn unreadable_column_kinds_are_errors_naming_the_column() {
         out.status.success(),
         "fisher-z on a numeric feature: {out:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A NaN or ±∞ in a numeric feature exits 1 naming the column and its
+/// first such data row, on the local and the `--remote` path, before any
+/// work starts or the remote address is dialed (never a Fisher-z panic,
+/// exit 101). With that cell finite, the same table selects.
+#[test]
+fn non_finite_numeric_features_are_errors_naming_the_column() {
+    let dir = std::env::temp_dir().join(format!("fairsel-non-finite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let base = dir.join("fig1a.csv");
+    let out = fairsel()
+        .args(["gen", "--fixture", "1a", "--rows", "600", "--out"])
+        .arg(&base)
+        .output()
+        .expect("run fairsel gen");
+    assert!(out.status.success(), "fairsel gen failed: {out:?}");
+    let text = std::fs::read_to_string(&base).expect("fixture csv");
+    // The fixture plus a numeric feature N1 whose fifth value is `cell`.
+    // That row is on the train side of the default split, where a NaN
+    // once reached the Fisher-z p-value and panicked.
+    let with_n1 = |cell: &str| -> String {
+        let mut lines = text.lines();
+        let mut csv = format!("{},N1:num[feature]\n", lines.next().expect("header"));
+        for (i, line) in lines.enumerate() {
+            let value = if i == 4 {
+                cell.to_owned()
+            } else {
+                format!("{}.25", i % 7)
+            };
+            csv.push_str(&format!("{line},{value}\n"));
+        }
+        csv
+    };
+    for cell in ["NaN", "inf", "-inf"] {
+        let csv = dir.join(format!("n1-{cell}.csv"));
+        std::fs::write(&csv, with_n1(cell)).expect("write csv");
+        for cmd in ["select", "methods"] {
+            for remote in [None, Some("127.0.0.1:9")] {
+                let mut args = strings(&[cmd, "--tester", "fisherz", "--csv"]);
+                args.push(csv.display().to_string());
+                if let Some(addr) = remote {
+                    args.extend(strings(&["--remote", addr]));
+                }
+                let line = usage_error(&args);
+                assert!(
+                    line.contains(&format!("feature column N1 holds {cell} at data row 5")),
+                    "{args:?}: {line}"
+                );
+            }
+        }
+    }
+    let finite = dir.join("n1-finite.csv");
+    std::fs::write(&finite, with_n1("2.5")).expect("write csv");
+    let out = fairsel()
+        .args(["select", "--tester", "fisherz", "--csv"])
+        .arg(&finite)
+        .output()
+        .expect("run fairsel select");
+    assert!(out.status.success(), "fisher-z on a finite N1: {out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,7 +10,7 @@
 //! e.g. Fair-PC's marginal-independence layer overlaps SeqSel's ∅-subset
 //! queries.
 
-use crate::pipeline::{score_columns, ClassifierKind, PipelineConfig, SelectionAlgo};
+use crate::pipeline::{ClassifierKind, PipelineConfig, ReportMemo, SelectionAlgo};
 use crate::problem::{Problem, Selection};
 use crate::{grpsel_batched_in, grpsel_in, seqsel_in};
 use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, OracleCi};
@@ -176,6 +176,7 @@ pub fn run_method(
         method,
         spec,
         spec.encoding_for(train).as_ref(),
+        &ReportMemo::new(),
         dag,
         train,
         test,
@@ -183,11 +184,14 @@ pub fn run_method(
     )
 }
 
-/// [`run_method`] with an explicit (possibly shared) encoding layer.
+/// [`run_method`] with an explicit (possibly shared) encoding layer,
+/// scoring through `memo`.
+#[allow(clippy::too_many_arguments)]
 fn run_method_over(
     method: Method,
     spec: &TesterSpec,
     enc: Option<&Arc<EncodedTable>>,
+    memo: &ReportMemo,
     dag: Option<&Dag>,
     train: &Table,
     test: &Table,
@@ -231,7 +235,7 @@ fn run_method_over(
         }
     };
     let model_cols = crate::pipeline::model_columns(&problem, &selected);
-    let report = score_columns(train, test, &problem, &model_cols, cfg);
+    let report = memo.score(train, test, &problem, &model_cols, cfg);
     MethodOutput {
         method,
         selected,
@@ -253,11 +257,13 @@ pub fn run_all_methods(
 ) -> Vec<MethodOutput> {
     // One shared encoding layer for the whole sweep: the dataset is cloned
     // into shared ownership once, and every method's tester amortizes the
-    // same set-encoding cache.
+    // same set-encoding cache. One report memo too: methods that select
+    // the same columns share one fit.
     let enc = spec.encoding_for(train);
+    let memo = ReportMemo::new();
     Method::all()
         .into_iter()
-        .map(|m| run_method_over(m, spec, enc.as_ref(), dag, train, test, cfg))
+        .map(|m| run_method_over(m, spec, enc.as_ref(), &memo, dag, train, test, cfg))
         .collect()
 }
 
@@ -269,9 +275,11 @@ pub fn run_all_methods(
 /// query, however they are reached); the per-method `tests_used` /
 /// `engine` telemetry reports what each method cost *after* cross-method
 /// and cross-request dedup — e.g. GrpSel right after SeqSel issues far
-/// fewer tests than it would cold, which is the point.
+/// fewer tests than it would cold, which is the point. Every method
+/// scores through `memo`, which must only ever have seen this split.
 pub fn run_all_methods_in<T: CiTestBatch>(
     session: &mut CiSession<T>,
+    memo: &ReportMemo,
     train: &Table,
     test: &Table,
     cfg: &PipelineConfig,
@@ -315,7 +323,7 @@ pub fn run_all_methods_in<T: CiTestBatch>(
             session.refresh_encode_stats();
             let engine = session.stats().delta_since(&before);
             let model_cols = crate::pipeline::model_columns(&problem, &selected);
-            let report = score_columns(train, test, &problem, &model_cols, cfg);
+            let report = memo.score(train, test, &problem, &model_cols, cfg);
             MethodOutput {
                 method,
                 selected,

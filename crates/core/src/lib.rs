@@ -33,7 +33,8 @@
 //!   SeqSel, GrpSel, and the Fair-PC causal-discovery baseline;
 //! * [`pipeline`] — feature selection → featurization → classifier →
 //!   fairness report, the loop behind Figures 2-3 and Table 2, with
-//!   engine telemetry attached to every run.
+//!   engine telemetry attached to every run and each model's report
+//!   memoized per split ([`ReportMemo`]).
 
 pub mod baselines;
 pub mod grpsel;
@@ -50,7 +51,8 @@ pub use grpsel::{grpsel, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
     check_column_kinds, render_pipeline_report, run_pipeline, run_pipeline_batched,
-    run_pipeline_batched_in, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
+    run_pipeline_batched_in, run_pipeline_memo_in, ClassifierKind, PipelineConfig, PipelineResult,
+    ReportMemo, SelectionAlgo, REPORT_MEMO_CAP,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};

@@ -5,6 +5,12 @@
 //! (tests issued, cache hits, dedup rate, per-phase wall time) is returned
 //! in [`PipelineResult::engine`] — the numbers the paper reports alongside
 //! accuracy and odds difference.
+//!
+//! Every report is fit and scored by one function behind a
+//! [`ReportMemo`]: on one train/test split, a report is a pure function
+//! of the classifier, its seed and the model columns, so a memo that
+//! outlives one run (the server keeps one per resident workload) fits
+//! each model once.
 
 use crate::grpsel::{grpsel_batched_in, grpsel_in};
 use crate::problem::{Problem, SelectConfig, Selection};
@@ -15,7 +21,7 @@ use fairsel_ml::{
     AdaBoost, Classifier, DecisionTree, FairnessReport, Featurizer, LogisticRegression, NaiveBayes,
     RandomForest,
 };
-use fairsel_table::{ColId, Role, Table};
+use fairsel_table::{CappedCache, ColId, ColumnData, EncodeStats, Role, Table};
 
 /// Which selection algorithm the pipeline runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,7 +34,7 @@ pub enum SelectionAlgo {
 }
 
 /// Classifier trained on the selected features (§5.1 "Model Selection").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ClassifierKind {
     Logistic,
     DecisionTree,
@@ -106,7 +112,15 @@ pub fn run_pipeline<T: CiTest>(
         SelectionAlgo::GrpSel { seed } => grpsel_in(&mut session, &problem, &cfg.select, seed),
     };
     let engine = session.stats().clone();
-    train_and_score(train, test, &problem, selection, engine, cfg)
+    train_and_score(
+        &ReportMemo::new(),
+        train,
+        test,
+        &problem,
+        selection,
+        engine,
+        cfg,
+    )
 }
 
 /// Like [`run_pipeline`] for batch-aware testers (`GTest`,
@@ -127,13 +141,27 @@ pub fn run_pipeline_batched<T: CiTestBatch>(
 
 /// Like [`run_pipeline_batched`] but running inside an *existing* session:
 /// memoized CI outcomes (and the tester's encoding caches) survive across
-/// calls, so a repeated request costs hash lookups instead of tests. This
-/// is the entry point the long-lived `fairsel-server` session registry
-/// drives — one session per (dataset fingerprint, tester config), shared
-/// by every request that maps to it. The returned telemetry is the
-/// session's *cumulative* stats.
+/// calls, so a repeated request costs hash lookups instead of tests. The
+/// returned telemetry is the session's *cumulative* stats. The model is
+/// fit afresh: this is [`run_pipeline_memo_in`] with an empty memo.
 pub fn run_pipeline_batched_in<T: CiTestBatch>(
     session: &mut CiSession<T>,
+    train: &Table,
+    test: &Table,
+    cfg: &PipelineConfig,
+) -> PipelineResult {
+    run_pipeline_memo_in(session, &ReportMemo::new(), train, test, cfg)
+}
+
+/// Like [`run_pipeline_batched_in`], scoring through `memo`: a model
+/// already fit on this split answers from the memo instead of being fit
+/// again. This is the entry point the long-lived `fairsel-server`
+/// registry drives — one session and one memo per (dataset fingerprint,
+/// tester config), shared by every request that maps to it. `memo` must
+/// only ever have seen this `train`/`test` split.
+pub fn run_pipeline_memo_in<T: CiTestBatch>(
+    session: &mut CiSession<T>,
+    memo: &ReportMemo,
     train: &Table,
     test: &Table,
     cfg: &PipelineConfig,
@@ -149,7 +177,7 @@ pub fn run_pipeline_batched_in<T: CiTestBatch>(
     // encode-cache counters; refresh so the telemetry is honest either way.
     session.refresh_encode_stats();
     let engine = session.stats().clone();
-    train_and_score(train, test, &problem, selection, engine, cfg)
+    train_and_score(memo, train, test, &problem, selection, engine, cfg)
 }
 
 /// Render the *deterministic* part of a pipeline run — the selection
@@ -225,8 +253,9 @@ pub fn render_pipeline_report(
 }
 
 /// Train the configured classifier on `A ∪ C₁ ∪ C₂` and score the test
-/// split. Shared by the pipeline entry points and the baselines module.
-pub(crate) fn train_and_score(
+/// split, through `memo`. Shared by the pipeline entry points.
+fn train_and_score(
+    memo: &ReportMemo,
     train: &Table,
     test: &Table,
     problem: &Problem,
@@ -235,7 +264,7 @@ pub(crate) fn train_and_score(
     cfg: &PipelineConfig,
 ) -> PipelineResult {
     let model_cols = model_columns(problem, &selection.selected());
-    let report = score_columns(train, test, problem, &model_cols, cfg);
+    let report = memo.score(train, test, problem, &model_cols, cfg);
     PipelineResult {
         selection,
         model_cols,
@@ -255,13 +284,87 @@ pub(crate) fn model_columns(problem: &Problem, selected: &[ColId]) -> Vec<ColId>
     model_cols
 }
 
+/// Entries a [`ReportMemo`] holds before it evicts the least recently
+/// used. A workload's distinct models are its classifiers times the
+/// distinct selections its requests reach, a handful in practice.
+pub const REPORT_MEMO_CAP: usize = 64;
+
+/// What fixes a report on one split: the classifier, its seed and the
+/// columns it trains on. The seed is part of the key even where the
+/// caller's own key already fixes it, so the memo is correct however its
+/// owner shards.
+type ReportKey = (ClassifierKind, u64, Vec<ColId>);
+
+/// A bounded memo of fairness reports for one train/test split.
+///
+/// A hit returns the report that the same call computed before, so a
+/// memoized run renders the same bytes as a fresh one; eviction only
+/// drops a report that is recomputed bit-identically. A memo belongs to
+/// one split: a table with other rows (an appended child, say) needs a
+/// memo of its own.
+pub struct ReportMemo {
+    reports: CappedCache<ReportKey, FairnessReport>,
+}
+
+impl Default for ReportMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ReportMemo {
+    /// An empty memo holding at most [`REPORT_MEMO_CAP`] reports.
+    pub fn new() -> Self {
+        Self::with_cap(REPORT_MEMO_CAP)
+    }
+
+    /// An empty memo holding at most `cap` reports (at least one).
+    pub(crate) fn with_cap(cap: usize) -> Self {
+        Self {
+            reports: CappedCache::new(cap),
+        }
+    }
+
+    /// Cumulative hits, misses (models fit) and evictions; the other
+    /// fields stay zero.
+    pub fn stats(&self) -> EncodeStats {
+        self.reports.stats()
+    }
+
+    /// The report of `cfg`'s classifier trained on `model_cols`: from the
+    /// memo when this model was fit before, else from `score_columns`,
+    /// remembered. A hit is traced as `report.memo`, in place of the
+    /// featurize, train and score spans.
+    pub(crate) fn score(
+        &self,
+        train: &Table,
+        test: &Table,
+        problem: &Problem,
+        model_cols: &[ColId],
+        cfg: &PipelineConfig,
+    ) -> FairnessReport {
+        let key = (cfg.classifier, cfg.model_seed, model_cols.to_vec());
+        if let Some(report) = self.reports.get(&key) {
+            let _sp = fairsel_obs::span_kv("report.memo", || {
+                vec![
+                    ("classifier", format!("{:?}", cfg.classifier)),
+                    ("dims", model_cols.len().to_string()),
+                ]
+            });
+            return report;
+        }
+        let report = score_columns(train, test, problem, model_cols, cfg);
+        self.reports.insert(key, report)
+    }
+}
+
 /// Featurize → fit → predict → fairness metrics for an explicit column
-/// set (also used directly by the ALL / A-only baselines).
+/// set. Reached only through [`ReportMemo`].
 ///
 /// Traced as `pipeline.featurize` (design matrices for both splits),
 /// `ml.train` (the fit) and `ml.score` (test predictions plus the
 /// fairness report).
-pub(crate) fn score_columns(
+fn score_columns(
     train: &Table,
     test: &Table,
     problem: &Problem,
@@ -320,22 +423,41 @@ pub(crate) fn score_columns(
     report
 }
 
-/// Reject a table with a column whose kind the pipeline cannot read,
-/// naming that column. The target, sensitive and admissible columns must
-/// be categorical: the classifier trains on target codes and the fairness
-/// report groups rows by sensitive and admissible codes. So must every
-/// feature when `categorical_features` is set, as the G-test reads every
-/// column it tests as codes. Callers check a dataset before any work
-/// starts on it.
+/// Reject a table with a column whose kind or values the pipeline cannot
+/// read, naming that column. The target, sensitive and admissible columns
+/// must be categorical: the classifier trains on target codes and the
+/// fairness report groups rows by sensitive and admissible codes. So must
+/// every feature when `categorical_features` is set, as the G-test reads
+/// every column it tests as codes. A numeric feature must hold only
+/// finite values, and the error names the data row (counted from 1) of
+/// the first that is not: a NaN or ±∞ makes every Fisher-z statistic over
+/// it NaN, and a NaN statistic has no p-value. Callers check a dataset
+/// before any work starts on it, and an appended batch before it joins
+/// its parent.
 pub fn check_column_kinds(table: &Table, categorical_features: bool) -> Result<(), String> {
-    for col in table.columns().iter().filter(|c| !c.is_categorical()) {
+    for col in table.columns() {
+        let ColumnData::Num(values) = &col.data else {
+            continue;
+        };
         let reader = match col.role {
             Role::Target => "the classifier needs a categorical target",
             Role::Sensitive | Role::Admissible => {
                 "the fairness report groups rows by sensitive and admissible codes"
             }
             Role::Feature if categorical_features => "the g-test reads only categorical columns",
-            Role::Feature | Role::Key => continue,
+            Role::Feature => match values.iter().position(|v| !v.is_finite()) {
+                Some(row) => {
+                    return Err(format!(
+                        "feature column {} holds {} at data row {}, but the testers and \
+                         classifiers read only finite numbers",
+                        col.name,
+                        values[row],
+                        row + 1
+                    ))
+                }
+                None => continue,
+            },
+            Role::Key => continue,
         };
         return Err(format!(
             "{} column {} is numeric, but {reader}",
@@ -370,6 +492,14 @@ mod tests {
         let test = sample_table(&scm, &f.roles, n / 2, &mut rng);
         (f.dag, train, test)
     }
+
+    const KINDS: [ClassifierKind; 5] = [
+        ClassifierKind::Logistic,
+        ClassifierKind::DecisionTree,
+        ClassifierKind::RandomForest,
+        ClassifierKind::AdaBoost,
+        ClassifierKind::NaiveBayes,
+    ];
 
     #[test]
     fn oracle_pipeline_selects_and_scores() {
@@ -420,13 +550,7 @@ mod tests {
     #[test]
     fn classifier_kinds_all_run() {
         let (_, train, test) = figure_1a_splits(800, 13);
-        for kind in [
-            ClassifierKind::Logistic,
-            ClassifierKind::DecisionTree,
-            ClassifierKind::RandomForest,
-            ClassifierKind::AdaBoost,
-            ClassifierKind::NaiveBayes,
-        ] {
+        for kind in KINDS {
             let cfg = PipelineConfig {
                 classifier: kind,
                 ..Default::default()
@@ -438,6 +562,109 @@ mod tests {
                 out.report.accuracy
             );
         }
+    }
+
+    fn report_bits(r: &FairnessReport) -> [u64; 6] {
+        [
+            r.accuracy,
+            r.abs_odds_difference,
+            r.statistical_parity_difference,
+            r.disparate_impact,
+            r.equal_opportunity_difference,
+            r.cmi_s_pred_given_a,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Through one memo, a repeated run answers from it: the same report
+    /// bits as a fresh fit, one hit per repeat, one miss per model.
+    #[test]
+    fn report_memo_repeats_hit_with_the_fitted_bits() {
+        let (_, train, test) = figure_1a_splits(1200, 17);
+        let memo = ReportMemo::new();
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        for (i, classifier) in KINDS.into_iter().enumerate() {
+            let cfg = PipelineConfig {
+                classifier,
+                algo: SelectionAlgo::GrpSel { seed: Some(2) },
+                ..Default::default()
+            };
+            let fresh = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &cfg);
+            for round in 0..2 {
+                let out = run_pipeline_memo_in(&mut session, &memo, &train, &test, &cfg);
+                assert_eq!(out.model_cols, fresh.model_cols);
+                assert_eq!(
+                    report_bits(&out.report),
+                    report_bits(&fresh.report),
+                    "{classifier:?}, round {round}"
+                );
+            }
+            let s = memo.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.evictions),
+                (i as u64 + 1, i as u64 + 1, 0)
+            );
+        }
+    }
+
+    /// A memo capped at two evicts at the third model, and the evicted
+    /// model, asked for again, is fit again to the same bits.
+    #[test]
+    fn report_memo_cap_evicts_and_refits_bit_identically() {
+        let (_, train, test) = figure_1a_splits(1200, 19);
+        let memo = ReportMemo::with_cap(2);
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        let run = |session: &mut CiSession<GTest>, classifier| {
+            let cfg = PipelineConfig {
+                classifier,
+                ..Default::default()
+            };
+            run_pipeline_memo_in(session, &memo, &train, &test, &cfg).report
+        };
+        let first = run(&mut session, KINDS[0]);
+        run(&mut session, KINDS[1]);
+        assert_eq!(memo.stats().evictions, 0);
+        run(&mut session, KINDS[2]);
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 3, 1));
+        // The first model was the least recently used: it was evicted and
+        // is fit again.
+        let again = run(&mut session, KINDS[0]);
+        assert_eq!(report_bits(&again), report_bits(&first));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 4, 2));
+    }
+
+    /// A NaN or ±∞ in a numeric feature is an error naming the column and
+    /// the first such row, whichever tester reads it; finite values pass.
+    #[test]
+    fn non_finite_numeric_features_are_named_errors() {
+        let table = |bad: f64| {
+            let mut x: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
+            x[4] = bad;
+            x[9] = f64::NAN;
+            Table::new(vec![
+                fairsel_table::Column::cat("S", Role::Sensitive, [0, 1].repeat(6), 2),
+                fairsel_table::Column::num("X1", Role::Feature, x),
+                fairsel_table::Column::cat("Y", Role::Target, [1, 0, 0].repeat(4), 2),
+            ])
+            .unwrap()
+        };
+        for (bad, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            let err = check_column_kinds(&table(bad), false).unwrap_err();
+            assert!(
+                err.contains(&format!("feature column X1 holds {shown} at data row 5")),
+                "{err}"
+            );
+        }
+        // Under the G-test a numeric feature is refused for its kind.
+        let err = check_column_kinds(&table(f64::NAN), true).unwrap_err();
+        assert!(err.contains("feature column X1 is numeric"), "{err}");
+        assert!(check_column_kinds(&table(2.5).take_rows(&[0, 1, 2, 3, 4]), false).is_ok());
     }
 
     #[test]

@@ -1,46 +1,62 @@
-//! Log2-bucketed latency histograms with exact atomic counts.
+//! Log-linear latency histograms with exact atomic counts.
 //!
-//! A [`Histogram`] is a fixed array of 65 atomic buckets: bucket 0 holds
-//! the value 0, bucket `i` (1..=64) holds values in `[2^(i-1), 2^i)`
-//! (bucket 64's upper edge clamps at `u64::MAX`). Recording is three
-//! relaxed atomic adds and one atomic max — cheap enough to leave on
-//! unconditionally, and *exact*: totals are never sampled or decayed, so
-//! a quiescent histogram's bucket sum equals the number of `record`
-//! calls, which lets tests assert on counts deterministically even when
-//! the recorded durations themselves are nondeterministic.
+//! A [`Histogram`] is a fixed array of [`N_BUCKETS`] atomic buckets. The
+//! values 0 to 3 each have a bucket of their own; above that, every
+//! octave `[2^k, 2^(k+1))` is split into [`SUB_BUCKETS`] equal
+//! sub-buckets of width `2^(k-2)` (the last one's upper edge is
+//! `u64::MAX`). Recording is three relaxed atomic adds and one atomic max
+//! — cheap enough to leave on unconditionally, and *exact*: totals are
+//! never sampled or decayed, so a quiescent histogram's bucket sum equals
+//! the number of `record` calls, which lets tests assert on counts
+//! deterministically even when the recorded durations themselves are
+//! nondeterministic.
 //!
 //! Percentiles come from a [`HistSnapshot`]: the reported quantile is the
 //! upper edge of the bucket containing that rank, capped at the observed
-//! maximum, so `p50 <= p95 <= p99 <= max` holds by construction.
+//! maximum, so `p50 <= p95 <= p99 <= max` holds by construction. A
+//! sub-bucket's upper edge is below 5/4 of its lower edge, so a reported
+//! quantile overstates the value at that rank by less than a quarter
+//! (values below 8 are exact).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Bucket count: one zero bucket plus one per power-of-two magnitude.
-pub const N_BUCKETS: usize = 65;
+/// Sub-buckets per octave (a power of two).
+pub const SUB_BUCKETS: usize = 4;
 
-/// Bucket holding `v`: 0 for 0, else `floor(log2(v)) + 1`.
+/// `log2(SUB_BUCKETS)`: the bits below an octave's leading one that pick
+/// its sub-bucket.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Bucket count: one per value below [`SUB_BUCKETS`], then
+/// [`SUB_BUCKETS`] per octave from `2^SUB_BITS` up to `2^63`.
+pub const N_BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
+/// Bucket holding `v`: `v` itself below [`SUB_BUCKETS`], else the octave
+/// of `v`'s leading one and the `log2(SUB_BUCKETS)` bits after it.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
+    if v < SUB_BUCKETS as u64 {
+        return v as usize;
     }
+    let k = 63 - v.leading_zeros();
+    let sub = (v >> (k - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+    (k - SUB_BITS + 1) as usize * SUB_BUCKETS + sub
 }
 
 /// Inclusive upper edge of bucket `i` (`u64::MAX` for the last bucket).
 #[inline]
 pub fn bucket_upper(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
+    if i < SUB_BUCKETS {
+        return i as u64;
     }
+    // Bucket i covers [(S + sub) << shift, (S + sub + 1) << shift); the
+    // last bucket's end is 2^64.
+    let shift = i / SUB_BUCKETS - 1;
+    let end = ((SUB_BUCKETS + i % SUB_BUCKETS + 1) as u128) << shift;
+    (end - 1) as u64
 }
 
-/// A log2-bucketed histogram safe for concurrent recording.
+/// A log-linear bucketed histogram safe for concurrent recording.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; N_BUCKETS],
@@ -171,42 +187,61 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn bucket_edges_are_exact_log2() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        for k in 1..64usize {
-            let lo = 1u64 << (k - 1);
-            let hi = (1u64 << k) - 1;
-            assert_eq!(bucket_index(lo), k, "lower edge of bucket {k}");
-            assert_eq!(bucket_index(hi), k, "upper edge of bucket {k}");
-            if k < 63 {
-                assert_eq!(bucket_index(hi + 1), k + 1, "first value past bucket {k}");
+    fn bucket_edges_split_each_octave_in_four() {
+        assert_eq!(N_BUCKETS, 252);
+        // Values below 8 have buckets of their own.
+        for v in 0..8u64 {
+            assert_eq!(bucket_index(v), v as usize);
+            assert_eq!(bucket_upper(v as usize), v);
+        }
+        // The buckets tile 0..=u64::MAX in order, with no gap or overlap.
+        let mut lower = 0u64;
+        for i in 0..N_BUCKETS {
+            let upper = bucket_upper(i);
+            assert!(upper >= lower, "bucket {i} is empty");
+            assert_eq!(bucket_index(lower), i, "lower edge of bucket {i}");
+            assert_eq!(bucket_index(upper), i, "upper edge of bucket {i}");
+            if i + 1 < N_BUCKETS {
+                lower = upper + 1;
+            } else {
+                assert_eq!(upper, u64::MAX);
             }
         }
-        assert_eq!(bucket_upper(0), 0);
-        assert_eq!(bucket_upper(1), 1);
-        assert_eq!(bucket_upper(2), 3);
-        assert_eq!(bucket_upper(10), 1023);
-        assert_eq!(bucket_upper(63), (1u64 << 63) - 1);
+        // Each octave [2^k, 2^(k+1)) from k = 2 on splits into four equal
+        // sub-buckets, so an upper edge lies less than a quarter of its
+        // lower edge above it.
+        for k in 2..64u32 {
+            let width = 1u64 << (k - 2);
+            for sub in 0..4u64 {
+                let lo = (4 + sub) * width;
+                let upper = bucket_upper(bucket_index(lo));
+                assert_eq!(upper, lo + (width - 1), "octave {k}, sub-bucket {sub}");
+                assert!(upper - lo < lo / 4);
+            }
+        }
+        // A memo-hit select's 100 µs reads as 111 µs, not the octave's 127.
+        assert_eq!(bucket_upper(bucket_index(100)), 111);
+        assert_eq!(bucket_upper(bucket_index(1000)), 1023);
+        assert_eq!(bucket_upper(bucket_index(5000)), 5119);
     }
 
     #[test]
     fn u64_max_clamps_into_last_bucket() {
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_index(1u64 << 63), 64);
-        assert_eq!(bucket_upper(64), u64::MAX);
+        assert_eq!(bucket_index(u64::MAX), N_BUCKETS - 1);
+        assert_eq!(bucket_index(1u64 << 63), N_BUCKETS - SUB_BUCKETS);
+        assert_eq!(bucket_upper(N_BUCKETS - 1), u64::MAX);
         let h = Histogram::new();
         h.record(u64::MAX);
         let s = h.snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.buckets[64], 1);
+        assert_eq!(s.buckets[N_BUCKETS - 1], 1);
     }
 
     #[test]
     fn quantiles_walk_bucket_edges() {
         let h = Histogram::new();
-        // 90 fast (bucket upper edge 127), 9 medium (edge 1023), 1 slow.
+        // 90 fast (bucket upper edge 111), 9 medium (edge 1023), 1 slow.
         for _ in 0..90 {
             h.record(100);
         }
@@ -217,7 +252,7 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 100);
         assert_eq!(s.max, 50_000);
-        assert_eq!(s.p50(), 127);
+        assert_eq!(s.p50(), 111);
         assert_eq!(s.p95(), 1023);
         assert_eq!(s.p99(), 1023);
         assert_eq!(s.quantile(1.0), 50_000);
@@ -226,7 +261,7 @@ mod tests {
     #[test]
     fn quantiles_cap_at_observed_max() {
         let h = Histogram::new();
-        h.record(3000); // bucket upper edge is 4095 — must not be reported
+        h.record(3000); // bucket upper edge is 3071 — must not be reported
         let s = h.snapshot();
         assert_eq!(s.p50(), 3000);
         assert_eq!(s.p99(), 3000);
@@ -289,6 +324,6 @@ mod tests {
         h.record(5);
         h.record(5_000);
         let nz = h.snapshot().nonzero_buckets();
-        assert_eq!(nz, vec![(0, 1), (7, 1), (8191, 1)]);
+        assert_eq!(nz, vec![(0, 1), (5, 1), (5119, 1)]);
     }
 }

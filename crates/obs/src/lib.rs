@@ -2,8 +2,8 @@
 //!
 //! Three pieces, no external crates:
 //!
-//! - [`hist`] — log2-bucketed latency [`Histogram`]s with atomic buckets,
-//!   exact counts, and `p50`/`p95`/`p99`/`max` exposition, plus a
+//! - [`hist`] — latency [`Histogram`]s with four atomic buckets per
+//!   octave, exact counts, and `p50`/`p95`/`p99`/`max` exposition, plus a
 //!   monotone [`Counter`] for gauges like the pool busy-time integral.
 //! - [`trace`] — scoped [`span`]s with monotonic timestamps, parent
 //!   links, per-thread buffering, and a bounded process-wide

@@ -2,11 +2,19 @@
 //!
 //! Every `select` request names a dataset (CSV text) and a tester
 //! configuration. The registry maps the pair to a [`Workload`] holding the
-//! train/test split, one shared [`EncodedTable`], and one memoizing
-//! [`CiSession`] — so concurrent and repeated requests from many clients
-//! share a single encode pass and a single CI-outcome dedup cache, which
-//! is the whole point of running `fairsel serve` instead of one process
-//! per request.
+//! train/test split, one shared [`EncodedTable`], one memoizing
+//! [`CiSession`] and one [`ReportMemo`] — so concurrent and repeated
+//! requests from many clients share a single encode pass, a single
+//! CI-outcome dedup cache and one fit per model, which is the whole point
+//! of running `fairsel serve` instead of one process per request.
+//!
+//! The report memo is keyed on (classifier, model seed, model columns):
+//! on the workload's split those fix the fitted model and its report, so
+//! a repeated `select` or `methods` request runs its selection from the
+//! CI memo and takes its report from the report memo, fitting nothing.
+//! A workload born warm from an appended parent starts with an empty
+//! report memo, because its train and test rows differ from the
+//! parent's; evicting a workload drops its memo with it.
 //!
 //! Sharding is by *dataset fingerprint* mixed with the split and tester
 //! knobs that define the session's ground truth (`seed`, `train_frac`,
@@ -31,11 +39,12 @@ use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
 use fairsel_ci::{CiTestBatch, FisherZ, GTest};
 use fairsel_core::{
     check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods_in,
-    run_pipeline_batched_in, ClassifierKind, PipelineConfig, Problem, SelectConfig, SelectionAlgo,
+    run_pipeline_memo_in, ClassifierKind, PipelineConfig, Problem, ReportMemo, SelectConfig,
+    SelectionAlgo,
 };
 use fairsel_engine::CiSession;
 use fairsel_obs::TrackedMutex;
-use fairsel_table::{csv, ColumnData, EncodedTable, Table};
+use fairsel_table::{csv, ColumnData, EncodeStats, EncodedTable, Table};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -154,12 +163,14 @@ pub fn fingerprint_table(table: &Table) -> u64 {
 pub type BoxedSession = CiSession<Box<dyn CiTestBatch + Send + Sync>>;
 
 /// One resident workload: split tables, shared encoding layer, memoizing
-/// session.
+/// session, and the reports of the models fit on this split.
 pub struct Workload {
     pub train: Arc<Table>,
     pub test: Table,
     pub enc: Arc<EncodedTable>,
     pub session: CiSession<Box<dyn CiTestBatch + Send + Sync>>,
+    /// Reports of the models fit on `train`, scored on `test`.
+    pub memo: ReportMemo,
     pub fingerprint: u64,
     pub sessions_served: u64,
     /// True when the row-stable split degenerated to a prefix cut
@@ -229,6 +240,11 @@ pub struct Registry {
     /// invalidated for on-demand re-issue.
     memo_patched: AtomicU64,
     memo_invalidated: AtomicU64,
+    /// Report-memo telemetry summed over every workload, evicted ones
+    /// included.
+    report_memo_hits: AtomicU64,
+    report_memo_misses: AtomicU64,
+    report_memo_evictions: AtomicU64,
 }
 
 impl Registry {
@@ -245,6 +261,9 @@ impl Registry {
             warm_children: AtomicU64::new(0),
             memo_patched: AtomicU64::new(0),
             memo_invalidated: AtomicU64::new(0),
+            report_memo_hits: AtomicU64::new(0),
+            report_memo_misses: AtomicU64::new(0),
+            report_memo_evictions: AtomicU64::new(0),
         }
     }
 
@@ -288,6 +307,33 @@ impl Registry {
         self.memo_invalidated.load(Ordering::Relaxed)
     }
 
+    /// Model reports answered from a workload's report memo.
+    pub fn report_memo_hits(&self) -> u64 {
+        self.report_memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// Models fit because their workload's memo did not hold them.
+    pub fn report_memo_misses(&self) -> u64 {
+        self.report_memo_misses.load(Ordering::Relaxed)
+    }
+
+    /// Reports dropped by a workload memo's cap.
+    pub fn report_memo_evictions(&self) -> u64 {
+        self.report_memo_evictions.load(Ordering::Relaxed)
+    }
+
+    /// Add one request's change in a workload memo's telemetry to the
+    /// registry totals.
+    fn note_report_memo(&self, before: EncodeStats, after: EncodeStats) {
+        let add = |total: &AtomicU64, delta| total.fetch_add(delta, Ordering::Relaxed);
+        add(&self.report_memo_hits, after.hits - before.hits);
+        add(&self.report_memo_misses, after.misses - before.misses);
+        add(
+            &self.report_memo_evictions,
+            after.evictions - before.evictions,
+        );
+    }
+
     /// The recorded append parent of `child_fp`, if any.
     pub fn parent_of(&self, child_fp: u64) -> Option<u64> {
         self.lineage.lock().get(&child_fp).copied()
@@ -300,9 +346,11 @@ impl Registry {
     /// session built on the child is born warm from a resident parent
     /// session. Returns `(child fingerprint, child row count)`.
     ///
-    /// Fails clean (no state change) when the parent fingerprint is
-    /// unknown or evicted, or when the batch's schema does not match —
-    /// the same validation discipline as [`Table::concat`].
+    /// Fails clean (no state change) when the batch holds a value the
+    /// pipeline cannot read ([`check_column_kinds`]: a NaN or ±∞ in a
+    /// numeric feature, say), when the parent fingerprint is unknown or
+    /// evicted, or when the batch's schema does not match — the same
+    /// validation discipline as [`Table::concat`].
     ///
     /// The child's fingerprint continues the parent's column states over
     /// the batch, so it costs O(batch × columns) and equals
@@ -311,6 +359,9 @@ impl Registry {
         if batch.n_rows() == 0 {
             return Err("append batch has no rows".into());
         }
+        // The parent passed this check when its workload was built; the
+        // batch alone decides whether the child still does.
+        check_column_kinds(&batch, false).map_err(|e| format!("append batch rejected: {e}"))?;
         let (parent, folds) = {
             let mut puts = self.puts.lock();
             let slot = puts.get_mut(&fp).ok_or_else(|| {
@@ -429,7 +480,9 @@ impl Registry {
         let _sp = fairsel_obs::span_kv("registry.select", || {
             vec![("fingerprint", format!("{fingerprint:016x}"))]
         });
-        let out = run_pipeline_batched_in(&mut w.session, &train, &w.test, &cfg);
+        let before = w.memo.stats();
+        let out = run_pipeline_memo_in(&mut w.session, &w.memo, &train, &w.test, &cfg);
+        self.note_report_memo(before, w.memo.stats());
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let body = {
@@ -470,7 +523,9 @@ impl Registry {
         let _sp = fairsel_obs::span_kv("registry.methods", || {
             vec![("fingerprint", format!("{fingerprint:016x}"))]
         });
-        let outs = run_all_methods_in(&mut w.session, &train, &w.test, &cfg);
+        let before = w.memo.stats();
+        let outs = run_all_methods_in(&mut w.session, &w.memo, &train, &w.test, &cfg);
+        self.note_report_memo(before, w.memo.stats());
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
         let problem = Problem::from_table(&w.train);
@@ -572,6 +627,8 @@ impl Registry {
             test,
             enc,
             session,
+            // The parent's reports were fit and scored on other rows.
+            memo: ReportMemo::new(),
             fingerprint: child_fp,
             sessions_served: 0,
             split_fallback: false,
@@ -607,6 +664,7 @@ impl Registry {
             test: split.test,
             enc,
             session: CiSession::new(tester),
+            memo: ReportMemo::new(),
             fingerprint,
             sessions_served: 0,
             split_fallback: split.fallback,
@@ -789,6 +847,8 @@ mod tests {
         assert_eq!(cache1.fingerprint, cache2.fingerprint);
         assert_eq!(reg.requests(), 2);
         assert_eq!(reg.resident(), 1);
+        // The repeat's model report came from the workload's memo.
+        assert_eq!((reg.report_memo_hits(), reg.report_memo_misses()), (1, 1));
     }
 
     #[test]

@@ -776,6 +776,15 @@ fn stats_response(state: &ServerState) -> Response {
                 "memo_invalidated_total",
                 Json::Num(r.memo_invalidated() as f64),
             ),
+            ("report_memo_hits", Json::Num(r.report_memo_hits() as f64)),
+            (
+                "report_memo_misses",
+                Json::Num(r.report_memo_misses() as f64),
+            ),
+            (
+                "report_memo_evictions",
+                Json::Num(r.report_memo_evictions() as f64),
+            ),
             (
                 "active_conns",
                 Json::Num(state.active_conns.load(Ordering::SeqCst) as f64),
@@ -985,10 +994,38 @@ mod tests {
         assert!(s.get_u64("bytes_rx").unwrap() > 0);
         assert!(s.get_u64("bytes_tx").unwrap() > 0);
         assert!(s.get_num("request_wall_ms").unwrap() > 0.0);
+        // The repeat took its report from the workload's report memo.
+        assert_eq!(s.get_u64("report_memo_hits"), Some(1));
+        assert_eq!(s.get_u64("report_memo_misses"), Some(1));
+        assert_eq!(s.get_u64("report_memo_evictions"), Some(0));
+        assert!(crate::render_prom(&s).contains("\nfairsel_report_memo_hits 1\n"));
 
         handle.shutdown();
         // The port is released: further requests fail to connect.
         assert!(request(&addr, &Request::Ping).is_err());
+    }
+
+    /// The Prometheus `le` edges are the histogram's own bucket edges: a
+    /// 100 µs observation counts under 0.111 ms, the top of its
+    /// quarter-octave sub-bucket, not under the whole octave's 0.127 ms.
+    #[test]
+    fn prom_le_edges_follow_the_histogram_buckets() {
+        let h = Histogram::new();
+        h.record(100);
+        h.record(5000);
+        let stats = Json::obj(vec![(
+            "histograms",
+            Json::obj(vec![("queue_wait", hist_json(&h.snapshot()))]),
+        )]);
+        let text = crate::render_prom(&stats);
+        assert!(
+            text.contains("fairsel_queue_wait_ms_bucket{le=\"0.111\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("fairsel_queue_wait_ms_bucket{le=\"5.119\"} 2\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1891,7 +1891,8 @@ mod request_validation {
     //! structured error reply instead of a panic in the handler, and the
     //! connection that carried it goes on serving valid requests. So does
     //! a frame that is not UTF-8 JSON or nests past `MAX_JSON_DEPTH`, and
-    //! a dataset with a column whose kind the pipeline cannot read.
+    //! a dataset with a column whose kind or values the pipeline cannot
+    //! read.
 
     use fairsel_ci::{FisherZ, GTest};
     use fairsel_core::{render_pipeline_report, run_pipeline_batched};
@@ -1899,10 +1900,10 @@ mod request_validation {
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_server::proto::{read_frame, write_frame};
     use fairsel_server::{
-        pipeline_config, DatasetRef, Json, Request, Response, ServeConfig, Server, WorkloadRequest,
-        MAX_JSON_DEPTH, MAX_WORKERS,
+        fingerprint_table, pipeline_config, DatasetRef, Json, Request, Response, ServeConfig,
+        Server, WorkloadRequest, MAX_JSON_DEPTH, MAX_WORKERS,
     };
-    use fairsel_table::csv;
+    use fairsel_table::{codec, csv, ColumnData, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::TcpStream;
@@ -1923,6 +1924,13 @@ mod request_validation {
     /// One request/response exchange on an open connection.
     fn call(stream: &mut TcpStream, req: &Request) -> Response {
         call_raw(stream, req.to_json().to_string().as_bytes())
+    }
+
+    /// One exchange of a request that a payload frame follows (`put`,
+    /// `append`).
+    fn call_with_payload(stream: &mut TcpStream, req: &Request, payload: &[u8]) -> Response {
+        write_frame(stream, req.to_json().to_string().as_bytes()).expect("send");
+        call_raw(stream, payload)
     }
 
     /// One exchange of a request frame exactly as given.
@@ -2035,6 +2043,103 @@ mod request_validation {
         match call(&mut stream, &Request::Select(wl)) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("valid select after the malformed frames failed: {other:?}"),
+        }
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// A NaN or ±∞ in a numeric feature gets an error naming the column
+    /// and its first such row, however the dataset arrives: inline, by
+    /// `put` and then `select`, or in an appended batch, which is refused
+    /// so that no child is ever born over it. The connection then serves
+    /// a Fisher-z select of the clean parent, byte-identical to a local
+    /// run.
+    #[test]
+    fn non_finite_numeric_features_get_errors_on_a_connection_that_survives() {
+        let clean = crate::collinear_conditioning::collinear_table(2);
+        let poisoned = |table: &Table, column: &str, row: usize, v: f64| {
+            let mut cols = table.columns().to_vec();
+            let col = cols.iter_mut().find(|c| c.name == column).expect("column");
+            let ColumnData::Num(values) = &mut col.data else {
+                panic!("{column} is not numeric");
+            };
+            values[row] = v;
+            Table::new(cols).expect("table")
+        };
+        let fisherz = |dataset| WorkloadRequest {
+            dataset,
+            tester: "fisherz".into(),
+            ..Default::default()
+        };
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let expect_err = |resp: Response, expected: &str| match resp {
+            Response::Err(e) => assert!(e.contains(expected), "{e:?} must say {expected:?}"),
+            other => panic!("expected an error saying {expected:?}, got {other:?}"),
+        };
+        let fp_of = |resp: Response| match resp {
+            Response::Ok { body, .. } => u64::from_str_radix(&body, 16).expect("hex fingerprint"),
+            other => panic!("expected a fingerprint: {other:?}"),
+        };
+
+        // Inline CSV.
+        let inline = csv::to_csv_string(&poisoned(&clean, "X3", 10, f64::NAN));
+        expect_err(
+            call(
+                &mut stream,
+                &Request::Select(fisherz(DatasetRef::Csv(inline))),
+            ),
+            "feature column X3 holds NaN at data row 11",
+        );
+        // Put, then select by fingerprint: the upload is stored, the
+        // workload is refused.
+        let bytes = codec::encode_table(&poisoned(&clean, "X5", 0, f64::INFINITY));
+        let fp = fp_of(call_with_payload(&mut stream, &Request::Put, &bytes));
+        expect_err(
+            call(&mut stream, &Request::Select(fisherz(DatasetRef::Fp(fp)))),
+            "feature column X5 holds inf at data row 1",
+        );
+        // Append: the batch is refused and no child is stored.
+        let parent = fp_of(call_with_payload(
+            &mut stream,
+            &Request::Put,
+            &codec::encode_table(&clean),
+        ));
+        let rows: Vec<usize> = (0..40).collect();
+        let batch = poisoned(
+            &crate::collinear_conditioning::collinear_table(3).take_rows(&rows),
+            "X1",
+            2,
+            f64::NEG_INFINITY,
+        );
+        expect_err(
+            call_with_payload(
+                &mut stream,
+                &Request::Append { fp: parent },
+                &codec::encode_row_batch(&batch),
+            ),
+            "append batch rejected: feature column X1 holds -inf at data row 3",
+        );
+        let child = fingerprint_table(&clean.concat(&batch).expect("concat"));
+        expect_err(
+            call(
+                &mut stream,
+                &Request::Select(fisherz(DatasetRef::Fp(child))),
+            ),
+            "unknown dataset fingerprint",
+        );
+
+        let wl = fisherz(DatasetRef::Fp(parent));
+        let split = clean.split_rows_stable(wl.seed, wl.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(FisherZ::new(&train, wl.alpha), &train, &test, &cfg);
+        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        match call(&mut stream, &Request::Select(wl)) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("select after the rejected datasets failed: {other:?}"),
         }
         drop(stream);
         handle.shutdown();
@@ -2226,19 +2331,22 @@ mod observability {
             workers: 2,
             ..Default::default()
         });
-        match request(&addr, &req).expect("select") {
-            Response::Ok { .. } => {}
-            other => panic!("select failed: {other:?}"),
+        // The repeat takes its model report from the workload's memo.
+        for _ in 0..2 {
+            match request(&addr, &req).expect("select") {
+                Response::Ok { .. } => {}
+                other => panic!("select failed: {other:?}"),
+            }
         }
 
         // Trace: spans covering accept → queue wait → parse → engine
-        // phases → featurize, train, score → render → respond. The sink
-        // is process-global, so other tests' spans may interleave;
-        // containment is the assertion. A handler
-        // thread flushes its span buffer when the root request span
-        // drops — *after* the response bytes are written — so a
+        // phases → featurize, train, score (on the repeat, the report
+        // memo) → render → respond. The sink is process-global, so other
+        // tests' spans may interleave; containment is the assertion. A
+        // handler thread flushes its span buffer when the root request
+        // span drops — *after* the response bytes are written — so a
         // one-shot client can out-race the flush; poll briefly.
-        const EXPECTED: [&str; 12] = [
+        const EXPECTED: [&str; 13] = [
             "server.queue_wait",
             "server.request",
             "server.parse",
@@ -2250,6 +2358,7 @@ mod observability {
             "pipeline.featurize",
             "ml.train",
             "ml.score",
+            "report.memo",
             "report.render",
         ];
         let mut t = Json::Null;
@@ -2969,15 +3078,20 @@ mod serialization_order {
 #[cfg(test)]
 mod report_golden {
     use fairsel_ci::GTest;
-    use fairsel_core::render_pipeline_report;
-    use fairsel_core::run_pipeline_batched_in;
+    use fairsel_core::{
+        render_pipeline_report, run_pipeline_batched_in, run_pipeline_memo_in, PipelineConfig,
+        PipelineResult, ReportMemo,
+    };
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
     use fairsel_engine::CiSession;
     use fairsel_server::registry::StableHash;
     use fairsel_server::{pipeline_config, MaxGroupSpec, WorkloadRequest};
+    use fairsel_table::Table;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    type Session = CiSession<GTest>;
 
     /// `(algo, classifier, StableHash of the body)`, recorded with the
     /// dense IRLS loop that `LogisticRegression::fit` used before it
@@ -2995,9 +3109,9 @@ mod report_golden {
         ("seqsel", "nb", 0xf034_8801_70e9_9e71),
     ];
 
-    #[test]
-    fn rendered_reports_match_pinned_hashes() {
-        // 24 features and 5,000 rows, the shape of a warm-serve dataset.
+    /// The golden split: 24 features and 5,000 rows, the shape of a
+    /// warm-serve dataset.
+    fn golden_split() -> (Table, Table) {
         let cfg = SyntheticConfig {
             n_features: 24,
             biased_fraction: 0.2,
@@ -3009,27 +3123,49 @@ mod report_golden {
         let scm = synthetic_scm(&mut rng, &inst, 1.5);
         let table = sample_table(&scm, &inst.roles, 5000, &mut rng);
         let split = table.split_rows_stable(5, 0.7);
-        let (train, test) = (split.train, split.test);
+        (split.train, split.test)
+    }
 
+    /// The hash of every golden body, each pipeline run by `run` in
+    /// `session`.
+    fn body_hashes<F>(
+        session: &mut Session,
+        train: &Table,
+        test: &Table,
+        mut run: F,
+    ) -> Vec<(&'static str, &'static str, u64)>
+    where
+        F: FnMut(&mut Session, &PipelineConfig) -> PipelineResult,
+    {
+        GOLDEN
+            .iter()
+            .map(|&(algo, classifier, _)| {
+                let wl = WorkloadRequest {
+                    algo: algo.into(),
+                    classifier: classifier.into(),
+                    max_group: MaxGroupSpec::Auto,
+                    seed: 5,
+                    ..Default::default()
+                };
+                let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
+                let out = run(session, &cfg);
+                let body = render_pipeline_report(&out, train, &cfg, test.n_rows());
+                let mut h = StableHash::new();
+                h.bytes(body.as_bytes());
+                (algo, classifier, h.finish())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rendered_reports_match_pinned_hashes() {
+        let (train, test) = golden_split();
         // One session for all ten runs, as the server shares one per
         // dataset: later runs answer their CI tests from the memo.
         let mut session = CiSession::new(GTest::new(&train, 0.01));
-        let mut got = Vec::new();
-        for (algo, classifier, _) in GOLDEN {
-            let wl = WorkloadRequest {
-                algo: algo.into(),
-                classifier: classifier.into(),
-                max_group: MaxGroupSpec::Auto,
-                seed: 5,
-                ..Default::default()
-            };
-            let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
-            let out = run_pipeline_batched_in(&mut session, &train, &test, &cfg);
-            let body = render_pipeline_report(&out, &train, &cfg, test.n_rows());
-            let mut h = StableHash::new();
-            h.bytes(body.as_bytes());
-            got.push((algo, classifier, h.finish()));
-        }
+        let got = body_hashes(&mut session, &train, &test, |session, cfg| {
+            run_pipeline_batched_in(session, &train, &test, cfg)
+        });
         let table: Vec<String> = got
             .iter()
             .map(|(a, c, h)| format!("(\"{a}\", \"{c}\", 0x{h:016x}),"))
@@ -3040,5 +3176,261 @@ mod report_golden {
             "rendered report bytes changed; got:\n{}",
             table.join("\n")
         );
+    }
+
+    /// The same ten bodies through one report memo, twice: the first pass
+    /// fits what it has not fit yet, the second answers all ten from the
+    /// memo, and both render the pinned bytes.
+    #[test]
+    fn memoized_reports_match_pinned_hashes() {
+        let (train, test) = golden_split();
+        let mut session = CiSession::new(GTest::new(&train, 0.01));
+        let memo = ReportMemo::new();
+        for pass in 0..2 {
+            let before = memo.stats();
+            let got = body_hashes(&mut session, &train, &test, |session, cfg| {
+                run_pipeline_memo_in(session, &memo, &train, &test, cfg)
+            });
+            assert_eq!(got, GOLDEN.to_vec(), "pass {pass}");
+            let after = memo.stats();
+            if pass == 1 {
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (GOLDEN.len() as u64, 0),
+                    "the second pass must fit nothing"
+                );
+            }
+        }
+        assert_eq!(memo.stats().evictions, 0);
+    }
+}
+
+/// The per-workload report memo, served: a repeated model is answered
+/// from the memo with the bytes a fresh fit renders, a warm child fits
+/// its own models instead of reading its parent's, and a `methods` repeat
+/// fits nothing.
+#[cfg(test)]
+mod report_memo {
+    use fairsel_ci::GTest;
+    use fairsel_core::{
+        render_methods_report, render_pipeline_report, run_all_methods, run_pipeline_batched,
+        Problem, TesterSpec,
+    };
+    use fairsel_datasets::sim::sample_table;
+    use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
+    use fairsel_server::{
+        append_rows, pipeline_config, put_dataset, request, DatasetRef, Request, Response,
+        ServeConfig, Server, WorkloadRequest,
+    };
+    use fairsel_table::{codec, ColId, Table};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    fn workload_table(seed: u64, n_features: usize, rows: usize) -> Table {
+        let cfg = SyntheticConfig {
+            n_features,
+            biased_fraction: 0.2,
+            predictive_fraction: 0.25,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inst = synthetic_instance(&mut rng, &cfg);
+        let scm = synthetic_scm(&mut rng, &inst, 1.5);
+        sample_table(&scm, &inst.roles, rows, &mut rng)
+    }
+
+    fn fp_request(fp: u64, algo: &str, classifier: &str) -> WorkloadRequest {
+        WorkloadRequest {
+            dataset: DatasetRef::Fp(fp),
+            algo: algo.into(),
+            classifier: classifier.into(),
+            ..Default::default()
+        }
+    }
+
+    /// The body a local `fairsel select` of `req` on `table` prints, and
+    /// the columns its model trains on.
+    fn local_select(table: &Table, req: &WorkloadRequest) -> (String, Vec<ColId>) {
+        let split = table.split_rows_stable(req.seed, req.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(req, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(GTest::new(&train, req.alpha), &train, &test, &cfg);
+        let body = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        (body, out.model_cols)
+    }
+
+    fn fingerprint(resp: Response) -> u64 {
+        match resp {
+            Response::Ok { body, .. } => u64::from_str_radix(&body, 16).expect("hex fingerprint"),
+            other => panic!("expected a fingerprint: {other:?}"),
+        }
+    }
+
+    fn body(addr: &str, req: Request) -> String {
+        match request(addr, &req).expect("request") {
+            Response::Ok { body, .. } => body,
+            other => panic!("request failed: {other:?}"),
+        }
+    }
+
+    /// The server's stats value for each of `keys`.
+    fn stats<const N: usize>(addr: &str, keys: [&str; N]) -> [u64; N] {
+        let Response::Ok { stats: Some(s), .. } = request(addr, &Request::Stats).expect("stats")
+        else {
+            panic!("stats failed");
+        };
+        keys.map(|k| s.get_u64(k).unwrap_or_else(|| panic!("stats lacks {k}")))
+    }
+
+    /// Report-memo hits and misses so far.
+    fn memo_counts(addr: &str) -> [u64; 2] {
+        stats(addr, ["report_memo_hits", "report_memo_misses"])
+    }
+
+    /// The change in hits and misses across `run`.
+    fn memo_delta(addr: &str, run: impl FnOnce()) -> [u64; 2] {
+        let before = memo_counts(addr);
+        run();
+        let after = memo_counts(addr);
+        [after[0] - before[0], after[1] - before[1]]
+    }
+
+    /// Each of the five classifiers under both algorithms, selected
+    /// twice on one live server: every body equals a local run, and the
+    /// memo fits each distinct (classifier, model columns) once. Every
+    /// repeat is a hit, and so is a first select whose model the other
+    /// algorithm already fit.
+    #[test]
+    fn every_classifier_and_algorithm_repeat_is_a_byte_identical_hit() {
+        let table = workload_table(47, 12, 900);
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let fp = fingerprint(put_dataset(&addr, &codec::encode_table(&table)).expect("put"));
+
+        let mut fit = BTreeSet::new();
+        let mut repeats = 0u64;
+        for classifier in ["logistic", "tree", "forest", "adaboost", "nb"] {
+            for algo in ["grpsel", "seqsel"] {
+                let req = fp_request(fp, algo, classifier);
+                let (expected, model_cols) = local_select(&table, &req);
+                let fit_before = !fit.insert((classifier, model_cols));
+                for round in 0..2 {
+                    let mut got = String::new();
+                    let delta = memo_delta(&addr, || {
+                        got = body(&addr, Request::Select(req.clone()));
+                    });
+                    assert_eq!(got, expected, "{classifier}/{algo}, round {round}");
+                    let hit = round == 1 || fit_before;
+                    assert_eq!(
+                        delta,
+                        [u64::from(hit), u64::from(!hit)],
+                        "{classifier}/{algo}, round {round}: [hits, misses]"
+                    );
+                }
+                repeats += 1;
+            }
+        }
+        let [hits, misses, evictions] = stats(
+            &addr,
+            [
+                "report_memo_hits",
+                "report_memo_misses",
+                "report_memo_evictions",
+            ],
+        );
+        assert_eq!(misses, fit.len() as u64, "one fit per distinct model");
+        assert_eq!(hits, 2 * repeats - misses);
+        assert!(hits >= repeats, "every repeat is a hit");
+        assert_eq!(evictions, 0);
+        handle.shutdown();
+    }
+
+    /// A child born warm by `append` starts with an empty report memo:
+    /// its first select fits its own model (a miss, though the parent fit
+    /// the same classifier on what may be the same columns), and its body
+    /// equals a local cold run on the concatenated table. Its repeat is a
+    /// hit.
+    #[test]
+    fn a_warm_childs_first_select_misses_and_matches_a_cold_run() {
+        let full = workload_table(49, 10, 900);
+        let parent = full.take_rows(&(0..780).collect::<Vec<_>>());
+        let batch = full.take_rows(&(780..900).collect::<Vec<_>>());
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+
+        let fp = fingerprint(put_dataset(&addr, &codec::encode_table(&parent)).expect("put"));
+        let select = |fp| Request::Select(fp_request(fp, "grpsel", "logistic"));
+        let parent_delta = memo_delta(&addr, || {
+            body(&addr, select(fp));
+            body(&addr, select(fp));
+        });
+        assert_eq!(parent_delta, [1, 1], "the parent fits once, then hits");
+
+        let child =
+            fingerprint(append_rows(&addr, fp, &codec::encode_row_batch(&batch)).expect("append"));
+        let mut got = String::new();
+        let delta = memo_delta(&addr, || got = body(&addr, select(child)));
+        assert_eq!(
+            stats(&addr, ["warm_children"]),
+            [1],
+            "the child is born warm"
+        );
+        assert_eq!(delta, [0, 1], "the child's first select fits its model");
+        let (expected, _) = local_select(&full, &fp_request(child, "grpsel", "logistic"));
+        assert_eq!(got, expected, "warm child vs a local cold run");
+        let delta = memo_delta(&addr, || got = body(&addr, select(child)));
+        assert_eq!(delta, [1, 0], "the child's repeat is a hit");
+        assert_eq!(got, expected);
+        handle.shutdown();
+    }
+
+    /// A `methods` repeat answers all five methods from the memo, with the
+    /// selections and metric columns of the first sweep, which match a
+    /// local sweep's.
+    #[test]
+    fn a_methods_repeat_answers_every_method_from_the_memo() {
+        let table = workload_table(51, 10, 700);
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let fp = fingerprint(put_dataset(&addr, &codec::encode_table(&table)).expect("put"));
+        let methods = || Request::Methods(fp_request(fp, "grpsel", "logistic"));
+
+        let first = body(&addr, methods());
+        let mut second = String::new();
+        let delta = memo_delta(&addr, || second = body(&addr, methods()));
+        assert_eq!(delta, [5, 0], "every method answers from the memo");
+
+        // Method, selected count, accuracy, odds difference and CMI: the
+        // tests and issued columns count what each sweep paid.
+        let metrics = |body: &str| -> Vec<String> {
+            body.lines()
+                .skip(1)
+                .map(|line| {
+                    let f: Vec<&str> = line.split_whitespace().collect();
+                    format!("{} {} {}", f[0], f[1], f[f.len() - 3..].join(" "))
+                })
+                .collect()
+        };
+        assert_eq!(metrics(&first).len(), 5);
+        assert_eq!(metrics(&second), metrics(&first));
+
+        let req = fp_request(fp, "grpsel", "logistic");
+        let split = table.split_rows_stable(req.seed, req.train_frac);
+        let cfg = pipeline_config(&req, split.train.n_rows()).expect("config");
+        let local = run_all_methods(
+            &TesterSpec::GTest { alpha: req.alpha },
+            None,
+            &split.train,
+            &split.test,
+            &cfg,
+        );
+        let n_features = Problem::from_table(&split.train).n_features();
+        let local = render_methods_report(&local, n_features);
+        assert_eq!(metrics(&first), metrics(&local), "served vs local sweep");
+        handle.shutdown();
     }
 }
