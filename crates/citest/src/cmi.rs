@@ -8,19 +8,15 @@
 //! following Mukherjee et al. \[39\], as footnote 3 of the paper prescribes.
 
 use crate::contingency::{
-    carry_over, Arenas, ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
+    carry_over, encode_cache_stats, scaffold_stats, z_scaffold, Arenas, Scaffold, ScaffoldCache,
+    Strata, StratumRows, SuffKey, SuffTable, ZPartition,
 };
-use crate::{CiOutcome, CiTest, KernelMode, VarId};
+use crate::{CiOutcome, CiTest, VarId};
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A conditioning set's stratification plus its CSR per-stratum row
-/// layout — the scaffold one Z-group (and all `B + 1` statistic
-/// computations of each of its queries) shares.
-type CmiScaffold = (ZPartition, StratumRows);
 
 /// Plug-in conditional mutual information `I(X; Y | Z)` in nats from joint
 /// codes. Equals `G / (2n)` for the same contingency tables. Accumulation
@@ -34,9 +30,8 @@ pub fn cmi_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> f64 {
     cmi_from_strata(&Strata::count(x, y, z), n)
 }
 
-/// CMI from finished contingency counts — shared by the per-query path
-/// and the Z-grouped scaffold path ([`Strata::count_within`]); both order
-/// strata and cells identically, so the accumulation is byte-identical.
+/// CMI from hashed contingency counts ([`Strata::count`]), summed in their
+/// first-occurrence order.
 pub(crate) fn cmi_from_strata(strata: &Strata, n: usize) -> f64 {
     let nf = n as f64;
     let mut cmi = 0.0;
@@ -78,7 +73,6 @@ pub struct PermutationCmi {
     permutations: usize,
     seed: u64,
     degenerate: AtomicU64,
-    kernel: KernelMode,
     /// Cells zeroed+filled by the dense counting arena (telemetry:
     /// `dense_count_cells`).
     dense_cells: AtomicU64,
@@ -122,7 +116,6 @@ impl PermutationCmi {
             permutations,
             seed,
             degenerate: AtomicU64::new(0),
-            kernel: KernelMode::default(),
             dense_cells: AtomicU64::new(0),
             partitions: CappedCache::new(cap),
             suff: CappedCache::new(cap),
@@ -137,11 +130,10 @@ impl PermutationCmi {
     /// transferred scaffold is bit-identical to what a cold tester on the
     /// concatenated table would derive — and every retained observed-data
     /// table is patched with the appended rows. Test configuration (alpha,
-    /// permutation count, base seed, kernel mode) is inherited; evaluation
-    /// telemetry starts fresh, matching a cold run's counters.
+    /// permutation count, base seed) is inherited; evaluation telemetry
+    /// starts fresh, matching a cold run's counters.
     pub fn extended_from(parent: &PermutationCmi, enc: Arc<EncodedTable>) -> PermutationCmi {
-        let mut child = PermutationCmi::over(enc, parent.alpha, parent.permutations, parent.seed)
-            .with_kernel_mode(parent.kernel);
+        let mut child = PermutationCmi::over(enc, parent.alpha, parent.permutations, parent.seed);
         child.extended_scaffolds = carry_over(
             &child.enc,
             &parent.partitions,
@@ -150,32 +142,6 @@ impl PermutationCmi {
             &child.suff,
         );
         child
-    }
-
-    /// Select the counting-kernel generation (default: the narrow/arena
-    /// kernels). Outcomes are bit-identical either way; the reference
-    /// mode exists for benchmarking and bit-identity property tests.
-    pub fn with_kernel_mode(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Scaffold for the canonical conditioning set `zkey`, memoized.
-    fn z_scaffold(&self, zkey: &[VarId], ze: &Encoding) -> Arc<CmiScaffold> {
-        if self.enc.caching() {
-            if let Some(hit) = self.partitions.get(zkey) {
-                return hit;
-            }
-            let part = ZPartition::from_encoding(ze);
-            let rows = StratumRows::from_partition(&part);
-            self.partitions
-                .insert(zkey.to_vec(), Arc::new((part, rows)))
-        } else {
-            self.partitions.note_miss();
-            let part = ZPartition::from_encoding(ze);
-            let rows = StratumRows::from_partition(&part);
-            Arc::new((part, rows))
-        }
     }
 
     /// The shared encoding layer.
@@ -210,51 +176,35 @@ impl PermutationCmi {
         let ye = self.enc.encode(y);
         let n = ze.codes.len();
         let seed = crate::derived_query_seed(self.seed, x, y, zkey);
-        let (observed, p) = if self.kernel == KernelMode::Reference {
-            permute_and_count_reference(
-                &xe.codes.to_u32_vec(),
-                &ye.codes.to_u32_vec(),
+        let (xa, ya) = (xe.arity.max(1) as usize, ye.arity.max(1) as usize);
+        // Sides are already canonical here, so the retained table's
+        // as-evaluated spelling *is* the canonical cache key.
+        let key: SuffKey = (x.to_vec(), y.to_vec(), zkey.to_vec());
+        let retain_key = self.suff.peek(&key).is_none().then_some(key);
+        let mut retained: Option<SuffTable> = None;
+        let (observed, p) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
+            let (observed, p, cells) = permute_and_count_narrow(
+                xc,
+                xa,
+                yc,
+                ya,
                 part,
                 rows,
                 n,
                 seed,
                 self.permutations,
-            )
-        } else {
-            let (xa, ya) = (xe.arity.max(1) as usize, ye.arity.max(1) as usize);
-            // Sides are already canonical here, so the retained table's
-            // as-evaluated spelling *is* the canonical cache key.
-            let retain_key: Option<SuffKey> = self
-                .enc
-                .caching()
-                .then(|| (x.to_vec(), y.to_vec(), zkey.to_vec()))
-                .filter(|k| self.suff.peek(k).is_none());
-            let mut retained: Option<SuffTable> = None;
-            let (observed, p) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-                let (observed, p, cells) = permute_and_count_narrow(
-                    xc,
-                    xa,
-                    yc,
-                    ya,
-                    part,
-                    rows,
-                    n,
-                    seed,
-                    self.permutations,
-                    retain_key.is_some().then_some(&mut retained),
-                );
-                if cells > 0 {
-                    self.dense_cells.fetch_add(cells, Ordering::Relaxed);
-                }
-                (observed, p)
-            }));
-            if let (Some(key), Some(mut t)) = (retain_key, retained) {
-                t.xset = x.to_vec();
-                t.yset = y.to_vec();
-                self.suff.insert(key, Arc::new(t));
+                retain_key.is_some().then_some(&mut retained),
+            );
+            if cells > 0 {
+                self.dense_cells.fetch_add(cells, Ordering::Relaxed);
             }
             (observed, p)
-        };
+        }));
+        if let (Some(key), Some(mut t)) = (retain_key, retained) {
+            t.xset = x.to_vec();
+            t.yset = y.to_vec();
+            self.suff.insert(key, Arc::new(t));
+        }
         CiOutcome {
             independent: p > self.alpha,
             p_value: p,
@@ -268,8 +218,8 @@ impl PermutationCmi {
 /// space is too large) serves the observed statistic and all `B`
 /// replicates, and the permutation runs at the codes' native width. The
 /// statistic values — and therefore the `>= observed` comparisons and the
-/// p-value — are bit-identical to [`permute_and_count_reference`].
-/// Returns `(observed, p, dense cells used)`.
+/// p-value — are bit-identical to hashed counting of each permuted copy
+/// ([`cmi_from_codes`]). Returns `(observed, p, dense cells used)`.
 #[allow(clippy::too_many_arguments)]
 fn permute_and_count_narrow<X: CodeValue, Y: CodeValue>(
     xcodes: &[X],
@@ -343,34 +293,10 @@ fn replicate_pvalue<X: CodeValue, Y: CodeValue>(
     (p, cells)
 }
 
-/// The pre-kernel implementation, kept as the [`KernelMode::Reference`]
-/// path: full-width codes, hashed counting per replicate.
-fn permute_and_count_reference(
-    xcodes: &[u32],
-    ycodes: &[u32],
-    part: &ZPartition,
-    rows: &StratumRows,
-    n: usize,
-    seed: u64,
-    permutations: usize,
-) -> (f64, f64) {
-    let observed = cmi_from_strata(&Strata::count_within(xcodes, ycodes, part), n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut xperm = xcodes.to_vec();
-    let mut at_least = 1usize; // the observed statistic counts itself
-    for _ in 0..permutations {
-        shuffle_within_strata(&mut xperm, rows, &mut rng);
-        if cmi_from_strata(&Strata::count_within(&xperm, ycodes, part), n) >= observed {
-            at_least += 1;
-        }
-    }
-    (observed, at_least as f64 / (permutations + 1) as f64)
-}
-
 /// Fisher-Yates within each stratum, strata in first-occurrence order,
 /// rows ascending — the CSR layout reproduces the old per-stratum row
 /// lists exactly, so the same randomness is consumed in the same order
-/// regardless of code width or kernel mode.
+/// regardless of code width.
 fn shuffle_within_strata<T: Copy>(xperm: &mut [T], rows: &StratumRows, rng: &mut StdRng) {
     for s in 0..rows.n_strata() {
         let stratum = rows.stratum(s);
@@ -419,7 +345,7 @@ impl crate::CiTestShared for PermutationCmi {
         // every spelling — including the symmetric swap — permutes the
         // same side with the same randomness and returns byte-identical
         // outcomes).
-        let scaffold = self.z_scaffold(&zkey, &ze);
+        let scaffold = z_scaffold(&self.partitions, &zkey, &ze);
         self.eval_prepared(x, y, &zkey, &ze, &scaffold.0, &scaffold.1)
     }
 }
@@ -432,8 +358,7 @@ impl crate::CiTestBatch for PermutationCmi {
     /// scaffold.
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = crate::canonical_set(z);
-        type Scaffold = (Arc<Encoding>, Option<Arc<CmiScaffold>>);
-        let mut scaffold: Option<Scaffold> = None;
+        let mut scaffold: Option<(Arc<Encoding>, Option<Arc<Scaffold>>)> = None;
         queries
             .iter()
             .map(|q| {
@@ -445,7 +370,7 @@ impl crate::CiTestBatch for PermutationCmi {
                     let rest = if ze.all_singletons() {
                         None
                     } else {
-                        Some(self.z_scaffold(&zkey, &ze))
+                        Some(z_scaffold(&self.partitions, &zkey, &ze))
                     };
                     (ze, rest)
                 });
@@ -463,13 +388,7 @@ impl crate::CiTestBatch for PermutationCmi {
     }
 
     fn encode_cache_stats(&self) -> crate::EncodeStats {
-        self.enc
-            .stats()
-            .merged(self.partitions.stats())
-            .merged(crate::EncodeStats {
-                dense_count_cells: self.dense_cells.load(Ordering::Relaxed),
-                ..crate::EncodeStats::default()
-            })
+        encode_cache_stats(&self.enc, &self.partitions, &self.dense_cells)
     }
 
     fn extend_over(
@@ -480,17 +399,7 @@ impl crate::CiTestBatch for PermutationCmi {
     }
 
     fn scaffold_stats(&self) -> crate::ScaffoldStats {
-        crate::ScaffoldStats {
-            extended: self.extended_scaffolds,
-            rebuilt: self
-                .partitions
-                .inserted()
-                .saturating_sub(self.extended_scaffolds),
-            resident: self.partitions.len() as u64,
-            evictions: self.partitions.evictions(),
-            suff_tables: self.suff.len() as u64,
-            suff_evictions: self.suff.evictions(),
-        }
+        scaffold_stats(&self.partitions, &self.suff, self.extended_scaffolds)
     }
 
     /// Answer a memoized query from its retained-and-patched observed
@@ -502,9 +411,6 @@ impl crate::CiTestBatch for PermutationCmi {
     /// output bit matches. `None` routes the query to the invalidate
     /// path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        if self.kernel == KernelMode::Reference {
-            return None;
-        }
         if x.is_empty() || y.is_empty() {
             return Some(CiOutcome::decided(true));
         }
@@ -564,6 +470,7 @@ impl crate::CiTestBatch for PermutationCmi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_reference::ReferencePermutationCmi;
     use fairsel_math::assert_close;
     use fairsel_table::{Column, Role};
 
@@ -656,13 +563,14 @@ mod tests {
         assert!(out.p_value > 0.05, "independent data should not reject");
     }
 
+    /// The arena kernels agree bit for bit with the hashed reference that
+    /// recounts every replicate (`tests/kernel_reference/reference.rs`).
     #[test]
     fn kernel_modes_agree_bit_for_bit() {
         use crate::CiTestShared;
         let t = xor_table(800);
         let narrow = PermutationCmi::new(&t, 0.05, 49, 7);
-        let reference =
-            PermutationCmi::new(&t, 0.05, 49, 7).with_kernel_mode(crate::KernelMode::Reference);
+        let reference = ReferencePermutationCmi::new(&t, 0.05, 49, 7);
         for (x, y, z) in [
             (vec![0], vec![2], vec![]),
             (vec![0, 1], vec![2], vec![]),
@@ -685,13 +593,12 @@ mod tests {
         }
         use crate::CiTestBatch;
         assert!(narrow.encode_cache_stats().dense_count_cells > 0);
-        assert_eq!(reference.encode_cache_stats().dense_count_cells, 0);
     }
 
     /// A conditioning set that leaves most strata with one row misses the
     /// dense budget, so the narrow path counts the observed statistic and
     /// every replicate on the sparse arena. Statistic and p-value must
-    /// match the reference kernels bit for bit.
+    /// match the hashed reference bit for bit.
     #[test]
     fn sparse_shaped_kernel_modes_agree_bit_for_bit() {
         use crate::contingency::{dense_cell_space, ZPartition};
@@ -713,8 +620,7 @@ mod tests {
         ])
         .unwrap();
         let narrow = PermutationCmi::new(&t, 0.05, 49, 7);
-        let reference =
-            PermutationCmi::new(&t, 0.05, 49, 7).with_kernel_mode(crate::KernelMode::Reference);
+        let reference = ReferencePermutationCmi::new(&t, 0.05, 49, 7);
         let part = ZPartition::from_encoding(&narrow.encoded().encode(&[2]));
         let ones = part.sizes.iter().filter(|&&s| s == 1).count();
         assert!(

@@ -8,24 +8,27 @@
 //! engine promise byte-identical outcomes across the per-query, batched,
 //! and worker-pool execution paths.
 //!
-//! Two kernel generations coexist here. The hashed structures
-//! ([`Strata`]) are the reference: exact, width-generic, allocation-heavy.
-//! The arena structures ([`StratumRows`], [`Arenas`]) are the
-//! hardware-shaped fast path, reused across the queries (and permutation
-//! replicates) of a Z-group. Both walk the CSR row layout stratum by
-//! stratum. [`DenseArena`] counts into a flat `stratum × xa × ya` table
-//! filled by an unrolled loop; cell spaces too large for that table
+//! The testers count through the arena structures ([`StratumRows`],
+//! [`Arenas`]), reused across the queries (and permutation replicates) of
+//! a Z-group. Both arenas walk the CSR row layout stratum by stratum.
+//! [`DenseArena`] counts into a flat `stratum × xa × ya` table filled by
+//! an unrolled loop; cell spaces too large for that table
 //! ([`dense_cell_space`]) go to [`SparseArena`], which appends each
 //! stratum's cells to flat vectors through one reusable open-addressing
-//! index. Every statistic an arena produces is bit-identical to the
-//! hashed path: strata keep first-occurrence order, cells accumulate in
-//! first-occurrence row order, marginals are exact integer sums, and the
-//! statistic walk visits the same cells in the same order.
+//! index. The hashed per-query count ([`Strata`]) backs the fairness
+//! report's CMI and the documented `g_test_from_codes`; the replaced
+//! grouped kernels live on as test-side references
+//! (`tests/kernel_reference/reference.rs`). Every statistic an arena
+//! produces is bit-identical to the hashed count: strata keep
+//! first-occurrence order, cells accumulate in first-occurrence row order,
+//! marginals are exact integer sums, and the statistic walk visits the
+//! same cells in the same order.
 
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Precomputed stratification of a conditioning-set encoding — the shared
@@ -35,9 +38,9 @@ use std::sync::Arc;
 /// every permutation replicate).
 ///
 /// Strata are numbered in first-occurrence order of the `z` codes — the
-/// exact order [`Strata::count`] discovers them — so statistics computed
-/// through [`Strata::count_within`] accumulate in the same floating-point
-/// order and come out byte-identical.
+/// exact order [`Strata::count`] discovers them — so statistics counted
+/// against the partition accumulate in the same floating-point order and
+/// come out byte-identical.
 ///
 /// On dataset extension the partition and its CSR layout are extended
 /// together by [`extend_scaffold`], which hashes one code per parent
@@ -45,7 +48,7 @@ use std::sync::Arc;
 pub(crate) struct ZPartition {
     /// Per-row stratum index. (The fill loops stream the CSR row layout
     /// ([`StratumRows`]) rather than this per-row array; this stays for
-    /// the reference kernels and append patching.)
+    /// append patching.)
     pub stratum_of: Vec<u32>,
     /// Number of distinct strata.
     pub n_strata: usize,
@@ -583,8 +586,8 @@ impl StampedIndex {
 /// finds each stratum's `(x, y)` cells through one [`StampedIndex`],
 /// appending new cells in first-occurrence row order to flat vectors that
 /// every fill reuses. The walks derive marginals and df from the finished
-/// cells and visit the cells in the order [`Strata::count_within`] lists
-/// them, so every statistic is bit-identical to the hashed path.
+/// cells and visit the cells in the order [`Strata::count`] lists them, so
+/// every statistic is bit-identical to the hashed path.
 #[derive(Default)]
 pub(crate) struct SparseArena {
     /// `(x, y)` → position in `cells`, for the stratum being counted.
@@ -609,7 +612,7 @@ impl SparseArena {
     /// Count `(x, y)` cells per stratum of `part`, reading rows through
     /// its CSR layout `rows`. CSR rows ascend within a stratum, so each
     /// stratum's cells are discovered in the order the global row sweep
-    /// of [`Strata::count_within`] discovers them.
+    /// of [`Strata::count`] discovers them.
     pub fn fill<X: CodeValue, Y: CodeValue>(
         &mut self,
         x: &[X],
@@ -993,8 +996,60 @@ pub(crate) fn patch_suff_table(
     })))
 }
 
+/// A conditioning set's evaluation scaffold: the stratification and its
+/// CSR row layout (the arena fills iterate the CSR rows).
+pub(crate) type Scaffold = (ZPartition, StratumRows);
+
 /// A discrete tester's conditioning scaffolds, keyed by canonical set.
-pub(crate) type ScaffoldCache = CappedCache<Vec<crate::VarId>, Arc<(ZPartition, StratumRows)>>;
+pub(crate) type ScaffoldCache = CappedCache<Vec<crate::VarId>, Arc<Scaffold>>;
+
+/// The scaffold of the canonical conditioning set `zkey` (encoded as
+/// `ze`), memoized in `partitions` so concurrent chunks of one Z-group
+/// (and later levels re-using the set) share one stratification.
+pub(crate) fn z_scaffold(
+    partitions: &ScaffoldCache,
+    zkey: &[crate::VarId],
+    ze: &Encoding,
+) -> Arc<Scaffold> {
+    if let Some(hit) = partitions.get(zkey) {
+        return hit;
+    }
+    let part = ZPartition::from_encoding(ze);
+    let rows = StratumRows::from_partition(&part);
+    partitions.insert(zkey.to_vec(), Arc::new((part, rows)))
+}
+
+/// A discrete tester's scaffold ledger: `extended` scaffolds were carried
+/// over from a parent tester, every other insert was rebuilt.
+pub(crate) fn scaffold_stats(
+    partitions: &ScaffoldCache,
+    suff: &CappedCache<SuffKey, Arc<SuffTable>>,
+    extended: u64,
+) -> crate::ScaffoldStats {
+    crate::ScaffoldStats {
+        extended,
+        rebuilt: partitions.inserted().saturating_sub(extended),
+        resident: partitions.len() as u64,
+        evictions: partitions.evictions(),
+        suff_tables: suff.len() as u64,
+        suff_evictions: suff.evictions(),
+    }
+}
+
+/// A discrete tester's encode counters: the shared encoding layer's, its
+/// scaffold cache's, and the cells its dense arenas counted.
+pub(crate) fn encode_cache_stats(
+    enc: &EncodedTable,
+    partitions: &ScaffoldCache,
+    dense_cells: &AtomicU64,
+) -> crate::EncodeStats {
+    enc.stats()
+        .merged(partitions.stats())
+        .merged(crate::EncodeStats {
+            dense_count_cells: dense_cells.load(Ordering::Relaxed),
+            ..crate::EncodeStats::default()
+        })
+}
 
 /// Carry a parent tester's state into the caches of a tester over the
 /// extended encoding layer `enc`: every resident scaffold is extended over
@@ -1009,9 +1064,6 @@ pub(crate) fn carry_over(
     partitions: &ScaffoldCache,
     suff: &CappedCache<SuffKey, Arc<SuffTable>>,
 ) -> u64 {
-    if !enc.caching() {
-        return 0;
-    }
     let mut scaffolds = parent_partitions.snapshot();
     scaffolds.sort_by(|a, b| a.0.cmp(&b.0));
     let carried = scaffolds.len() as u64;
@@ -1091,49 +1143,6 @@ impl Strata {
         }
         out
     }
-
-    /// Count `(x, y)` pairs against a precomputed stratification.
-    ///
-    /// Produces a `Strata` with the same strata order, cell order, and
-    /// float values as [`Strata::count`] over the codes the partition was
-    /// built from: strata were numbered in first-occurrence order, cells
-    /// accumulate in first-occurrence row order, and the marginals —
-    /// derived here from the finished cells instead of row by row — are
-    /// sums of small integers, which float addition performs exactly in
-    /// either order. This is the [`crate::KernelMode::Reference`] counter
-    /// and the oracle the arenas are tested against; the narrow path
-    /// counts through [`Arenas`] instead.
-    ///
-    /// # Panics
-    /// Panics when the slices disagree in length with the partition.
-    pub fn count_within<X: CodeValue, Y: CodeValue>(x: &[X], y: &[Y], part: &ZPartition) -> Strata {
-        let n = x.len();
-        assert_eq!(n, y.len(), "contingency: length mismatch");
-        assert_eq!(n, part.stratum_of.len(), "contingency: partition mismatch");
-        let mut strata: Vec<Stratum> = (0..part.n_strata).map(|_| Stratum::default()).collect();
-        for i in 0..n {
-            let s = &mut strata[part.stratum_of[i] as usize];
-            let key = (x[i].widen(), y[i].widen());
-            match s.cell_index.get(&key) {
-                Some(&ci) => s.cells[ci].1 += 1.0,
-                None => {
-                    s.cell_index.insert(key, s.cells.len());
-                    s.cells.push((key, 1.0));
-                }
-            }
-            s.total += 1.0;
-        }
-        for s in &mut strata {
-            for &((xv, yv), nxy) in &s.cells {
-                *s.xm.entry(xv).or_insert(0.0) += nxy;
-                *s.ym.entry(yv).or_insert(0.0) += nxy;
-            }
-        }
-        Strata {
-            index: HashMap::new(),
-            strata,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1162,6 +1171,9 @@ mod tests {
         assert!(s.strata.is_empty());
     }
 
+    /// Counting within a partition — the CSR stratum rows walked by the
+    /// dense arena — gives the cells, counts, marginals and totals that
+    /// `Strata::count` gives over the same `z` codes, in the same order.
     #[test]
     fn count_within_matches_count() {
         // Irregular codes with repeats and a stratum of size one.
@@ -1175,32 +1187,64 @@ mod tests {
         assert_eq!(csr.stratum(0), &[0, 2, 5, 7]); // stratum of z=7 first
         assert_eq!(csr.stratum(1), &[1, 3, 6]);
         assert_eq!(csr.stratum(2), &[4]);
-        let a = Strata::count(&x, &y, &z);
-        let b = Strata::count_within(&x, &y, &part);
-        assert_eq!(a.strata.len(), b.strata.len());
-        for (sa, sb) in a.strata.iter().zip(&b.strata) {
-            assert_eq!(sa.cells, sb.cells);
-            assert_eq!(sa.total, sb.total);
-            assert_eq!(sa.xm, sb.xm);
-            assert_eq!(sa.ym, sb.ym);
+        let (xa, ya) = (3usize, 3usize);
+        let cells = dense_cell_space(x.len(), part.n_strata, xa, ya).unwrap();
+        let mut arena = DenseArena::default();
+        arena.fill(&x, &y, xa, ya, &part, &csr, cells);
+        let hashed = Strata::count(&x, &y, &z);
+        assert_eq!(hashed.strata.len(), part.n_strata);
+        for (s, sa) in hashed.strata.iter().enumerate() {
+            let within: Vec<((u32, u32), f64)> = arena.cell_order[s]
+                .iter()
+                .map(|&(xv, yv)| {
+                    let n = arena.counts[(s * xa + xv as usize) * ya + yv as usize];
+                    ((xv, yv), n as f64)
+                })
+                .collect();
+            assert_eq!(sa.cells, within);
+            assert_eq!(sa.total, arena.totals[s] as f64);
+            let mut xm: HashMap<u32, f64> = HashMap::new();
+            let mut ym: HashMap<u32, f64> = HashMap::new();
+            for &((xv, yv), n) in &within {
+                *xm.entry(xv).or_default() += n;
+                *ym.entry(yv).or_default() += n;
+            }
+            assert_eq!(sa.xm, xm);
+            assert_eq!(sa.ym, ym);
         }
     }
 
+    /// The dense arena counts u8/u16 codes exactly as it counts u32
+    /// codes: the same cell order, and G, df and CMI bit for bit.
     #[test]
     fn narrow_widths_count_identically() {
+        /// Per-stratum cell order, then the G bits, df and CMI bits.
+        type Walks = (Vec<Vec<(u32, u32)>>, u64, usize, u64);
+        fn walks<X: CodeValue, Y: CodeValue>(
+            x: &[X],
+            y: &[Y],
+            part: &ZPartition,
+            csr: &StratumRows,
+        ) -> Walks {
+            let cells = dense_cell_space(x.len(), part.n_strata, 3, 3).unwrap();
+            let mut arena = DenseArena::default();
+            arena.fill(x, y, 3, 3, part, csr, cells);
+            let order = arena.cell_order[..part.n_strata].to_vec();
+            let (g, df) = arena.g_walk();
+            arena.fill(x, y, 3, 3, part, csr, cells);
+            (order, g.to_bits(), df, arena.cmi_walk(x.len()).to_bits())
+        }
+        // Irregular codes with repeats and a stratum of size one.
         let x8 = [1u8, 0, 1, 1, 2, 0, 1, 2];
         let x32: Vec<u32> = x8.iter().map(|&v| v as u32).collect();
         let y16 = [0u16, 0, 0, 1, 1, 2, 0, 1];
         let y32: Vec<u32> = y16.iter().map(|&v| v as u32).collect();
         let z = [7u32, 3, 7, 3, 9, 7, 3, 7];
         let part = ZPartition::from_codes(&z);
-        let narrow = Strata::count_within(&x8, &y16, &part);
-        let wide = Strata::count_within(x32.as_slice(), y32.as_slice(), &part);
-        for (sa, sb) in narrow.strata.iter().zip(&wide.strata) {
-            assert_eq!(sa.cells, sb.cells);
-            assert_eq!(sa.xm, sb.xm);
-            assert_eq!(sa.ym, sb.ym);
-        }
+        let csr = StratumRows::from_partition(&part);
+        let narrow = walks(&x8, &y16, &part, &csr);
+        let wide = walks(x32.as_slice(), y32.as_slice(), &part, &csr);
+        assert_eq!(narrow, wide);
     }
 
     #[test]
@@ -1252,7 +1296,7 @@ mod tests {
         let mut arena = DenseArena::default();
         arena.fill(&x, &y, xa, ya, &part, &rows, cells);
         let (g_dense, df_dense) = arena.g_walk();
-        let hashed = Strata::count_within(&x, &y, &part);
+        let hashed = Strata::count(&x, &y, &z);
         let mut g = 0.0;
         let mut df = 0usize;
         for s in &hashed.strata {
@@ -1419,7 +1463,7 @@ mod tests {
                 sparse_stats(&mut arena, xs, ys, &part, &rows)
             }));
 
-            let hashed = Strata::count_within(&x, &y, &part);
+            let hashed = Strata::count(&x, &y, &z);
             let mut g_ref = 0.0;
             let mut df_ref = 0usize;
             for s in &hashed.strata {

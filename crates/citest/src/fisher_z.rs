@@ -108,21 +108,14 @@ impl FisherZ {
     /// Residuals of `col` on the canonical `z` set, memoized.
     fn residual(&self, col: ColId, zkey: &[ColId]) -> Arc<Residual> {
         let key = (col, zkey.to_vec());
-        if self.enc.caching() {
-            if let Some(hit) = self.residuals.get(&key) {
-                return hit;
-            }
+        if let Some(hit) = self.residuals.get(&key) {
+            return hit;
         }
         let res = self
             .residualize(zkey, &[col])
             .pop()
             .expect("one residual per column");
-        if self.enc.caching() {
-            self.residuals.insert(key, res)
-        } else {
-            self.residuals.note_miss();
-            res
-        }
+        self.residuals.insert(key, res)
     }
 
     fn canonical_z(z: &[VarId]) -> Vec<ColId> {
@@ -237,7 +230,7 @@ impl crate::CiTestBatch for FisherZ {
     /// residuals (see `FisherZ::prefill_residuals`).
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = Self::canonical_z(z);
-        if !zkey.is_empty() && self.enc.caching() {
+        if !zkey.is_empty() {
             self.prefill_residuals(&zkey, queries);
         }
         queries

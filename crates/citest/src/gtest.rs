@@ -10,10 +10,10 @@
 //! group testing multiplies arities together.
 
 use crate::contingency::{
-    carry_over, Arenas, DenseArena, ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable,
-    ZPartition,
+    carry_over, encode_cache_stats, scaffold_stats, z_scaffold, Arenas, DenseArena, Scaffold,
+    ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
 };
-use crate::{CiOutcome, CiTest, KernelMode, VarId};
+use crate::{CiOutcome, CiTest, VarId};
 use fairsel_math::special::chi2_sf;
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +38,6 @@ pub struct GTest {
     enc: Arc<EncodedTable>,
     alpha: f64,
     degenerate: AtomicU64,
-    kernel: KernelMode,
     /// Cells zeroed+filled by the dense counting arena (telemetry:
     /// `dense_count_cells`).
     dense_cells: AtomicU64,
@@ -59,10 +58,6 @@ pub struct GTest {
     extended_scaffolds: u64,
 }
 
-/// A conditioning set's memoized evaluation scaffold: the stratification
-/// and its CSR row layout (the arena fill iterates the CSR rows).
-type GScaffold = (ZPartition, StratumRows);
-
 impl GTest {
     /// Create a tester at significance level `alpha` (paper default: 0.01,
     /// swept to 0.05 in §5.2 with stable results), with a private
@@ -80,7 +75,6 @@ impl GTest {
             enc,
             alpha,
             degenerate: AtomicU64::new(0),
-            kernel: KernelMode::default(),
             dense_cells: AtomicU64::new(0),
             partitions: CappedCache::new(cap),
             suff: CappedCache::new(cap),
@@ -96,7 +90,7 @@ impl GTest {
     /// scaffolds come from changes. Telemetry (degenerate short-circuits,
     /// dense-arena cells) starts fresh, matching a cold tester's counters.
     pub fn extended_from(parent: &GTest, enc: Arc<EncodedTable>) -> GTest {
-        let mut child = GTest::over(enc, parent.alpha).with_kernel_mode(parent.kernel);
+        let mut child = GTest::over(enc, parent.alpha);
         // Retained sufficient statistics are patched with the appended
         // rows now — O(batch) integer counting per table.
         child.extended_scaffolds = carry_over(
@@ -107,14 +101,6 @@ impl GTest {
             &child.suff,
         );
         child
-    }
-
-    /// Select the counting-kernel generation (default: the narrow/arena
-    /// kernels). Outcomes are bit-identical either way; the reference
-    /// mode exists for benchmarking and bit-identity property tests.
-    pub fn with_kernel_mode(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The underlying table.
@@ -150,17 +136,10 @@ impl GTest {
         }
         let xe = self.enc.encode(x);
         let ye = self.enc.encode(y);
-        if self.kernel == KernelMode::Reference {
-            return g_test_from_codes(
-                &xe.codes.to_u32_vec(),
-                &ye.codes.to_u32_vec(),
-                &ze.codes.to_u32_vec(),
-            );
-        }
         // The per-query path runs the same grouped kernel against the
         // (memoized) stratification scaffold — bit-identical to the hashed
         // per-query statistic (see `grouped_statistic_is_byte_identical`).
-        let sc = self.z_partition(&zkey, &ze);
+        let sc = z_scaffold(&self.partitions, &zkey, &ze);
         self.grouped_kernel(&xe, &ye, &sc, &mut Arenas::default(), Some((x, y, &zkey)))
     }
 
@@ -172,7 +151,7 @@ impl GTest {
         &self,
         xe: &fairsel_table::Encoding,
         ye: &fairsel_table::Encoding,
-        sc: &GScaffold,
+        sc: &Scaffold,
         arenas: &mut Arenas,
         retain: Option<(&[VarId], &[VarId], &[VarId])>,
     ) -> (f64, f64) {
@@ -194,9 +173,6 @@ impl GTest {
     /// dataset extension can patch them with only the appended rows
     /// instead of recounting from scratch.
     fn retain_suff(&self, x: &[VarId], y: &[VarId], zkey: &[VarId], arena: &DenseArena, n: usize) {
-        if !self.enc.caching() {
-            return;
-        }
         let (xs, ys) = crate::canonical_sides(x, y);
         let key = (xs, ys, zkey.to_vec());
         if self.suff.peek(&key).is_some() {
@@ -206,26 +182,6 @@ impl GTest {
         t.xset = x.to_vec();
         t.yset = y.to_vec();
         self.suff.insert(key, Arc::new(t));
-    }
-
-    /// Stratification of the canonical conditioning set `zkey`, memoized
-    /// so concurrent chunks of one Z-group (and later levels re-using the
-    /// set) share a single scaffold.
-    fn z_partition(&self, zkey: &[VarId], ze: &fairsel_table::Encoding) -> Arc<GScaffold> {
-        if self.enc.caching() {
-            if let Some(hit) = self.partitions.get(zkey) {
-                return hit;
-            }
-            let part = ZPartition::from_encoding(ze);
-            let rows = StratumRows::from_partition(&part);
-            self.partitions
-                .insert(zkey.to_vec(), Arc::new((part, rows)))
-        } else {
-            self.partitions.note_miss();
-            let part = ZPartition::from_encoding(ze);
-            let rows = StratumRows::from_partition(&part);
-            Arc::new((part, rows))
-        }
     }
 }
 
@@ -260,13 +216,12 @@ impl crate::CiTestShared for GTest {
 impl crate::CiTestBatch for GTest {
     /// Z-grouped evaluation: one stratification scaffold per group, every
     /// pair counted against it. Byte-identical to [`GTest::g_statistic`]
-    /// (same strata order, same cell order, same float accumulation — see
-    /// `Strata::count_within`).
+    /// (same strata order, same cell order, same float accumulation).
     fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
         let zkey = crate::canonical_set(z);
         // Built lazily so a group of empty-sided queries never encodes.
         // One pair of arenas serves every query of the group.
-        let mut scaffold: Option<(Arc<fairsel_table::Encoding>, Option<Arc<GScaffold>>)> = None;
+        let mut scaffold: Option<(Arc<fairsel_table::Encoding>, Option<Arc<Scaffold>>)> = None;
         let mut arenas = Arenas::default();
         queries
             .iter()
@@ -279,7 +234,7 @@ impl crate::CiTestBatch for GTest {
                     let part = if ze.all_singletons() {
                         None
                     } else {
-                        Some(self.z_partition(&zkey, &ze))
+                        Some(z_scaffold(&self.partitions, &zkey, &ze))
                     };
                     (ze, part)
                 });
@@ -295,17 +250,8 @@ impl crate::CiTestBatch for GTest {
                 };
                 let xe = self.enc.encode(q.x);
                 let ye = self.enc.encode(q.y);
-                let (g, p) = if self.kernel == KernelMode::Reference {
-                    g_test_grouped_reference(
-                        &xe.codes.to_u32_vec(),
-                        xe.arity,
-                        &ye.codes.to_u32_vec(),
-                        ye.arity,
-                        &sc.0,
-                    )
-                } else {
-                    self.grouped_kernel(&xe, &ye, sc, &mut arenas, Some((q.x, q.y, &zkey)))
-                };
+                let (g, p) =
+                    self.grouped_kernel(&xe, &ye, sc, &mut arenas, Some((q.x, q.y, &zkey)));
                 CiOutcome {
                     independent: p > self.alpha,
                     p_value: p,
@@ -316,13 +262,7 @@ impl crate::CiTestBatch for GTest {
     }
 
     fn encode_cache_stats(&self) -> crate::EncodeStats {
-        self.enc
-            .stats()
-            .merged(self.partitions.stats())
-            .merged(crate::EncodeStats {
-                dense_count_cells: self.dense_cells.load(Ordering::Relaxed),
-                ..crate::EncodeStats::default()
-            })
+        encode_cache_stats(&self.enc, &self.partitions, &self.dense_cells)
     }
 
     fn extend_over(
@@ -333,17 +273,7 @@ impl crate::CiTestBatch for GTest {
     }
 
     fn scaffold_stats(&self) -> crate::ScaffoldStats {
-        crate::ScaffoldStats {
-            extended: self.extended_scaffolds,
-            rebuilt: self
-                .partitions
-                .inserted()
-                .saturating_sub(self.extended_scaffolds),
-            resident: self.partitions.len() as u64,
-            evictions: self.partitions.evictions(),
-            suff_tables: self.suff.len() as u64,
-            suff_evictions: self.suff.evictions(),
-        }
+        scaffold_stats(&self.partitions, &self.suff, self.extended_scaffolds)
     }
 
     /// Answer a memoized query from its retained-and-patched sufficient
@@ -352,12 +282,6 @@ impl crate::CiTestBatch for GTest {
     /// identical, bit for bit, to a cold arena walk — runs here. `None`
     /// routes the query to the invalidate path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        if self.kernel == KernelMode::Reference {
-            // The reference kernels never fill the arena, so nothing was
-            // retained; decline rather than diverge from the cold path's
-            // counter accounting.
-            return None;
-        }
         if x.is_empty() || y.is_empty() {
             return Some(CiOutcome::decided(true));
         }
@@ -413,8 +337,7 @@ pub fn g_test_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> (f64, f64) {
 /// counting runs on the reusable flat table, otherwise on the reusable
 /// sparse arena; neither allocates per query once its buffers have grown,
 /// and both are generic over the stored code width. Both paths are
-/// byte-identical to [`g_test_from_codes`] and to
-/// [`g_test_grouped_reference`]: strata keep the partition's
+/// byte-identical to [`g_test_from_codes`]: strata keep the partition's
 /// first-occurrence order, cells accumulate in first-occurrence row
 /// order, marginals are exact integer sums, and the G summation walks the
 /// same cells in the same order. Returns `(G, p, dense cells used)`.
@@ -446,84 +369,8 @@ pub(crate) fn finish_g(g: f64, df: usize) -> (f64, f64) {
     (g, chi2_sf(g, df as f64))
 }
 
-/// The pre-arena Z-grouped G computation, kept verbatim as the
-/// [`KernelMode::Reference`] implementation: full-width codes, per-query
-/// scratch allocation. Byte-identical to [`g_test_grouped_narrow`] — the
-/// property the kernel-mode tests pin.
-fn g_test_grouped_reference(
-    x: &[u32],
-    xa: u32,
-    y: &[u32],
-    ya: u32,
-    part: &ZPartition,
-) -> (f64, f64) {
-    let n = x.len();
-    if n == 0 {
-        return (0.0, 1.0);
-    }
-    let (xa, ya) = (xa.max(1) as usize, ya.max(1) as usize);
-    let cell_space = (part.n_strata as u64) * (xa as u64) * (ya as u64);
-    if cell_space > (8 * n as u64).max(4096) {
-        return g_from_strata(&Strata::count_within(x, y, part));
-    }
-    let cell_space = cell_space as usize;
-    // Cell counts indexed (stratum, x, y), plus each stratum's cells in
-    // first-occurrence order — the order the G sum must walk.
-    let mut counts = vec![0.0f64; cell_space];
-    let mut cell_order: Vec<Vec<(u32, u32)>> = vec![Vec::new(); part.n_strata];
-    let mut totals = vec![0.0f64; part.n_strata];
-    for i in 0..n {
-        let s = part.stratum_of[i] as usize;
-        let flat = (s * xa + x[i] as usize) * ya + y[i] as usize;
-        if counts[flat] == 0.0 {
-            cell_order[s].push((x[i], y[i]));
-        }
-        counts[flat] += 1.0;
-        totals[s] += 1.0;
-    }
-    // Marginals from finished cells (exact integer sums, identical to
-    // per-row accumulation), tracking distinct observed values for df.
-    let mut xm = vec![0.0f64; part.n_strata * xa];
-    let mut ym = vec![0.0f64; part.n_strata * ya];
-    let mut g = 0.0;
-    let mut df = 0usize;
-    for s in 0..part.n_strata {
-        let mut r = 0usize;
-        let mut c = 0usize;
-        for &(xv, yv) in &cell_order[s] {
-            let nxy = counts[(s * xa + xv as usize) * ya + yv as usize];
-            let xslot = &mut xm[s * xa + xv as usize];
-            if *xslot == 0.0 {
-                r += 1;
-            }
-            *xslot += nxy;
-            let yslot = &mut ym[s * ya + yv as usize];
-            if *yslot == 0.0 {
-                c += 1;
-            }
-            *yslot += nxy;
-        }
-        for &(xv, yv) in &cell_order[s] {
-            let nxy = counts[(s * xa + xv as usize) * ya + yv as usize];
-            let nx = xm[s * xa + xv as usize];
-            let ny = ym[s * ya + yv as usize];
-            g += 2.0 * nxy * ((nxy * totals[s]) / (nx * ny)).ln();
-        }
-        if r > 1 && c > 1 {
-            df += (r - 1) * (c - 1);
-        }
-    }
-    if df == 0 {
-        return (0.0, 1.0);
-    }
-    let g = g.max(0.0);
-    (g, chi2_sf(g, df as f64))
-}
-
-/// The G statistic and p-value from finished contingency counts. Shared by
-/// the per-query path ([`Strata::count`]) and the Z-grouped path
-/// ([`Strata::count_within`]); both produce identically ordered strata, so
-/// the accumulation here is byte-identical between them.
+/// The G statistic and p-value from hashed contingency counts
+/// ([`Strata::count`]), summed in their first-occurrence order.
 pub(crate) fn g_from_strata(strata: &Strata) -> (f64, f64) {
     let mut g = 0.0;
     let mut df = 0usize;
@@ -704,10 +551,10 @@ mod tests {
         assert_eq!(p, 1.0);
     }
 
-    /// The arena grouped counters (dense and sparse) and the reference
-    /// grouped counter are bit-for-bit the per-query statistic, across
-    /// arities small enough for the dense path, large enough to force the
-    /// sparse arena, and at every narrowed code width.
+    /// The arena grouped counters (dense and sparse) are bit-for-bit the
+    /// hashed per-query statistic, across arities small enough for the
+    /// dense path, large enough to force the sparse arena, and at every
+    /// narrowed code width.
     #[test]
     fn grouped_statistic_is_byte_identical() {
         use crate::contingency::{dense_cell_space, Arenas, StratumRows, ZPartition};
@@ -756,8 +603,6 @@ mod tests {
                 );
             }
             let reference = bits(g_test_from_codes(&x, &y, &z));
-            let grouped = g_test_grouped_reference(&x, xa, &y, ya, &part);
-            assert_eq!(reference, bits(grouped), "reference grouped, {label}");
             let (g, p, _) =
                 g_test_grouped_narrow(x.as_slice(), xa, &y[..], ya, &part, &rows, &mut arenas);
             assert_eq!(reference, bits((g, p)), "narrow u32, {label}");
@@ -831,13 +676,14 @@ mod tests {
             .is_some());
     }
 
-    /// Per-query evaluation through both kernel modes returns identical
-    /// bit patterns (and exercises the per-query arena routing).
+    /// Per-query evaluation through the arena kernels returns the bit
+    /// patterns of the hashed reference (`tests/kernel_reference/`), and
+    /// exercises the per-query arena routing.
     #[test]
     fn kernel_modes_agree_per_query() {
         let t = chain_table(2000, 9);
         let narrow = GTest::new(&t, 0.01);
-        let reference = GTest::new(&t, 0.01).with_kernel_mode(crate::KernelMode::Reference);
+        let reference = crate::kernel_reference::ReferenceGTest::new(&t, 0.01);
         for (x, y, z) in [
             (vec![0], vec![2], vec![]),
             (vec![0], vec![2], vec![1]),
@@ -845,13 +691,20 @@ mod tests {
             (vec![0, 1], vec![2], vec![1]),
         ] {
             let a = narrow.g_statistic(&x, &y, &z);
-            let b = reference.g_statistic(&x, &y, &z);
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "statistic {x:?} {y:?} {z:?}");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "p-value {x:?} {y:?} {z:?}");
+            let b = crate::CiTestShared::ci_shared(&reference, &x, &y, &z);
+            assert_eq!(
+                a.0.to_bits(),
+                b.statistic.to_bits(),
+                "statistic {x:?} {y:?} {z:?}"
+            );
+            assert_eq!(
+                a.1.to_bits(),
+                b.p_value.to_bits(),
+                "p-value {x:?} {y:?} {z:?}"
+            );
         }
         // The narrow path counted through the dense arena.
         use crate::CiTestBatch;
         assert!(narrow.encode_cache_stats().dense_count_cells > 0);
-        assert_eq!(reference.encode_cache_stats().dense_count_cells, 0);
     }
 }

@@ -106,24 +106,6 @@ impl ScaffoldStats {
 /// index means (a table column, a graph node, ...).
 pub type VarId = usize;
 
-/// Which counting-kernel generation a discrete tester runs.
-///
-/// Both produce bit-identical statistics and p-values; the reference path
-/// exists so benchmarks can measure the narrow/arena kernels against the
-/// pre-existing implementation and so property tests can pin the
-/// bit-identity. Not a correctness knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Arity-narrowed code widths + reusable counting arenas: the dense
-    /// table while the cell space fits its budget, the sparse arena
-    /// beyond it. Neither allocates per query.
-    #[default]
-    Narrow,
-    /// The pre-kernel implementation: codes widened to `u32`, hashed
-    /// counting structures allocated per query.
-    Reference,
-}
-
 /// Result of one CI test.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CiOutcome {
@@ -553,6 +535,17 @@ impl<T: CiTest> CiTest for CountingCi<T> {
         self.inner.name()
     }
 }
+
+// The test-side kernel references name this crate by its public path, so
+// the unit tests can include them unchanged.
+#[cfg(test)]
+extern crate self as fairsel_ci;
+
+/// The hashed per-query kernels the arena kernels replaced, shared with
+/// `tests/kernel_reference.rs`.
+#[cfg(test)]
+#[path = "../tests/kernel_reference/reference.rs"]
+mod kernel_reference;
 
 #[cfg(test)]
 mod tests {

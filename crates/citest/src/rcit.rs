@@ -114,19 +114,12 @@ impl Rcit {
 
     /// Conditioning context for the canonical set `zs`, memoized.
     fn z_context(&self, zs: &[VarId]) -> Arc<ZContext> {
-        if self.enc.caching() {
-            if let Some(hit) = self.zctx.get(zs) {
-                return hit;
-            }
-            let zm = self.extract(zs);
-            let sz = self.bandwidth(&zm);
-            self.zctx.insert(zs.to_vec(), Arc::new((zm, sz)))
-        } else {
-            self.zctx.note_miss();
-            let zm = self.extract(zs);
-            let sz = self.bandwidth(&zm);
-            Arc::new((zm, sz))
+        if let Some(hit) = self.zctx.get(zs) {
+            return hit;
         }
+        let zm = self.extract(zs);
+        let sz = self.bandwidth(&zm);
+        self.zctx.insert(zs.to_vec(), Arc::new((zm, sz)))
     }
 
     /// Tester with default hyperparameters at level `alpha`.

@@ -18,8 +18,7 @@
 use fairsel_ci::{FisherZ, GTest, OracleCi};
 use fairsel_core::{
     check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods,
-    run_pipeline_batched, ClassifierKind, PipelineConfig, PipelineResult, Problem, SelectConfig,
-    SelectionAlgo, TesterSpec,
+    run_pipeline_batched, PipelineConfig, PipelineResult, Problem, TesterSpec,
 };
 use fairsel_datasets::fixtures;
 use fairsel_datasets::sim::sample_table;
@@ -27,8 +26,8 @@ use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticCo
 use fairsel_engine::{default_workers, EngineStats};
 use fairsel_graph::{dag_from_text, Dag};
 use fairsel_server::{
-    valid_alpha, valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig, Request,
-    Response, ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
+    pipeline_config, valid_alpha, valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig,
+    Request, Response, ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
 };
 use fairsel_table::{csv, EncodedTable, Table, DEFAULT_CACHE_CAP};
 use rand::rngs::StdRng;
@@ -340,13 +339,13 @@ fn cmd_append(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Shared select/methods setup: load CSV, split, read common options.
+/// Shared select/methods setup: the wire request, the split and the
+/// pipeline config a local run executes.
 struct Workload {
+    req: WorkloadRequest,
     train: Table,
     test: Table,
     cfg: PipelineConfig,
-    tester: String,
-    alpha: f64,
 }
 
 /// `--train-frac`, rejected unless strictly between 0 and 1 (the split
@@ -388,71 +387,44 @@ fn checked_table(opts: &Opts) -> Result<(Table, String), String> {
     Ok((table, text))
 }
 
-fn load_workload(opts: &Opts, table: Table) -> Result<Workload, String> {
+/// Read the options into the wire request once, split the table and
+/// translate the request into the pipeline config with the server's own
+/// [`pipeline_config`], so a bad option reads the same on the local and
+/// the `--remote` path and is refused before any server is dialed.
+fn load_workload(opts: &Opts, table: &Table, csv_text: String) -> Result<Workload, String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     if table.n_rows() < 10 {
         return Err(format!("{path}: too few rows ({})", table.n_rows()));
     }
-    let train_frac = train_frac(opts)?;
-    let seed: u64 = opts.num("seed", 0)?;
+    let req = workload_request(opts, csv_text)?;
     // Row-stable split — the same membership rule the server registry
     // uses, so a local run and a `--remote` run of the same workload
     // stay byte-identical (and appended datasets split into the parent's
     // split plus the new rows).
-    let split = table.split_rows_stable(seed, train_frac);
-    let (train, test) = (split.train, split.test);
-
-    let algo = match opts.get("algo").unwrap_or("grpsel") {
-        "seqsel" => SelectionAlgo::SeqSel,
-        "grpsel" => SelectionAlgo::GrpSel { seed: Some(seed) },
-        other => return Err(format!("unknown --algo: {other}")),
-    };
-    let classifier = ClassifierKind::parse(opts.get("classifier").unwrap_or("logistic"))
-        .ok_or("unknown --classifier")?;
-    let workers: usize = opts.num("workers", default_workers())?;
-    let max_group = match opts.get("max-group") {
-        None => None,
-        Some("auto") => Some(SelectConfig::auto_max_group(train.n_rows())),
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--max-group: bad value {v:?} (number or 'auto')"))
-                .and_then(|w| {
-                    if w == 0 {
-                        Err("--max-group must be >= 1".to_owned())
-                    } else {
-                        Ok(w)
-                    }
-                })?,
-        ),
-    };
-    let cfg = PipelineConfig {
-        select: SelectConfig {
-            max_group,
-            ..SelectConfig::default()
-        },
-        algo,
-        classifier,
-        workers,
-        model_seed: seed,
-    };
-    let tester = opts.get("tester").unwrap_or("gtest").to_owned();
-    let alpha = alpha(opts)?;
+    let split = table.split_rows_stable(req.seed, req.train_frac);
+    let cfg = pipeline_config(&req, split.train.n_rows())?;
     Ok(Workload {
-        train,
-        test,
+        req,
+        train: split.train,
+        test: split.test,
         cfg,
-        tester,
-        alpha,
     })
 }
 
 fn cmd_select(opts: &Opts) -> Result<(), String> {
     let (table, csv_text) = checked_table(opts)?;
+    let Workload {
+        req,
+        train,
+        test,
+        cfg,
+    } = load_workload(opts, &table, csv_text)?;
+    let (tester, alpha) = (req.tester.clone(), req.alpha);
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_select(addr, opts, &table, csv_text) {
+        match remote_select(addr, opts, &table, req) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
@@ -463,30 +435,28 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
         }
     }
 
-    let w = load_workload(opts, table)?;
+    drop(table);
     let cache_cap: usize = opts.num("cache-cap", DEFAULT_CACHE_CAP)?;
     let out = if let Some(path) = opts.get("dag") {
         let dag = load_dag(path)?;
-        let aligned = align_dag_to_table(&dag, &w.train)?;
-        run_pipeline_batched(OracleCi::from_dag(aligned), &w.train, &w.test, &w.cfg)
+        let aligned = align_dag_to_table(&dag, &train)?;
+        run_pipeline_batched(OracleCi::from_dag(aligned), &train, &test, &cfg)
     } else {
         let enc = Arc::new(EncodedTable::from_arc_with_cap(
-            Arc::new(w.train.clone()),
+            Arc::new(train.clone()),
             cache_cap,
         ));
-        match w.tester.as_str() {
-            "gtest" => run_pipeline_batched(GTest::over(enc, w.alpha), &w.train, &w.test, &w.cfg),
-            "fisherz" => {
-                run_pipeline_batched(FisherZ::over(enc, w.alpha), &w.train, &w.test, &w.cfg)
-            }
+        match tester.as_str() {
+            "gtest" => run_pipeline_batched(GTest::over(enc, alpha), &train, &test, &cfg),
+            "fisherz" => run_pipeline_batched(FisherZ::over(enc, alpha), &train, &test, &cfg),
             other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
         }
     };
 
-    let report = render_pipeline_report(&out, &w.train, &w.cfg, w.test.n_rows());
+    let report = render_pipeline_report(&out, &train, &cfg, test.n_rows());
     print!("{report}");
     println!();
-    print_engine_stats(&out.engine, w.cfg.workers);
+    print_engine_stats(&out.engine, cfg.workers);
     write_outputs(opts, &report, &out)?;
     Ok(())
 }
@@ -499,8 +469,6 @@ enum RemoteError {
     Server(String),
 }
 
-/// Build the wire workload from the CLI options (same defaults as the
-/// local path) and the raw CSV file bytes.
 /// The wire request for this invocation, carrying `csv_text` (the
 /// `--csv` file as read by [`checked_table`]) inline.
 fn workload_request(opts: &Opts, csv_text: String) -> Result<WorkloadRequest, String> {
@@ -511,7 +479,7 @@ fn workload_request(opts: &Opts, csv_text: String) -> Result<WorkloadRequest, St
             v.parse::<usize>()
                 .ok()
                 .filter(|&w| w >= 1)
-                .ok_or_else(|| format!("--max-group: bad value {v:?} (number or 'auto')"))?,
+                .ok_or_else(|| format!("--max-group: bad value {v:?} (a number >= 1 or 'auto')"))?,
         ),
     };
     Ok(WorkloadRequest {
@@ -632,9 +600,8 @@ fn remote_select(
     addr: &str,
     opts: &Opts,
     table: &Table,
-    csv_text: String,
+    req: WorkloadRequest,
 ) -> Result<(), RemoteError> {
-    let req = workload_request(opts, csv_text).map_err(RemoteError::Server)?;
     let (resp, transport, frame_bytes) = remote_workload(addr, req, table, Request::Select)?;
     match resp {
         Response::Ok { body, stats, cache } => {
@@ -726,13 +693,7 @@ fn align_dag_to_table(dag: &Dag, table: &Table) -> Result<Dag, String> {
 /// server's per-dataset registry session, so it shares dedup with every
 /// other request on the same dataset (the per-method tests/issued columns
 /// report post-dedup costs — a warm sweep issues almost nothing).
-fn remote_methods(
-    addr: &str,
-    opts: &Opts,
-    table: &Table,
-    csv_text: String,
-) -> Result<(), RemoteError> {
-    let req = workload_request(opts, csv_text).map_err(RemoteError::Server)?;
+fn remote_methods(addr: &str, table: &Table, req: WorkloadRequest) -> Result<(), RemoteError> {
     let (resp, transport, frame_bytes) = remote_workload(addr, req, table, Request::Methods)?;
     match resp {
         Response::Ok { body, cache, .. } => {
@@ -907,11 +868,18 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 
 fn cmd_methods(opts: &Opts) -> Result<(), String> {
     let (table, csv_text) = checked_table(opts)?;
+    let Workload {
+        req,
+        train,
+        test,
+        cfg,
+    } = load_workload(opts, &table, csv_text)?;
+    let (tester, alpha) = (req.tester.clone(), req.alpha);
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
         }
-        match remote_methods(addr, opts, &table, csv_text) {
+        match remote_methods(addr, &table, req) {
             Ok(()) => return Ok(()),
             Err(RemoteError::Unreachable(e)) => {
                 eprintln!(
@@ -921,22 +889,22 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
             Err(RemoteError::Server(e)) => return Err(format!("remote {addr}: {e}")),
         }
     }
-    let w = load_workload(opts, table)?;
+    drop(table);
     let aligned_dag = match opts.get("dag") {
-        Some(path) => Some(align_dag_to_table(&load_dag(path)?, &w.train)?),
+        Some(path) => Some(align_dag_to_table(&load_dag(path)?, &train)?),
         None => None,
     };
     let spec = if aligned_dag.is_some() {
         TesterSpec::Oracle
     } else {
-        match w.tester.as_str() {
-            "gtest" => TesterSpec::GTest { alpha: w.alpha },
-            "fisherz" => TesterSpec::FisherZ { alpha: w.alpha },
+        match tester.as_str() {
+            "gtest" => TesterSpec::GTest { alpha },
+            "fisherz" => TesterSpec::FisherZ { alpha },
             other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
         }
     };
-    let outs = run_all_methods(&spec, aligned_dag.as_ref(), &w.train, &w.test, &w.cfg);
-    let problem = Problem::from_table(&w.train);
+    let outs = run_all_methods(&spec, aligned_dag.as_ref(), &train, &test, &cfg);
+    let problem = Problem::from_table(&train);
     print!("{}", render_methods_report(&outs, problem.n_features()));
     Ok(())
 }

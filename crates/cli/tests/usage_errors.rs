@@ -1,7 +1,8 @@
 //! Usage errors exit 1 before any work starts: an out-of-range `--alpha`
-//! on the local and the `--remote` path of `select` and `methods` (never
-//! a tester panic, exit 101), any flag a subcommand does not read, and a
-//! column whose kind or values the pipeline cannot read.
+//! and a bad `--max-group`, `--algo` or `--classifier` on the local and
+//! the `--remote` path of `select` and `methods` (never a tester panic,
+//! exit 101), any flag a subcommand does not read, and a column whose
+//! kind or values the pipeline cannot read.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -10,9 +11,10 @@ fn fairsel() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fairsel"))
 }
 
-/// A small figure-1a CSV in a directory of its own.
-fn fixture_csv() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fairsel-usage-errors-{}", std::process::id()));
+/// A small figure-1a CSV in a directory of its own, named by `tag`.
+fn fixture_csv(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("fairsel-usage-errors-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let csv = dir.join("fig1a.csv");
     let out = fairsel()
@@ -26,7 +28,7 @@ fn fixture_csv() -> PathBuf {
 
 #[test]
 fn out_of_range_alpha_is_a_usage_error() {
-    let csv = fixture_csv();
+    let csv = fixture_csv("alpha");
     for cmd in ["select", "methods"] {
         for alpha in ["0", "1", "1.5", "-0.1", "NaN", "inf"] {
             // The workload is validated before any connection is made, so
@@ -49,6 +51,42 @@ fn out_of_range_alpha_is_a_usage_error() {
                     "{cmd} --alpha {alpha} (remote {remote:?}): {stderr}"
                 );
             }
+        }
+    }
+    std::fs::remove_dir_all(csv.parent().expect("csv dir")).ok();
+}
+
+/// A bad `--max-group`, `--algo` or `--classifier` exits 1 with the same
+/// message on the local and the `--remote` path of `select` and
+/// `methods`: the options are translated once, by the server's own
+/// translation, before any server is dialed (no unreachable-server
+/// warning, no local fallback).
+#[test]
+fn bad_workload_options_read_the_same_locally_and_remotely() {
+    let csv = fixture_csv("options");
+    for cmd in ["select", "methods"] {
+        for (flag, value, message) in [
+            ("--max-group", "0", "--max-group: bad value \"0\""),
+            ("--max-group", "x", "--max-group: bad value \"x\""),
+            ("--algo", "foo", "unknown algo: foo"),
+            ("--classifier", "foo", "unknown classifier: foo"),
+        ] {
+            let mut stderrs = Vec::new();
+            for remote in [None, Some("127.0.0.1:9")] {
+                let mut run = fairsel();
+                run.args([cmd, "--csv"]).arg(&csv).args([flag, value]);
+                if let Some(addr) = remote {
+                    run.args(["--remote", addr]);
+                }
+                let out = run.output().expect("run fairsel");
+                let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+                let label = format!("{cmd} {flag} {value} (remote {remote:?})");
+                assert_eq!(out.status.code(), Some(1), "{label}: {stderr}");
+                assert!(!stderr.contains("unreachable"), "{label}: {stderr}");
+                assert!(stderr.contains(message), "{label}: {stderr}");
+                stderrs.push(stderr);
+            }
+            assert_eq!(stderrs[0], stderrs[1], "{cmd} {flag} {value}");
         }
     }
     std::fs::remove_dir_all(csv.parent().expect("csv dir")).ok();

@@ -341,22 +341,6 @@ impl<T: CiTestBatch> CiSession<T> {
         session.refresh_encode_stats();
         Some(session)
     }
-
-    /// The invalidate-everything transfer: scaffolds extend exactly as in
-    /// [`CiSession::extended_over`], but no memoized outcome is patched —
-    /// every one is re-issued on demand. This is the pre-patching
-    /// baseline, kept callable so benchmarks can measure what patching
-    /// saves; the ledger records the whole memo as `memo_invalidated`.
-    pub fn extended_over_invalidating(
-        &self,
-        child: std::sync::Arc<fairsel_ci::EncodedTable>,
-    ) -> Option<CiSession<Box<dyn CiTestBatch + Send + Sync>>> {
-        let tester = self.tester().extend_over(child)?;
-        let mut session = CiSession::new(tester);
-        session.set_patched_pending(std::collections::HashMap::new(), self.cache_len() as u64);
-        session.refresh_encode_stats();
-        Some(session)
-    }
 }
 
 #[cfg(test)]

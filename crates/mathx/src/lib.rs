@@ -22,7 +22,7 @@ pub mod linalg;
 pub mod special;
 pub mod stats;
 
-pub use linalg::{naive_kernels, set_naive_kernels, Mat};
+pub use linalg::Mat;
 
 /// Convergence tolerance shared by the iterative special-function routines.
 pub(crate) const EPS: f64 = 1e-14;

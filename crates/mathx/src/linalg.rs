@@ -12,41 +12,15 @@
 //! output cells*) and the plain triple loops
 //! ([`Mat::matmul_naive`] / [`Mat::t_matmul_naive`]). Both accumulate each
 //! output cell's dot product in the same ascending-k order with the same
-//! zero skip, so they are bit-for-bit identical on finite inputs; the
-//! naive pair is kept as the benchmark/property-test reference and can be
-//! forced globally via [`set_naive_kernels`] or the
-//! `FAIRSEL_NAIVE_KERNELS` environment variable.
+//! zero skip, so they are bit-for-bit identical on finite inputs. The
+//! blocked kernels run the naive loops themselves for outputs no wider
+//! than one column tile, and the naive pair is the reference the
+//! bit-identity tests compare the blocked kernels against.
 //!
 //! [`ridge_residuals`] is Fisher-z's residualization. It computes the same
 //! sums as the `Mat` route (design matrix, [`Mat::ridge_solve`],
 //! [`Mat::matmul`]) in the same order, straight from the columns and
-//! without building any matrix of `n` rows. It has one implementation;
-//! the naive toggle does not reach it.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-static NAIVE_KERNELS: AtomicBool = AtomicBool::new(false);
-static NAIVE_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Route [`Mat::matmul`] / [`Mat::t_matmul`] through the naive reference
-/// loops (process-wide). Safe to toggle at any time: both implementations
-/// return bit-identical results — this exists so benchmarks can measure
-/// the blocked kernels against the reference.
-pub fn set_naive_kernels(on: bool) {
-    NAIVE_KERNELS.store(on, Ordering::Relaxed);
-}
-
-/// True when the naive reference kernels are forced, either via
-/// [`set_naive_kernels`] or `FAIRSEL_NAIVE_KERNELS=1` in the environment.
-pub fn naive_kernels() -> bool {
-    let env = *NAIVE_ENV.get_or_init(|| {
-        std::env::var("FAIRSEL_NAIVE_KERNELS")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    });
-    env || NAIVE_KERNELS.load(Ordering::Relaxed)
-}
+//! without building any matrix of `n` rows.
 
 /// Output-column tile width for the blocked products: a `128`-wide f64
 /// panel is 1 KiB per row — a handful of these (one output panel row, one
@@ -182,7 +156,7 @@ impl Mat {
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if naive_kernels() || rhs.cols <= JB {
+        if rhs.cols <= JB {
             // One column panel covers the whole output: the naive i-k-j
             // loop already visits exactly the blocked order.
             return self.matmul_naive(rhs);
@@ -220,8 +194,8 @@ impl Mat {
     }
 
     /// Reference matrix product: plain i-k-j triple loop. Bit-identical to
-    /// [`Mat::matmul`]; kept as the pre-blocking baseline for benchmarks
-    /// and property tests.
+    /// [`Mat::matmul`], which runs it for outputs of one column tile; the
+    /// reference the blocked kernel's property tests compare against.
     pub fn matmul_naive(&self, rhs: &Mat) -> Mat {
         assert_eq!(
             self.cols, rhs.rows,
@@ -266,7 +240,7 @@ impl Mat {
             "t_matmul: {}x{} ᵀ* {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if naive_kernels() || rhs.cols <= JB {
+        if rhs.cols <= JB {
             return self.t_matmul_naive(rhs);
         }
         let m = rhs.cols;
@@ -299,8 +273,9 @@ impl Mat {
     }
 
     /// Reference `selfᵀ * rhs`: single pass over the shared row dimension.
-    /// Bit-identical to [`Mat::t_matmul`]; kept as the pre-blocking
-    /// baseline for benchmarks and property tests.
+    /// Bit-identical to [`Mat::t_matmul`], which runs it for outputs of one
+    /// column tile; the reference the blocked kernel's property tests
+    /// compare against.
     pub fn t_matmul_naive(&self, rhs: &Mat) -> Mat {
         assert_eq!(
             self.rows, rhs.rows,
@@ -336,15 +311,14 @@ impl Mat {
     /// products, which never alter a finite running sum. Halves the FLOPs
     /// of the normal-equation formation in [`Mat::ridge_solve`].
     ///
-    /// Falls back to the full [`Mat::t_matmul_naive`] when the naive
-    /// kernels are forced (see [`set_naive_kernels`]) or when the matrix
+    /// Falls back to the full [`Mat::t_matmul_naive`] when the matrix
     /// is narrower than `GRAM_TRI_MIN` columns: the triangle's
     /// shrinking inner loops (average length `cols / 2`) lose more to
     /// loop overhead than the halved FLOPs save until the width clears
     /// the vectorization break-even. Both paths are bit-identical, so
     /// the dispatch is purely a speed choice.
     pub fn gram(&self) -> Mat {
-        if naive_kernels() || self.cols < GRAM_TRI_MIN {
+        if self.cols < GRAM_TRI_MIN {
             return self.t_matmul_naive(self);
         }
         let c = self.cols;
@@ -957,20 +931,6 @@ mod tests {
             let a = pseudo_mat(n, p, seed);
             assert_bits_eq(&a.gram(), &a.t_matmul_naive(&a));
         }
-    }
-
-    #[test]
-    fn naive_toggle_routes_both_products() {
-        let a = pseudo_mat(40, 20, 21);
-        let b = pseudo_mat(20, 150, 22);
-        let c = pseudo_mat(40, 150, 23);
-        let blocked = (a.matmul(&b), a.t_matmul(&c), a.gram());
-        set_naive_kernels(true);
-        let naive = (a.matmul(&b), a.t_matmul(&c), a.gram());
-        set_naive_kernels(false);
-        assert_bits_eq(&blocked.0, &naive.0);
-        assert_bits_eq(&blocked.1, &naive.1);
-        assert_bits_eq(&blocked.2, &naive.2);
     }
 
     #[test]

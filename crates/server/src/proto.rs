@@ -38,7 +38,10 @@
 //!                      latency histograms, and spans_dropped
 //! {"cmd":"trace", "last":64}
 //!                      the last N completed trace spans as JSON (requires
-//!                      the server's span sink, on by default for `serve`)
+//!                      the server's span sink, on by default for `serve`);
+//!                      `last` must be an integer from 0 to 2^53, and an
+//!                      answer holds at most `fairsel_obs::DEFAULT_SINK_CAP`
+//!                      (4,096) spans, the most the sink keeps
 //! {"cmd":"ping"}
 //! {"cmd":"shutdown"}   stop accepting, drain in-flight, then exit
 //! ```
@@ -369,7 +372,12 @@ impl Request {
             }
             Some("stats") => Ok(Request::Stats),
             Some("trace") => Ok(Request::Trace {
-                last: v.get_u64("last").unwrap_or(DEFAULT_TRACE_LAST as u64) as usize,
+                last: match v.get("last") {
+                    None => DEFAULT_TRACE_LAST,
+                    Some(last) => v.get_u64("last").ok_or_else(|| {
+                        format!("last must be an integer from 0 to 2^53, got {last}")
+                    })? as usize,
+                },
             }),
             Some("ping") => Ok(Request::Ping),
             Some("shutdown") => Ok(Request::Shutdown),

@@ -359,7 +359,7 @@ impl Registry {
         if batch.n_rows() == 0 {
             return Err("append batch has no rows".into());
         }
-        // The parent passed this check when its workload was built; the
+        // The parent passed this check when it was put or appended; the
         // batch alone decides whether the child still does.
         check_column_kinds(&batch, false).map_err(|e| format!("append batch rejected: {e}"))?;
         let (parent, folds) = {
@@ -387,7 +387,14 @@ impl Registry {
     /// Store an uploaded dataset and return its fingerprint. Re-putting
     /// an identical table is a cheap no-op (same fingerprint, the first
     /// copy stays). The store is LRU-bounded by `max_datasets`.
+    ///
+    /// A table no workload can be built on is refused with the error of
+    /// [`check_column_kinds`] (a NaN or ±∞ in a numeric feature, a
+    /// numeric target, sensitive or admissible column), and the store is
+    /// left untouched, so it cannot evict a usable upload. Whether the
+    /// G-test can read the features is decided per select.
     pub fn put(&self, table: Table) -> Result<u64, String> {
+        check_column_kinds(&table, false).map_err(|e| format!("put rejected: {e}"))?;
         let folds = ColumnFolds::of(&table);
         self.store(table, folds)
     }
@@ -972,6 +979,35 @@ mod tests {
         };
         let err = reg.select(&cold).unwrap_err();
         assert!(err.contains("unknown dataset fingerprint"), "{err}");
+    }
+
+    /// A table no workload can be built on is refused at `put`, before it
+    /// takes a slot of the LRU-bounded store: the clean upload it would
+    /// have evicted stays selectable.
+    #[test]
+    fn put_refuses_a_table_no_workload_can_read() {
+        let reg = Registry::new(RegistryConfig {
+            max_datasets: 1,
+            ..Default::default()
+        });
+        let clean = small_table(200, false);
+        let fp = reg.put(clean.clone()).unwrap();
+        let mut cols = clean.columns().to_vec();
+        let values = (0..200)
+            .map(|i| if i == 7 { f64::NAN } else { i as f64 })
+            .collect();
+        cols[1] = Column::num("x", Role::Feature, values);
+        let err = reg.put(Table::new(cols).unwrap()).unwrap_err();
+        assert!(
+            err.contains("put rejected: feature column x holds NaN at data row 8"),
+            "{err}"
+        );
+        assert_eq!(reg.resident_puts(), 1);
+        let req = WorkloadRequest {
+            dataset: DatasetRef::Fp(fp),
+            ..Default::default()
+        };
+        reg.select(&req).expect("the clean upload is still stored");
     }
 
     #[test]

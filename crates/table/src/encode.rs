@@ -300,12 +300,8 @@ impl EncodeStats {
 ///
 /// Construction is cheap — nothing is encoded eagerly; every per-set
 /// encoding is computed on first use and retained (up to the cache cap).
-/// Use [`EncodedTable::new_uncached`] to get the same (byte-identical)
-/// answers with memoization disabled — the per-query baseline the
-/// benchmarks compare against.
 pub struct EncodedTable {
     table: Arc<Table>,
-    caching: bool,
     sets: CappedCache<Vec<ColId>, Arc<Encoding>>,
     // analyze: bounded-by at most one entry per column of the dataset
     numeric: RwLock<std::collections::HashMap<ColId, Arc<Vec<f64>>>>,
@@ -336,7 +332,6 @@ impl std::fmt::Debug for EncodedTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncodedTable")
             .field("rows", &self.table.n_rows())
-            .field("caching", &self.caching)
             .field("cached_sets", &self.sets.len())
             .field("cap", &self.sets.cap())
             .finish()
@@ -351,15 +346,9 @@ impl EncodedTable {
         Self::from_arc(Arc::new(table.clone()))
     }
 
-    /// Wrap a table with memoization disabled: every request recomputes.
-    /// Answers are byte-identical to the cached variant.
-    pub fn new_uncached(table: &Table) -> Self {
-        Self::build(Arc::new(table.clone()), false, DEFAULT_CACHE_CAP)
-    }
-
     /// Wrap a shared table with the default cache cap.
     pub fn from_arc(table: Arc<Table>) -> Self {
-        Self::build(table, true, DEFAULT_CACHE_CAP)
+        Self::build(table, DEFAULT_CACHE_CAP)
     }
 
     /// Wrap a shared table, bounding the set-encoding cache at `cap`
@@ -367,13 +356,12 @@ impl EncodedTable {
     /// (Fisher-z) read [`EncodedTable::cache_cap`] to bound their own
     /// per-conditioning-set caches consistently.
     pub fn from_arc_with_cap(table: Arc<Table>, cap: usize) -> Self {
-        Self::build(table, true, cap)
+        Self::build(table, cap)
     }
 
-    fn build(table: Arc<Table>, caching: bool, cap: usize) -> Self {
+    fn build(table: Arc<Table>, cap: usize) -> Self {
         Self {
             table,
-            caching,
             sets: CappedCache::new(cap),
             numeric: RwLock::new(std::collections::HashMap::new()),
             numeric_hits: AtomicU64::new(0),
@@ -395,11 +383,6 @@ impl EncodedTable {
     /// Shared handle to the underlying table.
     pub fn table_arc(&self) -> &Arc<Table> {
         &self.table
-    }
-
-    /// Whether memoization is enabled (false for the per-query baseline).
-    pub fn caching(&self) -> bool {
-        self.caching
     }
 
     /// The bound on memoized set encodings.
@@ -467,21 +450,13 @@ impl EncodedTable {
     }
 
     fn encode_sorted(&self, key: Vec<ColId>) -> Arc<Encoding> {
-        if self.caching {
-            if let Some(hit) = self.sets.get(&key) {
-                return hit;
-            }
-            let enc = Arc::new(self.build_encoding(&key));
-            self.code_bytes
-                .fetch_add(enc.codes.byte_len() as u64, Ordering::Relaxed);
-            self.sets.insert(key, enc)
-        } else {
-            self.sets.note_miss();
-            let enc = self.build_encoding(&key);
-            self.code_bytes
-                .fetch_add(enc.codes.byte_len() as u64, Ordering::Relaxed);
-            Arc::new(enc)
+        if let Some(hit) = self.sets.get(&key) {
+            return hit;
         }
+        let enc = Arc::new(self.build_encoding(&key));
+        self.code_bytes
+            .fetch_add(enc.codes.byte_len() as u64, Ordering::Relaxed);
+        self.sets.insert(key, enc)
     }
 
     /// Build the encoding for a sorted, deduplicated set by composing the
@@ -539,7 +514,7 @@ impl EncodedTable {
     pub fn extend(&self, batch: &Table) -> Result<EncodedTable, crate::table::TableError> {
         let n_parent = self.table.n_rows();
         let child_table = Arc::new(self.table.concat(batch)?);
-        let mut child = EncodedTable::build(child_table, self.caching, self.sets.cap());
+        let mut child = EncodedTable::build(child_table, self.sets.cap());
         child.base_rows = n_parent;
         child.append_rows.store(
             self.append_rows.load(Ordering::Relaxed) + batch.n_rows() as u64,
@@ -548,9 +523,6 @@ impl EncodedTable {
         child
             .extended
             .store(self.extended.load(Ordering::Relaxed), Ordering::Relaxed);
-        if !self.caching {
-            return Ok(child);
-        }
         // Shortest keys first so extended prefixes are resident in the
         // child cache before longer keys (the dense path reads them back).
         let mut resident = self.sets.snapshot();
@@ -697,21 +669,17 @@ impl EncodedTable {
     /// Numeric testers (Fisher-z, RCIT) use this to avoid per-query
     /// clones. Unbounded but naturally capped by the table's width.
     pub fn numeric_col(&self, col: ColId) -> Arc<Vec<f64>> {
-        if self.caching {
-            if let Some(hit) = self.numeric.read().expect("numeric cache lock").get(&col) {
-                self.numeric_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(hit);
-            }
+        if let Some(hit) = self.numeric.read().expect("numeric cache lock").get(&col) {
+            self.numeric_hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(hit);
         }
         self.numeric_misses.fetch_add(1, Ordering::Relaxed);
         let v = Arc::new(self.table.col(col).to_f64());
-        if self.caching {
-            self.numeric
-                .write()
-                .expect("numeric cache lock")
-                .entry(col)
-                .or_insert_with(|| Arc::clone(&v));
-        }
+        self.numeric
+            .write()
+            .expect("numeric cache lock")
+            .entry(col)
+            .or_insert_with(|| Arc::clone(&v));
         v
     }
 }
@@ -1030,25 +998,6 @@ mod tests {
         }
         // Codes stay within the declared code space.
         assert!(widened.iter().all(|&c| c < e.arity));
-    }
-
-    #[test]
-    fn uncached_matches_cached_byte_for_byte() {
-        let t = table();
-        let cached = EncodedTable::new(&t);
-        let cold = EncodedTable::new_uncached(&t);
-        for set in [vec![], vec![2], vec![0, 2], vec![0, 1, 2]] {
-            let a = cached.encode(&set);
-            let b = cold.encode(&set);
-            assert_eq!(a.codes, b.codes);
-            assert_eq!(a.arity, b.arity);
-            assert_eq!(a.distinct(), b.distinct());
-        }
-        assert_eq!(cold.stats().hits, 0, "uncached never hits");
-        // Uncached recomputes the {0} prefix for {0,1,2}.
-        let again = cold.stats().misses;
-        cold.encode(&[0, 1, 2]);
-        assert!(cold.stats().misses > again);
     }
 
     #[test]

@@ -72,8 +72,8 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     }
 
     /// Look a key up, bumping its recency. Counts a hit on success; a miss
-    /// is only counted by [`CappedCache::insert`] / [`CappedCache::note_miss`]
-    /// (so recursive fills account once per value actually computed).
+    /// is only counted by [`CappedCache::insert`] (so recursive fills
+    /// account once per value actually computed).
     /// Borrowed key forms are accepted (`&[ColId]` for a `Vec<ColId>` key)
     /// so hot hit paths never allocate.
     pub fn get<Q>(&self, key: &Q) -> Option<V>
@@ -87,12 +87,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
             .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(slot.value.clone())
-    }
-
-    /// Record a computation that bypassed the cache entirely (the uncached
-    /// baseline mode still reports honest miss counts).
-    pub fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Look a key up without touching hit or recency telemetry — a pure

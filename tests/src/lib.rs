@@ -831,18 +831,26 @@ mod grouped_equivalence {
 #[path = "../../crates/citest/tests/fisher_z_reference/reference.rs"]
 mod fisher_z_reference;
 
+/// The hashed per-query G-test and permutation-CMI kernels the arena
+/// kernels replaced, shared with the property tests in
+/// `crates/citest/tests/kernel_reference.rs`.
+#[cfg(test)]
+#[path = "../../crates/citest/tests/kernel_reference/reference.rs"]
+mod kernel_reference;
+
 #[cfg(test)]
 mod kernel_identity {
     //! The hardware-shaped kernel contract: every kernel generation —
-    //! narrow (u8/u16/u32) code widths + dense counting arenas vs the
-    //! pre-kernel reference paths, and Fisher-z's column kernels vs the
-    //! row-major route they replaced — produces **bit-identical**
+    //! narrow (u8/u16/u32) code widths + counting arenas vs the hashed
+    //! per-query kernels they replaced, and Fisher-z's column kernels vs
+    //! the row-major route they replaced — produces **bit-identical**
     //! p-values, statistics, and selection reports, at every worker count,
     //! on tables spanning all three storage widths (including joints that
     //! overflow u16).
 
     use crate::fisher_z_reference::ReferenceFisherZ;
-    use fairsel_ci::{CiOutcome, CiTestBatch, FisherZ, GTest, KernelMode, PermutationCmi};
+    use crate::kernel_reference::{ReferenceGTest, ReferencePermutationCmi};
+    use fairsel_ci::{CiOutcome, CiTestBatch, FisherZ, GTest, PermutationCmi};
     use fairsel_core::{grpsel_batched_in, Problem, SelectConfig};
     use fairsel_datasets::sim::sample_table;
     use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
@@ -940,10 +948,7 @@ mod kernel_identity {
     fn gtest_kernel_modes_bit_identical_across_widths() {
         let table = mixed_width_table(1200, 3);
         let queries = width_workload();
-        let reference = {
-            let t = GTest::new(&table, 0.01).with_kernel_mode(KernelMode::Reference);
-            grouped_outcomes(&t, &queries, 1)
-        };
+        let reference = grouped_outcomes(&ReferenceGTest::new(&table, 0.01), &queries, 1);
         for workers in [1usize, 2, 4, 8] {
             let t = GTest::new(&table, 0.01);
             let got = grouped_outcomes(&t, &queries, workers);
@@ -955,11 +960,11 @@ mod kernel_identity {
     fn perm_cmi_kernel_modes_bit_identical_across_widths() {
         let table = mixed_width_table(700, 5);
         let queries = width_workload();
-        let reference = {
-            let t =
-                PermutationCmi::new(&table, 0.05, 19, 7).with_kernel_mode(KernelMode::Reference);
-            grouped_outcomes(&t, &queries, 1)
-        };
+        let reference = grouped_outcomes(
+            &ReferencePermutationCmi::new(&table, 0.05, 19, 7),
+            &queries,
+            1,
+        );
         for workers in [1usize, 2, 4, 8] {
             let t = PermutationCmi::new(&table, 0.05, 19, 7);
             let got = grouped_outcomes(&t, &queries, workers);
@@ -1008,8 +1013,7 @@ mod kernel_identity {
             ..Default::default()
         };
         let reference = {
-            let mut session =
-                CiSession::new(GTest::new(&table, 0.01).with_kernel_mode(KernelMode::Reference));
+            let mut session = CiSession::new(ReferenceGTest::new(&table, 0.01));
             grpsel_batched_in(&mut session, &problem, &cfg, None, 1)
         };
         for workers in [1usize, 4, 8] {
@@ -2011,6 +2015,42 @@ mod request_validation {
     /// of `[` (which once overflowed the handler's stack and aborted the
     /// server), and bytes that are not UTF-8. The connection then serves
     /// a select byte-identical to a local run.
+    /// The `last` count of a trace request is checked where it enters the
+    /// server: past the sink's capacity it is answered with at most that
+    /// many spans, and a value that is not an integer from 0 to 2^53 gets
+    /// an error naming `last` instead of the default count. The
+    /// connection then answers a ping.
+    #[test]
+    fn trace_last_is_checked_on_a_connection_that_survives() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let cap = fairsel_obs::DEFAULT_SINK_CAP;
+        match call(&mut stream, &Request::Trace { last: cap + 1 }) {
+            Response::Ok {
+                stats: Some(stats), ..
+            } => match stats.get("spans") {
+                Some(Json::Arr(spans)) => assert!(spans.len() <= cap, "{} spans", spans.len()),
+                other => panic!("no spans array: {other:?}"),
+            },
+            other => panic!("trace with last = {} failed: {other:?}", cap + 1),
+        }
+        for bad in ["-1", "1.5", "\"all\"", "1152921504606846976", "null"] {
+            let frame = format!(r#"{{"cmd":"trace","last":{bad}}}"#);
+            match call_raw(&mut stream, frame.as_bytes()) {
+                Response::Err(e) => assert!(e.contains("last"), "last = {bad}: {e:?}"),
+                other => panic!("last = {bad} got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            call(&mut stream, &Request::Ping),
+            Response::Ok { .. }
+        ));
+        drop(stream);
+        handle.shutdown();
+    }
+
     #[test]
     fn malformed_frames_get_errors_on_a_connection_that_survives() {
         let csv_text = workload_csv(31, 8, 500);
@@ -2050,9 +2090,10 @@ mod request_validation {
 
     /// A NaN or ±∞ in a numeric feature gets an error naming the column
     /// and its first such row, however the dataset arrives: inline, by
-    /// `put` and then `select`, or in an appended batch, which is refused
-    /// so that no child is ever born over it. The connection then serves
-    /// a Fisher-z select of the clean parent, byte-identical to a local
+    /// `put`, which is refused so that no workload-less upload takes a
+    /// slot of the store, or in an appended batch, which is refused so
+    /// that no child is ever born over it. The connection then serves a
+    /// Fisher-z select of the clean parent, byte-identical to a local
     /// run.
     #[test]
     fn non_finite_numeric_features_get_errors_on_a_connection_that_survives() {
@@ -2093,13 +2134,19 @@ mod request_validation {
             ),
             "feature column X3 holds NaN at data row 11",
         );
-        // Put, then select by fingerprint: the upload is stored, the
-        // workload is refused.
-        let bytes = codec::encode_table(&poisoned(&clean, "X5", 0, f64::INFINITY));
-        let fp = fp_of(call_with_payload(&mut stream, &Request::Put, &bytes));
+        // Put: the upload is refused and not stored, so a select by its
+        // fingerprint finds no dataset.
+        let refused = poisoned(&clean, "X5", 0, f64::INFINITY);
         expect_err(
-            call(&mut stream, &Request::Select(fisherz(DatasetRef::Fp(fp)))),
-            "feature column X5 holds inf at data row 1",
+            call_with_payload(&mut stream, &Request::Put, &codec::encode_table(&refused)),
+            "put rejected: feature column X5 holds inf at data row 1",
+        );
+        expect_err(
+            call(
+                &mut stream,
+                &Request::Select(fisherz(DatasetRef::Fp(fingerprint_table(&refused)))),
+            ),
+            "unknown dataset fingerprint",
         );
         // Append: the batch is refused and no child is stored.
         let parent = fp_of(call_with_payload(
