@@ -26,8 +26,9 @@ use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticCo
 use fairsel_engine::{default_workers, EngineStats};
 use fairsel_graph::{dag_from_text, Dag};
 use fairsel_server::{
-    pipeline_config, valid_alpha, valid_train_frac, DatasetRef, Json, MaxGroupSpec, RegistryConfig,
-    Request, Response, ServeConfig, Server, WorkloadRequest, MAX_WORKERS,
+    checked_workers, pipeline_config, valid_alpha, valid_train_frac, DatasetRef, Json,
+    MaxGroupSpec, RegistryConfig, Request, Response, ServeConfig, Server, WorkloadRequest,
+    MAX_WORKERS,
 };
 use fairsel_table::{csv, EncodedTable, Table, DEFAULT_CACHE_CAP};
 use rand::rngs::StdRng;
@@ -482,13 +483,14 @@ fn workload_request(opts: &Opts, csv_text: String) -> Result<WorkloadRequest, St
                 .ok_or_else(|| format!("--max-group: bad value {v:?} (a number >= 1 or 'auto')"))?,
         ),
     };
+    // The server caps `workers`; a larger host's default stays under it.
+    let workers = opts.num("workers", default_workers().min(MAX_WORKERS) as u64)?;
     Ok(WorkloadRequest {
         dataset: DatasetRef::Csv(csv_text),
         algo: opts.get("algo").unwrap_or("grpsel").to_owned(),
         tester: opts.get("tester").unwrap_or("gtest").to_owned(),
         alpha: alpha(opts)?,
-        // The server caps `workers`; a larger host's default stays under it.
-        workers: opts.num("workers", default_workers().min(MAX_WORKERS))?,
+        workers: checked_workers(workers)?,
         max_group,
         train_frac: train_frac(opts)?,
         seed: opts.num("seed", 0)?,

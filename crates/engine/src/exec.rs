@@ -213,9 +213,9 @@ impl<T: CiTestBatch> CiSession<T> {
                 }
             }
         } else {
-            // Steal-able tasks: each Z-group is split into chunks bounded
-            // by total/(workers·4), so even one giant group spreads
-            // across the pool while small groups stay single-task.
+            // Steal-able tasks: Z-groups split into chunks of
+            // ceil(total / (workers·4)) queries, so one giant group spreads
+            // across the pool; at most 4·workers misses make each query a task.
             let chunk = total.div_ceil(workers * 4).max(1);
             let tasks: Vec<(&[VarId], Vec<usize>)> = groups
                 .iter()

@@ -34,8 +34,8 @@ pub mod server;
 pub use json::{Json, JsonError, MAX_JSON_DEPTH};
 pub use prom::render_prom;
 pub use proto::{
-    valid_alpha, valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request, Response,
-    WorkloadRequest, MAX_WORKERS,
+    checked_workers, valid_alpha, valid_train_frac, CacheInfo, DatasetRef, MaxGroupSpec, Request,
+    Response, WorkloadRequest, MAX_WORKERS,
 };
 pub use registry::{fingerprint_table, pipeline_config, Registry, RegistryConfig};
 pub use server::{

@@ -14,10 +14,10 @@
 //!  "tester":"gtest", "alpha":0.01, "workers":4, "max_group":"auto"|N|null,
 //!  "train_frac":0.7, "seed":0, "classifier":"logistic"}
 //! {"cmd":"methods", ...same workload fields...}
-//!                      (`workers` may not exceed [`MAX_WORKERS`], and
-//!                      `train_frac` and `alpha` must lie strictly
-//!                      between 0 and 1; a workload outside any of these
-//!                      gets an error reply)
+//!                      (`workers` must be an integer up to [`MAX_WORKERS`]
+//!                      and `train_frac` and `alpha` numbers strictly
+//!                      between 0 and 1; an absent field takes its
+//!                      default, any other value gets an error reply)
 //! {"cmd":"put"}        followed by ONE raw binary frame: the dataset in
 //!                      the fairsel_table::codec column format; responds
 //!                      with the dataset fingerprint (16 hex chars in
@@ -263,19 +263,21 @@ impl WorkloadRequest {
             (None, Some(text)) => DatasetRef::Csv(text.to_owned()),
             (None, None) => return Err("missing csv or fp".into()),
         };
-        let workers = v.get_u64("workers").unwrap_or(d.workers as u64);
-        if workers > MAX_WORKERS as u64 {
-            return Err(format!(
-                "workers {workers} exceeds the cap of {MAX_WORKERS}"
-            ));
-        }
-        let train_frac = v.get_num("train_frac").unwrap_or(d.train_frac);
+        let workers = field(
+            v,
+            "workers",
+            d.workers as u64,
+            Json::get_u64,
+            "a non-negative integer",
+        )?;
+        let workers = checked_workers(workers)?;
+        let train_frac = field(v, "train_frac", d.train_frac, Json::get_num, "a number")?;
         if !valid_train_frac(train_frac) {
             return Err(format!(
                 "train_frac must lie strictly between 0 and 1, got {train_frac}"
             ));
         }
-        let alpha = v.get_num("alpha").unwrap_or(d.alpha);
+        let alpha = field(v, "alpha", d.alpha, Json::get_num, "a number")?;
         if !valid_alpha(alpha) {
             return Err(format!(
                 "alpha must lie strictly between 0 and 1, got {alpha}"
@@ -286,13 +288,36 @@ impl WorkloadRequest {
             algo: v.get_str("algo").unwrap_or(&d.algo).to_owned(),
             tester: v.get_str("tester").unwrap_or(&d.tester).to_owned(),
             alpha,
-            workers: workers as usize,
+            workers,
             max_group: MaxGroupSpec::from_json(v.get("max_group"))?,
             train_frac,
             seed,
             classifier: v.get_str("classifier").unwrap_or(&d.classifier).to_owned(),
         })
     }
+}
+
+/// Field `key` as `read` takes it, `default` when absent; a present value
+/// `read` refuses is an error naming the field, never the default.
+fn field<T>(
+    v: &Json,
+    key: &str,
+    default: T,
+    read: fn(&Json, &str) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(raw) => read(v, key).ok_or_else(|| format!("{key} must be {what}, got {raw}")),
+    }
+}
+
+/// `workers` unless it exceeds [`MAX_WORKERS`]. Shared by the wire decoder
+/// and the CLI, so both refuse it in the same words before any work.
+pub fn checked_workers(workers: u64) -> Result<usize, String> {
+    (workers <= MAX_WORKERS as u64)
+        .then_some(workers as usize)
+        .ok_or_else(|| format!("workers {workers} exceeds the cap of {MAX_WORKERS}"))
 }
 
 /// Whether `f` can split a table: finite and strictly inside (0, 1), the
@@ -372,12 +397,13 @@ impl Request {
             }
             Some("stats") => Ok(Request::Stats),
             Some("trace") => Ok(Request::Trace {
-                last: match v.get("last") {
-                    None => DEFAULT_TRACE_LAST,
-                    Some(last) => v.get_u64("last").ok_or_else(|| {
-                        format!("last must be an integer from 0 to 2^53, got {last}")
-                    })? as usize,
-                },
+                last: field(
+                    v,
+                    "last",
+                    DEFAULT_TRACE_LAST as u64,
+                    Json::get_u64,
+                    "an integer from 0 to 2^53",
+                )? as usize,
             }),
             Some("ping") => Ok(Request::Ping),
             Some("shutdown") => Ok(Request::Shutdown),

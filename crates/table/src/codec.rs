@@ -20,9 +20,9 @@
 //!     name_len 4  u32, then name_len bytes of UTF-8
 //!     role     1  u8   0=sensitive 1=admissible 2=feature 3=target 4=key
 //!     kind     1  u8   0=categorical 1=numeric
-//!     cat:  arity u32, then n_rows codes of `code_width(arity)` bytes
-//!           each (1 when arity ≤ 2⁸, 2 when ≤ 2¹⁶, else 4 — the width
-//!           is a function of the arity, so it costs no header field)
+//!     cat:  arity u32, then n_rows codes of `Codes::width_for(arity)`
+//!           bytes each (1 when arity ≤ 2⁸, 2 when ≤ 2¹⁶, else 4 — the
+//!           width is a function of the arity, so it costs no header field)
 //!     num:  n_rows * f64 (IEEE-754 bits — exact round trip)
 //! ```
 //!
@@ -34,6 +34,7 @@
 //! off the network.
 
 use crate::table::{Column, ColumnData, Role, Table};
+use crate::Codes;
 use std::fmt;
 
 /// Magic bytes opening every encoded table.
@@ -84,18 +85,6 @@ fn byte_role(b: u8) -> Option<Role> {
     }
 }
 
-/// Bytes per categorical code: the narrowest width that fits every code
-/// below `arity`. Derived identically by encoder and decoder.
-fn code_width(arity: u32) -> usize {
-    if arity <= 1 << 8 {
-        1
-    } else if arity <= 1 << 16 {
-        2
-    } else {
-        4
-    }
-}
-
 /// Serialize a table to the binary column format.
 pub fn encode_table(table: &Table) -> Vec<u8> {
     encode_frame(table, &CODEC_MAGIC)
@@ -124,7 +113,7 @@ fn encode_frame(table: &Table, magic: &[u8; 4]) -> Vec<u8> {
             ColumnData::Cat { codes, arity } => {
                 block.push(0);
                 block.extend_from_slice(&arity.to_le_bytes());
-                let width = code_width(*arity);
+                let width = Codes::width_for(*arity);
                 for &c in codes {
                     block.extend_from_slice(&c.to_le_bytes()[..width]);
                 }
@@ -244,19 +233,24 @@ fn decode_frame(bytes: &[u8], magic: &[u8; 4], what: &str) -> Result<Table, Code
                 if arity == 0 {
                     return Err(r.err(format!("column {name:?}: zero arity")));
                 }
-                let width = code_width(arity);
-                let raw = r.take(n_rows * width, "categorical codes")?;
-                let mut codes = Vec::with_capacity(n_rows);
-                for (row, c) in raw.chunks_exact(width).enumerate() {
-                    let mut le = [0u8; 4];
-                    le[..width].copy_from_slice(c);
-                    let code = u32::from_le_bytes(le);
-                    if code >= arity {
-                        return Err(r.err(format!(
-                            "column {name:?} row {row}: code {code} >= arity {arity}"
-                        )));
-                    }
-                    codes.push(code);
+                let raw = r.take(n_rows * Codes::width_for(arity), "categorical codes")?;
+                // One branch-free loop per width; the range check runs after.
+                let codes: Vec<u32> = match Codes::width_for(arity) {
+                    1 => raw.iter().map(|&b| u32::from(b)).collect(),
+                    2 => raw
+                        .chunks_exact(2)
+                        .map(|c| u32::from(u16::from_le_bytes([c[0], c[1]])))
+                        .collect(),
+                    _ => raw
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                        .collect(),
+                };
+                if let Some(row) = codes.iter().position(|&c| c >= arity) {
+                    return Err(r.err(format!(
+                        "column {name:?} row {row}: code {} >= arity {arity}",
+                        codes[row]
+                    )));
                 }
                 ColumnData::Cat { codes, arity }
             }
@@ -390,14 +384,22 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_codes() {
-        let t = Table::new(vec![Column::cat("c", Role::Feature, vec![0, 1], 2)]).unwrap();
-        let mut bytes = encode_table(&t);
-        // Arity 2 codes travel as single bytes; the last byte is row 1's
-        // code — forge it past the arity.
-        let n = bytes.len();
-        bytes[n - 1] = 7;
-        let err = decode_table(&bytes).unwrap_err();
-        assert!(err.msg.contains("arity"), "{err}");
+        // At each code width, forge rows 2 and 3 of five past the arity.
+        // The error names the first of them, and its offset is the end of
+        // the column's codes, which close this one-column frame.
+        for (arity, width) in [(2u32, 1usize), (300, 2), (70_000, 4)] {
+            let codes = vec![0, 1, 1, 0, arity - 1];
+            let t = Table::new(vec![Column::cat("c", Role::Feature, codes, arity)]).unwrap();
+            let mut bytes = encode_table(&t);
+            for (row, code) in [(2usize, arity + 5), (3, arity)] {
+                let at = bytes.len() - (5 - row) * width;
+                bytes[at..at + width].copy_from_slice(&code.to_le_bytes()[..width]);
+            }
+            let err = decode_table(&bytes).unwrap_err();
+            let expected = format!("column \"c\" row 2: code {} >= arity {arity}", arity + 5);
+            assert_eq!(err.msg, expected, "width {width}");
+            assert_eq!(err.offset, bytes.len(), "width {width}");
+        }
     }
 
     #[test]

@@ -113,9 +113,9 @@ macro_rules! with_codes {
 }
 
 impl Codes {
-    /// Storage width in bytes for a code space of size `arity` — the same
-    /// rule as the wire codec: codes are `< arity`, so they fit one byte
-    /// when `arity <= 2^8`, two when `arity <= 2^16`, four otherwise.
+    /// Storage width in bytes for a code space of size `arity`, in memory
+    /// and on the wire (`codec`): codes are `< arity`, so they fit one
+    /// byte when `arity <= 2^8`, two when `arity <= 2^16`, four otherwise.
     pub fn width_for(arity: u32) -> usize {
         if arity as u64 <= 1 << 8 {
             1
@@ -123,15 +123,6 @@ impl Codes {
             2
         } else {
             4
-        }
-    }
-
-    /// Narrow a full-width code vector to the width chosen from `arity`.
-    pub fn from_u32(codes: Vec<u32>, arity: u32) -> Codes {
-        match Self::width_for(arity) {
-            1 => Codes::U8(codes.iter().map(|&c| c as u8).collect()),
-            2 => Codes::U16(codes.iter().map(|&c| c as u16).collect()),
-            _ => Codes::U32(codes),
         }
     }
 
@@ -218,12 +209,13 @@ impl Encoding {
         }
     }
 
-    /// Number of distinct codes actually observed. Cold builds count while
-    /// they build. An encoding carried into an appended child by
-    /// [`EncodedTable::extend`] knows its count only when the parent had
-    /// already seen every code of the child's code space (or when dense
-    /// re-numbering counted it); otherwise the count runs over every row
-    /// on this first read and is kept. Either way the value is exact.
+    /// Number of distinct codes actually observed. The count runs over
+    /// every row on the first read and is kept, unless the encoding was
+    /// built knowing it: the empty set, dense re-numbering (the numbering
+    /// counts), and an extension whose parent had read its count and seen
+    /// every code of the child's code space. In practice only conditioning sets
+    /// whose code space reaches the row count are ever counted, through
+    /// [`Encoding::all_singletons`]. Either way the value is exact.
     pub fn distinct(&self) -> usize {
         *self
             .distinct
@@ -241,10 +233,10 @@ impl Encoding {
     }
 
     /// The encoding an extension builds from `parent`'s codes plus the
-    /// batch's: a parent that has already seen every code of the child's
-    /// code space passes its count on (the child holds every parent code
-    /// and no code outside that space); any other count waits for its
-    /// first read.
+    /// batch's: a parent whose count has been read and covers every code
+    /// of the child's code space passes it on (the child holds every
+    /// parent code and no code outside that space); any other count waits
+    /// for its first read.
     fn extended(parent: &Encoding, codes: Codes, arity: u32) -> Encoding {
         match parent.distinct.get() {
             Some(&seen) if seen == arity as usize => Encoding::counted(codes, arity, seen),
@@ -472,8 +464,7 @@ impl EncodedTable {
                 // encoding, so compose streams two narrow inputs instead
                 // of the table's full-width storage.
                 let last = self.encode_sorted(vec![key[key.len() - 1]]);
-                let mut scratch = self.dense_scratch.lock().expect("dense scratch lock");
-                compose(&prefix, &last, &mut scratch)
+                compose(&prefix, &last, &self.dense_scratch)
             }
         }
     }
@@ -488,8 +479,7 @@ impl EncodedTable {
 
     fn base_column(&self, col: ColId) -> Encoding {
         let (codes, arity) = self.column_codes(col);
-        let distinct = count_distinct(codes, arity);
-        Encoding::counted(Codes::from_slice(codes, arity), arity, distinct)
+        Encoding::new(Codes::from_slice(codes, arity), arity)
     }
 
     /// Extend this dataset with an appended row batch, producing a child
@@ -506,11 +496,11 @@ impl EncodedTable {
     /// concatenated table.
     ///
     /// The parent's rows are only copied, never re-read: no distinct count
-    /// is recounted here. A key whose parent had seen every code of the
-    /// child's code space inherits that count, a dense re-numbered key
-    /// knows its count from the numbering, and every other key counts on
-    /// the first read of [`Encoding::distinct`] — in practice only
-    /// conditioning sets, through [`Encoding::all_singletons`].
+    /// is recounted here. A key whose parent had read its count and seen
+    /// every code of the child's code space inherits that count, a dense
+    /// re-numbered key knows its count from the numbering, and every other
+    /// key counts on the first read of [`Encoding::distinct`], like a cold
+    /// build.
     pub fn extend(&self, batch: &Table) -> Result<EncodedTable, crate::table::TableError> {
         let n_parent = self.table.n_rows();
         let child_table = Arc::new(self.table.concat(batch)?);
@@ -575,11 +565,7 @@ impl EncodedTable {
     ) -> Option<Encoding> {
         let n = self.table.n_rows();
         if key.is_empty() {
-            return Some(Encoding::counted(
-                Codes::U8(vec![0; n]),
-                1,
-                usize::from(n > 0),
-            ));
+            return Some(self.build_encoding(key));
         }
         if key.len() == 1 {
             let (codes, arity) = self.column_codes(key[0]);
@@ -688,12 +674,12 @@ impl EncodedTable {
 /// product of code spaces fits `u32`, dense first-occurrence re-numbering
 /// otherwise. Either way the result is injective on distinct observed
 /// combinations, so the induced partition equals the full joint partition.
-/// `scratch` is the caller's reusable dense-renumber map; it is cleared
-/// (capacity kept) and pre-sized before use.
+/// `scratch` is the table's reusable dense-renumber map, locked only on
+/// the dense path; it is cleared (capacity kept) and pre-sized before use.
 fn compose(
     prefix: &Encoding,
     last: &Encoding,
-    scratch: &mut std::collections::HashMap<u64, u32>,
+    scratch: &Mutex<std::collections::HashMap<u64, u32>>,
 ) -> Encoding {
     let n = last.codes.len();
     debug_assert_eq!(prefix.codes.len(), n);
@@ -701,13 +687,14 @@ fn compose(
     let joint = prefix.arity as u64 * arity as u64;
     if joint <= u32::MAX as u64 {
         let joint = joint as u32;
-        let (out, distinct) = with_codes!(&prefix.codes, |p| with_codes!(&last.codes, |q| {
+        let out = with_codes!(&prefix.codes, |p| with_codes!(&last.codes, |q| {
             compose_codes(p, q, arity, joint)
         }));
-        Encoding::counted(out, joint, distinct)
+        Encoding::new(out, joint)
     } else {
         // Dense re-encode pairs (prefix code, column code) in
         // first-occurrence order; the pair fits u64 by construction.
+        let mut scratch = scratch.lock().expect("dense scratch lock");
         scratch.clear();
         scratch.reserve(n);
         let mut out = Vec::with_capacity(n);
@@ -720,29 +707,20 @@ fn compose(
         }));
         let distinct = scratch.len();
         let out_arity = (distinct as u32).max(1);
-        Encoding::counted(Codes::from_u32(out, out_arity), out_arity, distinct)
+        Encoding::counted(Codes::from_slice(&out, out_arity), out_arity, distinct)
     }
 }
 
 /// Mixed-radix combine `prefix * arity + col`, written directly at the
 /// width the joint code space needs — no full-width intermediate vector,
-/// no separate narrowing pass. The distinct count runs as its own sweep
-/// over the (narrow) output: keeping the combine loop branch-free lets
-/// it vectorize, which beats folding the seen-bitmap probe into the
-/// same pass (measured ~2× at 500k rows).
-fn compose_codes<P: CodeValue, C: CodeValue>(
-    p: &[P],
-    col: &[C],
-    arity: u32,
-    joint: u32,
-) -> (Codes, usize) {
-    let out = match Codes::width_for(joint) {
+/// no separate narrowing pass, and no distinct count (the encoding counts
+/// on its first read, which most compositions never see).
+fn compose_codes<P: CodeValue, C: CodeValue>(p: &[P], col: &[C], arity: u32, joint: u32) -> Codes {
+    match Codes::width_for(joint) {
         1 => Codes::U8(combine(p, col, arity)),
         2 => Codes::U16(combine(p, col, arity)),
         _ => Codes::U32(combine(p, col, arity)),
-    };
-    let distinct = with_codes!(&out, |o| count_distinct(o, joint));
-    (out, distinct)
+    }
 }
 
 /// Append `suffix` (full-width codes already known to fit the child code
@@ -1151,10 +1129,11 @@ mod tests {
     }
 
     /// An extended key's distinct count equals the cold count in each way
-    /// an extension can come by it: inherited from a parent that saw its
-    /// whole code space, counted on first read when the parent did not,
-    /// known from dense re-numbering, and counted on first read for a key
-    /// whose storage widens from u8 to u16.
+    /// an extension can come by it: inherited from a parent that had read
+    /// its count and seen its whole code space, counted on first read when
+    /// the parent had not read its count or had not seen every code, known
+    /// from dense re-numbering, and counted on first read for a key whose
+    /// storage widens from u8 to u16.
     #[test]
     fn extended_distinct_counts_match_cold() {
         let wide = 70_000u32;
@@ -1196,16 +1175,23 @@ mod tests {
         let parent_t = table(300, 0, None);
         let batch = table(200, 1000, Some(3));
         let parent = EncodedTable::new(&parent_t);
-        let (saturated, unsaturated, dense, widened) =
-            (vec![0], vec![1], vec![2, 3], vec![2, 3, 4]);
+        let (saturated, unread, unsaturated, dense, widened) =
+            (vec![0], vec![4], vec![1], vec![2, 3], vec![2, 3, 4]);
         for key in [&saturated, &unsaturated, &dense, &widened] {
             parent.encode(key);
         }
+        // The saturated parent's count is read before extending; `w` also
+        // saw both of its codes, but only as a step of `widened`, so its
+        // count was never read.
+        assert_eq!(parent.encode(&saturated).distinct(), 3);
+        assert_eq!(parent.encode(&unsaturated).distinct(), 2);
+        assert!(parent.encode(&unread).distinct.get().is_none());
         assert_eq!(parent.encode(&widened).codes.width(), 1);
         let child = parent.extend(&batch).unwrap();
         let cold = EncodedTable::new(&parent_t.concat(&batch).unwrap());
         let cases = [
-            (&saturated, true, "saturated parent"),
+            (&saturated, true, "saturated parent, count read"),
+            (&unread, false, "saturated parent, count unread"),
             (&unsaturated, false, "unsaturated parent"),
             (&dense, true, "dense re-numbered key"),
             (&widened, false, "u8 -> u16 key"),
@@ -1216,6 +1202,7 @@ mod tests {
             assert_eq!(e.distinct(), cold.encode(key).distinct(), "{label}");
             assert_eq!(e.codes, cold.encode(key).codes, "{label}");
         }
+        assert_eq!(child.encode(&unread).distinct(), 2);
         assert_eq!(
             child.encode(&unsaturated).distinct(),
             3,
@@ -1223,6 +1210,41 @@ mod tests {
         );
         assert_eq!(child.encode(&widened).codes.width(), 2);
         assert_eq!(child.stats().misses, 0, "every case was extended");
+    }
+
+    /// A cold base column and a cold mixed-radix composition leave their
+    /// distinct count unset until it is read; `distinct` and
+    /// `all_singletons` then agree with a hash-set count of the codes.
+    #[test]
+    fn cold_builds_count_on_first_read() {
+        let rows = 64usize;
+        let cat = |name: &str, f: fn(usize) -> u32, arity: u32| {
+            Column::cat(name, Role::Feature, (0..rows).map(f).collect(), arity)
+        };
+        let t = Table::new(vec![
+            cat("a", |i| (i % 8) as u32, 8),
+            cat("b", |i| (i / 8) as u32, 8),
+            cat("c", |i| (i % 3) as u32, 5),
+            cat("d", |i| (i % 10) as u32, 100),
+        ])
+        .unwrap();
+        let enc = EncodedTable::new(&t);
+        // Base columns, a composition whose code space is below the row
+        // count, and compositions reaching it with and without repeats.
+        for key in [vec![0], vec![3], vec![0, 2], vec![0, 1], vec![2, 3]] {
+            let e = enc.encode(&key);
+            assert!(e.distinct.get().is_none(), "{key:?} counted at build");
+            let expected = e
+                .codes
+                .to_u32_vec()
+                .into_iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len();
+            assert_eq!(e.all_singletons(), expected == rows, "{key:?}");
+            assert_eq!(e.distinct(), expected, "{key:?}");
+        }
+        assert!(enc.encode(&[0, 1]).all_singletons());
+        assert!(!enc.encode(&[2, 3]).all_singletons());
     }
 
     #[test]

@@ -1947,6 +1947,16 @@ mod request_validation {
         Response::from_json(&Json::parse(&text).expect("json reply")).expect("response")
     }
 
+    /// The report a local G-test run of an inline-CSV workload renders.
+    fn local_gtest_select(wl: &WorkloadRequest) -> String {
+        let table = csv::from_csv_string(wl.dataset.as_csv().expect("inline csv")).expect("csv");
+        let split = table.split_rows_stable(wl.seed, wl.train_frac);
+        let (train, test) = (split.train, split.test);
+        let cfg = pipeline_config(wl, train.n_rows()).expect("config");
+        let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
+        render_pipeline_report(&out, &train, &cfg, test.n_rows())
+    }
+
     #[test]
     fn bad_train_frac_and_workers_get_errors_on_a_connection_that_survives() {
         let csv_text = workload_csv(29, 10, 600);
@@ -1985,12 +1995,7 @@ mod request_validation {
         // The same connection then serves a valid select, byte-identical
         // to a local run of the same workload.
         let wl = WorkloadRequest::with_csv(csv_text);
-        let table = csv::from_csv_string(wl.dataset.as_csv().expect("inline csv")).expect("csv");
-        let split = table.split_rows_stable(wl.seed, wl.train_frac);
-        let (train, test) = (split.train, split.test);
-        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
-        let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
-        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        let expected = local_gtest_select(&wl);
         // Older clients still send "speculate"; the decoder ignores it.
         let plain = Request::Select(wl.clone()).to_json().to_string();
         let older = format!(
@@ -2004,6 +2009,48 @@ mod request_validation {
         match call_raw(&mut stream, older.as_bytes()) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("select frame carrying speculate failed: {other:?}"),
+        }
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// A `workers`, `alpha` or `train_frac` that is present but of the
+    /// wrong type gets an error naming the field, where it was once
+    /// answered as if the field were absent. The connection then serves a
+    /// select byte-identical to a local run.
+    #[test]
+    fn mistyped_fields_get_errors_on_a_connection_that_survives() {
+        let wl = WorkloadRequest::with_csv(workload_csv(41, 8, 500));
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+
+        let bad = [
+            ("workers", "-1"),
+            ("workers", "1.5"),
+            ("workers", "\"all\""),
+            ("alpha", "\"x\""),
+            ("alpha", "null"),
+            ("train_frac", "\"x\""),
+        ];
+        for (field, value) in bad {
+            let Json::Obj(mut pairs) = Request::Select(wl.clone()).to_json() else {
+                panic!("a select is a JSON object");
+            };
+            let slot = pairs.iter_mut().find(|(k, _)| k == field).expect("field");
+            slot.1 = Json::parse(value).expect("json value");
+            let frame = Json::Obj(pairs).to_string();
+            match call_raw(&mut stream, frame.as_bytes()) {
+                Response::Err(e) => assert!(e.contains(field), "{field} {value}: {e:?}"),
+                other => panic!("{field} {value} got {other:?}"),
+            }
+        }
+
+        let expected = local_gtest_select(&wl);
+        match call(&mut stream, &Request::Select(wl)) {
+            Response::Ok { body, .. } => assert_eq!(body, expected),
+            other => panic!("valid select after the mistyped ones failed: {other:?}"),
         }
         drop(stream);
         handle.shutdown();
@@ -2074,12 +2121,7 @@ mod request_validation {
         }
 
         let wl = WorkloadRequest::with_csv(csv_text);
-        let table = csv::from_csv_string(wl.dataset.as_csv().expect("inline csv")).expect("csv");
-        let split = table.split_rows_stable(wl.seed, wl.train_frac);
-        let (train, test) = (split.train, split.test);
-        let cfg = pipeline_config(&wl, train.n_rows()).expect("config");
-        let out = run_pipeline_batched(GTest::new(&train, wl.alpha), &train, &test, &cfg);
-        let expected = render_pipeline_report(&out, &train, &cfg, test.n_rows());
+        let expected = local_gtest_select(&wl);
         match call(&mut stream, &Request::Select(wl)) {
             Response::Ok { body, .. } => assert_eq!(body, expected),
             other => panic!("valid select after the malformed frames failed: {other:?}"),
