@@ -8,50 +8,26 @@
 //! following Mukherjee et al. \[39\], as footnote 3 of the paper prescribes.
 
 use crate::contingency::{
-    carry_over, encode_cache_stats, scaffold_stats, z_scaffold, Arenas, Scaffold, ScaffoldCache,
-    Strata, StratumRows, SuffKey, SuffTable, ZPartition,
+    arity, cmi_stat, Arenas, DiscreteState, Scaffold, StratumRows, ZPartition,
 };
-use crate::{CiOutcome, CiTest, VarId};
-use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding, Table};
+use crate::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, CiTestShared, VarId};
+use fairsel_table::{with_codes, CodeValue, EncodedTable, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Plug-in conditional mutual information `I(X; Y | Z)` in nats from joint
-/// codes. Equals `G / (2n)` for the same contingency tables. Accumulation
-/// order is first-occurrence (deterministic in the codes).
+/// codes. Equals `G / (2n)` for the same contingency tables. The count is
+/// the testers' own — strata in first-occurrence order of `z`, cells in
+/// first-occurrence row order within each, in the dense or sparse arena by
+/// the cell space — so the value is a deterministic function of the codes.
 pub fn cmi_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> f64 {
-    let n = x.len();
-    if n == 0 {
-        assert!(y.is_empty() && z.is_empty(), "cmi: length mismatch");
-        return 0.0;
-    }
-    cmi_from_strata(&Strata::count(x, y, z), n)
-}
-
-/// CMI from hashed contingency counts ([`Strata::count`]), summed in their
-/// first-occurrence order.
-pub(crate) fn cmi_from_strata(strata: &Strata, n: usize) -> f64 {
-    let nf = n as f64;
-    let mut cmi = 0.0;
-    for s in &strata.strata {
-        for &((xv, yv), nxy) in &s.cells {
-            let nx = s.xm[&xv];
-            let ny = s.ym[&yv];
-            cmi += (nxy / nf) * ((nxy * s.total) / (nx * ny)).ln();
-        }
-    }
-    // Truncate tiny negatives (footnote 3 of the paper, after [39]).
-    cmi.max(0.0)
-}
-
-/// Plug-in CMI over table columns (joint-coded sets).
-pub fn cmi_discrete(table: &Table, x: &[VarId], y: &[VarId], z: &[VarId]) -> f64 {
-    let (xc, _) = table.joint_codes_dense(x);
-    let (yc, _) = table.joint_codes_dense(y);
-    let (zc, _) = table.joint_codes_dense(z);
-    cmi_from_codes(&xc, &yc, &zc)
+    let size = |c: &[u32]| c.iter().max().map_or(1, |&m| m as usize + 1);
+    let part = ZPartition::from_codes(z);
+    let rows = StratumRows::from_partition(&part);
+    let mut arenas = Arenas::default();
+    arenas.fill(x, size(x), y, size(y), &(part, rows));
+    cmi_stat(&mut arenas, x.len())
 }
 
 /// Permutation CI test: the null distribution of the CMI statistic is
@@ -67,30 +43,19 @@ pub fn cmi_discrete(table: &Table, x: &[VarId], y: &[VarId], z: &[VarId]) -> f64
 /// [`crate::CiTestShared`]/[`crate::CiTestBatch`]-capable despite being a
 /// permutation test (the ROADMAP's "per-worker RNG streams keyed by
 /// canonical query").
+///
+/// Every query is evaluated as part of a Z-group (a single query is a
+/// group of one): the observed statistic and all `B` replicates count
+/// against the group's memoized stratification in one set of arenas. The
+/// observed-data table is retained, so an extension over appended rows
+/// ([`PermutationCmi::extended_from`]) patches it with the batch; the
+/// replicates always recount, since their tables depend on the permuted
+/// codes.
 pub struct PermutationCmi {
-    enc: Arc<EncodedTable>,
+    state: DiscreteState,
     alpha: f64,
     permutations: usize,
     seed: u64,
-    degenerate: AtomicU64,
-    /// Cells zeroed+filled by the dense counting arena (telemetry:
-    /// `dense_count_cells`).
-    dense_cells: AtomicU64,
-    /// Memoized conditioning-set scaffolds, keyed by canonical set and
-    /// bounded like every other data-path cache — so concurrent chunks of
-    /// one Z-group (and later frontier levels) share one stratification.
-    partitions: ScaffoldCache,
-    /// Retained sufficient statistics — the observed-data contingency
-    /// table of each evaluated query, keyed by the canonical query
-    /// triple. On dataset extension each resident table is patched with
-    /// the appended rows ([`SuffTable::patch`]), so re-answering the
-    /// query costs O(batch) counting for the observed statistic (the `B`
-    /// permutation replicates still recount — their tables depend on the
-    /// permuted codes, not on retained state).
-    suff: CappedCache<SuffKey, Arc<SuffTable>>,
-    /// Scaffolds carried over from a parent tester on dataset extension
-    /// (see [`PermutationCmi::extended_from`]).
-    extended_scaffolds: u64,
 }
 
 impl PermutationCmi {
@@ -109,17 +74,11 @@ impl PermutationCmi {
     pub fn over(enc: Arc<EncodedTable>, alpha: f64, permutations: usize, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
         assert!(permutations > 0, "need at least one permutation");
-        let cap = enc.cache_cap();
         Self {
-            enc,
+            state: DiscreteState::over(enc),
             alpha,
             permutations,
             seed,
-            degenerate: AtomicU64::new(0),
-            dense_cells: AtomicU64::new(0),
-            partitions: CappedCache::new(cap),
-            suff: CappedCache::new(cap),
-            extended_scaffolds: 0,
         }
     }
 
@@ -133,164 +92,89 @@ impl PermutationCmi {
     /// permutation count, base seed) is inherited; evaluation telemetry
     /// starts fresh, matching a cold run's counters.
     pub fn extended_from(parent: &PermutationCmi, enc: Arc<EncodedTable>) -> PermutationCmi {
-        let mut child = PermutationCmi::over(enc, parent.alpha, parent.permutations, parent.seed);
-        child.extended_scaffolds = carry_over(
-            &child.enc,
-            &parent.partitions,
-            &parent.suff,
-            &child.partitions,
-            &child.suff,
-        );
-        child
+        PermutationCmi {
+            state: DiscreteState::extended_from(&parent.state, enc),
+            ..*parent
+        }
     }
 
     /// The shared encoding layer.
     pub fn encoded(&self) -> &Arc<EncodedTable> {
-        &self.enc
+        &self.state.enc
     }
 
     /// Queries short-circuited on all-singleton conditioning strata.
     pub fn degenerate_short_circuits(&self) -> u64 {
-        self.degenerate.load(Ordering::Relaxed)
+        self.state.degenerate()
     }
 
-    /// One query against a prepared conditioning scaffold. `x`/`y` arrive
-    /// in caller spelling (canonicalized here, so the derived RNG stream
-    /// matches every other spelling); `zkey` is the canonical conditioning
-    /// set; `part`/`rows` are its stratification. The observed statistic
-    /// *and* every permutation replicate count against the scaffold — the
-    /// same arithmetic in the same order as the unscaffolded path, derived
-    /// once instead of `B + 1` times per query.
-    fn eval_prepared(
+    /// One query against its group's scaffold. `x`/`y` arrive in caller
+    /// spelling and are canonicalized here, so the derived RNG stream
+    /// matches every other spelling, including the symmetric swap; `zkey`
+    /// is the canonical conditioning set. The observed table is retained
+    /// before the replicates refill the arenas.
+    fn eval(
         &self,
         x: &[VarId],
         y: &[VarId],
         zkey: &[VarId],
-        ze: &Encoding,
-        part: &ZPartition,
-        rows: &StratumRows,
+        sc: &Scaffold,
+        arenas: &mut Arenas,
     ) -> CiOutcome {
         let (x, y) = crate::canonical_sides(x, y);
-        let (x, y) = (x.as_slice(), y.as_slice());
-        let xe = self.enc.encode(x);
-        let ye = self.enc.encode(y);
-        let n = ze.codes.len();
-        let seed = crate::derived_query_seed(self.seed, x, y, zkey);
-        let (xa, ya) = (xe.arity.max(1) as usize, ye.arity.max(1) as usize);
-        // Sides are already canonical here, so the retained table's
-        // as-evaluated spelling *is* the canonical cache key.
-        let key: SuffKey = (x.to_vec(), y.to_vec(), zkey.to_vec());
-        let retain_key = self.suff.peek(&key).is_none().then_some(key);
-        let mut retained: Option<SuffTable> = None;
-        let (observed, p) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-            let (observed, p, cells) = permute_and_count_narrow(
-                xc,
-                xa,
-                yc,
-                ya,
-                part,
-                rows,
-                n,
-                seed,
-                self.permutations,
-                retain_key.is_some().then_some(&mut retained),
-            );
-            if cells > 0 {
-                self.dense_cells.fetch_add(cells, Ordering::Relaxed);
+        let (xe, ye) = (self.state.enc.encode(&x), self.state.enc.encode(&y));
+        let seed = crate::derived_query_seed(self.seed, &x, &y, zkey);
+        with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
+            let (xa, ya) = (arity(&xe), arity(&ye));
+            let dense = arenas.fill(xc, xa, yc, ya, sc);
+            let observed = cmi_stat(arenas, xc.len());
+            if let Some(cells) = dense {
+                self.state.dense_counted(cells);
+                self.state.retain(&x, &y, zkey, &arenas.dense);
             }
-            (observed, p)
-        }));
-        if let (Some(key), Some(mut t)) = (retain_key, retained) {
-            t.xset = x.to_vec();
-            t.yset = y.to_vec();
-            self.suff.insert(key, Arc::new(t));
+            self.against_null(observed, xc, xa, yc, ya, sc, seed, arenas)
+        }))
+    }
+
+    /// The outcome of `observed` against the permutation null: run the `B`
+    /// within-strata replicates and count those whose statistic is
+    /// `>= observed` (the observed statistic counts itself). The replicate
+    /// stream — randomness, counting arithmetic, comparisons — depends
+    /// only on `(seed, codes, scaffold)`, never on *how* `observed` was
+    /// produced, so the cold path and the append-patched path (observed
+    /// from a patched table's walk) consume identical randomness and
+    /// return identical bits.
+    #[allow(clippy::too_many_arguments)]
+    fn against_null<X: CodeValue, Y: CodeValue>(
+        &self,
+        observed: f64,
+        xcodes: &[X],
+        xa: usize,
+        ycodes: &[Y],
+        ya: usize,
+        sc: &Scaffold,
+        seed: u64,
+        arenas: &mut Arenas,
+    ) -> CiOutcome {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xperm: Vec<X> = xcodes.to_vec();
+        let mut at_least = 1usize; // the observed statistic counts itself
+        let mut cells = 0usize;
+        for _ in 0..self.permutations {
+            shuffle_within_strata(&mut xperm, &sc.1, &mut rng);
+            cells += arenas.fill(&xperm, xa, ycodes, ya, sc).unwrap_or(0);
+            if cmi_stat(arenas, xperm.len()) >= observed {
+                at_least += 1;
+            }
         }
+        self.state.dense_counted(cells);
+        let p = at_least as f64 / (self.permutations + 1) as f64;
         CiOutcome {
             independent: p > self.alpha,
             p_value: p,
             statistic: observed,
         }
     }
-}
-
-/// The observed statistic and permutation p-value through the narrow/arena
-/// kernels: one reusable pair of arenas (dense, or sparse when the cell
-/// space is too large) serves the observed statistic and all `B`
-/// replicates, and the permutation runs at the codes' native width. The
-/// statistic values — and therefore the `>= observed` comparisons and the
-/// p-value — are bit-identical to hashed counting of each permuted copy
-/// ([`cmi_from_codes`]). Returns `(observed, p, dense cells used)`.
-#[allow(clippy::too_many_arguments)]
-fn permute_and_count_narrow<X: CodeValue, Y: CodeValue>(
-    xcodes: &[X],
-    xa: usize,
-    ycodes: &[Y],
-    ya: usize,
-    part: &ZPartition,
-    rows: &StratumRows,
-    n: usize,
-    seed: u64,
-    permutations: usize,
-    suff_out: Option<&mut Option<SuffTable>>,
-) -> (f64, f64, u64) {
-    let mut arenas = Arenas::default();
-    let (observed, dense) = arenas.cmi(xcodes, ycodes, xa, ya, part, rows);
-    // Snapshot the observed-data counts before the replicates refill the
-    // arena — the table a later dataset extension can patch.
-    if let (Some(out), Some(_)) = (suff_out, dense) {
-        *out = Some(arenas.dense.snapshot_suff(n));
-    }
-    let (p, replicate_cells) = replicate_pvalue(
-        observed,
-        xcodes,
-        ycodes,
-        xa,
-        ya,
-        part,
-        rows,
-        seed,
-        permutations,
-        &mut arenas,
-    );
-    let cells_used = dense.map(|c| c as u64).unwrap_or(0) + replicate_cells;
-    (observed, p, cells_used)
-}
-
-/// The permutation-null tail probability of `observed`: run the `B`
-/// within-strata replicates and count those whose statistic is
-/// `>= observed` (the observed statistic counts itself). The replicate
-/// stream — randomness, counting arithmetic, comparisons — depends only
-/// on `(seed, codes, scaffold)`, never on *how* `observed` was produced,
-/// so the cold path and the append-patched path (observed from a patched
-/// [`SuffTable`] walk) consume identical randomness and return identical
-/// bits. Returns `(p, dense cells counted by the replicates)`.
-#[allow(clippy::too_many_arguments)]
-fn replicate_pvalue<X: CodeValue, Y: CodeValue>(
-    observed: f64,
-    xcodes: &[X],
-    ycodes: &[Y],
-    xa: usize,
-    ya: usize,
-    part: &ZPartition,
-    rows: &StratumRows,
-    seed: u64,
-    permutations: usize,
-    arenas: &mut Arenas,
-) -> (f64, u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut xperm: Vec<X> = xcodes.to_vec();
-    let mut at_least = 1usize; // the observed statistic counts itself
-    let mut cells = 0u64;
-    for _ in 0..permutations {
-        shuffle_within_strata(&mut xperm, rows, &mut rng);
-        let (stat, dense) = arenas.cmi(&xperm, ycodes, xa, ya, part, rows);
-        cells += dense.map_or(0, |c| c as u64);
-        if stat >= observed {
-            at_least += 1;
-        }
-    }
-    let p = at_least as f64 / (permutations + 1) as f64;
-    (p, cells)
 }
 
 /// Fisher-Yates within each stratum, strata in first-occurrence order,
@@ -309,11 +193,11 @@ fn shuffle_within_strata<T: Copy>(xperm: &mut [T], rows: &StratumRows, rng: &mut
 
 impl CiTest for PermutationCmi {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        self.ci_shared(x, y, z)
     }
 
     fn n_vars(&self) -> usize {
-        self.enc.table().n_cols()
+        self.state.enc.table().n_cols()
     }
 
     fn name(&self) -> &'static str {
@@ -321,149 +205,56 @@ impl CiTest for PermutationCmi {
     }
 }
 
-impl crate::CiTestShared for PermutationCmi {
+impl CiTestShared for PermutationCmi {
+    /// A Z-group of one.
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        if x.is_empty() || y.is_empty() {
-            return CiOutcome::decided(true);
-        }
-        let zkey = crate::canonical_set(z);
-        let ze = self.enc.encode(&zkey);
-        if ze.all_singletons() {
-            // One row per stratum: the observed CMI is exactly 0 and every
-            // within-stratum permutation is the identity, so p = 1 without
-            // any contingency storage or randomness.
-            self.degenerate.fetch_add(1, Ordering::Relaxed);
-            return CiOutcome {
-                independent: true,
-                p_value: 1.0,
-                statistic: 0.0,
-            };
-        }
-        // Shared scaffold: the stratification is derived once per
-        // conditioning set and reused by the observed statistic and all B
-        // permutation replicates (sides are canonicalized inside, so
-        // every spelling — including the symmetric swap — permutes the
-        // same side with the same randomness and returns byte-identical
-        // outcomes).
-        let scaffold = z_scaffold(&self.partitions, &zkey, &ze);
-        self.eval_prepared(x, y, &zkey, &ze, &scaffold.0, &scaffold.1)
+        self.eval_z_group(&crate::canonical_set(z), &[CiQueryRef { x, y, z }])[0]
     }
 }
 
-impl crate::CiTestBatch for PermutationCmi {
+impl CiTestBatch for PermutationCmi {
     /// Z-grouped evaluation: one stratification (and one row-list layout)
     /// for the whole group, shared by every query's `B + 1` statistic
-    /// computations. Byte-identical to the per-query path, which runs the
-    /// same `PermutationCmi::eval_prepared` on a privately derived
-    /// scaffold.
-    fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        let zkey = crate::canonical_set(z);
-        let mut scaffold: Option<(Arc<Encoding>, Option<Arc<Scaffold>>)> = None;
-        queries
-            .iter()
-            .map(|q| {
-                if q.x.is_empty() || q.y.is_empty() {
-                    return CiOutcome::decided(true);
-                }
-                let (ze, rest) = scaffold.get_or_insert_with(|| {
-                    let ze = self.enc.encode(&zkey);
-                    let rest = if ze.all_singletons() {
-                        None
-                    } else {
-                        Some(z_scaffold(&self.partitions, &zkey, &ze))
-                    };
-                    (ze, rest)
-                });
-                let Some(sc) = rest else {
-                    self.degenerate.fetch_add(1, Ordering::Relaxed);
-                    return CiOutcome {
-                        independent: true,
-                        p_value: 1.0,
-                        statistic: 0.0,
-                    };
-                };
-                self.eval_prepared(q.x, q.y, &zkey, ze, &sc.0, &sc.1)
-            })
-            .collect()
+    /// computations.
+    fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
+        self.state.eval_group(z, queries, |q, zkey, sc, arenas| {
+            self.eval(q.x, q.y, zkey, sc, arenas)
+        })
     }
 
     fn encode_cache_stats(&self) -> crate::EncodeStats {
-        encode_cache_stats(&self.enc, &self.partitions, &self.dense_cells)
+        self.state.encode_cache_stats()
     }
 
-    fn extend_over(
-        &self,
-        child: Arc<EncodedTable>,
-    ) -> Option<Box<dyn crate::CiTestBatch + Send + Sync>> {
+    fn extend_over(&self, child: Arc<EncodedTable>) -> Option<Box<dyn CiTestBatch + Send + Sync>> {
         Some(Box::new(PermutationCmi::extended_from(self, child)))
     }
 
     fn scaffold_stats(&self) -> crate::ScaffoldStats {
-        scaffold_stats(&self.partitions, &self.suff, self.extended_scaffolds)
+        self.state.scaffold_stats()
     }
 
     /// Answer a memoized query from its retained-and-patched observed
-    /// table: the observed statistic is one `SuffTable::cmi` walk over
-    /// the already-patched counts (O(batch) counting happened at
-    /// extension); the `B` permutation replicates re-run against the
-    /// extended scaffold with the query's derived seed — the identical
-    /// randomness and arithmetic a cold evaluation consumes, so every
-    /// output bit matches. `None` routes the query to the invalidate
-    /// path.
+    /// table: the observed statistic is one walk over the already-patched
+    /// counts (O(batch) counting happened at extension); the `B`
+    /// permutation replicates re-run against the extended scaffold with
+    /// the query's derived seed — the identical randomness and arithmetic
+    /// a cold evaluation consumes, so every output bit matches. `None`
+    /// routes the query to the invalidate path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        if x.is_empty() || y.is_empty() {
-            return Some(CiOutcome::decided(true));
-        }
-        let zkey = crate::canonical_set(z);
-        let (x, y) = crate::canonical_sides(x, y);
-        // A retained table was counted on a conditioning set that was not
-        // all singletons, and the extended rows keep every one of its
-        // strata, so only a query without one can be degenerate now.
-        let Some(t) = self.suff.peek(&(x.clone(), y.clone(), zkey.clone())) else {
-            // Degenerate on the extended rows too — the same short-circuit
-            // a cold evaluation takes.
-            return self
-                .enc
-                .encode(&zkey)
-                .all_singletons()
-                .then_some(CiOutcome {
-                    independent: true,
-                    p_value: 1.0,
-                    statistic: 0.0,
-                });
+        let ((x, y, zkey), t) = match self.state.retained(x, y, z) {
+            Ok(found) => found,
+            Err(answer) => return answer,
         };
-        let n = self.enc.n_rows();
-        if t.n_rows != n {
-            return None;
-        }
-        let sc = self.partitions.peek(&zkey)?;
-        let xe = self.enc.encode(&x);
-        let ye = self.enc.encode(&y);
+        let sc = self.state.resident_scaffold(&zkey)?;
+        let (xe, ye) = (self.state.enc.encode(&x), self.state.enc.encode(&y));
         let seed = crate::derived_query_seed(self.seed, &x, &y, &zkey);
-        let observed = t.cmi(n);
+        let observed = cmi_stat(&mut &*t, t.n_rows);
+        let (xa, ya) = (t.table.xa, t.table.ya);
         let mut arenas = Arenas::default();
-        let (p, cells) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-            replicate_pvalue(
-                observed,
-                xc,
-                yc,
-                t.xa,
-                t.ya,
-                &sc.0,
-                &sc.1,
-                seed,
-                self.permutations,
-                &mut arenas,
-            )
-        }));
-        if cells > 0 {
-            self.dense_cells.fetch_add(cells, Ordering::Relaxed);
-        }
-        Some(CiOutcome {
-            independent: p > self.alpha,
-            p_value: p,
-            statistic: observed,
-        })
+        Some(with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
+            self.against_null(observed, xc, xa, yc, ya, &sc, seed, &mut arenas)
+        })))
     }
 }
 
@@ -711,13 +502,50 @@ mod tests {
         assert!(s.conserved(), "{s:?}");
     }
 
+    /// The fairness report's CMI is bit for bit the hashed reference's
+    /// on report-shaped inputs: binary predictions against sensitive joint
+    /// codes within admissible strata, the codes narrow enough for the
+    /// dense arena in half the cases and wide enough for the sparse arena
+    /// in the other half.
     #[test]
-    fn cmi_discrete_on_table_matches_codes() {
-        let t = xor_table(500);
-        let via_table = cmi_discrete(&t, &[0, 1], &[2], &[]);
-        let (xc, _) = t.joint_codes(&[0, 1]);
-        let (yc, _) = t.joint_codes(&[2]);
-        let via_codes = cmi_from_codes(&xc, &yc, &vec![0; 500]);
-        assert_close!(via_table, via_codes, 1e-12);
+    fn cmi_from_codes_matches_hashed_reference_on_report_shapes() {
+        use crate::contingency::{dense_cell_space, ZPartition};
+        use crate::kernel_reference::cmi_from_codes as hashed;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut dense, mut sparse, mut positive) = (0, 0, 0);
+        for case in 0..80 {
+            let n = rng.gen_range(40..=2500usize);
+            let s_span = if case % 2 == 0 {
+                rng.gen_range(2..=8u32)
+            } else {
+                rng.gen_range(2_000..=70_000u32)
+            };
+            let s: Vec<u32> = (0..n).map(|_| rng.gen_range(0..s_span)).collect();
+            let a_span = rng.gen_range(1..=12u32);
+            let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..a_span)).collect();
+            let pred: Vec<u32> = (0..n)
+                .map(|i| u32::from((s[i] + a[i]).is_multiple_of(3)) ^ u32::from(rng.gen_bool(0.2)))
+                .collect();
+            let strata = ZPartition::from_codes(a.as_slice()).n_strata;
+            let xa = *s.iter().max().unwrap() as usize + 1;
+            match dense_cell_space(n, strata, xa, 2) {
+                Some(_) => dense += 1,
+                None => sparse += 1,
+            }
+            let got = cmi_from_codes(&s, &pred, &a);
+            let want = hashed(&s, &pred, &a);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {got} vs {want}"
+            );
+            positive += usize::from(got > 0.0);
+        }
+        assert!(
+            dense >= 30 && sparse >= 30,
+            "{dense} dense, {sparse} sparse"
+        );
+        assert!(positive >= 60, "{positive} positive");
     }
 }

@@ -1,5 +1,5 @@
 //! Deterministic stratified contingency counting shared by the discrete
-//! testers (G-test, plug-in CMI).
+//! testers (G-test, plug-in CMI) and the fairness report's CMI.
 //!
 //! Strata and cells are accumulated in *first-occurrence order* (hash maps
 //! are used only as indexes into insertion-ordered vectors), so the
@@ -8,22 +8,26 @@
 //! engine promise byte-identical outcomes across the per-query, batched,
 //! and worker-pool execution paths.
 //!
-//! The testers count through the arena structures ([`StratumRows`],
-//! [`Arenas`]), reused across the queries (and permutation replicates) of
-//! a Z-group. Both arenas walk the CSR row layout stratum by stratum.
-//! [`DenseArena`] counts into a flat `stratum × xa × ya` table filled by
-//! an unrolled loop; cell spaces too large for that table
-//! ([`dense_cell_space`]) go to [`SparseArena`], which appends each
-//! stratum's cells to flat vectors through one reusable open-addressing
-//! index. The hashed per-query count ([`Strata`]) backs the fairness
-//! report's CMI and the documented `g_test_from_codes`; the replaced
-//! grouped kernels live on as test-side references
-//! (`tests/kernel_reference/reference.rs`). Every statistic an arena
-//! produces is bit-identical to the hashed count: strata keep
-//! first-occurrence order, cells accumulate in first-occurrence row order,
-//! marginals are exact integer sums, and the statistic walk visits the
-//! same cells in the same order.
+//! Counting runs in two layouts, reused across the queries (and
+//! permutation replicates) of a Z-group through [`Arenas`]; both read the
+//! CSR row layout ([`StratumRows`]) stratum by stratum. [`DenseArena`]
+//! counts into a flat `stratum × xa × ya` table and lists each stratum's
+//! cells, flat, in first-occurrence order. A retained statistic
+//! ([`SuffTable`]) is a copy of that filled table, patched on append, so
+//! filled and retained tables share one layout and one walk. Cell spaces
+//! too large for the flat table ([`dense_cell_space`]) go to
+//! [`SparseArena`], which appends each stratum's cells to flat vectors
+//! through one reusable open-addressing index. Each layout has one walk
+//! ([`Walk`]) feeding every cell to a statistic's term, and the G
+//! statistic ([`g_stat`]) and plug-in CMI ([`cmi_stat`]) are each defined
+//! once over any walk. The hashed per-query count those walks replaced
+//! lives on only as the test-side reference
+//! (`tests/kernel_reference/reference.rs`), and every statistic is
+//! bit-identical to it: strata keep first-occurrence order, cells
+//! accumulate in first-occurrence row order, marginals are exact integer
+//! sums, and each walk visits the same cells in the same order.
 
+use crate::{CiOutcome, CiQueryRef, VarId};
 use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Encoding};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -38,9 +42,9 @@ use std::sync::Arc;
 /// every permutation replicate).
 ///
 /// Strata are numbered in first-occurrence order of the `z` codes — the
-/// exact order [`Strata::count`] discovers them — so statistics counted
-/// against the partition accumulate in the same floating-point order and
-/// come out byte-identical.
+/// order a hashed sweep over the rows discovers them — so statistics
+/// counted against the partition accumulate in the same floating-point
+/// order on every path and come out byte-identical.
 ///
 /// On dataset extension the partition and its CSR layout are extended
 /// together by [`extend_scaffold`], which hashes one code per parent
@@ -275,16 +279,56 @@ fn copy_runs<T: Copy>(
 /// cell space stays within a small multiple of the row count (beyond
 /// that, zeroing the table dominates and the [`SparseArena`] wins).
 pub(crate) fn dense_cell_space(n: usize, n_strata: usize, xa: usize, ya: usize) -> Option<usize> {
-    let cells = (n_strata as u64) * (xa as u64) * (ya as u64);
+    let cells = (n_strata as u64)
+        .saturating_mul(xa as u64)
+        .saturating_mul(ya as u64);
     (cells <= (8 * n as u64).max(4096)).then_some(cells as usize)
 }
 
+/// Counted cells a statistic can walk: every cell, strata in
+/// first-occurrence order and each stratum's cells in first-occurrence
+/// row order, is fed to `term(n_xy, n_z, n_xz, n_yz)`, and the walk
+/// returns the adaptive df (strata with more than one observed x and y
+/// value). Marginals are exact integer sums, so every layout feeds the
+/// same values in the same order.
+pub(crate) trait Walk {
+    fn walk(&mut self, term: impl FnMut(f64, f64, f64, f64)) -> usize;
+}
+
+/// The G statistic `2 Σ n_xy ln(n_xy n_z / (n_xz n_yz))` of the walked
+/// cells, and its degrees of freedom.
+pub(crate) fn g_stat(cells: &mut impl Walk) -> (f64, usize) {
+    let mut g = 0.0;
+    let df = cells.walk(|nxy, nz, nx, ny| {
+        // order: the walk's cell order — strata, then each stratum's cells,
+        // in first occurrence.
+        g += 2.0 * nxy * ((nxy * nz) / (nx * ny)).ln();
+    });
+    (g, df)
+}
+
+/// Plug-in CMI in nats of the walked cells over `n` rows. Slightly
+/// negative sums are truncated to 0 (footnote 3 of the paper, after
+/// Mukherjee et al. \[39\]).
+pub(crate) fn cmi_stat(cells: &mut impl Walk, n: usize) -> f64 {
+    let nf = n as f64;
+    let mut cmi = 0.0;
+    cells.walk(|nxy, nz, nx, ny| {
+        // order: the walk's cell order — strata, then each stratum's cells,
+        // in first occurrence.
+        cmi += (nxy / nf) * ((nxy * nz) / (nx * ny)).ln();
+    });
+    cmi.max(0.0)
+}
+
 /// Reusable dense counting arena: flat `stratum × xa × ya` cell counts,
-/// per-stratum first-occurrence cell order, totals and marginals. One
-/// arena serves every query of a Z-group (and every permutation replicate
-/// of a CMI query) — buffers are resized once and zeroed per fill instead
-/// of reallocated.
-#[derive(Default)]
+/// rows per stratum, and each stratum's cells in first-occurrence order,
+/// flat — stratum `s` holds `cells[offsets[s]..offsets[s + 1]]`, the CSR
+/// layout [`StratumRows`] uses for rows. One arena serves every query of
+/// a Z-group (and every permutation replicate of a CMI query): buffers
+/// are resized once and refilled. A retained statistic is a copy of the
+/// filled arena ([`SuffTable`]), walked by the same [`DenseArena::walk`].
+#[derive(Clone, Default)]
 pub(crate) struct DenseArena {
     /// Integer cell counts: an integer increment retires in one cycle
     /// where the former `f64 += 1.0` serialized on FP-add latency for
@@ -295,14 +339,20 @@ pub(crate) struct DenseArena {
     /// accumulation produced.
     counts: Vec<u32>,
     totals: Vec<u64>,
-    xm: Vec<f64>,
-    ym: Vec<f64>,
-    /// Per-stratum `(x, y)` cells in first-occurrence order — the order
-    /// every statistic walk must follow.
-    cell_order: Vec<Vec<(u32, u32)>>,
-    xa: usize,
-    ya: usize,
-    n_strata: usize,
+    cells: Vec<(u32, u32)>,
+    offsets: Vec<u32>,
+    /// The arities the flat table is laid out at.
+    pub xa: usize,
+    pub ya: usize,
+    pub n_strata: usize,
+}
+
+/// A dense walk's marginal scratch: the exact integer marginals of the
+/// stratum being walked, by x and y value, zero outside it.
+#[derive(Default)]
+pub(crate) struct Margins {
+    xm: Vec<u64>,
+    ym: Vec<u64>,
 }
 
 impl DenseArena {
@@ -318,8 +368,8 @@ impl DenseArena {
     /// increments stay scalar, applied in row order so same-cell
     /// collisions within a lane accumulate sequentially). Within a
     /// stratum the CSR rows ascend, so a cell's first occurrence is found
-    /// at the same row the global row sweep found it at — per-stratum
-    /// `cell_order` is identical, counts are exact integers, and every
+    /// at the same row the global row sweep found it at — each stratum's
+    /// cell run is identical, counts are exact integers, and every
     /// downstream statistic stays bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub fn fill<X: CodeValue, Y: CodeValue>(
@@ -344,31 +394,26 @@ impl DenseArena {
         // accumulation in the fill loops.
         self.totals.clear();
         self.totals.extend_from_slice(&part.sizes);
-        resize_zeroed(&mut self.xm, part.n_strata * xa);
-        resize_zeroed(&mut self.ym, part.n_strata * ya);
-        if self.cell_order.len() < part.n_strata {
-            self.cell_order.resize_with(part.n_strata, Vec::new);
-        }
-        for order in &mut self.cell_order[..part.n_strata] {
-            order.clear();
-        }
+        self.cells.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
         if part.n_strata == 1 {
             // Single stratum (empty or constant Z — a large share of real
             // frontiers): the row sweep is already stratum-contiguous.
             for r in 0..n {
                 let flat = x[r].index() * ya + y[r].index();
                 if self.counts[flat] == 0 {
-                    self.cell_order[0].push((x[r].widen(), y[r].widen()));
+                    self.cells.push((x[r].widen(), y[r].widen()));
                 }
                 self.counts[flat] += 1;
             }
+            self.offsets.push(self.cells.len() as u32);
             return;
         }
         debug_assert_eq!(rows.n_strata(), part.n_strata, "CSR/partition mismatch");
         for s in 0..part.n_strata {
             let base = s * xa * ya;
             let idx = rows.stratum(s);
-            let order = &mut self.cell_order[s];
             let mut flats = [0usize; 8];
             let mut i = 0;
             while i + 8 <= idx.len() {
@@ -379,7 +424,7 @@ impl DenseArena {
                 for (k, &flat) in flats.iter().enumerate() {
                     let r = idx[i + k] as usize;
                     if self.counts[flat] == 0 {
-                        order.push((x[r].widen(), y[r].widen()));
+                        self.cells.push((x[r].widen(), y[r].widen()));
                     }
                     self.counts[flat] += 1;
                 }
@@ -389,105 +434,65 @@ impl DenseArena {
                 let r = idx[i] as usize;
                 let flat = base + x[r].index() * ya + y[r].index();
                 if self.counts[flat] == 0 {
-                    order.push((x[r].widen(), y[r].widen()));
+                    self.cells.push((x[r].widen(), y[r].widen()));
                 }
                 self.counts[flat] += 1;
                 i += 1;
             }
+            self.offsets.push(self.cells.len() as u32);
         }
     }
 
-    /// The G statistic and degrees of freedom from filled counts —
-    /// bit-identical to the hashed walk: integer cell counts convert
-    /// exactly to the `f64` values float accumulation would have built,
-    /// marginals are exact integer sums from the finished cells, the G
-    /// summation visits each stratum's cells in first-occurrence order,
-    /// df counts strata with more than one observed row and column value.
-    pub fn g_walk(&mut self) -> (f64, usize) {
+    /// Stratum `s`'s cells in first-occurrence order.
+    fn run(&self, s: usize) -> &[(u32, u32)] {
+        &self.cells[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    /// The [`Walk`] of the dense layout, for the arena and every retained
+    /// table alike. Each stratum's marginals are exact integer sums over
+    /// its finished cells, taken in `m`, which holds `xa + ya` slots and
+    /// is zeroed again cell by cell before the next stratum.
+    fn walk(&self, m: &mut Margins, mut term: impl FnMut(f64, f64, f64, f64)) -> usize {
         let (xa, ya) = (self.xa, self.ya);
-        let mut g = 0.0;
+        if m.xm.len() < xa {
+            m.xm.resize(xa, 0);
+        }
+        if m.ym.len() < ya {
+            m.ym.resize(ya, 0);
+        }
         let mut df = 0usize;
         for s in 0..self.n_strata {
-            let mut r = 0usize;
-            let mut c = 0usize;
-            for &(xv, yv) in &self.cell_order[s] {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let xslot = &mut self.xm[s * xa + xv as usize];
-                if *xslot == 0.0 {
-                    r += 1;
-                }
-                *xslot += nxy;
-                let yslot = &mut self.ym[s * ya + yv as usize];
-                if *yslot == 0.0 {
-                    c += 1;
-                }
-                *yslot += nxy;
+            let counts = &self.counts[s * xa * ya..(s + 1) * xa * ya];
+            let run = self.run(s);
+            let (mut r, mut c) = (0usize, 0usize);
+            for &(xv, yv) in run {
+                let nxy = counts[xv as usize * ya + yv as usize] as u64;
+                let xm = &mut m.xm[xv as usize];
+                r += usize::from(*xm == 0);
+                *xm += nxy;
+                let ym = &mut m.ym[yv as usize];
+                c += usize::from(*ym == 0);
+                *ym += nxy;
             }
             let total = self.totals[s] as f64;
-            for &(xv, yv) in &self.cell_order[s] {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let nx = self.xm[s * xa + xv as usize];
-                let ny = self.ym[s * ya + yv as usize];
-                g += 2.0 * nxy * ((nxy * total) / (nx * ny)).ln();
+            for &(xv, yv) in run {
+                let nxy = counts[xv as usize * ya + yv as usize] as f64;
+                term(
+                    nxy,
+                    total,
+                    m.xm[xv as usize] as f64,
+                    m.ym[yv as usize] as f64,
+                );
+            }
+            for &(xv, yv) in run {
+                m.xm[xv as usize] = 0;
+                m.ym[yv as usize] = 0;
             }
             if r > 1 && c > 1 {
                 df += (r - 1) * (c - 1);
             }
         }
-        (g, df)
-    }
-
-    /// Snapshot the filled counts as a retainable [`SuffTable`] (the
-    /// statistic walks leave counts and cell order intact, so this is
-    /// valid any time after a fill). `n_rows` is the row count the fill
-    /// ran over; the caller stamps the side sets.
-    pub fn snapshot_suff(&self, n_rows: usize) -> SuffTable {
-        let runs = &self.cell_order[..self.n_strata];
-        let mut cells = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        let mut offsets = Vec::with_capacity(self.n_strata + 1);
-        offsets.push(0);
-        for run in runs {
-            cells.extend_from_slice(run);
-            offsets.push(cells.len() as u32);
-        }
-        SuffTable {
-            xset: Vec::new(),
-            yset: Vec::new(),
-            xa: self.xa,
-            ya: self.ya,
-            n_strata: self.n_strata,
-            n_rows,
-            counts: self.counts.clone(),
-            totals: self.totals.clone(),
-            cells,
-            offsets,
-        }
-    }
-
-    /// Plug-in CMI from filled counts — the same walk order as
-    /// [`DenseArena::g_walk`] with the CMI weighting, bit-identical to the
-    /// hashed `cmi_from_strata` accumulation.
-    pub fn cmi_walk(&mut self, n: usize) -> f64 {
-        let nf = n as f64;
-        let (xa, ya) = (self.xa, self.ya);
-        let mut cmi = 0.0;
-        for s in 0..self.n_strata {
-            for &(xv, yv) in &self.cell_order[s] {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let xslot = &mut self.xm[s * xa + xv as usize];
-                *xslot += nxy;
-                let yslot = &mut self.ym[s * ya + yv as usize];
-                *yslot += nxy;
-            }
-            let total = self.totals[s] as f64;
-            for &(xv, yv) in &self.cell_order[s] {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let nx = self.xm[s * xa + xv as usize];
-                let ny = self.ym[s * ya + yv as usize];
-                cmi += (nxy / nf) * ((nxy * total) / (nx * ny)).ln();
-            }
-        }
-        cmi.max(0.0)
+        df
     }
 }
 
@@ -585,9 +590,9 @@ impl StampedIndex {
 /// own stratum. It walks the CSR strata in first-occurrence order and
 /// finds each stratum's `(x, y)` cells through one [`StampedIndex`],
 /// appending new cells in first-occurrence row order to flat vectors that
-/// every fill reuses. The walks derive marginals and df from the finished
-/// cells and visit the cells in the order [`Strata::count`] lists them, so
-/// every statistic is bit-identical to the hashed path.
+/// every fill reuses. Its walk derives marginals and df from the finished
+/// cells and visits the cells in the dense walk's order, so every
+/// statistic is bit-identical to the dense path's.
 #[derive(Default)]
 pub(crate) struct SparseArena {
     /// `(x, y)` → position in `cells`, for the stratum being counted.
@@ -611,8 +616,8 @@ pub(crate) struct SparseArena {
 impl SparseArena {
     /// Count `(x, y)` cells per stratum of `part`, reading rows through
     /// its CSR layout `rows`. CSR rows ascend within a stratum, so each
-    /// stratum's cells are discovered in the order the global row sweep
-    /// of [`Strata::count`] discovers them.
+    /// stratum's cells are discovered in the order a global row sweep
+    /// discovers them.
     pub fn fill<X: CodeValue, Y: CodeValue>(
         &mut self,
         x: &[X],
@@ -654,11 +659,20 @@ impl SparseArena {
         }
     }
 
-    /// Visit every counted cell, stratum by stratum in first-occurrence
-    /// order, as `term(n_xy, n_z, n_xz, n_yz)`, and return the adaptive df
-    /// (strata with more than one observed x and y value). Marginals are
-    /// exact integer sums over the finished cells, so their order does not
-    /// matter; the cells are visited in the order the hashed path sums.
+    /// Move every index's stamp to `stamp`, so tests can drive the
+    /// wrap-around re-zeroing.
+    #[cfg(test)]
+    fn set_stamps(&mut self, stamp: u32) {
+        for ix in [&mut self.cell_ix, &mut self.x_ix, &mut self.y_ix] {
+            ix.stamp = stamp;
+        }
+    }
+}
+
+impl Walk for SparseArena {
+    /// Marginals are exact integer sums over each stratum's finished
+    /// cells, found through the stamped value indexes, so their order
+    /// does not matter.
     fn walk(&mut self, mut term: impl FnMut(f64, f64, f64, f64)) -> usize {
         let mut df = 0usize;
         let mut start = 0usize;
@@ -696,94 +710,49 @@ impl SparseArena {
         }
         df
     }
-
-    /// The G statistic and degrees of freedom of the filled cells.
-    pub fn g_walk(&mut self) -> (f64, usize) {
-        let mut g = 0.0;
-        let df = self.walk(|nxy, total, nx, ny| {
-            g += 2.0 * nxy * ((nxy * total) / (nx * ny)).ln();
-        });
-        (g, df)
-    }
-
-    /// Plug-in CMI of the filled cells over `n` rows.
-    pub fn cmi_walk(&mut self, n: usize) -> f64 {
-        let nf = n as f64;
-        let mut cmi = 0.0;
-        self.walk(|nxy, total, nx, ny| {
-            cmi += (nxy / nf) * ((nxy * total) / (nx * ny)).ln();
-        });
-        cmi.max(0.0)
-    }
-
-    /// Move every index's stamp to `stamp`, so tests can drive the
-    /// wrap-around re-zeroing.
-    #[cfg(test)]
-    fn set_stamps(&mut self, stamp: u32) {
-        for ix in [&mut self.cell_ix, &mut self.x_ix, &mut self.y_ix] {
-            ix.stamp = stamp;
-        }
-    }
 }
 
-/// The narrow path's counting arenas: the dense table for the cell spaces
+/// The counting arenas: the dense table for the cell spaces
 /// [`dense_cell_space`] admits and the sparse arena for the rest. The
-/// choice is a property of the input shape. One pair serves every query
-/// of a Z-group and every replicate of a permutation test.
+/// choice is a property of the input shape. One set serves every query
+/// of a Z-group and every replicate of a permutation test; its [`Walk`]
+/// walks whichever arena the last fill counted into.
 #[derive(Default)]
 pub(crate) struct Arenas {
     /// Holds the counts of the last dense fill, for retaining them.
     pub dense: DenseArena,
+    margins: Margins,
     sparse: SparseArena,
+    dense_filled: bool,
 }
 
 impl Arenas {
-    /// The G statistic and df of `(x, y)` within the strata of `part`, and
-    /// the dense cells counted (`None` when the sparse arena ran).
-    pub fn g<X: CodeValue, Y: CodeValue>(
-        &mut self,
-        x: &[X],
-        y: &[Y],
-        xa: usize,
-        ya: usize,
-        part: &ZPartition,
-        rows: &StratumRows,
-    ) -> (f64, usize, Option<usize>) {
-        match dense_cell_space(x.len(), part.n_strata, xa, ya) {
-            Some(cells) => {
-                self.dense.fill(x, y, xa, ya, part, rows, cells);
-                let (g, df) = self.dense.g_walk();
-                (g, df, Some(cells))
-            }
-            None => {
-                self.sparse.fill(x, y, part, rows);
-                let (g, df) = self.sparse.g_walk();
-                (g, df, None)
-            }
-        }
-    }
-
-    /// Plug-in CMI of `(x, y)` within the strata of `part`, and the dense
+    /// Count `(x, y)` within the strata of `part`, and return the dense
     /// cells counted (`None` when the sparse arena ran).
-    pub fn cmi<X: CodeValue, Y: CodeValue>(
+    pub fn fill<X: CodeValue, Y: CodeValue>(
         &mut self,
         x: &[X],
-        y: &[Y],
         xa: usize,
+        y: &[Y],
         ya: usize,
-        part: &ZPartition,
-        rows: &StratumRows,
-    ) -> (f64, Option<usize>) {
-        let n = x.len();
-        match dense_cell_space(n, part.n_strata, xa, ya) {
-            Some(cells) => {
-                self.dense.fill(x, y, xa, ya, part, rows, cells);
-                (self.dense.cmi_walk(n), Some(cells))
-            }
-            None => {
-                self.sparse.fill(x, y, part, rows);
-                (self.sparse.cmi_walk(n), None)
-            }
+        (part, rows): &Scaffold,
+    ) -> Option<usize> {
+        let cells = dense_cell_space(x.len(), part.n_strata, xa, ya);
+        match cells {
+            Some(cells) => self.dense.fill(x, y, xa, ya, part, rows, cells),
+            None => self.sparse.fill(x, y, part, rows),
+        }
+        self.dense_filled = cells.is_some();
+        cells
+    }
+}
+
+impl Walk for Arenas {
+    fn walk(&mut self, term: impl FnMut(f64, f64, f64, f64)) -> usize {
+        if self.dense_filled {
+            self.dense.walk(&mut self.margins, term)
+        } else {
+            self.sparse.walk(term)
         }
     }
 }
@@ -792,45 +761,37 @@ impl Arenas {
 /// triple (sides via `canonical_sides`, conditioning set via
 /// `canonical_set`) — the same quotient the engine's memo key uses, so a
 /// session's patch loop can address tables by memoized query.
-pub(crate) type SuffKey = (Vec<crate::VarId>, Vec<crate::VarId>, Vec<crate::VarId>);
+pub(crate) type SuffKey = (Vec<VarId>, Vec<VarId>, Vec<VarId>);
+
+/// A discrete tester's retained sufficient statistics, keyed by query.
+type SuffCache = CappedCache<SuffKey, Arc<SuffTable>>;
 
 /// The retained sufficient statistic of one memoized discrete-tester
-/// query: the per-stratum integer contingency table, its first-occurrence
-/// cell order, and the shape it was counted at. On dataset extension the
-/// table is *patched* — only the appended rows are counted — instead of
-/// refilled from scratch, which is what turns an appended re-select's
-/// statistical work from O(workload·n) into O(batch).
+/// query: a copy of the dense arena it was counted in, and the rows and
+/// sides it was counted over. On dataset extension the table is *patched*
+/// — only the appended rows are counted — instead of refilled from
+/// scratch, which is what turns an appended re-select's statistical work
+/// from O(workload·n) into O(batch).
 ///
-/// The cells are flat, in the CSR layout [`StratumRows`] uses for rows:
-/// stratum `s` holds `cells[offsets[s]..offsets[s + 1]]`, in the order a
-/// fill first met them. Patching is exact: counts are integers (integer
-/// adds never round), the flat cell index `(s·xa + x)·ya + y` is
-/// independent of the stratum count (grown strata extend the table
-/// without relayout), and appended rows are visited in ascending order,
-/// so a cell first observed in the batch joins the end of its stratum's
-/// run exactly where a cold fill over the concatenated rows would
-/// discover it. The statistic walks below then visit the same cells in
-/// the same order as [`DenseArena::g_walk`] / [`DenseArena::cmi_walk`] —
-/// bit-identical to a cold evaluation.
+/// Patching is exact: counts are integers (integer adds never round), the
+/// flat cell index `(s·xa + x)·ya + y` is independent of the stratum count
+/// (grown strata extend the table without relayout), and appended rows are
+/// visited in ascending order, so a cell first observed in the batch joins
+/// the end of its stratum's run exactly where a cold fill over the
+/// concatenated rows would discover it. The walk is the arena's own, so a
+/// patched table's statistics are bit-identical to a cold evaluation.
 pub(crate) struct SuffTable {
     /// Side variable sets exactly as the statistic was evaluated — the
     /// spelling re-encoded against the extended table when patching.
-    pub xset: Vec<crate::VarId>,
-    pub yset: Vec<crate::VarId>,
-    /// Arities the flat table is laid out at. Patching requires the
-    /// extended encodings to still have these arities (a batch that
-    /// introduces new category values relays the cell space out — the
-    /// table must be rebuilt, not patched).
-    pub xa: usize,
-    pub ya: usize,
-    /// Strata counted so far.
-    pub n_strata: usize,
+    pub xset: Vec<VarId>,
+    pub yset: Vec<VarId>,
     /// Rows counted so far.
     pub n_rows: usize,
-    counts: Vec<u32>,
-    totals: Vec<u64>,
-    cells: Vec<(u32, u32)>,
-    offsets: Vec<u32>,
+    /// The counts, laid out at the arities they were counted at.
+    /// Patching requires the extended encodings to keep those arities (a
+    /// batch that introduces new category values relays the cell space
+    /// out — the table must be rebuilt, not patched).
+    pub table: DenseArena,
 }
 
 impl SuffTable {
@@ -847,13 +808,14 @@ impl SuffTable {
         part: &ZPartition,
     ) -> SuffTable {
         let n = x.len();
+        let t = &self.table;
         debug_assert_eq!(n, y.len(), "suff patch: length mismatch");
         debug_assert_eq!(n, part.stratum_of.len(), "suff patch: partition mismatch");
-        debug_assert!(part.n_strata >= self.n_strata, "strata cannot shrink");
+        debug_assert!(part.n_strata >= t.n_strata, "strata cannot shrink");
         debug_assert!(self.n_rows <= n, "rows cannot shrink");
-        let (xa, ya) = (self.xa, self.ya);
+        let (xa, ya) = (t.xa, t.ya);
         let mut counts = Vec::with_capacity(part.n_strata * xa * ya);
-        counts.extend_from_slice(&self.counts);
+        counts.extend_from_slice(&t.counts);
         counts.resize(part.n_strata * xa * ya, 0);
         let mut fresh = Vec::new();
         for r in self.n_rows..n {
@@ -864,136 +826,32 @@ impl SuffTable {
             }
             counts[flat] += 1;
         }
-        let (offsets, cells) = append_to_runs(&self.offsets, &self.cells, fresh, part.n_strata);
+        let (offsets, cells) = append_to_runs(&t.offsets, &t.cells, fresh, part.n_strata);
         SuffTable {
             xset: self.xset.clone(),
             yset: self.yset.clone(),
-            xa,
-            ya,
-            n_strata: part.n_strata,
             n_rows: n,
-            counts,
-            // Totals are a property of the partition alone — exact
-            // integers, identical to what a cold fill copies in.
-            totals: part.sizes.clone(),
-            cells,
-            offsets,
+            table: DenseArena {
+                counts,
+                // Totals are a property of the partition alone — exact
+                // integers, identical to what a cold fill copies in.
+                totals: part.sizes.clone(),
+                cells,
+                offsets,
+                xa,
+                ya,
+                n_strata: part.n_strata,
+            },
         }
-    }
-
-    /// Stratum `s`'s cells in first-occurrence order.
-    fn run(&self, s: usize) -> &[(u32, u32)] {
-        &self.cells[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-
-    /// The G statistic and degrees of freedom from the retained counts —
-    /// the [`DenseArena::g_walk`] loop verbatim against local marginal
-    /// scratch, so the accumulation order (and every output bit) is
-    /// identical to a cold arena walk over the same counts.
-    pub fn g(&self) -> (f64, usize) {
-        let (xa, ya) = (self.xa, self.ya);
-        let mut xm = vec![0.0f64; self.n_strata * xa];
-        let mut ym = vec![0.0f64; self.n_strata * ya];
-        let mut g = 0.0;
-        let mut df = 0usize;
-        for s in 0..self.n_strata {
-            let mut r = 0usize;
-            let mut c = 0usize;
-            for &(xv, yv) in self.run(s) {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let xslot = &mut xm[s * xa + xv as usize];
-                if *xslot == 0.0 {
-                    r += 1;
-                }
-                *xslot += nxy;
-                let yslot = &mut ym[s * ya + yv as usize];
-                if *yslot == 0.0 {
-                    c += 1;
-                }
-                *yslot += nxy;
-            }
-            let total = self.totals[s] as f64;
-            for &(xv, yv) in self.run(s) {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let nx = xm[s * xa + xv as usize];
-                let ny = ym[s * ya + yv as usize];
-                g += 2.0 * nxy * ((nxy * total) / (nx * ny)).ln();
-            }
-            if r > 1 && c > 1 {
-                df += (r - 1) * (c - 1);
-            }
-        }
-        (g, df)
-    }
-
-    /// Plug-in CMI from the retained counts — the [`DenseArena::cmi_walk`]
-    /// loop verbatim, bit-identical to a cold arena walk.
-    pub fn cmi(&self, n: usize) -> f64 {
-        let nf = n as f64;
-        let (xa, ya) = (self.xa, self.ya);
-        let mut xm = vec![0.0f64; self.n_strata * xa];
-        let mut ym = vec![0.0f64; self.n_strata * ya];
-        let mut cmi = 0.0;
-        for s in 0..self.n_strata {
-            for &(xv, yv) in self.run(s) {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                xm[s * xa + xv as usize] += nxy;
-                ym[s * ya + yv as usize] += nxy;
-            }
-            let total = self.totals[s] as f64;
-            for &(xv, yv) in self.run(s) {
-                let nxy = self.counts[(s * xa + xv as usize) * ya + yv as usize] as f64;
-                let nx = xm[s * xa + xv as usize];
-                let ny = ym[s * ya + yv as usize];
-                cmi += (nxy / nf) * ((nxy * total) / (nx * ny)).ln();
-            }
-        }
-        cmi.max(0.0)
     }
 }
 
-/// Verify the preconditions that make O(batch) patching exact against an
-/// *extended* tester, then patch the retained table with only the
-/// appended rows ([`SuffTable::patch`]). `None` means the table cannot be
-/// patched — its query must be re-evaluated from scratch:
-///
-/// - the table must cover exactly the parent rows (`enc.base_rows()`);
-/// - both side encodings must be provably *prefix-stable* under the
-///   append (the retained counts index cells by the parent's codes — a
-///   renumbered extension would scatter them differently);
-/// - the conditioning scaffold must be resident in the child's partition
-///   cache (probed with `peek`, leaving the hit/miss ledger untouched);
-/// - the side arities must be unchanged (a batch introducing new category
-///   values relays the flat cell space out);
-/// - the cell space must still be dense at the new row count (a resource
-///   bound: patching is exact either way, but the retained-table budget
-///   tracks the dense arena's).
-///
-/// Shared by both discrete testers — their scaffold caches store the same
-/// `(ZPartition, StratumRows)` tuple.
-pub(crate) fn patch_suff_table(
-    enc: &EncodedTable,
-    partitions: &ScaffoldCache,
-    zkey: &[crate::VarId],
-    t: &SuffTable,
-) -> Option<SuffTable> {
-    if t.n_rows != enc.base_rows() {
-        return None;
+/// A retained table walks as the arena it was copied from, with `xa + ya`
+/// slots of fresh marginal scratch per walk.
+impl Walk for &SuffTable {
+    fn walk(&mut self, term: impl FnMut(f64, f64, f64, f64)) -> usize {
+        self.table.walk(&mut Margins::default(), term)
     }
-    if !enc.prefix_stable(&t.xset) || !enc.prefix_stable(&t.yset) {
-        return None;
-    }
-    let sc = partitions.peek(zkey)?;
-    let part = &sc.0;
-    let xe = enc.encode(&t.xset);
-    let ye = enc.encode(&t.yset);
-    if (xe.arity.max(1) as usize, ye.arity.max(1) as usize) != (t.xa, t.ya) {
-        return None;
-    }
-    dense_cell_space(enc.n_rows(), part.n_strata, t.xa, t.ya)?;
-    Some(with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-        t.patch(xc, yc, part)
-    })))
 }
 
 /// A conditioning set's evaluation scaffold: the stratification and its
@@ -1001,174 +859,314 @@ pub(crate) fn patch_suff_table(
 pub(crate) type Scaffold = (ZPartition, StratumRows);
 
 /// A discrete tester's conditioning scaffolds, keyed by canonical set.
-pub(crate) type ScaffoldCache = CappedCache<Vec<crate::VarId>, Arc<Scaffold>>;
+type ScaffoldCache = CappedCache<Vec<VarId>, Arc<Scaffold>>;
 
-/// The scaffold of the canonical conditioning set `zkey` (encoded as
-/// `ze`), memoized in `partitions` so concurrent chunks of one Z-group
-/// (and later levels re-using the set) share one stratification.
-pub(crate) fn z_scaffold(
-    partitions: &ScaffoldCache,
-    zkey: &[crate::VarId],
-    ze: &Encoding,
-) -> Arc<Scaffold> {
-    if let Some(hit) = partitions.get(zkey) {
-        return hit;
-    }
-    let part = ZPartition::from_encoding(ze);
-    let rows = StratumRows::from_partition(&part);
-    partitions.insert(zkey.to_vec(), Arc::new((part, rows)))
+/// What the discrete testers keep besides their configuration: the shared
+/// encoding layer, the conditioning scaffolds, the retained tables and the
+/// counters. Each tester's one evaluation body runs through
+/// [`DiscreteState::eval_group`], and each patched answer starts from
+/// [`DiscreteState::retained`].
+pub(crate) struct DiscreteState {
+    pub enc: Arc<EncodedTable>,
+    /// Queries short-circuited on all-singleton conditioning strata.
+    degenerate: AtomicU64,
+    /// Cells zeroed and filled by the dense arena (telemetry:
+    /// `dense_count_cells`).
+    dense_cells: AtomicU64,
+    /// Memoized conditioning-set scaffolds (partition + CSR stratum rows),
+    /// keyed by the canonical (sorted, deduplicated) set and bounded like
+    /// every other data-path cache, so concurrent chunks of one Z-group
+    /// (and later levels re-using the set) share one stratification.
+    partitions: ScaffoldCache,
+    /// Retained sufficient statistics, keyed by the canonical query
+    /// triple. On dataset extension each resident table is patched with
+    /// the appended rows ([`SuffTable::patch`]), so the re-evaluated
+    /// query's observed statistic costs O(batch) counting instead of O(n).
+    suff: SuffCache,
+    /// Scaffolds carried over (and extended) from a parent tester — the
+    /// `extended` side of the scaffold conservation ledger.
+    extended_scaffolds: u64,
 }
 
-/// A discrete tester's scaffold ledger: `extended` scaffolds were carried
-/// over from a parent tester, every other insert was rebuilt.
-pub(crate) fn scaffold_stats(
-    partitions: &ScaffoldCache,
-    suff: &CappedCache<SuffKey, Arc<SuffTable>>,
-    extended: u64,
-) -> crate::ScaffoldStats {
-    crate::ScaffoldStats {
-        extended,
-        rebuilt: partitions.inserted().saturating_sub(extended),
-        resident: partitions.len() as u64,
-        evictions: partitions.evictions(),
-        suff_tables: suff.len() as u64,
-        suff_evictions: suff.evictions(),
-    }
-}
-
-/// A discrete tester's encode counters: the shared encoding layer's, its
-/// scaffold cache's, and the cells its dense arenas counted.
-pub(crate) fn encode_cache_stats(
-    enc: &EncodedTable,
-    partitions: &ScaffoldCache,
-    dense_cells: &AtomicU64,
-) -> crate::EncodeStats {
-    enc.stats()
-        .merged(partitions.stats())
-        .merged(crate::EncodeStats {
-            dense_count_cells: dense_cells.load(Ordering::Relaxed),
-            ..crate::EncodeStats::default()
-        })
-}
-
-/// Carry a parent tester's state into the caches of a tester over the
-/// extended encoding layer `enc`: every resident scaffold is extended over
-/// the appended rows ([`extend_scaffold`]), then every retained table
-/// whose preconditions hold is patched ([`patch_suff_table`]); the rest
-/// are dropped and their queries take the invalidate path. Keys are
-/// visited in sorted order. Returns the number of scaffolds carried.
-pub(crate) fn carry_over(
-    enc: &EncodedTable,
-    parent_partitions: &ScaffoldCache,
-    parent_suff: &CappedCache<SuffKey, Arc<SuffTable>>,
-    partitions: &ScaffoldCache,
-    suff: &CappedCache<SuffKey, Arc<SuffTable>>,
-) -> u64 {
-    let mut scaffolds = parent_partitions.snapshot();
-    scaffolds.sort_by(|a, b| a.0.cmp(&b.0));
-    let carried = scaffolds.len() as u64;
-    for (zkey, sc) in scaffolds {
-        let ze = enc.encode(&zkey);
-        partitions.insert_transferred(zkey, Arc::new(extend_scaffold(&sc, &ze)));
-    }
-    let mut tables = parent_suff.snapshot();
-    tables.sort_by(|a, b| a.0.cmp(&b.0));
-    for (key, t) in tables {
-        if let Some(patched) = patch_suff_table(enc, partitions, &key.2, &t) {
-            suff.insert_transferred(key, Arc::new(patched));
+impl DiscreteState {
+    pub fn over(enc: Arc<EncodedTable>) -> DiscreteState {
+        let cap = enc.cache_cap();
+        DiscreteState {
+            enc,
+            degenerate: AtomicU64::new(0),
+            dense_cells: AtomicU64::new(0),
+            partitions: CappedCache::new(cap),
+            suff: CappedCache::new(cap),
+            extended_scaffolds: 0,
         }
     }
-    carried
-}
 
-/// Counts for one stratum of the conditioning variables.
-#[derive(Default)]
-pub(crate) struct Stratum {
-    // analyze: bounded-by distinct (x, y) cells of one stratum, capped by the joint arity
-    cell_index: HashMap<(u32, u32), usize>,
-    /// `(x, y) -> count`, in first-occurrence order.
-    pub cells: Vec<((u32, u32), f64)>,
-    /// Marginal counts per x value.
-    // analyze: bounded-by distinct x values, capped by the column arity
-    pub xm: HashMap<u32, f64>,
-    /// Marginal counts per y value.
-    // analyze: bounded-by distinct y values, capped by the column arity
-    pub ym: HashMap<u32, f64>,
-    /// Rows in this stratum.
-    pub total: f64,
-}
-
-/// Stratified contingency counts over parallel code slices, strata in
-/// first-occurrence order.
-pub(crate) struct Strata {
-    // analyze: bounded-by one entry per stratum of the conditioning set (joint arity)
-    index: HashMap<u32, usize>,
-    pub strata: Vec<Stratum>,
-}
-
-impl Strata {
-    /// Count `(x, y)` pairs within each stratum of `z`.
-    ///
-    /// # Panics
-    /// Panics when the slices disagree in length.
-    pub fn count(x: &[u32], y: &[u32], z: &[u32]) -> Strata {
-        let n = x.len();
-        assert_eq!(n, y.len(), "contingency: length mismatch");
-        assert_eq!(n, z.len(), "contingency: length mismatch");
-        let mut out = Strata {
-            index: HashMap::new(),
-            strata: Vec::new(),
-        };
-        for i in 0..n {
-            let si = match out.index.get(&z[i]) {
-                Some(&si) => si,
-                None => {
-                    out.index.insert(z[i], out.strata.len());
-                    out.strata.push(Stratum::default());
-                    out.strata.len() - 1
-                }
-            };
-            let s = &mut out.strata[si];
-            let key = (x[i], y[i]);
-            match s.cell_index.get(&key) {
-                Some(&ci) => s.cells[ci].1 += 1.0,
-                None => {
-                    s.cell_index.insert(key, s.cells.len());
-                    s.cells.push((key, 1.0));
-                }
+    /// The state a tester over the extended encoding layer `enc` starts
+    /// from: every resident scaffold of `parent` is extended over the
+    /// appended rows ([`extend_scaffold`]), then every retained table whose
+    /// preconditions hold is patched ([`DiscreteState::patch`]); the rest
+    /// are dropped and their queries take the invalidate path. Keys are
+    /// visited in sorted order. Counters start fresh, as a cold tester's.
+    pub fn extended_from(parent: &DiscreteState, enc: Arc<EncodedTable>) -> DiscreteState {
+        let mut child = DiscreteState::over(enc);
+        let mut scaffolds = parent.partitions.snapshot();
+        scaffolds.sort_by(|a, b| a.0.cmp(&b.0));
+        child.extended_scaffolds = scaffolds.len() as u64;
+        for (zkey, sc) in scaffolds {
+            let ze = child.enc.encode(&zkey);
+            child
+                .partitions
+                .insert_transferred(zkey, Arc::new(extend_scaffold(&sc, &ze)));
+        }
+        let mut tables = parent.suff.snapshot();
+        tables.sort_by(|a, b| a.0.cmp(&b.0));
+        for (key, t) in tables {
+            if let Some(patched) = child.patch(&key.2, &t) {
+                child.suff.insert_transferred(key, Arc::new(patched));
             }
-            *s.xm.entry(x[i]).or_insert(0.0) += 1.0;
-            *s.ym.entry(y[i]).or_insert(0.0) += 1.0;
-            s.total += 1.0;
         }
-        out
+        child
     }
+
+    /// Verify the preconditions that make O(batch) patching exact against
+    /// this extended state, then patch the retained table with only the
+    /// appended rows ([`SuffTable::patch`]). `None` means the table cannot
+    /// be patched — its query must be re-evaluated from scratch:
+    ///
+    /// - the table must cover exactly the parent rows (`enc.base_rows()`);
+    /// - both side encodings must be provably *prefix-stable* under the
+    ///   append (the retained counts index cells by the parent's codes — a
+    ///   renumbered extension would scatter them differently);
+    /// - the conditioning scaffold must be resident (probed with `peek`,
+    ///   leaving the hit/miss ledger untouched);
+    /// - the side arities must be unchanged (a batch introducing new
+    ///   category values relays the flat cell space out);
+    /// - the cell space must still be dense at the new row count (a
+    ///   resource bound: patching is exact either way, but the
+    ///   retained-table budget tracks the dense arena's).
+    fn patch(&self, zkey: &[VarId], t: &SuffTable) -> Option<SuffTable> {
+        let enc = &self.enc;
+        if t.n_rows != enc.base_rows() {
+            return None;
+        }
+        if !enc.prefix_stable(&t.xset) || !enc.prefix_stable(&t.yset) {
+            return None;
+        }
+        let sc = self.partitions.peek(zkey)?;
+        let part = &sc.0;
+        let (xe, ye) = (enc.encode(&t.xset), enc.encode(&t.yset));
+        let (xa, ya) = (t.table.xa, t.table.ya);
+        if (arity(&xe), arity(&ye)) != (xa, ya) {
+            return None;
+        }
+        dense_cell_space(enc.n_rows(), part.n_strata, xa, ya)?;
+        Some(with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
+            t.patch(xc, yc, part)
+        })))
+    }
+
+    /// Queries short-circuited on all-singleton conditioning strata.
+    pub fn degenerate(&self) -> u64 {
+        self.degenerate.load(Ordering::Relaxed)
+    }
+
+    /// Book cells the dense arena counted.
+    pub fn dense_counted(&self, cells: usize) {
+        self.dense_cells.fetch_add(cells as u64, Ordering::Relaxed);
+    }
+
+    /// Evaluate a Z-group. Empty sides decide independence; a
+    /// conditioning set that gives every row its own stratum leaves no
+    /// stratum informative, so its queries answer p = 1 without
+    /// contingency work or randomness; every other query runs `eval`
+    /// against the group's scaffold (built lazily, so a group of
+    /// empty-sided queries never encodes) with one set of arenas.
+    pub fn eval_group(
+        &self,
+        z: &[VarId],
+        queries: &[CiQueryRef<'_>],
+        mut eval: impl FnMut(&CiQueryRef<'_>, &[VarId], &Scaffold, &mut Arenas) -> CiOutcome,
+    ) -> Vec<CiOutcome> {
+        let zkey = crate::canonical_set(z);
+        let mut scaffold: Option<Option<Arc<Scaffold>>> = None;
+        let mut arenas = Arenas::default();
+        queries
+            .iter()
+            .map(|q| {
+                if q.x.is_empty() || q.y.is_empty() {
+                    return CiOutcome::decided(true);
+                }
+                match scaffold.get_or_insert_with(|| self.z_scaffold(&zkey)) {
+                    Some(sc) => eval(q, &zkey, sc, &mut arenas),
+                    None => {
+                        self.degenerate.fetch_add(1, Ordering::Relaxed);
+                        CiOutcome::decided(true)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// The scaffold of the canonical conditioning set `zkey`, memoized,
+    /// or `None` when every row is its own stratum.
+    fn z_scaffold(&self, zkey: &[VarId]) -> Option<Arc<Scaffold>> {
+        let ze = self.enc.encode(zkey);
+        if ze.all_singletons() {
+            return None;
+        }
+        if let Some(hit) = self.partitions.get(zkey) {
+            return Some(hit);
+        }
+        let part = ZPartition::from_encoding(&ze);
+        let rows = StratumRows::from_partition(&part);
+        Some(
+            self.partitions
+                .insert(zkey.to_vec(), Arc::new((part, rows))),
+        )
+    }
+
+    /// Retain the dense arena's just-filled counts (a walk leaves them
+    /// intact) as the sufficient statistic of the query with sides `x`,
+    /// `y` and canonical conditioning set `zkey`, unless one is resident,
+    /// so the next dataset extension can patch them with only the
+    /// appended rows instead of recounting from scratch.
+    pub fn retain(&self, x: &[VarId], y: &[VarId], zkey: &[VarId], arena: &DenseArena) {
+        let (xs, ys) = crate::canonical_sides(x, y);
+        let key = (xs, ys, zkey.to_vec());
+        if self.suff.peek(&key).is_none() {
+            let t = SuffTable {
+                xset: x.to_vec(),
+                yset: y.to_vec(),
+                n_rows: self.enc.n_rows(),
+                table: arena.clone(),
+            };
+            self.suff.insert(key, Arc::new(t));
+        }
+    }
+
+    /// What a patched answer starts from: the query's canonical key and
+    /// its retained table, patched to every row. Without one, `Err`
+    /// carries the answer: empty sides decide independence; a retained
+    /// table was counted on a conditioning set that was not all
+    /// singletons, and extended rows keep its strata, so only a query
+    /// without one can be degenerate now, answered as a cold evaluation
+    /// answers it (the counter is not bumped: a patched answer does no
+    /// contingency work to skip); anything else (`None`) goes to the
+    /// invalidate path.
+    pub fn retained(
+        &self,
+        x: &[VarId],
+        y: &[VarId],
+        z: &[VarId],
+    ) -> Result<(SuffKey, Arc<SuffTable>), Option<CiOutcome>> {
+        if x.is_empty() || y.is_empty() {
+            return Err(Some(CiOutcome::decided(true)));
+        }
+        let (xs, ys) = crate::canonical_sides(x, y);
+        let key = (xs, ys, crate::canonical_set(z));
+        match self.suff.peek(&key) {
+            Some(t) if t.n_rows == self.enc.n_rows() => Ok((key, t)),
+            Some(_) => Err(None),
+            None => Err(self
+                .enc
+                .encode(&key.2)
+                .all_singletons()
+                .then(|| CiOutcome::decided(true))),
+        }
+    }
+
+    /// The resident scaffold of `zkey`, leaving the hit/miss ledger
+    /// untouched.
+    pub fn resident_scaffold(&self, zkey: &[VarId]) -> Option<Arc<Scaffold>> {
+        self.partitions.peek(zkey)
+    }
+
+    /// The scaffold ledger: `extended` scaffolds were carried over from a
+    /// parent tester, every other insert was rebuilt.
+    pub fn scaffold_stats(&self) -> crate::ScaffoldStats {
+        crate::ScaffoldStats {
+            extended: self.extended_scaffolds,
+            rebuilt: self
+                .partitions
+                .inserted()
+                .saturating_sub(self.extended_scaffolds),
+            resident: self.partitions.len() as u64,
+            evictions: self.partitions.evictions(),
+            suff_tables: self.suff.len() as u64,
+            suff_evictions: self.suff.evictions(),
+        }
+    }
+
+    /// The encode counters: the shared encoding layer's, the scaffold
+    /// cache's, and the cells the dense arena counted.
+    pub fn encode_cache_stats(&self) -> crate::EncodeStats {
+        self.enc
+            .stats()
+            .merged(self.partitions.stats())
+            .merged(crate::EncodeStats {
+                dense_count_cells: self.dense_cells.load(Ordering::Relaxed),
+                ..crate::EncodeStats::default()
+            })
+    }
+}
+
+/// The flat-layout arity of an encoding (an empty code space lays out as
+/// one value).
+pub(crate) fn arity(e: &Encoding) -> usize {
+    e.arity.max(1) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gtest::finish_g;
+    use crate::kernel_reference::{cmi_from_strata, g_and_df, g_from_strata, Strata};
+
+    /// A retained table over `n_rows` holding the arena's filled counts.
+    fn retained(arena: &DenseArena, n_rows: usize) -> SuffTable {
+        SuffTable {
+            xset: Vec::new(),
+            yset: Vec::new(),
+            n_rows,
+            table: arena.clone(),
+        }
+    }
+
+    /// The G statistic, df and CMI of a walk over `n` rows, as bits.
+    fn stat_bits(cells: &mut impl Walk, n: usize) -> (u64, usize, u64) {
+        let (g, df) = g_stat(cells);
+        (g.to_bits(), df, cmi_stat(cells, n).to_bits())
+    }
 
     #[test]
     fn counts_in_first_occurrence_order() {
-        let x = [1, 0, 1, 1];
-        let y = [0, 0, 0, 1];
-        let z = [7, 3, 7, 3];
-        let s = Strata::count(&x, &y, &z);
-        assert_eq!(s.strata.len(), 2);
-        // Stratum of z=7 first (row 0), then z=3 (row 1).
-        assert_eq!(s.strata[0].total, 2.0);
-        assert_eq!(s.strata[0].cells, vec![((1, 0), 2.0)]);
-        assert_eq!(s.strata[1].total, 2.0);
-        assert_eq!(s.strata[1].cells, vec![((0, 0), 1.0), ((1, 1), 1.0)]);
-        assert_eq!(s.strata[1].xm[&0], 1.0);
-        assert_eq!(s.strata[1].ym[&1], 1.0);
+        let x = [1u32, 0, 1, 1];
+        let y = [0u32, 0, 0, 1];
+        let z = [7u32, 3, 7, 3];
+        let part = ZPartition::from_codes(&z);
+        let rows = StratumRows::from_partition(&part);
+        let mut arena = DenseArena::default();
+        arena.fill(&x, &y, 2, 2, &part, &rows, part.n_strata * 4);
+        // Stratum of z=7 first (row 0), then z=3 (row 1), each stratum's
+        // cells flat in the order its rows first meet them.
+        assert_eq!(arena.totals, [2, 2]);
+        assert_eq!(arena.offsets, [0, 1, 3]);
+        assert_eq!(arena.cells, [(1, 0), (0, 0), (1, 1)]);
+        assert_eq!(arena.counts, [0, 0, 2, 0, 1, 0, 0, 1]);
     }
 
     #[test]
     fn empty_input_is_empty() {
-        let s = Strata::count(&[], &[], &[]);
-        assert!(s.strata.is_empty());
+        let part = ZPartition::from_codes::<u32>(&[]);
+        assert_eq!(part.n_strata, 0);
+        let rows = StratumRows::from_partition(&part);
+        let mut arenas = Arenas::default();
+        assert_eq!(
+            arenas.fill::<u32, u32>(&[], 1, &[], 1, &(part, rows)),
+            Some(0)
+        );
+        assert_eq!(stat_bits(&mut arenas, 0), (0, 0, 0));
+        assert_eq!(crate::cmi::cmi_from_codes(&[], &[], &[]).to_bits(), 0);
     }
 
     /// Counting within a partition — the CSR stratum rows walked by the
@@ -1194,7 +1192,8 @@ mod tests {
         let hashed = Strata::count(&x, &y, &z);
         assert_eq!(hashed.strata.len(), part.n_strata);
         for (s, sa) in hashed.strata.iter().enumerate() {
-            let within: Vec<((u32, u32), f64)> = arena.cell_order[s]
+            let within: Vec<((u32, u32), f64)> = arena
+                .run(s)
                 .iter()
                 .map(|&(xv, yv)| {
                     let n = arena.counts[(s * xa + xv as usize) * ya + yv as usize];
@@ -1218,21 +1217,14 @@ mod tests {
     /// codes: the same cell order, and G, df and CMI bit for bit.
     #[test]
     fn narrow_widths_count_identically() {
-        /// Per-stratum cell order, then the G bits, df and CMI bits.
-        type Walks = (Vec<Vec<(u32, u32)>>, u64, usize, u64);
-        fn walks<X: CodeValue, Y: CodeValue>(
-            x: &[X],
-            y: &[Y],
-            part: &ZPartition,
-            csr: &StratumRows,
-        ) -> Walks {
-            let cells = dense_cell_space(x.len(), part.n_strata, 3, 3).unwrap();
-            let mut arena = DenseArena::default();
-            arena.fill(x, y, 3, 3, part, csr, cells);
-            let order = arena.cell_order[..part.n_strata].to_vec();
-            let (g, df) = arena.g_walk();
-            arena.fill(x, y, 3, 3, part, csr, cells);
-            (order, g.to_bits(), df, arena.cmi_walk(x.len()).to_bits())
+        /// The cells and their offsets, then the G bits, df and CMI bits.
+        type Walks = (Vec<(u32, u32)>, Vec<u32>, (u64, usize, u64));
+        fn walks<X: CodeValue, Y: CodeValue>(x: &[X], y: &[Y], sc: &Scaffold) -> Walks {
+            let mut arenas = Arenas::default();
+            assert!(arenas.fill(x, 3, y, 3, sc).is_some(), "dense");
+            let d = &arenas.dense;
+            let layout = (d.cells.clone(), d.offsets.clone());
+            (layout.0, layout.1, stat_bits(&mut arenas, x.len()))
         }
         // Irregular codes with repeats and a stratum of size one.
         let x8 = [1u8, 0, 1, 1, 2, 0, 1, 2];
@@ -1242,8 +1234,9 @@ mod tests {
         let z = [7u32, 3, 7, 3, 9, 7, 3, 7];
         let part = ZPartition::from_codes(&z);
         let csr = StratumRows::from_partition(&part);
-        let narrow = walks(&x8, &y16, &part, &csr);
-        let wide = walks(x32.as_slice(), y32.as_slice(), &part, &csr);
+        let sc = (part, csr);
+        let narrow = walks(&x8, &y16, &sc);
+        let wide = walks(x32.as_slice(), y32.as_slice(), &sc);
         assert_eq!(narrow, wide);
     }
 
@@ -1291,35 +1284,19 @@ mod tests {
         let z = [7u32, 3, 7, 3, 9, 7, 3, 7, 9, 3];
         let part = ZPartition::from_codes(&z);
         let rows = StratumRows::from_partition(&part);
-        let (xa, ya) = (3usize, 3usize);
-        let cells = dense_cell_space(x.len(), part.n_strata, xa, ya).unwrap();
-        let mut arena = DenseArena::default();
-        arena.fill(&x, &y, xa, ya, &part, &rows, cells);
-        let (g_dense, df_dense) = arena.g_walk();
+        let mut arenas = Arenas::default();
+        assert!(arenas.fill(&x, 3, &y, 3, &(part, rows)).is_some(), "dense");
+        let (g_dense, df_dense) = g_stat(&mut arenas);
         let hashed = Strata::count(&x, &y, &z);
-        let mut g = 0.0;
-        let mut df = 0usize;
-        for s in &hashed.strata {
-            for &((xv, yv), nxy) in &s.cells {
-                g += 2.0 * nxy * ((nxy * s.total) / (s.xm[&xv] * s.ym[&yv])).ln();
-            }
-            if s.xm.len() > 1 && s.ym.len() > 1 {
-                df += (s.xm.len() - 1) * (s.ym.len() - 1);
-            }
-        }
+        let (g, df) = g_and_df(&hashed);
         assert_eq!(g_dense.to_bits(), g.to_bits());
         assert_eq!(df_dense, df);
-        // Refill (arena reuse) and take the CMI walk.
-        arena.fill(&x, &y, xa, ya, &part, &rows, cells);
-        let cmi_dense = arena.cmi_walk(x.len());
-        let nf = x.len() as f64;
-        let mut cmi = 0.0;
-        for s in &hashed.strata {
-            for &((xv, yv), nxy) in &s.cells {
-                cmi += (nxy / nf) * ((nxy * s.total) / (s.xm[&xv] * s.ym[&yv])).ln();
-            }
-        }
-        assert_eq!(cmi_dense.to_bits(), cmi.max(0.0).to_bits());
+        let finished = finish_g((g_dense, df_dense));
+        assert_eq!(finished, g_from_strata(&hashed));
+        // A walk leaves the counts intact: walk again for the CMI.
+        let cmi_dense = cmi_stat(&mut arenas, x.len());
+        let cmi = cmi_from_strata(&hashed, x.len());
+        assert_eq!(cmi_dense.to_bits(), cmi.to_bits());
     }
 
     /// Patching a retained sufficient table with only the appended rows —
@@ -1349,7 +1326,7 @@ mod tests {
             &parent_rows,
             cells,
         );
-        let snap = arena.snapshot_suff(n_parent);
+        let snap = retained(&arena, n_parent);
 
         // First-occurrence numbering over the full rows extends the
         // parent numbering (prefix rows are the parent rows).
@@ -1357,28 +1334,25 @@ mod tests {
         let full_rows = StratumRows::from_partition(&full_part);
         let patched = snap.patch(&x[..], &y[..], &full_part);
         assert_eq!(patched.n_rows, x.len());
-        assert_eq!(patched.n_strata, full_part.n_strata);
+        assert_eq!(patched.table.n_strata, full_part.n_strata);
 
-        let full_cells = dense_cell_space(x.len(), full_part.n_strata, xa, ya).unwrap();
-        arena.fill(&x, &y, xa, ya, &full_part, &full_rows, full_cells);
-        let cold = arena.snapshot_suff(x.len());
-        assert_eq!(patched.counts, cold.counts, "cell-for-cell equality");
-        assert_eq!(patched.cells, cold.cells, "walk order equality");
-        assert_eq!(patched.offsets, cold.offsets, "walk order equality");
-        assert_eq!(patched.totals, cold.totals);
-
-        let (g_cold, df_cold) = arena.g_walk();
-        let (g_patched, df_patched) = patched.g();
-        assert_eq!(g_patched.to_bits(), g_cold.to_bits());
-        assert_eq!(df_patched, df_cold);
-        arena.fill(&x, &y, xa, ya, &full_part, &full_rows, full_cells);
-        let cmi_cold = arena.cmi_walk(x.len());
-        assert_eq!(patched.cmi(x.len()).to_bits(), cmi_cold.to_bits());
+        let mut arenas = Arenas::default();
+        let full = (full_part, full_rows);
+        assert!(arenas.fill(&x, xa, &y, ya, &full).is_some(), "dense");
+        let (p, cold) = (&patched.table, &arenas.dense);
+        assert_eq!(p.counts, cold.counts, "cell-for-cell equality");
+        assert_eq!(p.cells, cold.cells, "walk order equality");
+        assert_eq!(p.offsets, cold.offsets, "walk order equality");
+        assert_eq!(p.totals, cold.totals);
+        assert_eq!(
+            stat_bits(&mut &patched, x.len()),
+            stat_bits(&mut arenas, x.len())
+        );
         // An empty patch (no appended rows) is the identity.
-        let noop = patched.patch(&x[..], &y[..], &full_part);
-        assert_eq!(noop.counts, patched.counts);
-        assert_eq!(noop.cells, patched.cells);
-        assert_eq!(noop.offsets, patched.offsets);
+        let noop = patched.patch(&x[..], &y[..], &full.0);
+        assert_eq!(noop.table.counts, patched.table.counts);
+        assert_eq!(noop.table.cells, patched.table.cells);
+        assert_eq!(noop.table.offsets, patched.table.offsets);
     }
 
     /// The sparse arena's G, df, p and CMI, bit for bit against the hashed
@@ -1390,8 +1364,6 @@ mod tests {
     /// driven across the 32-bit wrap-around several times.
     #[test]
     fn sparse_arena_matches_hashed_on_random_sparse_shapes() {
-        use crate::cmi::cmi_from_strata;
-        use crate::gtest::{finish_g, g_from_strata};
         use fairsel_table::Codes;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1404,8 +1376,8 @@ mod tests {
             rows: &StratumRows,
         ) -> (f64, usize, f64) {
             arena.fill(x, y, part, rows);
-            let (g, df) = arena.g_walk();
-            (g, df, arena.cmi_walk(x.len()))
+            let (g, df) = g_stat(arena);
+            (g, df, cmi_stat(arena, x.len()))
         }
         let stored = |codes: &[u32], width: usize| match width {
             0 => Codes::U8(codes.iter().map(|&c| c as u8).collect()),
@@ -1464,23 +1436,14 @@ mod tests {
             }));
 
             let hashed = Strata::count(&x, &y, &z);
-            let mut g_ref = 0.0;
-            let mut df_ref = 0usize;
-            for s in &hashed.strata {
-                for &((xv, yv), nxy) in &s.cells {
-                    g_ref += 2.0 * nxy * ((nxy * s.total) / (s.xm[&xv] * s.ym[&yv])).ln();
-                }
-                if s.xm.len() > 1 && s.ym.len() > 1 {
-                    df_ref += (s.xm.len() - 1) * (s.ym.len() - 1);
-                }
-            }
+            let (g_ref, df_ref) = g_and_df(&hashed);
             let label = format!(
                 "shape {checked}: kind {kind}, n {n}, {} strata, arities ({xa}, {ya}), widths ({xw}, {yw})",
                 part.n_strata
             );
             assert_eq!(g.to_bits(), g_ref.to_bits(), "G, {label}");
             assert_eq!(df, df_ref, "df, {label}");
-            let (gf, p) = finish_g(g, df);
+            let (gf, p) = finish_g((g, df));
             let (gf_ref, p_ref) = g_from_strata(&hashed);
             assert_eq!(gf.to_bits(), gf_ref.to_bits(), "finished G, {label}");
             assert_eq!(p.to_bits(), p_ref.to_bits(), "p, {label}");
@@ -1627,7 +1590,8 @@ mod tests {
     /// (zero-row patches, new cells in old strata and new strata
     /// included), with the scaffold extended along the chain as the
     /// testers extend it: counts, cells, offsets and totals are equal, and
-    /// G, df and CMI are equal bit for bit.
+    /// the patched table's G, p and CMI equal the hashed reference's bit
+    /// for bit.
     #[test]
     fn suff_patch_chains_match_cold_fill_on_random_shapes() {
         use rand::rngs::StdRng;
@@ -1653,24 +1617,19 @@ mod tests {
             let mut cuts: Vec<usize> = (0..4).map(|_| rng.gen_range(1..=n)).collect();
             cuts.sort_unstable();
             cuts[3] = n;
+            // A prefix may miss the dense budget the whole shape meets, so
+            // the cold fills count into the dense arena directly.
             let cold_fill = |arena: &mut DenseArena, rows: usize| {
                 let part = ZPartition::from_codes(&z[..rows]);
                 let csr = StratumRows::from_partition(&part);
+                let cells = part.n_strata * xa * ya;
                 with_codes!(&xc, |xs| with_codes!(&yc, |ys| {
-                    arena.fill(
-                        &xs[..rows],
-                        &ys[..rows],
-                        xa,
-                        ya,
-                        &part,
-                        &csr,
-                        part.n_strata * xa * ya,
-                    )
+                    arena.fill(&xs[..rows], &ys[..rows], xa, ya, &part, &csr, cells)
                 }));
                 (part, csr)
             };
             let mut scaffold = cold_fill(&mut arena, cuts[0]);
-            let mut table = arena.snapshot_suff(cuts[0]);
+            let mut table = retained(&arena, cuts[0]);
             for (k, &rows) in cuts.iter().enumerate().skip(1) {
                 let ze = Encoding::new(stored_at(&z[..rows], 2), za);
                 let extended = extend_scaffold(&scaffold, &ze);
@@ -1679,27 +1638,33 @@ mod tests {
                 }));
                 let cold_scaffold = cold_fill(&mut arena, rows);
                 assert_same_scaffold(&extended, &cold_scaffold, "chained scaffold");
-                let cold = arena.snapshot_suff(rows);
                 let label = format!(
                     "shape {checked}, patch {k}: {rows} of {n} rows, ({xa}, {ya}) over {za}"
                 );
-                assert_eq!(patched.n_strata, cold.n_strata, "strata, {label}");
-                assert_eq!(patched.n_rows, cold.n_rows, "rows, {label}");
-                assert_eq!(patched.counts, cold.counts, "counts, {label}");
-                assert_eq!(patched.cells, cold.cells, "cells, {label}");
-                assert_eq!(patched.offsets, cold.offsets, "offsets, {label}");
-                assert_eq!(patched.totals, cold.totals, "totals, {label}");
-                let (g, df) = arena.g_walk();
-                let (pg, pdf) = patched.g();
-                assert_eq!((pg.to_bits(), pdf), (g.to_bits(), df), "G and df, {label}");
-                cold_fill(&mut arena, rows);
-                let cmi = arena.cmi_walk(rows);
-                assert_eq!(patched.cmi(rows).to_bits(), cmi.to_bits(), "CMI, {label}");
-                zero_row += usize::from(rows == table.n_rows);
-                opened += usize::from(patched.n_strata > table.n_strata);
-                old_strata_cells += usize::from(
-                    (0..table.n_strata).any(|s| patched.run(s).len() > table.run(s).len()),
+                assert_eq!(patched.n_rows, rows, "rows, {label}");
+                let (p, cold) = (&patched.table, &arena);
+                assert_eq!(p.n_strata, cold.n_strata, "strata, {label}");
+                assert_eq!(p.counts, cold.counts, "counts, {label}");
+                assert_eq!(p.cells, cold.cells, "cells, {label}");
+                assert_eq!(p.offsets, cold.offsets, "offsets, {label}");
+                assert_eq!(p.totals, cold.totals, "totals, {label}");
+                // The patched walk against the hashed reference, not only
+                // against the cold arena, which walks the same way.
+                let hashed = Strata::count(&x[..rows], &y[..rows], &z[..rows]);
+                let (g, p) = finish_g(g_stat(&mut &patched));
+                let (g_ref, p_ref) = g_from_strata(&hashed);
+                let cmi = cmi_stat(&mut &patched, rows);
+                let cmi_ref = cmi_from_strata(&hashed, rows);
+                assert_eq!(
+                    (g.to_bits(), p.to_bits(), cmi.to_bits()),
+                    (g_ref.to_bits(), p_ref.to_bits(), cmi_ref.to_bits()),
+                    "G, p and CMI, {label}"
                 );
+                let (old, new) = (&table.table, &patched.table);
+                zero_row += usize::from(rows == table.n_rows);
+                opened += usize::from(new.n_strata > old.n_strata);
+                old_strata_cells +=
+                    usize::from((0..old.n_strata).any(|s| new.run(s).len() > old.run(s).len()));
                 scaffold = extended;
                 table = patched;
             }

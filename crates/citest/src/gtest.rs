@@ -9,14 +9,10 @@
 //! keeps the test calibrated on sparse strata — important here because
 //! group testing multiplies arities together.
 
-use crate::contingency::{
-    carry_over, encode_cache_stats, scaffold_stats, z_scaffold, Arenas, DenseArena, Scaffold,
-    ScaffoldCache, Strata, StratumRows, SuffKey, SuffTable, ZPartition,
-};
-use crate::{CiOutcome, CiTest, VarId};
+use crate::contingency::{arity, g_stat, Arenas, DiscreteState, Scaffold};
+use crate::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, CiTestShared, VarId};
 use fairsel_math::special::chi2_sf;
-use fairsel_table::{with_codes, CappedCache, CodeValue, EncodedTable, Table};
-use std::sync::atomic::{AtomicU64, Ordering};
+use fairsel_table::{with_codes, EncodedTable, Table};
 use std::sync::Arc;
 
 /// G-test over the categorical columns of a [`Table`], reading every
@@ -28,34 +24,17 @@ use std::sync::Arc;
 /// categorical (the paper's discrete synthetic benchmarks and simulated
 /// datasets are generated categorically).
 ///
-/// Besides the per-query path, the tester implements the Z-grouped batch
-/// entry point ([`crate::CiTestBatch::eval_z_group`]): the conditioning
-/// set's stratification is derived once per group (and memoized per
-/// canonical set, so concurrent chunks of one giant group share it) and
-/// every `(x, y)` pair counts against that scaffold — byte-identical to
-/// the per-query statistic, at a fraction of the per-row hashing.
+/// Every query is evaluated as part of a Z-group
+/// ([`crate::CiTestBatch::eval_z_group`]; a single query is a group of
+/// one): the conditioning set's stratification is derived once per group
+/// (and memoized per canonical set, so concurrent chunks of one giant
+/// group share it) and every `(x, y)` pair counts against that scaffold.
+/// Each dense count is retained as the query's sufficient statistic, so an
+/// extension over appended rows ([`GTest::extended_from`]) patches it with
+/// the batch instead of recounting.
 pub struct GTest {
-    enc: Arc<EncodedTable>,
+    state: DiscreteState,
     alpha: f64,
-    degenerate: AtomicU64,
-    /// Cells zeroed+filled by the dense counting arena (telemetry:
-    /// `dense_count_cells`).
-    dense_cells: AtomicU64,
-    /// Memoized conditioning-set stratifications (partition + CSR stratum
-    /// rows) for grouped evaluation, keyed by the canonical (sorted,
-    /// deduplicated) variable set and bounded like every other data-path
-    /// cache.
-    partitions: ScaffoldCache,
-    /// Retained sufficient statistics — the per-query contingency tables —
-    /// keyed by the canonical query triple. On dataset extension each
-    /// resident table is patched with the appended rows
-    /// ([`SuffTable::patch`]) so the re-evaluated query costs O(batch)
-    /// counting instead of O(n).
-    suff: CappedCache<SuffKey, Arc<SuffTable>>,
-    /// Stratifications carried over (and extended) from a parent tester
-    /// by [`GTest::extended_from`] — the `extended` side of the scaffold
-    /// conservation ledger.
-    extended_scaffolds: u64,
 }
 
 impl GTest {
@@ -70,124 +49,82 @@ impl GTest {
     /// testers (G-test + CMI audit) amortize one cache.
     pub fn over(enc: Arc<EncodedTable>, alpha: f64) -> Self {
         assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
-        let cap = enc.cache_cap();
         Self {
-            enc,
+            state: DiscreteState::over(enc),
             alpha,
-            degenerate: AtomicU64::new(0),
-            dense_cells: AtomicU64::new(0),
-            partitions: CappedCache::new(cap),
-            suff: CappedCache::new(cap),
-            extended_scaffolds: 0,
         }
     }
 
     /// Build the tester a dataset *extension* warrants: same configuration
     /// as `parent`, reading the extended encoding layer `enc`, with every
     /// resident conditioning-set stratification carried over and extended
-    /// (`extend_scaffold`) instead of rebuilt. Query outcomes are
-    /// byte-identical to a cold `GTest::over(enc, alpha)` — only where the
-    /// scaffolds come from changes. Telemetry (degenerate short-circuits,
-    /// dense-arena cells) starts fresh, matching a cold tester's counters.
+    /// (`extend_scaffold`) instead of rebuilt, and every retained table
+    /// patched with the appended rows now — O(batch) integer counting per
+    /// table. Query outcomes are byte-identical to a cold
+    /// `GTest::over(enc, alpha)` — only where the scaffolds come from
+    /// changes. Telemetry (degenerate short-circuits, dense-arena cells)
+    /// starts fresh, matching a cold tester's counters.
     pub fn extended_from(parent: &GTest, enc: Arc<EncodedTable>) -> GTest {
-        let mut child = GTest::over(enc, parent.alpha);
-        // Retained sufficient statistics are patched with the appended
-        // rows now — O(batch) integer counting per table.
-        child.extended_scaffolds = carry_over(
-            &child.enc,
-            &parent.partitions,
-            &parent.suff,
-            &child.partitions,
-            &child.suff,
-        );
-        child
+        GTest {
+            state: DiscreteState::extended_from(&parent.state, enc),
+            alpha: parent.alpha,
+        }
     }
 
     /// The underlying table.
     pub fn table(&self) -> &Table {
-        self.enc.table()
+        self.state.enc.table()
     }
 
     /// The shared encoding layer.
     pub fn encoded(&self) -> &Arc<EncodedTable> {
-        &self.enc
+        &self.state.enc
     }
 
     /// How many queries short-circuited on an all-singleton conditioning
     /// stratum structure (p = 1 without building contingency tables).
     pub fn degenerate_short_circuits(&self) -> u64 {
-        self.degenerate.load(Ordering::Relaxed)
+        self.state.degenerate()
     }
 
     /// Raw statistic and p-value for `X ⊥ Y | Z` without thresholding.
     pub fn g_statistic(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> (f64, f64) {
-        // Encodings are dense where needed: group queries can multiply
-        // arities past u32 (32 binary features already overflow); the G
-        // statistic only depends on the induced partition, so dense
-        // re-encoding is exact.
-        let zkey = crate::canonical_set(z);
-        let ze = self.enc.encode(&zkey);
-        if ze.all_singletons() {
-            // Every row its own stratum: no stratum can be informative
-            // (df = 0), so the full computation would return (0, 1) after
-            // allocating a contingency entry per row. Skip it.
-            self.degenerate.fetch_add(1, Ordering::Relaxed);
-            return (0.0, 1.0);
-        }
-        let xe = self.enc.encode(x);
-        let ye = self.enc.encode(y);
-        // The per-query path runs the same grouped kernel against the
-        // (memoized) stratification scaffold — bit-identical to the hashed
-        // per-query statistic (see `grouped_statistic_is_byte_identical`).
-        let sc = z_scaffold(&self.partitions, &zkey, &ze);
-        self.grouped_kernel(&xe, &ye, &sc, &mut Arenas::default(), Some((x, y, &zkey)))
+        let out = self.ci_shared(x, y, z);
+        (out.statistic, out.p_value)
     }
 
-    /// Dispatch the narrow grouped kernel over the encodings' native code
-    /// widths, accounting dense-arena traffic. When the dense path ran
-    /// and `retain` names the query, the filled counts are snapshot as
-    /// the query's sufficient statistic for later append-patching.
-    fn grouped_kernel(
+    /// One query against its group's scaffold. Encodings are dense where
+    /// needed: group queries can multiply arities past u32 (32 binary
+    /// features already overflow); the G statistic only depends on the
+    /// induced partition, so dense re-encoding is exact.
+    fn eval(
         &self,
-        xe: &fairsel_table::Encoding,
-        ye: &fairsel_table::Encoding,
+        x: &[VarId],
+        y: &[VarId],
+        zkey: &[VarId],
         sc: &Scaffold,
         arenas: &mut Arenas,
-        retain: Option<(&[VarId], &[VarId], &[VarId])>,
-    ) -> (f64, f64) {
-        let (part, rows) = sc;
-        let (g, p, cells) = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
-            g_test_grouped_narrow(xc, xe.arity, yc, ye.arity, part, rows, arenas)
+    ) -> CiOutcome {
+        let (xe, ye) = (self.state.enc.encode(x), self.state.enc.encode(y));
+        let dense = with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
+            arenas.fill(xc, arity(&xe), yc, arity(&ye), sc)
         }));
-        if cells > 0 {
-            self.dense_cells.fetch_add(cells, Ordering::Relaxed);
-            if let Some((x, y, zkey)) = retain {
-                self.retain_suff(x, y, zkey, &arenas.dense, part.stratum_of.len());
-            }
+        let (g, p) = finish_g(g_stat(arenas));
+        if let Some(cells) = dense {
+            self.state.dense_counted(cells);
+            self.state.retain(x, y, zkey, &arenas.dense);
         }
-        (g, p)
-    }
-
-    /// Retain the arena's just-filled counts (the statistic walk leaves
-    /// them intact) as the query's sufficient statistic, so the next
-    /// dataset extension can patch them with only the appended rows
-    /// instead of recounting from scratch.
-    fn retain_suff(&self, x: &[VarId], y: &[VarId], zkey: &[VarId], arena: &DenseArena, n: usize) {
-        let (xs, ys) = crate::canonical_sides(x, y);
-        let key = (xs, ys, zkey.to_vec());
-        if self.suff.peek(&key).is_some() {
-            return;
+        CiOutcome {
+            independent: p > self.alpha,
+            p_value: p,
+            statistic: g,
         }
-        let mut t = arena.snapshot_suff(n);
-        t.xset = x.to_vec();
-        t.yset = y.to_vec();
-        self.suff.insert(key, Arc::new(t));
     }
 }
 
 impl CiTest for GTest {
     fn ci(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        crate::CiTestShared::ci_shared(self, x, y, z)
+        self.ci_shared(x, y, z)
     }
 
     fn n_vars(&self) -> usize {
@@ -199,116 +136,45 @@ impl CiTest for GTest {
     }
 }
 
-impl crate::CiTestShared for GTest {
+impl CiTestShared for GTest {
+    /// A Z-group of one.
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        if x.is_empty() || y.is_empty() {
-            return CiOutcome::decided(true);
-        }
-        let (g, p) = self.g_statistic(x, y, z);
-        CiOutcome {
-            independent: p > self.alpha,
-            p_value: p,
-            statistic: g,
-        }
+        self.eval_z_group(&crate::canonical_set(z), &[CiQueryRef { x, y, z }])[0]
     }
 }
 
-impl crate::CiTestBatch for GTest {
-    /// Z-grouped evaluation: one stratification scaffold per group, every
-    /// pair counted against it. Byte-identical to [`GTest::g_statistic`]
-    /// (same strata order, same cell order, same float accumulation).
-    fn eval_z_group(&self, z: &[VarId], queries: &[crate::CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        let zkey = crate::canonical_set(z);
-        // Built lazily so a group of empty-sided queries never encodes.
-        // One pair of arenas serves every query of the group.
-        let mut scaffold: Option<(Arc<fairsel_table::Encoding>, Option<Arc<Scaffold>>)> = None;
-        let mut arenas = Arenas::default();
-        queries
-            .iter()
-            .map(|q| {
-                if q.x.is_empty() || q.y.is_empty() {
-                    return CiOutcome::decided(true);
-                }
-                let (_, part) = scaffold.get_or_insert_with(|| {
-                    let ze = self.enc.encode(&zkey);
-                    let part = if ze.all_singletons() {
-                        None
-                    } else {
-                        Some(z_scaffold(&self.partitions, &zkey, &ze))
-                    };
-                    (ze, part)
-                });
-                let Some(sc) = part else {
-                    // Degenerate conditioning: p = 1 without contingency
-                    // work, exactly as the per-query short-circuit.
-                    self.degenerate.fetch_add(1, Ordering::Relaxed);
-                    return CiOutcome {
-                        independent: true,
-                        p_value: 1.0,
-                        statistic: 0.0,
-                    };
-                };
-                let xe = self.enc.encode(q.x);
-                let ye = self.enc.encode(q.y);
-                let (g, p) =
-                    self.grouped_kernel(&xe, &ye, sc, &mut arenas, Some((q.x, q.y, &zkey)));
-                CiOutcome {
-                    independent: p > self.alpha,
-                    p_value: p,
-                    statistic: g,
-                }
-            })
-            .collect()
+impl CiTestBatch for GTest {
+    /// Z-grouped evaluation: one stratification scaffold per group, one
+    /// set of counting arenas, every pair counted against them.
+    fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
+        self.state.eval_group(z, queries, |q, zkey, sc, arenas| {
+            self.eval(q.x, q.y, zkey, sc, arenas)
+        })
     }
 
     fn encode_cache_stats(&self) -> crate::EncodeStats {
-        encode_cache_stats(&self.enc, &self.partitions, &self.dense_cells)
+        self.state.encode_cache_stats()
     }
 
-    fn extend_over(
-        &self,
-        child: Arc<EncodedTable>,
-    ) -> Option<Box<dyn crate::CiTestBatch + Send + Sync>> {
+    fn extend_over(&self, child: Arc<EncodedTable>) -> Option<Box<dyn CiTestBatch + Send + Sync>> {
         Some(Box::new(GTest::extended_from(self, child)))
     }
 
     fn scaffold_stats(&self) -> crate::ScaffoldStats {
-        scaffold_stats(&self.partitions, &self.suff, self.extended_scaffolds)
+        self.state.scaffold_stats()
     }
 
     /// Answer a memoized query from its retained-and-patched sufficient
     /// statistic: the table already holds the concatenated counts (the
-    /// extension constructor patched it), so only the statistic walk —
-    /// identical, bit for bit, to a cold arena walk — runs here. `None`
-    /// routes the query to the invalidate path.
+    /// extension constructor patched it), so only the walk — the arena's
+    /// own, bit for bit a cold evaluation's — runs here. `None` routes the
+    /// query to the invalidate path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        if x.is_empty() || y.is_empty() {
-            return Some(CiOutcome::decided(true));
-        }
-        let zkey = crate::canonical_set(z);
-        let (xs, ys) = crate::canonical_sides(x, y);
-        // A retained table was counted on a conditioning set that was not
-        // all singletons, and the extended rows keep every one of its
-        // strata, so only a query without one can be degenerate now.
-        let Some(t) = self.suff.peek(&(xs, ys, zkey.clone())) else {
-            // Degenerate on the *extended* rows too — same short-circuit
-            // a cold evaluation takes (the counter is deliberately not
-            // bumped: patched answers do no contingency work to skip).
-            return self
-                .enc
-                .encode(&zkey)
-                .all_singletons()
-                .then_some(CiOutcome {
-                    independent: true,
-                    p_value: 1.0,
-                    statistic: 0.0,
-                });
+        let (_, t) = match self.state.retained(x, y, z) {
+            Ok(found) => found,
+            Err(answer) => return answer,
         };
-        if t.n_rows != self.enc.n_rows() {
-            return None;
-        }
-        let (g, df) = t.g();
-        let (g, p) = finish_g(g, df);
+        let (g, p) = finish_g(g_stat(&mut &*t));
         Some(CiOutcome {
             independent: p > self.alpha,
             p_value: p,
@@ -317,81 +183,13 @@ impl crate::CiTestBatch for GTest {
     }
 }
 
-/// Core G computation from pre-encoded joint codes. Returns `(G, p_value)`.
-///
-/// Strata are formed over distinct observed `z` codes; within each stratum
-/// counts are accumulated sparsely so high-arity joint codes stay cheap.
-/// Strata and cells accumulate in first-occurrence order, so the result is
-/// a deterministic function of the codes — the property the batched and
-/// worker-pool execution paths rely on for byte-identical outcomes.
-pub fn g_test_from_codes(x: &[u32], y: &[u32], z: &[u32]) -> (f64, f64) {
-    if x.is_empty() {
-        assert!(y.is_empty() && z.is_empty(), "g_test: length mismatch");
-        return (0.0, 1.0);
-    }
-    g_from_strata(&Strata::count(x, y, z))
-}
-
-/// The narrow/arena Z-grouped G computation ([`Arenas`]). When the dense
-/// cell space `n_strata × xa × ya` is small relative to the row count,
-/// counting runs on the reusable flat table, otherwise on the reusable
-/// sparse arena; neither allocates per query once its buffers have grown,
-/// and both are generic over the stored code width. Both paths are
-/// byte-identical to [`g_test_from_codes`]: strata keep the partition's
-/// first-occurrence order, cells accumulate in first-occurrence row
-/// order, marginals are exact integer sums, and the G summation walks the
-/// same cells in the same order. Returns `(G, p, dense cells used)`.
-fn g_test_grouped_narrow<X: CodeValue, Y: CodeValue>(
-    x: &[X],
-    xa: u32,
-    y: &[Y],
-    ya: u32,
-    part: &ZPartition,
-    rows: &StratumRows,
-    arenas: &mut Arenas,
-) -> (f64, f64, u64) {
-    if x.is_empty() {
-        return (0.0, 1.0, 0);
-    }
-    let (xa, ya) = (xa.max(1) as usize, ya.max(1) as usize);
-    let (g, df, cells) = arenas.g(x, y, xa, ya, part, rows);
-    let (g, p) = finish_g(g, df);
-    (g, p, cells.unwrap_or(0) as u64)
-}
-
-/// Finish the G statistic: df = 0 cannot reject; tiny negative G from
-/// float cancellation is clamped before the χ² tail.
-pub(crate) fn finish_g(g: f64, df: usize) -> (f64, f64) {
+/// Finish the G statistic: df = 0 (no informative stratum) cannot reject;
+/// tiny negative G from float cancellation is clamped before the χ² tail.
+pub(crate) fn finish_g((g, df): (f64, usize)) -> (f64, f64) {
     if df == 0 {
         return (0.0, 1.0);
     }
     let g = g.max(0.0);
-    (g, chi2_sf(g, df as f64))
-}
-
-/// The G statistic and p-value from hashed contingency counts
-/// ([`Strata::count`]), summed in their first-occurrence order.
-pub(crate) fn g_from_strata(strata: &Strata) -> (f64, f64) {
-    let mut g = 0.0;
-    let mut df = 0usize;
-    for s in &strata.strata {
-        for &((xv, yv), nxy) in &s.cells {
-            let nx = s.xm[&xv];
-            let ny = s.ym[&yv];
-            // nxy > 0 by construction.
-            g += 2.0 * nxy * ((nxy * s.total) / (nx * ny)).ln();
-        }
-        let r = s.xm.len();
-        let c = s.ym.len();
-        if r > 1 && c > 1 {
-            df += (r - 1) * (c - 1);
-        }
-    }
-    if df == 0 {
-        // No informative stratum: cannot reject independence.
-        return (0.0, 1.0);
-    }
-    let g = g.max(0.0); // guard tiny negative from float cancellation
     (g, chi2_sf(g, df as f64))
 }
 
@@ -532,7 +330,13 @@ mod tests {
             let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2)).collect();
             let b: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2)).collect();
             let z: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2)).collect();
-            let (_, p) = g_test_from_codes(&a, &b, &z);
+            let t = Table::new(vec![
+                Column::cat("a", Role::Feature, a, 2),
+                Column::cat("b", Role::Feature, b, 2),
+                Column::cat("z", Role::Feature, z, 2),
+            ])
+            .unwrap();
+            let (_, p) = GTest::new(&t, 0.05).g_statistic(&[0], &[1], &[2]);
             if p <= 0.05 {
                 rejections += 1;
             }
@@ -546,7 +350,13 @@ mod tests {
 
     #[test]
     fn zero_rows_is_independent() {
-        let (g, p) = g_test_from_codes(&[], &[], &[]);
+        let t = Table::new(vec![
+            Column::cat("a", Role::Feature, vec![], 2),
+            Column::cat("b", Role::Feature, vec![], 3),
+            Column::cat("z", Role::Feature, vec![], 2),
+        ])
+        .unwrap();
+        let (g, p) = GTest::new(&t, 0.01).g_statistic(&[0], &[1], &[2]);
         assert_eq!(g, 0.0);
         assert_eq!(p, 1.0);
     }
@@ -557,8 +367,23 @@ mod tests {
     /// narrowed code width.
     #[test]
     fn grouped_statistic_is_byte_identical() {
-        use crate::contingency::{dense_cell_space, Arenas, StratumRows, ZPartition};
+        use crate::contingency::{dense_cell_space, StratumRows, ZPartition};
+        use crate::kernel_reference::g_test_from_codes;
+        use fairsel_table::CodeValue;
         use rand::Rng;
+        /// Finished G and p bits through the arenas.
+        fn grouped<X: CodeValue, Y: CodeValue>(
+            x: &[X],
+            xa: u32,
+            y: &[Y],
+            ya: u32,
+            sc: &Scaffold,
+            arenas: &mut Arenas,
+        ) -> (u64, u64) {
+            arenas.fill(x, xa as usize, y, ya as usize, sc);
+            let (g, p) = finish_g(g_stat(arenas));
+            (g.to_bits(), p.to_bits())
+        }
         const MOSTLY_ONE_ROW: &str = "mostly one-row strata";
         let mut rng = StdRng::seed_from_u64(17);
         let mut cases: Vec<(u32, u32, Vec<u32>, &str)> = Vec::new();
@@ -603,21 +428,19 @@ mod tests {
                 );
             }
             let reference = bits(g_test_from_codes(&x, &y, &z));
-            let (g, p, _) =
-                g_test_grouped_narrow(x.as_slice(), xa, &y[..], ya, &part, &rows, &mut arenas);
-            assert_eq!(reference, bits((g, p)), "narrow u32, {label}");
+            let sc = (part, rows);
+            let got = grouped(x.as_slice(), xa, &y[..], ya, &sc, &mut arenas);
+            assert_eq!(reference, got, "narrow u32, {label}");
             // Narrowed storage widths count identically.
             if xa <= 256 && ya <= 256 {
                 let x8: Vec<u8> = x.iter().map(|&v| v as u8).collect();
                 let y8: Vec<u8> = y.iter().map(|&v| v as u8).collect();
-                let (g, p, _) =
-                    g_test_grouped_narrow(&x8[..], xa, &y8[..], ya, &part, &rows, &mut arenas);
-                assert_eq!(reference, bits((g, p)), "narrow u8, {label}");
+                let got = grouped(&x8[..], xa, &y8[..], ya, &sc, &mut arenas);
+                assert_eq!(reference, got, "narrow u8, {label}");
             }
             let x16: Vec<u16> = x.iter().map(|&v| v as u16).collect();
-            let (g, p, _) =
-                g_test_grouped_narrow(&x16[..], xa, &y[..], ya, &part, &rows, &mut arenas);
-            assert_eq!(reference, bits((g, p)), "narrow u16/u32, {label}");
+            let got = grouped(&x16[..], xa, &y[..], ya, &sc, &mut arenas);
+            assert_eq!(reference, got, "narrow u16/u32, {label}");
         }
     }
 

@@ -35,6 +35,15 @@
 //! per-query evaluation. The randomized testers derive a private RNG
 //! stream per canonical query ([`derived_query_seed`]), which is what
 //! makes them shareable at all.
+//!
+//! The discrete testers evaluate a single query as a Z-group of one, and
+//! they, their retained append-patched tables and the fairness report's
+//! plug-in CMI ([`cmi::cmi_from_codes`]) count through one contingency
+//! implementation: a dense and a sparse counting arena, one walk per
+//! layout, and the G statistic and CMI each defined once over any walk.
+//! The hashed per-query count it replaced is kept only as a test-side
+//! reference (`tests/kernel_reference/reference.rs`), against which the
+//! property tests and kernel references check every output bit.
 
 pub mod cmi;
 mod contingency;
@@ -43,7 +52,7 @@ pub mod gtest;
 pub mod oracle;
 pub mod rcit;
 
-pub use cmi::{cmi_discrete, PermutationCmi};
+pub use cmi::PermutationCmi;
 pub use fisher_z::FisherZ;
 pub use gtest::GTest;
 pub use oracle::{NoisyOracleCi, OracleCi};

@@ -12,8 +12,8 @@
 
 use crate::pipeline::{ClassifierKind, PipelineConfig, ReportMemo, SelectionAlgo};
 use crate::problem::{Problem, Selection};
-use crate::{grpsel_batched_in, grpsel_in, seqsel_in};
-use fairsel_ci::{CiTest, CiTestBatch, FisherZ, GTest, OracleCi};
+use crate::{grpsel_batched_in, seqsel_in};
+use fairsel_ci::{CiTestBatch, FisherZ, GTest, OracleCi};
 use fairsel_engine::{CiSession, EngineStats};
 use fairsel_graph::Dag;
 use fairsel_ml::FairnessReport;
@@ -96,23 +96,19 @@ impl TesterSpec {
     }
 
     /// Instantiate the tester over the training table (and ground-truth
-    /// DAG for [`TesterSpec::Oracle`]).
+    /// DAG for [`TesterSpec::Oracle`]), reusing an existing encoding layer
+    /// for the data testers (falls back to a private one when `enc` is
+    /// `None`). The tester is batch-capable, so GrpSel runs on the
+    /// Z-grouped scheduler.
     ///
     /// # Panics
     /// Panics when `Oracle` is requested without a DAG.
-    pub fn build(&self, train: &Table, dag: Option<&Dag>) -> Box<dyn CiTest> {
-        self.build_over(self.encoding_for(train).as_ref(), train, dag)
-    }
-
-    /// Like [`TesterSpec::build`], reusing an existing encoding layer for
-    /// the data testers (falls back to a private one when `enc` is
-    /// `None`).
     pub fn build_over(
         &self,
         enc: Option<&Arc<EncodedTable>>,
         train: &Table,
         dag: Option<&Dag>,
-    ) -> Box<dyn CiTest> {
+    ) -> Box<dyn CiTestBatch + Send + Sync> {
         match *self {
             TesterSpec::Oracle => {
                 let dag = dag.expect("TesterSpec::Oracle requires the ground-truth DAG");
@@ -210,7 +206,13 @@ fn run_method_over(
                     SelectionAlgo::GrpSel { seed } => seed,
                     _ => None,
                 };
-                grpsel_in(&mut session, &problem, &cfg.select, seed)
+                grpsel_batched_in(
+                    &mut session,
+                    &problem,
+                    &cfg.select,
+                    seed,
+                    cfg.workers.max(1),
+                )
             };
             (sel.selected(), sel.tests_used, session.stats().clone())
         }
@@ -462,6 +464,30 @@ mod tests {
                 out.report.accuracy
             );
         }
+    }
+
+    /// A local sweep runs GrpSel on the Z-grouped scheduler at the
+    /// configured worker count, and the worker count changes no rendered
+    /// byte.
+    #[test]
+    fn local_sweep_runs_grpsel_grouped_at_any_worker_count() {
+        let (_, train, test) = splits();
+        let spec = TesterSpec::GTest { alpha: 0.01 };
+        let n_features = Problem::from_table(&train).features.len();
+        let sweep = |workers: usize| {
+            let cfg = PipelineConfig {
+                workers,
+                ..PipelineConfig::default()
+            };
+            run_all_methods(&spec, None, &train, &test, &cfg)
+        };
+        let (one, two) = (sweep(1), sweep(2));
+        let grp = two.iter().find(|o| o.method == Method::GrpSel).unwrap();
+        assert!(grp.engine.grouped_batches > 0, "{:?}", grp.engine);
+        assert_eq!(
+            render_methods_report(&one, n_features),
+            render_methods_report(&two, n_features)
+        );
     }
 
     #[test]

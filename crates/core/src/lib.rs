@@ -21,9 +21,10 @@
 //!
 //! Both selectors route every query through the execution engine
 //! ([`fairsel_engine::CiSession`]): canonicalized keys, a memo cache, and
-//! — for GrpSel — level-synchronous frontier batches, evaluated one query
-//! at a time ([`grpsel_in`]) or on the Z-grouped scheduler, whose worker
-//! pool can evaluate them in parallel ([`grpsel_batched_in`]).
+//! — for GrpSel — level-synchronous frontier batches, evaluated on the
+//! Z-grouped scheduler, whose worker pool can evaluate them in parallel
+//! ([`grpsel_batched_in`]; the pipelines and the method sweep run it), or
+//! one query at a time for testers without batch support ([`grpsel_in`]).
 //!
 //! Supporting modules:
 //! * [`oracle`] — the Theorem 1 ground-truth classification computed from
@@ -50,9 +51,9 @@ pub use baselines::{
 pub use grpsel::{grpsel, grpsel_batched_in, grpsel_in};
 pub use oracle::{theorem1_classification, GroundTruth};
 pub use pipeline::{
-    check_column_kinds, render_pipeline_report, run_pipeline, run_pipeline_batched,
-    run_pipeline_batched_in, run_pipeline_memo_in, ClassifierKind, PipelineConfig, PipelineResult,
-    ReportMemo, SelectionAlgo, REPORT_MEMO_CAP,
+    check_column_kinds, render_pipeline_report, run_pipeline_batched, run_pipeline_batched_in,
+    run_pipeline_memo_in, ClassifierKind, PipelineConfig, PipelineResult, ReportMemo,
+    SelectionAlgo, REPORT_MEMO_CAP,
 };
 pub use problem::{Problem, SelectConfig, Selection};
 pub use seqsel::{seqsel, seqsel_in};

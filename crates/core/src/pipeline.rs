@@ -12,10 +12,10 @@
 //! outlives one run (the server keeps one per resident workload) fits
 //! each model once.
 
-use crate::grpsel::{grpsel_batched_in, grpsel_in};
+use crate::grpsel::grpsel_batched_in;
 use crate::problem::{Problem, SelectConfig, Selection};
 use crate::seqsel::seqsel_in;
-use fairsel_ci::{CiTest, CiTestBatch};
+use fairsel_ci::CiTestBatch;
 use fairsel_engine::{CiSession, EngineStats};
 use fairsel_ml::{
     AdaBoost, Classifier, DecisionTree, FairnessReport, Featurizer, LogisticRegression, NaiveBayes,
@@ -64,9 +64,7 @@ pub struct PipelineConfig {
     pub select: SelectConfig,
     pub algo: SelectionAlgo,
     pub classifier: ClassifierKind,
-    /// Worker threads for GrpSel's Z-grouped batches (`<= 1` = inline),
-    /// read by [`run_pipeline_batched`] and [`run_pipeline_batched_in`];
-    /// [`run_pipeline`] always evaluates one query at a time.
+    /// Worker threads for GrpSel's Z-grouped batches (`<= 1` = inline).
     pub workers: usize,
     /// Seed for stochastic models (random forest).
     pub model_seed: u64,
@@ -97,38 +95,12 @@ pub struct PipelineResult {
     pub engine: EngineStats,
 }
 
-/// Run the full pipeline with any CI tester (commonly `&mut GTest`,
-/// `&mut OracleCi`, ...). Sequential engine batches.
-pub fn run_pipeline<T: CiTest>(
-    tester: T,
-    train: &Table,
-    test: &Table,
-    cfg: &PipelineConfig,
-) -> PipelineResult {
-    let problem = Problem::from_table(train);
-    let mut session = CiSession::new(tester);
-    let selection = match cfg.algo {
-        SelectionAlgo::SeqSel => seqsel_in(&mut session, &problem, &cfg.select),
-        SelectionAlgo::GrpSel { seed } => grpsel_in(&mut session, &problem, &cfg.select, seed),
-    };
-    let engine = session.stats().clone();
-    train_and_score(
-        &ReportMemo::new(),
-        train,
-        test,
-        &problem,
-        selection,
-        engine,
-        cfg,
-    )
-}
-
-/// Like [`run_pipeline`] for batch-aware testers (`GTest`,
-/// `PermutationCmi`, `FisherZ`, `OracleCi`): GrpSel frontiers route
-/// through the Z-grouped scheduler ([`grpsel_batched_in`]) on
-/// `cfg.workers` workers, so each conditioning set's scaffold is built
+/// Run the full pipeline with a batch-aware CI tester (`GTest`,
+/// `PermutationCmi`, `FisherZ`, `OracleCi`, ...) in a fresh session: GrpSel
+/// frontiers route through the Z-grouped scheduler ([`grpsel_batched_in`])
+/// on `cfg.workers` workers, so each conditioning set's scaffold is built
 /// once and the engine telemetry reports `encode_cache_*` counters.
-/// Selections are byte-identical to [`run_pipeline`].
+/// Selections are byte-identical at every worker count.
 pub fn run_pipeline_batched<T: CiTestBatch>(
     tester: T,
     train: &Table,
@@ -505,7 +477,7 @@ mod tests {
     fn oracle_pipeline_selects_and_scores() {
         let (dag, train, test) = figure_1a_splits(3000, 5);
         let cfg = PipelineConfig::default();
-        let out = run_pipeline(&mut OracleCi::from_dag(dag), &train, &test, &cfg);
+        let out = run_pipeline_batched(OracleCi::from_dag(dag), &train, &test, &cfg);
         // X2 (the biased feature) must not be among the model columns.
         let x2 = train.col_id("X2").unwrap();
         assert!(
@@ -527,7 +499,7 @@ mod tests {
             algo: SelectionAlgo::GrpSel { seed: Some(1) },
             ..Default::default()
         };
-        let out = run_pipeline(&mut GTest::new(&train, 0.01), &train, &test, &cfg);
+        let out = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &cfg);
         assert!(out.report.accuracy > 0.5);
         assert!(!out.model_cols.is_empty());
     }
@@ -539,7 +511,7 @@ mod tests {
             algo: SelectionAlgo::GrpSel { seed: Some(3) },
             ..Default::default()
         };
-        let seq = run_pipeline(&mut GTest::new(&train, 0.01), &train, &test, &base);
+        let seq = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &base);
         let par_cfg = PipelineConfig { workers: 4, ..base };
         let par = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &par_cfg);
         assert_eq!(seq.model_cols, par.model_cols);
@@ -555,7 +527,7 @@ mod tests {
                 classifier: kind,
                 ..Default::default()
             };
-            let out = run_pipeline(&mut GTest::new(&train, 0.01), &train, &test, &cfg);
+            let out = run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &cfg);
             assert!(
                 out.report.accuracy > 0.4,
                 "{kind:?} collapsed: {}",

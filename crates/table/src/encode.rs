@@ -211,10 +211,9 @@ impl Encoding {
 
     /// Number of distinct codes actually observed. The count runs over
     /// every row on the first read and is kept, unless the encoding was
-    /// built knowing it: the empty set, dense re-numbering (the numbering
-    /// counts), and an extension whose parent had read its count and seen
-    /// every code of the child's code space. In practice only conditioning sets
-    /// whose code space reaches the row count are ever counted, through
+    /// built knowing it: the empty set and dense re-numbering (the
+    /// numbering counts). In practice only conditioning sets whose code
+    /// space reaches the row count are ever counted, through
     /// [`Encoding::all_singletons`]. Either way the value is exact.
     pub fn distinct(&self) -> usize {
         *self
@@ -230,18 +229,6 @@ impl Encoding {
     pub fn all_singletons(&self) -> bool {
         let n = self.codes.len();
         n > 0 && self.arity as usize >= n && self.distinct() == n
-    }
-
-    /// The encoding an extension builds from `parent`'s codes plus the
-    /// batch's: a parent whose count has been read and covers every code
-    /// of the child's code space passes it on (the child holds every
-    /// parent code and no code outside that space); any other count waits
-    /// for its first read.
-    fn extended(parent: &Encoding, codes: Codes, arity: u32) -> Encoding {
-        match parent.distinct.get() {
-            Some(&seen) if seen == arity as usize => Encoding::counted(codes, arity, seen),
-            _ => Encoding::new(codes, arity),
-        }
     }
 }
 
@@ -496,11 +483,12 @@ impl EncodedTable {
     /// concatenated table.
     ///
     /// The parent's rows are only copied, never re-read: no distinct count
-    /// is recounted here. A key whose parent had read its count and seen
-    /// every code of the child's code space inherits that count, a dense
-    /// re-numbered key knows its count from the numbering, and every other
-    /// key counts on the first read of [`Encoding::distinct`], like a cold
-    /// build.
+    /// is recounted here. A dense re-numbered key knows its count from the
+    /// numbering, and every other key counts on the first read of
+    /// [`Encoding::distinct`], like a cold build. No parent count is passed
+    /// on: its one reader, [`Encoding::all_singletons`], reads it only when
+    /// the code space reaches the row count, and after a non-empty append
+    /// a parent's distinct codes are fewer than the child's rows.
     pub fn extend(&self, batch: &Table) -> Result<EncodedTable, crate::table::TableError> {
         let n_parent = self.table.n_rows();
         let child_table = Arc::new(self.table.concat(batch)?);
@@ -570,7 +558,7 @@ impl EncodedTable {
         if key.len() == 1 {
             let (codes, arity) = self.column_codes(key[0]);
             let codes = extend_codes(&parent.codes, &codes[n_parent..], arity);
-            return Some(Encoding::extended(parent, codes, arity));
+            return Some(Encoding::new(codes, arity));
         }
         if let Some(joint) = self.mixed_key_arity(key) {
             // Fully mixed chain: suffix codes fold straight off the raw
@@ -585,7 +573,7 @@ impl EncodedTable {
                 }
             }
             let codes = extend_codes(&parent.codes, &suffix, joint);
-            return Some(Encoding::extended(parent, codes, joint));
+            return Some(Encoding::new(codes, joint));
         }
         // The chain overflows u32 somewhere. The final compose step can
         // still be extended when the prefix is provably append-stable and
@@ -619,7 +607,7 @@ impl EncodedTable {
                 }
             }));
             let codes = extend_codes(&parent.codes, &suffix, joint);
-            Some(Encoding::extended(parent, codes, joint))
+            Some(Encoding::new(codes, joint))
         } else {
             // Both dense: replay the parent's first-occurrence numbering
             // from its own codes, then number new pairs starting at the
@@ -1129,9 +1117,8 @@ mod tests {
     }
 
     /// An extended key's distinct count equals the cold count in each way
-    /// an extension can come by it: inherited from a parent that had read
-    /// its count and seen its whole code space, counted on first read when
-    /// the parent had not read its count or had not seen every code, known
+    /// an extension can come by it: counted on first read whether or not
+    /// the parent had read its count or seen its whole code space, known
     /// from dense re-numbering, and counted on first read for a key whose
     /// storage widens from u8 to u16.
     #[test]
@@ -1182,7 +1169,7 @@ mod tests {
         }
         // The saturated parent's count is read before extending; `w` also
         // saw both of its codes, but only as a step of `widened`, so its
-        // count was never read.
+        // count was never read. Neither count is passed on to the child.
         assert_eq!(parent.encode(&saturated).distinct(), 3);
         assert_eq!(parent.encode(&unsaturated).distinct(), 2);
         assert!(parent.encode(&unread).distinct.get().is_none());
@@ -1190,7 +1177,7 @@ mod tests {
         let child = parent.extend(&batch).unwrap();
         let cold = EncodedTable::new(&parent_t.concat(&batch).unwrap());
         let cases = [
-            (&saturated, true, "saturated parent, count read"),
+            (&saturated, false, "saturated parent, count read"),
             (&unread, false, "saturated parent, count unread"),
             (&unsaturated, false, "unsaturated parent"),
             (&dense, true, "dense re-numbered key"),

@@ -3,7 +3,9 @@
 //! silently rot).
 
 use fairsel_ci::{GTest, OracleCi};
-use fairsel_core::{run_pipeline, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo};
+use fairsel_core::{
+    run_pipeline_batched, ClassifierKind, PipelineConfig, PipelineResult, SelectionAlgo,
+};
 use fairsel_datasets::fixtures::figure_1a;
 use fairsel_datasets::sim::sample_table;
 use rand::rngs::StdRng;
@@ -19,12 +21,7 @@ pub fn figure_1a_oracle() -> PipelineResult {
     let train = sample_table(&scm, &fixture.roles, 2000, &mut rng);
     let test = sample_table(&scm, &fixture.roles, 1000, &mut rng);
     let cfg = PipelineConfig::default();
-    run_pipeline(
-        &mut OracleCi::from_dag(fixture.dag.clone()),
-        &train,
-        &test,
-        &cfg,
-    )
+    run_pipeline_batched(OracleCi::from_dag(fixture.dag.clone()), &train, &test, &cfg)
 }
 
 /// The same pipeline driven purely from sampled data with the G-test and
@@ -40,7 +37,7 @@ pub fn figure_1a_from_data(rows: usize, seed: u64) -> PipelineResult {
         classifier: ClassifierKind::Logistic,
         ..Default::default()
     };
-    run_pipeline(&mut GTest::new(&train, 0.01), &train, &test, &cfg)
+    run_pipeline_batched(GTest::new(&train, 0.01), &train, &test, &cfg)
 }
 
 #[cfg(test)]

@@ -608,7 +608,7 @@ mod batch_equivalence {
             let (xc, _) = self.table.joint_codes_dense(x);
             let (yc, _) = self.table.joint_codes_dense(y);
             let (zc, _) = self.table.joint_codes_dense(z);
-            let (g, p) = fairsel_ci::gtest::g_test_from_codes(&xc, &yc, &zc);
+            let (g, p) = crate::kernel_reference::g_test_from_codes(&xc, &yc, &zc);
             CiOutcome {
                 independent: p > self.alpha,
                 p_value: p,
@@ -1241,7 +1241,7 @@ mod degenerate_strata_regression {
         let (xc, _) = t.joint_codes_dense(&[0]);
         let (yc, _) = t.joint_codes_dense(&[1]);
         let (zc, _) = t.joint_codes_dense(&[2, 3, 4]);
-        let (g_stat, p) = fairsel_ci::gtest::g_test_from_codes(&xc, &yc, &zc);
+        let (g_stat, p) = crate::kernel_reference::g_test_from_codes(&xc, &yc, &zc);
         assert_eq!((fast.statistic, fast.p_value), (g_stat, p));
     }
 }
