@@ -10,14 +10,51 @@
 //! "Advantages of Group-testing").
 
 use crate::{CiOutcome, CiTest, VarId};
-use fairsel_graph::{d_separated, Dag, NodeId};
+use fairsel_graph::{d_separated, Dag, NodeId, Reachable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Reachable sets one [`OracleCi`] keeps, the oldest evicted first. A
+/// selection on a wide instance needs three — `(S, ∅)` and `(S, {A})` in
+/// phase 1, `(Y, A ∪ C₁)` in phase 2 — so SeqSel's and GrpSel's fit
+/// together with room to spare.
+pub const REACH_MEMO_SETS: usize = 8;
 
 /// Exact d-separation oracle. Variable `i` maps to graph node `vars[i]`.
+///
+/// # The reachable-set memo
+///
+/// The selection algorithms ask in waves: every query of a wave tests
+/// some feature or group against one shared side (`S` or `Y`) given one
+/// shared `Z`. The oracle keeps the nodes reachable from such a side
+/// given such a `Z` ([`Reachable`]), keyed by the side and `Z` exactly as
+/// the caller spelled them, and routes each query one of three ways:
+///
+/// * **hit** — a resident set was built from the query's `y` (or `x`)
+///   side and its `Z`: the answer is whether any node of the other side
+///   is in it;
+/// * **build** — the query shares its `y` (or `x`) side and its `Z` with
+///   the previous query the memo could not answer: the oracle walks that
+///   side's set, answers by membership and keeps the set;
+/// * **ball** — any other query (a group of one) walks the early-stopping
+///   ball of [`d_separated`].
+///
+/// At most [`REACH_MEMO_SETS`] sets stay resident. The memo sits behind a
+/// lock taken only to route a query and to keep a set; a set is shared by
+/// `Arc`, so membership checks and walks run outside the lock.
+///
+/// Every route answers exactly what [`d_separated`] answers: a set is
+/// used only for a query whose side and `Z` equal, element for element,
+/// the ones it was walked from, and membership in the walk run to the end
+/// is d-connection ([`Reachable`]). A side or `Z` spelled differently
+/// merely misses. So what the memo holds changes how long a query takes,
+/// never its answer.
 pub struct OracleCi {
     dag: Dag,
     vars: Vec<NodeId>,
+    memo: Mutex<ReachMemo>,
 }
 
 impl OracleCi {
@@ -27,13 +64,17 @@ impl OracleCi {
             vars.iter().all(|v| v.index() < dag.len()),
             "variable map references missing node"
         );
-        Self { dag, vars }
+        Self {
+            dag,
+            vars,
+            memo: Mutex::default(),
+        }
     }
 
     /// Oracle where variable `i` is node `i`.
     pub fn from_dag(dag: Dag) -> Self {
         let vars = dag.nodes().collect();
-        Self { dag, vars }
+        Self::new(dag, vars)
     }
 
     /// The underlying graph.
@@ -45,11 +86,131 @@ impl OracleCi {
         vs.iter().map(|&v| self.vars[v]).collect()
     }
 
+    /// Does no node of `other` lie in `reach`?
+    fn separated_by(&self, reach: &Reachable, other: &[VarId]) -> bool {
+        !other.iter().any(|&v| reach.contains(self.vars[v]))
+    }
+
+    fn memo(&self) -> MutexGuard<'_, ReachMemo> {
+        // The memo is consistent between statements, so a panic elsewhere
+        // while it was held leaves nothing half-written.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Answer a query through a shared reference (d-separation is a pure
-    /// function of the graph, so no mutation is ever needed).
+    /// function of the graph; the memo changes only the route to it).
     pub fn ci_ref(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        let sep = d_separated(&self.dag, &self.map(x), &self.map(y), &self.map(z));
+        let route = self.memo().route(x, y, z);
+        let sep = match route {
+            Route::Hit(set, shared) => self.separated_by(&set.reach, shared.other(x, y)),
+            Route::Build(shared) => {
+                let side = shared.side(x, y);
+                let reach = Reachable::new(&self.dag, &self.map(side), &self.map(z));
+                let sep = self.separated_by(&reach, shared.other(x, y));
+                self.memo().keep(SideSet {
+                    side: side.to_vec(),
+                    z: z.to_vec(),
+                    reach,
+                });
+                sep
+            }
+            Route::Ball => d_separated(&self.dag, &self.map(x), &self.map(y), &self.map(z)),
+        };
         CiOutcome::decided(sep)
+    }
+}
+
+/// Which test side of a query a reachable set was walked from.
+#[derive(Clone, Copy)]
+enum Shared {
+    X,
+    Y,
+}
+
+impl Shared {
+    fn side<'a>(self, x: &'a [VarId], y: &'a [VarId]) -> &'a [VarId] {
+        match self {
+            Shared::X => x,
+            Shared::Y => y,
+        }
+    }
+
+    fn other<'a>(self, x: &'a [VarId], y: &'a [VarId]) -> &'a [VarId] {
+        match self {
+            Shared::X => y,
+            Shared::Y => x,
+        }
+    }
+}
+
+/// How [`OracleCi::ci_ref`] answers one query.
+enum Route {
+    /// By membership in a resident set walked from this side.
+    Hit(Arc<SideSet>, Shared),
+    /// By membership in a set walked now from this side, then kept.
+    Build(Shared),
+    /// By the early-stopping ball.
+    Ball,
+}
+
+/// The nodes reachable from one side given one `Z`, with both as the
+/// caller spelled them.
+struct SideSet {
+    side: Vec<VarId>,
+    z: Vec<VarId>,
+    reach: Reachable,
+}
+
+impl SideSet {
+    fn walked_from(&self, side: &[VarId], z: &[VarId]) -> bool {
+        self.side == side && self.z == z
+    }
+}
+
+/// The oracle's reachable-set memo (see [`OracleCi`]).
+#[derive(Default)]
+struct ReachMemo {
+    // analyze: bounded-by REACH_MEMO_SETS sets; `keep` evicts the oldest first
+    sets: VecDeque<Arc<SideSet>>,
+    /// The last query the memo could not answer, as `[x, y, z]`.
+    last_miss: Option<[Vec<VarId>; 3]>,
+}
+
+impl ReachMemo {
+    fn route(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Route {
+        for set in self.sets.iter().rev() {
+            if set.walked_from(y, z) {
+                return Route::Hit(Arc::clone(set), Shared::Y);
+            }
+            if set.walked_from(x, z) {
+                return Route::Hit(Arc::clone(set), Shared::X);
+            }
+        }
+        let route = match &self.last_miss {
+            Some([lx, ly, lz]) if lz == z => {
+                if y == ly || y == lx {
+                    Route::Build(Shared::Y)
+                } else if x == lx || x == ly {
+                    Route::Build(Shared::X)
+                } else {
+                    Route::Ball
+                }
+            }
+            _ => Route::Ball,
+        };
+        self.last_miss = Some([x.to_vec(), y.to_vec(), z.to_vec()]);
+        route
+    }
+
+    fn keep(&mut self, set: SideSet) {
+        // Two threads may build the same set at once; keep one copy.
+        if self.sets.iter().any(|s| s.walked_from(&set.side, &set.z)) {
+            return;
+        }
+        if self.sets.len() == REACH_MEMO_SETS {
+            self.sets.pop_front();
+        }
+        self.sets.push_back(Arc::new(set));
     }
 }
 
@@ -73,10 +234,11 @@ impl crate::CiTestShared for OracleCi {
     }
 }
 
-/// The oracle has no per-batch work to amortize, but implementing the
-/// batch trait (per-query default) lets it drop into every batched entry
-/// point — e.g. `fairsel select --dag`, which routes the oracle through
-/// the same pipeline as the data testers.
+/// The oracle amortizes behind [`OracleCi::ci_ref`] (its reachable-set
+/// memo), which every entry point reaches, so the batch trait keeps its
+/// per-query defaults; implementing it lets the oracle drop into every
+/// batched entry point — e.g. `fairsel select --dag`, which routes the
+/// oracle through the same pipeline as the data testers.
 impl crate::CiTestBatch for OracleCi {}
 
 /// Oracle with per-test error: each answer is flipped independently with
@@ -165,6 +327,105 @@ mod tests {
     #[should_panic(expected = "missing node")]
     fn bad_mapping_panics() {
         OracleCi::new(chain(), vec![NodeId(99)]);
+    }
+
+    /// A seeded stream in the shape the selection algorithms ask in —
+    /// waves sharing `y`, waves sharing `x`, each given one of several
+    /// interleaved `Z`s, with lone queries between them — plus degenerate
+    /// queries (sides meeting `Z`, sharing a node, empty).
+    fn stream(rng: &mut StdRng, dag: &Dag) -> Vec<[Vec<VarId>; 3]> {
+        let n = dag.len();
+        let some = |rng: &mut StdRng, max: usize| -> Vec<VarId> {
+            let len = rng.gen_range(0..=max);
+            (0..len).map(|_| rng.gen_range(0..n)).collect()
+        };
+        let zs: Vec<Vec<VarId>> = (0..4).map(|_| some(rng, n / 3)).collect();
+        let (sy, sx) = (vec![rng.gen_range(0..n)], vec![rng.gen_range(0..n)]);
+        let mut out = Vec::new();
+        for _ in 0..60 {
+            let z = zs[rng.gen_range(0..zs.len())].clone();
+            match rng.gen_range(0..3) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..8) {
+                        let mut x = some(rng, 6);
+                        if rng.gen_bool(0.1) {
+                            x.push(sy[0]);
+                        }
+                        out.push([x, sy.clone(), z.clone()]);
+                    }
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..8) {
+                        out.push([sx.clone(), some(rng, 6), z.clone()]);
+                    }
+                }
+                _ => out.push([some(rng, 4), some(rng, 4), some(rng, n / 2)]),
+            }
+        }
+        out
+    }
+
+    fn stream_dag(seed: u64) -> Dag {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = fairsel_graph::RandomDagConfig {
+            nodes: rng.gen_range(10..=60),
+            max_parents: rng.gen_range(1..=4),
+            density: rng.gen_range(0.1..0.9),
+            ..Default::default()
+        };
+        fairsel_graph::random_dag(&mut rng, &cfg)
+    }
+
+    fn truth(o: &OracleCi, [x, y, z]: &[Vec<VarId>; 3]) -> bool {
+        d_separated(o.dag(), &o.map(x), &o.map(y), &o.map(z))
+    }
+
+    /// Whatever the memo holds, every answer is `d_separated`'s, and the
+    /// stream's waves leave sets resident (the memo was used).
+    #[test]
+    fn memo_answers_a_stream_as_d_separation_does() {
+        for seed in 0..40u64 {
+            let mut o = OracleCi::from_dag(stream_dag(seed));
+            let qs = stream(&mut StdRng::seed_from_u64(seed ^ 0x57e4), o.dag());
+            for (i, q) in qs.iter().enumerate() {
+                let [x, y, z] = q;
+                let want = truth(&o, q);
+                assert_eq!(o.ci(x, y, z).independent, want, "seed {seed}, query {i}");
+                assert_eq!(
+                    o.ci_ref(y, x, z).independent,
+                    want,
+                    "seed {seed}, query {i}"
+                );
+            }
+            let resident = o.memo().sets.len();
+            assert!(
+                (1..=REACH_MEMO_SETS).contains(&resident),
+                "seed {seed}: {resident} sets resident"
+            );
+        }
+    }
+
+    /// The same streams from 4 threads through `ci_shared` on one oracle:
+    /// routing, building and keeping race, and every answer stays exact.
+    #[test]
+    fn memo_answers_exactly_from_four_threads() {
+        use crate::CiTestShared;
+        for seed in 0..20u64 {
+            let o = OracleCi::from_dag(stream_dag(seed));
+            let qs = stream(&mut StdRng::seed_from_u64(seed ^ 0x57e4), o.dag());
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (o, qs) = (&o, &qs);
+                    scope.spawn(move || {
+                        for (i, q) in qs.iter().enumerate().skip(t).step_by(4) {
+                            let [x, y, z] = q;
+                            let got = o.ci_shared(x, y, z).independent;
+                            assert_eq!(got, truth(o, q), "seed {seed}, query {i}");
+                        }
+                    });
+                }
+            });
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::problem::{Problem, SelectConfig, Selection};
 use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, VarId};
-use fairsel_engine::{CiQuery, CiSession, HalvingPlanner};
+use fairsel_engine::{CiQuery, CiSession, CondSet, HalvingPlanner};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -108,13 +108,18 @@ fn run<T: CiTest>(
     if let Some(seed) = seed {
         features.shuffle(&mut StdRng::seed_from_u64(seed));
     }
-    let subsets = cfg.admissible_subsets(&problem.admissible);
+    let subsets: Vec<CondSet> = cfg
+        .admissible_subsets(&problem.admissible)
+        .iter()
+        .map(|a| CondSet::new(a))
+        .collect();
     let mut out = Selection::default();
 
     // Phase 1 (Algorithm 3): a frontier of groups seeking some A' ⊆ A
     // with group ⊥ S | A'. Each (frontier level × subset) wave is one
     // engine batch; groups certified at an earlier subset drop out of
-    // later waves, mirroring the sequential ∃-search's early exit.
+    // later waves, mirroring the sequential ∃-search's early exit. Each
+    // subset is interned once for the whole phase.
     session.set_phase("grpsel/phase1");
     let mut remaining: Vec<VarId> = Vec::new();
     let mut planner = root_planner(&features, cfg);
@@ -144,16 +149,16 @@ fn run<T: CiTest>(
 
     // Phase 2 (Algorithm 4): remaining groups against Y given A ∪ C₁
     // (the Lemma-6 conditioning set; see the erratum note above). The
-    // whole phase shares one conditioning set, canonical once, so no
-    // query's key has to sort it again.
+    // whole phase shares one conditioning set, interned once, so no
+    // query or key copies, sorts or hashes it again.
     session.set_phase("grpsel/phase2");
-    let cond = fairsel_ci::canonical_set(&[problem.admissible.as_slice(), &out.c1].concat());
+    let cond = CondSet::new(&[problem.admissible.as_slice(), &out.c1].concat());
     let mut planner = root_planner(&remaining, cfg);
     while !planner.is_done() {
         let batch: Vec<CiQuery> = planner
             .frontier()
             .iter()
-            .map(|g| CiQuery::new(g, &[problem.target], &cond))
+            .map(|g| CiQuery::given(g, &[problem.target], &cond))
             .collect();
         let outcomes = exec(session, &batch);
         let verdicts: Vec<bool> = outcomes.iter().map(|o| o.independent).collect();

@@ -15,7 +15,7 @@
 
 use crate::problem::{Problem, SelectConfig, Selection};
 use fairsel_ci::CiTest;
-use fairsel_engine::CiSession;
+use fairsel_engine::{CiSession, CondSet};
 
 /// Run SeqSel with any CI tester. Every query routes through a fresh
 /// engine [`CiSession`] (memo cache + telemetry); the number of tests the
@@ -39,16 +39,23 @@ pub fn seqsel_in<T: CiTest>(
     cfg: &SelectConfig,
 ) -> Selection {
     let issued_before = session.stats().issued;
-    let subsets = cfg.admissible_subsets(&problem.admissible);
+    let subsets: Vec<CondSet> = cfg
+        .admissible_subsets(&problem.admissible)
+        .iter()
+        .map(|a| CondSet::new(a))
+        .collect();
     let mut out = Selection::default();
 
-    // Phase 1: X ⊥ S | A' for some A' ⊆ A.
+    // Phase 1: X ⊥ S | A' for some A' ⊆ A, each A' interned once.
     session.set_phase("seqsel/phase1");
     let mut remaining = Vec::new();
     for &x in &problem.features {
         let mut admitted = false;
         for sub in &subsets {
-            if session.query(&[x], &problem.sensitive, sub).independent {
+            if session
+                .query_given(&[x], &problem.sensitive, sub)
+                .independent
+            {
                 admitted = true;
                 break;
             }
@@ -60,12 +67,15 @@ pub fn seqsel_in<T: CiTest>(
         }
     }
 
-    // Phase 2: X ⊥ Y | A ∪ C1. Canonical once, so no query's key has to
-    // sort it again.
+    // Phase 2: X ⊥ Y | A ∪ C1. Interned once, so no query's key copies,
+    // sorts or hashes it again.
     session.set_phase("seqsel/phase2");
-    let cond = fairsel_ci::canonical_set(&[problem.admissible.as_slice(), &out.c1].concat());
+    let cond = CondSet::new(&[problem.admissible.as_slice(), &out.c1].concat());
     for &x in &remaining {
-        if session.query(&[x], &[problem.target], &cond).independent {
+        if session
+            .query_given(&[x], &[problem.target], &cond)
+            .independent
+        {
             out.c2.push(x);
         } else {
             out.rejected.push(x);

@@ -2,7 +2,7 @@
 //! executors — per-query evaluation ([`CiSession::run_batch`]) or the
 //! Z-grouped scheduler on the worker pool ([`CiSession::run_batch_grouped`]).
 
-use crate::key::{CiQuery, QueryKey};
+use crate::key::{CiQuery, CondSet, QueryKey};
 use crate::session::{BatchKind, CiSession};
 use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, VarId};
 use std::collections::hash_map::{Entry, HashMap};
@@ -155,7 +155,8 @@ impl<T: CiTestBatch> CiSession<T> {
     /// conditioning block) is built once per distinct set instead of once
     /// per query. With `workers > 1` the groups are split into steal-able
     /// chunks on the session's persistent worker pool — one shared deque,
-    /// so a giant group cannot serialize a frontier level — and results
+    /// so a giant group cannot serialize a frontier level, and the calling
+    /// thread runs chunks beside `workers − 1` pool threads — and results
     /// are reassembled in input order; outcomes are byte-identical at
     /// every worker count (the `eval_z_group` contract).
     pub fn run_batch_grouped(&mut self, queries: &[CiQuery], workers: usize) -> Vec<CiOutcome> {
@@ -163,9 +164,9 @@ impl<T: CiTestBatch> CiSession<T> {
         let items: Vec<CiQueryRef<'_>> = miss_repr_refs(&plan, queries);
         let total = items.len();
 
-        // Partition by canonical conditioning set (taken from the keys),
-        // first-occurrence order.
-        let mut group_of: HashMap<&[VarId], usize> = HashMap::new();
+        // Partition by interned conditioning set (taken from the keys,
+        // hashed once when interned), first-occurrence order.
+        let mut group_of: HashMap<&CondSet, usize> = HashMap::new();
         let mut groups: Vec<(&[VarId], Vec<usize>)> = Vec::new();
         for (i, key) in plan.miss_keys.iter().enumerate() {
             let z = key.z();
@@ -173,7 +174,7 @@ impl<T: CiTestBatch> CiSession<T> {
                 Some(&g) => groups[g].1.push(i),
                 None => {
                     group_of.insert(z, groups.len());
-                    groups.push((z, vec![i]));
+                    groups.push((&z[..], vec![i]));
                 }
             }
         }

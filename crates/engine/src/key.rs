@@ -7,52 +7,141 @@
 //! cache slot, so `seqsel`'s `(x, S, A')` and a later `(S, x, A')` from PC
 //! hit the same memo entry.
 //!
-//! A key hashes its canonical sides once, when it is built
-//! ([`fairsel_ci::canonical_query_hash`]); every later memo probe writes
-//! that one word. On wide instances phase-2 keys carry conditioning sets
-//! of thousands of variables, which would otherwise be re-hashed on every
-//! lookup and insert. The fold is unkeyed, which is safe here: keys are
-//! generated by the selection algorithms, not taken from clients.
+//! Conditioning sets are *interned* ([`CondSet`]): sorted, deduplicated
+//! and hashed once, then shared by `Arc`. A selection phase builds its
+//! one `Z` once — GrpSel's and SeqSel's phase-2 `A ∪ C₁`, thousands of
+//! variables on wide instances, and each admissible subset of phase 1 —
+//! and every query, key and memo entry of the phase holds a pointer to
+//! it. A key hashes its canonical test sides with the set's hash folded
+//! in ([`fairsel_ci::canonical_query_hash`] seeded with it), so building,
+//! probing and storing a key never copies, sorts or re-reads `Z`. The fold
+//! is unkeyed, which is safe here: keys are generated by the selection
+//! algorithms, not taken from clients.
+//!
+//! Equality and order compare contents only — sides, then `Z` element by
+//! element — never the hash or the allocation; two sets that are the same
+//! allocation compare equal without reading their elements.
 
 use fairsel_ci::VarId;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// An unevaluated CI query, sides in caller order.
+/// An interned conditioning set: canonical (sorted, deduplicated), its
+/// hash computed once, shared by `Arc` (cloning copies a pointer).
+///
+/// Dereferences to the sorted variables. `Eq` and `Ord` compare the
+/// variables; [`Hash`] writes only the stored hash, a function of them.
+#[derive(Clone)]
+pub struct CondSet(Arc<Interned>);
+
+struct Interned {
+    vars: Vec<VarId>,
+    hash: u64,
+}
+
+impl CondSet {
+    /// Canonicalize and hash `z` (any order, repeats allowed).
+    pub fn new(z: &[VarId]) -> Self {
+        let vars = fairsel_ci::canonical_set(z);
+        let hash = fairsel_ci::canonical_query_hash(0, &[], &[], &vars);
+        Self(Arc::new(Interned { vars, hash }))
+    }
+}
+
+impl std::ops::Deref for CondSet {
+    type Target = [VarId];
+
+    fn deref(&self) -> &[VarId] {
+        &self.0.vars
+    }
+}
+
+impl std::fmt::Debug for CondSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.vars.fmt(f)
+    }
+}
+
+impl PartialEq for CondSet {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash && self.0.vars == other.0.vars)
+    }
+}
+
+impl Eq for CondSet {}
+
+impl Ord for CondSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return std::cmp::Ordering::Equal;
+        }
+        self.0.vars.cmp(&other.0.vars)
+    }
+}
+
+impl PartialOrd for CondSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for CondSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+/// An unevaluated CI query, test sides in caller order, `Z` interned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CiQuery {
     pub x: Vec<VarId>,
     pub y: Vec<VarId>,
-    pub z: Vec<VarId>,
+    pub z: CondSet,
 }
 
 impl CiQuery {
-    /// Build a query from borrowed sides.
+    /// Build a query from borrowed sides, interning `z`.
     pub fn new(x: &[VarId], y: &[VarId], z: &[VarId]) -> Self {
+        Self::given(x, y, &CondSet::new(z))
+    }
+
+    /// Build a query on an already interned conditioning set (shares it).
+    pub fn given(x: &[VarId], y: &[VarId], z: &CondSet) -> Self {
         Self {
             x: x.to_vec(),
             y: y.to_vec(),
-            z: z.to_vec(),
+            z: z.clone(),
         }
     }
 
     /// The canonical identity of this query.
     pub fn key(&self) -> QueryKey {
-        QueryKey::new(&self.x, &self.y, &self.z)
+        QueryKey::given(&self.x, &self.y, &self.z)
     }
 }
 
-/// Canonicalized query key: each side sorted and deduplicated, and the two
-/// test sides ordered so the lexicographically smaller one comes first.
+/// Canonicalized query key: each side sorted and deduplicated, the two
+/// test sides ordered so the lexicographically smaller one comes first,
+/// and `Z` interned.
 ///
 /// Equality and order compare `(x, y, z)`; `hash` is a function of those
 /// three, so it never decides either. [`Hash`] writes only `hash`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialOrd, Ord)]
 pub struct QueryKey {
     x: Vec<VarId>,
     y: Vec<VarId>,
-    z: Vec<VarId>,
+    z: CondSet,
     hash: u64,
 }
+
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.x == other.x && self.y == other.y && self.z == other.z
+    }
+}
+
+impl Eq for QueryKey {}
 
 impl Hash for QueryKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -63,10 +152,19 @@ impl Hash for QueryKey {
 impl QueryKey {
     /// Canonicalize `(x, y, z)`.
     pub fn new(x: &[VarId], y: &[VarId], z: &[VarId]) -> Self {
+        Self::given(x, y, &CondSet::new(z))
+    }
+
+    /// Canonicalize the test sides of a query on an interned `z`.
+    pub fn given(x: &[VarId], y: &[VarId], z: &CondSet) -> Self {
         let (x, y) = fairsel_ci::canonical_sides(x, y);
-        let z = fairsel_ci::canonical_set(z);
-        let hash = fairsel_ci::canonical_query_hash(0, &x, &y, &z);
-        Self { x, y, z, hash }
+        let hash = fairsel_ci::canonical_query_hash(z.0.hash, &x, &y, &[]);
+        Self {
+            x,
+            y,
+            z: z.clone(),
+            hash,
+        }
     }
 
     /// First (canonically smaller) test side.
@@ -80,7 +178,7 @@ impl QueryKey {
     }
 
     /// Conditioning set, sorted.
-    pub fn z(&self) -> &[VarId] {
+    pub fn z(&self) -> &CondSet {
         &self.z
     }
 }
@@ -196,6 +294,6 @@ mod tests {
         let k = q.key();
         assert_eq!(k.x(), &[1]);
         assert_eq!(k.y(), &[2, 4]);
-        assert_eq!(k.z(), &[6, 8]);
+        assert_eq!(&k.z()[..], &[6, 8]);
     }
 }

@@ -8,9 +8,10 @@
 //! would:
 //!
 //! * [`CiSession`] wraps any [`fairsel_ci::CiTest`] behind canonicalized
-//!   [`QueryKey`]s (symmetric `x`/`y` normalization, sorted `Z`) and a memo
-//!   cache, so a repeated or reordered query is answered without touching
-//!   the tester;
+//!   [`QueryKey`]s (symmetric `x`/`y` normalization, `Z` an interned
+//!   [`CondSet`] that a whole selection phase shares) and a memo cache, so
+//!   a repeated or reordered query is answered without touching the
+//!   tester;
 //! * two batch executors evaluate a batch of independent queries —
 //!   deduplicated against the cache and against each other — with
 //!   deterministic result ordering:
@@ -40,7 +41,7 @@ pub mod pool;
 pub mod session;
 
 pub use exec::default_workers;
-pub use key::{CiQuery, QueryKey};
+pub use key::{CiQuery, CondSet, QueryKey};
 pub use planner::{exists_certificate, exists_with, FrontierOutcome, HalvingPlanner};
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

@@ -13,7 +13,7 @@
 //! The query *multiset* is identical to the depth-first recursion — only
 //! the order changes — so test counts and selections are preserved.
 
-use crate::key::CiQuery;
+use crate::key::{CiQuery, CondSet};
 use crate::session::CiSession;
 use fairsel_ci::{CiOutcome, CiTest, VarId};
 
@@ -113,12 +113,13 @@ impl HalvingPlanner {
 /// Alternatives are issued as waves: wave `k` batches the `k`-th
 /// alternative for every still-undecided group, so a group certified early
 /// is never queried again — the same early-exit the sequential `∃A' ⊆ A`
-/// loop has, but with each wave being one engine batch.
+/// loop has, but with each wave being one engine batch. Each alternative
+/// is interned once, and every query of its wave shares it.
 pub fn exists_certificate<T: CiTest>(
     session: &mut CiSession<T>,
     groups: &[Vec<VarId>],
     target: &[VarId],
-    alternatives: &[Vec<VarId>],
+    alternatives: &[CondSet],
 ) -> Vec<bool> {
     exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
 }
@@ -130,7 +131,7 @@ pub fn exists_certificate<T: CiTest>(
 pub fn exists_with<F>(
     groups: &[Vec<VarId>],
     target: &[VarId],
-    alternatives: &[Vec<VarId>],
+    alternatives: &[CondSet],
     mut run: F,
 ) -> Vec<bool>
 where
@@ -144,7 +145,7 @@ where
         }
         let batch: Vec<CiQuery> = undecided
             .iter()
-            .map(|&g| CiQuery::new(&groups[g], target, alt))
+            .map(|&g| CiQuery::given(&groups[g], target, alt))
             .collect();
         let _sp = fairsel_obs::span_kv("planner.level", || {
             vec![
@@ -259,7 +260,7 @@ mod tests {
             n: 100,
         });
         let groups = vec![vec![1], vec![2], vec![3]];
-        let alts = vec![vec![], vec![50]];
+        let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
         let got = exists_certificate(&mut session, &groups, &[99], &alts);
         assert_eq!(got, vec![true; 3]);
         assert_eq!(session.stats().issued, 3, "second alternative never tried");
@@ -274,7 +275,7 @@ mod tests {
             n: 100,
         });
         let groups = vec![vec![1], vec![2], vec![3]];
-        let alts = vec![vec![], vec![50]];
+        let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
         let got = exists_certificate(&mut session, &groups, &[99], &alts);
         assert_eq!(got, vec![false, true, true]);
         // Wave 0: three queries; wave 1: only the undecided [1].

@@ -1,6 +1,6 @@
 //! The memoizing session and its telemetry.
 
-use crate::key::QueryKey;
+use crate::key::{CondSet, QueryKey};
 use crate::pool::WorkerPool;
 use fairsel_ci::{CiOutcome, CiTest, EncodeStats, VarId};
 use std::collections::HashMap;
@@ -374,7 +374,7 @@ pub struct CiSession<T> {
     current_phase: Option<usize>,
     /// Long-lived worker pool for the Z-grouped scheduler, spawned on
     /// first use and kept for the session's lifetime (rebuilt only when a
-    /// batch asks for a different worker count).
+    /// batch asks for more workers than it and the calling thread give).
     pool: Option<WorkerPool>,
     /// Outcomes recomputed by sufficient-statistic patching at dataset
     /// extension, parked until demanded. Kept *outside* the memo so
@@ -402,7 +402,13 @@ impl<T: CiTest> CiSession<T> {
 
     /// Direct accounting of a cached single query.
     pub fn query(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        let key = QueryKey::new(x, y, z);
+        self.query_given(x, y, &CondSet::new(z))
+    }
+
+    /// [`CiSession::query`] on an interned conditioning set, which the
+    /// key shares instead of copying; the tester sees its sorted slice.
+    pub fn query_given(&mut self, x: &[VarId], y: &[VarId], z: &CondSet) -> CiOutcome {
+        let key = QueryKey::given(x, y, z);
         self.stats.requested += 1;
         self.bump_phase(|p| p.requested += 1);
         if let Some(hit) = self.cache_get_tracked(&key) {
@@ -559,18 +565,20 @@ impl<T: CiTest> CiSession<T> {
     /// Borrow the tester and the (lazily spawned) worker pool together —
     /// the two shared references a parallel batch dispatch needs.
     ///
-    /// The pool only ever *grows* to the high-water worker count: a
-    /// long-lived session serving callers with different `workers` values
-    /// (the server registry deliberately shares sessions across that
-    /// knob) must not tear threads down and respawn them per batch. Idle
-    /// threads sleep on a condvar and cost nothing; a smaller request's
-    /// chunks may therefore run with more concurrency than it asked for,
-    /// which can only finish sooner and — by the byte-identity contract —
-    /// never changes results.
+    /// The calling thread runs tasks too ([`WorkerPool::run_scoped`]), so
+    /// `workers`-way execution needs `workers − 1` pool threads. The pool
+    /// only ever *grows* to the high-water worker count: a long-lived
+    /// session serving callers with different `workers` values (the
+    /// server registry deliberately shares sessions across that knob)
+    /// must not tear threads down and respawn them per batch. Idle threads
+    /// sleep on a condvar and cost nothing; a smaller request's chunks may
+    /// therefore run with more concurrency than it asked for, which can
+    /// only finish sooner and — by the byte-identity contract — never
+    /// changes results. Called only with `workers > 1`.
     pub(crate) fn exec_parts(&mut self, workers: usize) -> (&T, &WorkerPool) {
-        let grow = self.pool.as_ref().is_none_or(|p| p.threads() < workers);
+        let grow = self.pool.as_ref().is_none_or(|p| p.threads() + 1 < workers);
         if grow {
-            self.pool = Some(WorkerPool::new(workers));
+            self.pool = Some(WorkerPool::new(workers - 1));
         }
         (&self.tester, self.pool.as_ref().expect("pool just ensured"))
     }

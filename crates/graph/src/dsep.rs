@@ -10,10 +10,15 @@
 //! oracle in `fairsel-ci` can stand in for a statistical CI test in the
 //! complexity experiments.
 //!
-//! A query costs `O(V + E)` in the worst case. The ball starts from the
+//! One walk serves two kinds of caller. A lone query walks from the
 //! smaller test side and stops at the first node of the other side it
-//! reaches, so a connected query pays only for the part of the graph it
-//! walks before that hit.
+//! reaches ([`d_separated`]), so a connected query pays only for the part
+//! of the graph it walks before that hit; either way it costs `O(V + E)`
+//! at worst. Queries that share a side and a conditioning set — every
+//! query of one GrpSel wave tests some group against the same `S` or `Y`
+//! given the same `Z` — run the same walk from the shared side with no
+//! target and no early exit ([`Reachable`]), and each then costs one
+//! membership check per node of its other side.
 //!
 //! The walk needs no ancestor closure of `Z`. A collider `v ∉ Z` with a
 //! descendant in `Z` is open, and the ball finds that out by itself: from
@@ -23,7 +28,7 @@
 
 use crate::dag::{Dag, NodeId};
 
-/// Per-node flag bits of one query.
+/// Per-node flag bits of one walk.
 const IN_Z: u8 = 1;
 /// A node of the side the ball is looking for.
 const TARGET: u8 = 1 << 1;
@@ -42,18 +47,9 @@ const SEEN_DOWN: u8 = 1 << 3;
 ///   d-connected;
 /// * an empty side is d-separated from everything.
 pub fn d_separated(dag: &Dag, x: &[NodeId], y: &[NodeId], z: &[NodeId]) -> bool {
-    let mut flags = vec![0u8; dag.len()];
-    for &v in z {
-        flags[v.index()] |= IN_Z;
-    }
-    let outside_z = |side: &[NodeId]| -> Vec<NodeId> {
-        side.iter()
-            .copied()
-            .filter(|v| flags[v.index()] & IN_Z == 0)
-            .collect()
-    };
-    let xs = outside_z(x);
-    let ys = outside_z(y);
+    let mut flags = z_flags(dag, z);
+    let xs = outside_z(&flags, x);
+    let ys = outside_z(&flags, y);
     if xs.is_empty() || ys.is_empty() {
         return true;
     }
@@ -66,14 +62,68 @@ pub fn d_separated(dag: &Dag, x: &[NodeId], y: &[NodeId], z: &[NodeId]) -> bool 
     for &t in &targets {
         flags[t.index()] |= TARGET;
     }
-    if sources.iter().any(|s| flags[s.index()] & TARGET != 0) {
-        return false;
+    !walk(dag, &mut flags, &sources)
+}
+
+/// The nodes that an active trail given `Z` joins to one side of a query:
+/// the walk of [`d_separated`] from that side, run to the end with no
+/// target.
+///
+/// `d_separated(dag, x, y, z)` holds exactly when no node of `x` is in
+/// `Reachable::new(dag, y, z)`, degenerate inputs included: a side node in
+/// `Z` is never a source and never reached, a node on both sides is a
+/// source and so reached, and an empty side reaches nothing.
+#[derive(Clone, Debug)]
+pub struct Reachable {
+    flags: Vec<u8>,
+}
+
+impl Reachable {
+    /// Walk from `side` given `z`.
+    pub fn new(dag: &Dag, side: &[NodeId], z: &[NodeId]) -> Self {
+        let mut flags = z_flags(dag, z);
+        let sources = outside_z(&flags, side);
+        walk(dag, &mut flags, &sources);
+        Self { flags }
     }
 
-    // The ball: `(v, down)` means "at v, arrived from a parent".
+    /// Is `v` joined to the side by an active trail? Never for a node of
+    /// `Z`; always for a side node outside `Z`.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        let f = self.flags[v.index()];
+        f & IN_Z == 0 && f & (SEEN_UP | SEEN_DOWN) != 0
+    }
+}
+
+/// Fresh flags with `z` marked.
+fn z_flags(dag: &Dag, z: &[NodeId]) -> Vec<u8> {
+    let mut flags = vec![0u8; dag.len()];
+    for &v in z {
+        flags[v.index()] |= IN_Z;
+    }
+    flags
+}
+
+/// The members of `side` outside `Z`.
+fn outside_z(flags: &[u8], side: &[NodeId]) -> Vec<NodeId> {
+    side.iter()
+        .copied()
+        .filter(|v| flags[v.index()] & IN_Z == 0)
+        .collect()
+}
+
+/// The Bayes ball from `sources` (all outside `Z`): true as soon as it
+/// reaches a [`TARGET`] node, false once it can move no further. Every
+/// node it reaches keeps a `SEEN_*` bit.
+fn walk(dag: &Dag, flags: &mut [u8], sources: &[NodeId]) -> bool {
+    // `(v, down)` means "at v, arrived from a parent"; a source counts as
+    // arrived from a child.
     let mut ball: Vec<(NodeId, bool)> = Vec::with_capacity(sources.len());
-    for &s in &sources {
-        push(&mut flags, &mut ball, s, false);
+    for &s in sources {
+        if push(flags, &mut ball, s, false) {
+            return true;
+        }
     }
     while let Some((v, down)) = ball.pop() {
         let f = flags[v.index()];
@@ -84,20 +134,20 @@ pub fn d_separated(dag: &Dag, x: &[NodeId], y: &[NodeId], z: &[NodeId]) -> bool 
         let to_parents = down == (f & IN_Z != 0);
         if to_children {
             for &c in dag.children(v) {
-                if push(&mut flags, &mut ball, c, true) {
-                    return false;
+                if push(flags, &mut ball, c, true) {
+                    return true;
                 }
             }
         }
         if to_parents {
             for &p in dag.parents(v) {
-                if push(&mut flags, &mut ball, p, false) {
-                    return false;
+                if push(flags, &mut ball, p, false) {
+                    return true;
                 }
             }
         }
     }
-    true
+    false
 }
 
 /// Queue `v` in direction `down` unless it was reached that way before.

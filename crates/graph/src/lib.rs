@@ -6,9 +6,11 @@
 //! The central type is [`Dag`]; d-separation queries run via the
 //! reachable-set ("Bayes ball") algorithm in `O(V + E)` per query in the
 //! worst case, stopping at the first node of the other side they reach.
-//! That matters because the oracle conditional-independence tester used by
-//! the complexity experiments (Figures 4 and 5) issues hundreds of
-//! thousands of queries against 5000-node graphs.
+//! The same walk run to the end ([`Reachable`]) answers every query that
+//! shares one side and one conditioning set by membership. That matters
+//! because the oracle conditional-independence tester used by the
+//! complexity experiments (Figures 4 and 5) issues hundreds of thousands
+//! of queries against 5000-node graphs.
 
 pub mod dag;
 pub mod dsep;
@@ -16,6 +18,6 @@ pub mod generate;
 pub mod text;
 
 pub use dag::{Dag, DagBuilder, GraphError, NodeId};
-pub use dsep::{d_connected, d_separated};
+pub use dsep::{d_connected, d_separated, Reachable};
 pub use generate::{random_dag, RandomDagConfig};
 pub use text::{dag_from_text, dag_to_text, DagTextError};

@@ -1,4 +1,5 @@
-//! `d_separated` checked against a reference Bayes ball on random DAGs.
+//! `d_separated` and `Reachable` checked against a reference Bayes ball
+//! on random DAGs.
 //!
 //! The library's `d_separated` walks from the smaller test side, stops at
 //! the first node of the other side it reaches, and opens colliders by
@@ -7,13 +8,15 @@
 //! ancestors, walk from `X` until the ball can move no further, then ask
 //! whether any node of `Y` was reached. Both must give the same answer on
 //! every query, including the degenerate ones (sides that overlap, repeat
-//! a node, meet `Z`, or are empty).
+//! a node, meet `Z`, or are empty). `Reachable`, the same walk run to the
+//! end from one side, must reach exactly the reference's nodes and answer
+//! every other side by membership as the reference does.
 //!
 //! Cases are generated from seeded RNG loops (the environment vendors no
 //! property-testing framework); a failure names the graph seed and the
 //! query, so it reproduces deterministically.
 
-use fairsel_graph::{d_separated, random_dag, Dag, NodeId, RandomDagConfig};
+use fairsel_graph::{d_separated, random_dag, Dag, NodeId, RandomDagConfig, Reachable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -238,5 +241,60 @@ fn wide_side_against_one_node_matches_reference() {
         let want = reference::d_separated(&dag, &wide, &[target], &z);
         assert_eq!(d_separated(&dag, &wide, &[target], &z), want, "seed {seed}");
         assert_eq!(d_separated(&dag, &[target], &wide, &z), want, "seed {seed}");
+    }
+}
+
+/// The walk run to the end from one side (`Reachable`) reaches exactly
+/// the nodes the reference reaches, and its membership answer for any
+/// other side is the reference's d-separation — on sides that meet `Z`,
+/// share a node with the other side, or are empty.
+#[test]
+fn reachable_set_membership_matches_reference() {
+    let (mut sets, mut answers) = (0usize, 0usize);
+    let (mut meeting_z, mut sharing, mut empty) = (0usize, 0usize, 0usize);
+    for seed in 0..GRAPHS / 2 {
+        let dag = graph(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0ea5_ab1e);
+        for _ in 0..QUERIES_PER_GRAPH / 10 {
+            let [side, other, z] = query(&mut rng, &dag);
+            let reach = Reachable::new(&dag, &side, &z);
+            let want = reference::reachable(&dag, &side, &z);
+            for v in dag.nodes() {
+                assert_eq!(
+                    reach.contains(v),
+                    want[v.index()],
+                    "graph seed {seed}: {v:?} from {side:?} | {z:?}"
+                );
+            }
+            sets += 1;
+            // The wave: several other sides against the one set.
+            let mut others = vec![other, Vec::new()];
+            others.extend((0..8).map(|_| {
+                let len = side_len(&mut rng, dag.len());
+                draw(&mut rng, &dag, len)
+            }));
+            for other in &others {
+                assert_eq!(
+                    !other.iter().any(|&v| reach.contains(v)),
+                    reference::d_separated(&dag, other, &side, &z),
+                    "graph seed {seed}: {other:?} ⊥ {side:?} | {z:?}"
+                );
+                answers += 1;
+                meeting_z += other.iter().chain(&side).any(|v| z.contains(v)) as usize;
+                sharing += other.iter().any(|v| side.contains(v)) as usize;
+                empty += (other.is_empty() || side.is_empty()) as usize;
+            }
+        }
+    }
+    assert!(
+        sets >= 2_500 && answers >= 25_000,
+        "{sets} sets, {answers} answers"
+    );
+    for (what, count) in [
+        ("sides meeting Z", meeting_z),
+        ("sides sharing a node", sharing),
+        ("empty sides", empty),
+    ] {
+        assert!(count >= 500, "only {count} answers with {what}");
     }
 }

@@ -698,7 +698,7 @@ fn span_json(s: &CompletedSpan) -> Json {
 fn trace_response(last: usize) -> Response {
     let sink = fairsel_obs::sink();
     let spans: Vec<Json> = sink
-        .recent(last.clamp(1, fairsel_obs::DEFAULT_SINK_CAP))
+        .recent(last.min(fairsel_obs::DEFAULT_SINK_CAP))
         .iter()
         .map(span_json)
         .collect();

@@ -681,10 +681,14 @@ mod grouped_equivalence {
         sample_table(&scm, &inst.roles, rows, &mut rng)
     }
 
+    /// One query as the caller spelled it: `[x, y, z]`, `z` in any order
+    /// and with repeats (a [`CiQuery`] would intern `z` canonically).
+    type Spelled = [Vec<VarId>; 3];
+
     /// A frontier-shaped workload: many queries share few conditioning
     /// sets (the Z-group structure), with deliberate repeats, reordered /
     /// duplicated conditioning spellings, and symmetric side swaps.
-    fn grouped_workload(rng: &mut StdRng, n_vars: usize, count: usize) -> Vec<CiQuery> {
+    fn grouped_workload(rng: &mut StdRng, n_vars: usize, count: usize) -> Vec<Spelled> {
         let zsets: Vec<Vec<VarId>> = vec![
             vec![],
             vec![rng.gen_range(0..n_vars)],
@@ -696,11 +700,11 @@ mod grouped_equivalence {
             let x: Vec<VarId> = (0..xlen).map(|_| rng.gen_range(0..n_vars)).collect();
             let y = vec![rng.gen_range(0..n_vars)];
             let z = &zsets[rng.gen_range(0..zsets.len())];
-            out.push(CiQuery::new(&x, &y, z));
+            out.push([x.clone(), y.clone(), z.clone()]);
             match rng.gen_range(0..3) {
                 0 => {
                     // Symmetric respelling of the same query.
-                    out.push(CiQuery::new(&y, &x, z));
+                    out.push([y, x, z.clone()]);
                 }
                 1 => {
                     // Same conditioning set, reordered with a duplicate.
@@ -709,7 +713,7 @@ mod grouped_equivalence {
                     if let Some(&v) = respelled.first() {
                         respelled.push(v);
                     }
-                    out.push(CiQuery::new(&x, &y, &respelled));
+                    out.push([x, y, respelled]);
                 }
                 _ => {}
             }
@@ -718,8 +722,8 @@ mod grouped_equivalence {
     }
 
     /// Run one tester through every grouped execution shape and compare
-    /// to sequential per-query evaluation.
-    fn assert_grouped_equivalence<T, F>(make: F, queries: &[CiQuery], label: &str)
+    /// to sequential per-query evaluation of each query as spelled.
+    fn assert_grouped_equivalence<T, F>(make: F, queries: &[Spelled], label: &str)
     where
         T: CiTestBatch,
         F: Fn() -> T,
@@ -728,7 +732,7 @@ mod grouped_equivalence {
             let t = make();
             queries
                 .iter()
-                .map(|q| t.ci_shared(&q.x, &q.y, &q.z))
+                .map(|[x, y, z]| t.ci_shared(x, y, z))
                 .collect()
         };
         // Direct trait call, one group per canonical conditioning set.
@@ -736,8 +740,8 @@ mod grouped_equivalence {
             let t = make();
             let mut order: Vec<Vec<VarId>> = Vec::new();
             let mut members: Vec<Vec<usize>> = Vec::new();
-            for (i, q) in queries.iter().enumerate() {
-                let mut zkey = q.z.clone();
+            for (i, [_, _, z]) in queries.iter().enumerate() {
+                let mut zkey = z.clone();
                 zkey.sort_unstable();
                 zkey.dedup();
                 match order.iter().position(|z| *z == zkey) {
@@ -751,10 +755,9 @@ mod grouped_equivalence {
             for (zkey, idxs) in order.iter().zip(&members) {
                 let refs: Vec<CiQueryRef<'_>> = idxs
                     .iter()
-                    .map(|&i| CiQueryRef {
-                        x: &queries[i].x,
-                        y: &queries[i].y,
-                        z: &queries[i].z,
+                    .map(|&i| {
+                        let [x, y, z] = &queries[i];
+                        CiQueryRef { x, y, z }
                     })
                     .collect();
                 let outs = t.eval_z_group(zkey, &refs);
@@ -767,10 +770,14 @@ mod grouped_equivalence {
             }
         }
         // Engine-routed grouped scheduler at every worker count.
+        let queries: Vec<CiQuery> = queries
+            .iter()
+            .map(|[x, y, z]| CiQuery::new(x, y, z))
+            .collect();
         for workers in [1usize, 2, 4, 8] {
             let t = make();
             let mut session = CiSession::new(&t);
-            let got = session.run_batch_grouped(queries, workers);
+            let got = session.run_batch_grouped(&queries, workers);
             assert_eq!(
                 reference, got,
                 "{label}: grouped scheduler (workers={workers}) diverged"
@@ -819,7 +826,7 @@ mod grouped_equivalence {
             let x: Vec<VarId> = (0..xlen).map(|_| rng.gen_range(0..n_vars)).collect();
             let y = vec![rng.gen_range(0..n_vars)];
             let z: Vec<VarId> = (0..2).map(|_| rng.gen_range(0..n_vars)).collect();
-            queries.push(CiQuery::new(&x, &y, &z));
+            queries.push([x, y, z]);
         }
         assert_grouped_equivalence(|| GTest::new(&table, 0.01), &queries, "g-test/wide");
     }
@@ -2056,12 +2063,6 @@ mod request_validation {
         handle.shutdown();
     }
 
-    /// Frames that are not a request each get a structured error reply
-    /// on the connection that carried them: nesting at `MAX_JSON_DEPTH`
-    /// (valid JSON, not a request), one level past it, a 10,000-byte run
-    /// of `[` (which once overflowed the handler's stack and aborted the
-    /// server), and bytes that are not UTF-8. The connection then serves
-    /// a select byte-identical to a local run.
     /// The `last` count of a trace request is checked where it enters the
     /// server: past the sink's capacity it is answered with at most that
     /// many spans, and a value that is not an integer from 0 to 2^53 gets
@@ -2098,6 +2099,52 @@ mod request_validation {
         handle.shutdown();
     }
 
+    /// A trace request answers exactly the last `last` spans, `last: 0`
+    /// included: after a select, `last: 0` returns an empty `spans` array
+    /// (it once returned one span) and `last: 1` returns one span.
+    #[test]
+    fn trace_last_zero_returns_no_spans() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = server.spawn();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let wl = WorkloadRequest::with_csv(workload_csv(43, 6, 400));
+        assert!(matches!(
+            call(&mut stream, &Request::Select(wl)),
+            Response::Ok { .. }
+        ));
+        let mut spans = |last: usize| match call(&mut stream, &Request::Trace { last }) {
+            Response::Ok {
+                stats: Some(stats), ..
+            } => match stats.get("spans") {
+                Some(Json::Arr(spans)) => spans.len(),
+                other => panic!("no spans array: {other:?}"),
+            },
+            other => panic!("trace with last = {last} failed: {other:?}"),
+        };
+        assert_eq!(spans(0), 0, "last = 0");
+        // The sink is process-wide and other tests toggle it; the spans of
+        // a select stay in it, but wait for a worker's to drain there.
+        let mut one = spans(1);
+        for _ in 0..40 {
+            if one == 1 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+            one = spans(1);
+        }
+        assert_eq!(one, 1, "last = 1");
+        assert_eq!(spans(0), 0, "last = 0 after spans arrived");
+        drop(stream);
+        handle.shutdown();
+    }
+
+    /// Frames that are not a request each get a structured error reply
+    /// on the connection that carried them: nesting at `MAX_JSON_DEPTH`
+    /// (valid JSON, not a request), one level past it, a 10,000-byte run
+    /// of `[` (which once overflowed the handler's stack and aborted the
+    /// server), and bytes that are not UTF-8. The connection then serves
+    /// a select byte-identical to a local run.
     #[test]
     fn malformed_frames_get_errors_on_a_connection_that_survives() {
         let csv_text = workload_csv(31, 8, 500);
