@@ -10,7 +10,7 @@
 //! "Advantages of Group-testing").
 
 use crate::{CiOutcome, CiTest, VarId};
-use fairsel_graph::{d_separated, Dag, NodeId, Reachable};
+use fairsel_graph::{Dag, NodeId, Reachable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -27,30 +27,27 @@ pub const REACH_MEMO_SETS: usize = 8;
 /// # The reachable-set memo
 ///
 /// The selection algorithms ask in waves: every query of a wave tests
-/// some feature or group against one shared side (`S` or `Y`) given one
-/// shared `Z`. The oracle keeps the nodes reachable from such a side
-/// given such a `Z` ([`Reachable`]), keyed by the side and `Z` exactly as
-/// the caller spelled them, and routes each query one of three ways:
+/// some feature or group `x` against one shared `y` (`S` in phase 1, `Y`
+/// in phase 2) given one shared `Z`. The oracle keeps the nodes reachable
+/// from such a `y` given such a `Z` ([`Reachable`]), keyed by `y` and `Z`
+/// exactly as the caller spelled them:
 ///
-/// * **hit** — a resident set was built from the query's `y` (or `x`)
-///   side and its `Z`: the answer is whether any node of the other side
-///   is in it;
-/// * **build** — the query shares its `y` (or `x`) side and its `Z` with
-///   the previous query the memo could not answer: the oracle walks that
-///   side's set, answers by membership and keeps the set;
-/// * **ball** — any other query (a group of one) walks the early-stopping
-///   ball of [`d_separated`].
+/// * a query whose `(y, Z)` is resident is answered by membership: `x` is
+///   separated when none of its nodes is in the set;
+/// * any other query walks its `y` side's set given `Z` to the end,
+///   answers from it the same way and keeps it.
 ///
-/// At most [`REACH_MEMO_SETS`] sets stay resident. The memo sits behind a
-/// lock taken only to route a query and to keep a set; a set is shared by
-/// `Arc`, so membership checks and walks run outside the lock.
+/// So a wave costs one walk and a membership check per query. At most
+/// [`REACH_MEMO_SETS`] sets stay resident. The memo sits behind a lock
+/// taken only to look a set up and to keep one; a set is shared by `Arc`,
+/// so walks and membership checks run outside the lock.
 ///
-/// Every route answers exactly what [`d_separated`] answers: a set is
-/// used only for a query whose side and `Z` equal, element for element,
-/// the ones it was walked from, and membership in the walk run to the end
-/// is d-connection ([`Reachable`]). A side or `Z` spelled differently
-/// merely misses. So what the memo holds changes how long a query takes,
-/// never its answer.
+/// Every answer is exactly what [`fairsel_graph::d_separated`] answers:
+/// a set is used only for a query whose `y` and `Z` equal, element for
+/// element, the ones it was walked from, and membership in the walk run
+/// to the end is d-connection ([`Reachable`]). A `y` or `Z` spelled
+/// differently merely misses. So what the memo holds changes how long a
+/// query takes, never its answer.
 pub struct OracleCi {
     dag: Dag,
     vars: Vec<NodeId>,
@@ -86,11 +83,6 @@ impl OracleCi {
         vs.iter().map(|&v| self.vars[v]).collect()
     }
 
-    /// Does no node of `other` lie in `reach`?
-    fn separated_by(&self, reach: &Reachable, other: &[VarId]) -> bool {
-        !other.iter().any(|&v| reach.contains(self.vars[v]))
-    }
-
     fn memo(&self) -> MutexGuard<'_, ReachMemo> {
         // The memo is consistent between statements, so a panic elsewhere
         // while it was held leaves nothing half-written.
@@ -100,70 +92,32 @@ impl OracleCi {
     /// Answer a query through a shared reference (d-separation is a pure
     /// function of the graph; the memo changes only the route to it).
     pub fn ci_ref(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        let route = self.memo().route(x, y, z);
-        let sep = match route {
-            Route::Hit(set, shared) => self.separated_by(&set.reach, shared.other(x, y)),
-            Route::Build(shared) => {
-                let side = shared.side(x, y);
-                let reach = Reachable::new(&self.dag, &self.map(side), &self.map(z));
-                let sep = self.separated_by(&reach, shared.other(x, y));
-                self.memo().keep(SideSet {
-                    side: side.to_vec(),
-                    z: z.to_vec(),
-                    reach,
-                });
-                sep
-            }
-            Route::Ball => d_separated(&self.dag, &self.map(x), &self.map(y), &self.map(z)),
-        };
+        let resident = self.memo().find(y, z);
+        let set = resident.unwrap_or_else(|| {
+            let set = Arc::new(SideSet {
+                y: y.to_vec(),
+                z: z.to_vec(),
+                reach: Reachable::new(&self.dag, &self.map(y), &self.map(z)),
+            });
+            self.memo().keep(Arc::clone(&set));
+            set
+        });
+        let sep = !x.iter().any(|&v| set.reach.contains(self.vars[v]));
         CiOutcome::decided(sep)
     }
 }
 
-/// Which test side of a query a reachable set was walked from.
-#[derive(Clone, Copy)]
-enum Shared {
-    X,
-    Y,
-}
-
-impl Shared {
-    fn side<'a>(self, x: &'a [VarId], y: &'a [VarId]) -> &'a [VarId] {
-        match self {
-            Shared::X => x,
-            Shared::Y => y,
-        }
-    }
-
-    fn other<'a>(self, x: &'a [VarId], y: &'a [VarId]) -> &'a [VarId] {
-        match self {
-            Shared::X => y,
-            Shared::Y => x,
-        }
-    }
-}
-
-/// How [`OracleCi::ci_ref`] answers one query.
-enum Route {
-    /// By membership in a resident set walked from this side.
-    Hit(Arc<SideSet>, Shared),
-    /// By membership in a set walked now from this side, then kept.
-    Build(Shared),
-    /// By the early-stopping ball.
-    Ball,
-}
-
-/// The nodes reachable from one side given one `Z`, with both as the
+/// The nodes reachable from a `y` side given a `Z`, with both as the
 /// caller spelled them.
 struct SideSet {
-    side: Vec<VarId>,
+    y: Vec<VarId>,
     z: Vec<VarId>,
     reach: Reachable,
 }
 
 impl SideSet {
-    fn walked_from(&self, side: &[VarId], z: &[VarId]) -> bool {
-        self.side == side && self.z == z
+    fn walked_from(&self, y: &[VarId], z: &[VarId]) -> bool {
+        self.y == y && self.z == z
     }
 }
 
@@ -172,45 +126,26 @@ impl SideSet {
 struct ReachMemo {
     // analyze: bounded-by REACH_MEMO_SETS sets; `keep` evicts the oldest first
     sets: VecDeque<Arc<SideSet>>,
-    /// The last query the memo could not answer, as `[x, y, z]`.
-    last_miss: Option<[Vec<VarId>; 3]>,
 }
 
 impl ReachMemo {
-    fn route(&mut self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Route {
-        for set in self.sets.iter().rev() {
-            if set.walked_from(y, z) {
-                return Route::Hit(Arc::clone(set), Shared::Y);
-            }
-            if set.walked_from(x, z) {
-                return Route::Hit(Arc::clone(set), Shared::X);
-            }
-        }
-        let route = match &self.last_miss {
-            Some([lx, ly, lz]) if lz == z => {
-                if y == ly || y == lx {
-                    Route::Build(Shared::Y)
-                } else if x == lx || x == ly {
-                    Route::Build(Shared::X)
-                } else {
-                    Route::Ball
-                }
-            }
-            _ => Route::Ball,
-        };
-        self.last_miss = Some([x.to_vec(), y.to_vec(), z.to_vec()]);
-        route
+    fn find(&self, y: &[VarId], z: &[VarId]) -> Option<Arc<SideSet>> {
+        self.sets
+            .iter()
+            .rev()
+            .find(|s| s.walked_from(y, z))
+            .cloned()
     }
 
-    fn keep(&mut self, set: SideSet) {
+    fn keep(&mut self, set: Arc<SideSet>) {
         // Two threads may build the same set at once; keep one copy.
-        if self.sets.iter().any(|s| s.walked_from(&set.side, &set.z)) {
+        if self.find(&set.y, &set.z).is_some() {
             return;
         }
         if self.sets.len() == REACH_MEMO_SETS {
             self.sets.pop_front();
         }
-        self.sets.push_back(Arc::new(set));
+        self.sets.push_back(set);
     }
 }
 
@@ -294,7 +229,7 @@ impl CiTest for NoisyOracleCi {
 mod tests {
     use super::*;
     use crate::CountingCi;
-    use fairsel_graph::DagBuilder;
+    use fairsel_graph::{d_separated, DagBuilder};
 
     fn chain() -> Dag {
         DagBuilder::new()
@@ -426,6 +361,32 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// A wave sharing `(y, Z)` keeps one set; distinct `(y, Z)`s keep one
+    /// each, up to the bound, the oldest evicted first.
+    #[test]
+    fn memo_keeps_one_set_per_wave_up_to_the_bound() {
+        let cfg = fairsel_graph::RandomDagConfig {
+            nodes: 40,
+            ..Default::default()
+        };
+        let o = OracleCi::from_dag(fairsel_graph::random_dag(
+            &mut StdRng::seed_from_u64(3),
+            &cfg,
+        ));
+        let n = o.n_vars();
+        for x in 0..n {
+            o.ci_ref(&[x], &[0], &[1]);
+        }
+        assert_eq!(o.memo().sets.len(), 1);
+        for y in 0..2 * REACH_MEMO_SETS {
+            o.ci_ref(&[n - 1], &[y], &[]);
+        }
+        let memo = o.memo();
+        assert_eq!(memo.sets.len(), REACH_MEMO_SETS);
+        assert!(memo.find(&[0], &[1]).is_none());
+        assert!(memo.find(&[2 * REACH_MEMO_SETS - 1], &[]).is_some());
     }
 
     #[test]

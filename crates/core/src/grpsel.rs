@@ -108,11 +108,7 @@ fn run<T: CiTest>(
     if let Some(seed) = seed {
         features.shuffle(&mut StdRng::seed_from_u64(seed));
     }
-    let subsets: Vec<CondSet> = cfg
-        .admissible_subsets(&problem.admissible)
-        .iter()
-        .map(|a| CondSet::new(a))
-        .collect();
+    let subsets = cfg.admissible_subsets(&problem.admissible);
     let mut out = Selection::default();
 
     // Phase 1 (Algorithm 3): a frontier of groups seeking some A' ⊆ A

@@ -3,6 +3,7 @@
 //! result type.
 
 use fairsel_ci::VarId;
+use fairsel_engine::CondSet;
 use fairsel_table::{Role, Table};
 
 /// An instance of Problem 1: partition of the variables into sensitive
@@ -115,8 +116,9 @@ impl SelectConfig {
     }
 
     /// Enumerate the admissible subsets to try, in increasing size
-    /// (∅ first, full set last). Size is capped by the config.
-    pub fn admissible_subsets(&self, admissible: &[VarId]) -> Vec<Vec<VarId>> {
+    /// (∅ first, full set last), each interned once for the whole phase
+    /// that conditions on it. Size is capped by the config.
+    pub fn admissible_subsets(&self, admissible: &[VarId]) -> Vec<CondSet> {
         let k = admissible.len();
         assert!(
             k <= self.admissible_guard,
@@ -125,17 +127,17 @@ impl SelectConfig {
             self.admissible_guard
         );
         let max_size = self.max_admissible_subset.min(k);
-        let mut subsets: Vec<Vec<VarId>> = Vec::new();
+        let mut subsets: Vec<CondSet> = Vec::new();
         for mask in 0u64..(1u64 << k) {
             if (mask.count_ones() as usize) <= max_size {
                 let subset: Vec<VarId> = (0..k)
                     .filter(|&i| mask & (1 << i) != 0)
                     .map(|i| admissible[i])
                     .collect();
-                subsets.push(subset);
+                subsets.push(CondSet::new(&subset));
             }
         }
-        subsets.sort_by_key(Vec::len);
+        subsets.sort_by_key(|s| s.len());
         subsets
     }
 }
@@ -219,8 +221,8 @@ mod tests {
         let cfg = SelectConfig::default();
         let subsets = cfg.admissible_subsets(&[10, 20]);
         assert_eq!(subsets.len(), 4);
-        assert_eq!(subsets[0], Vec::<usize>::new());
-        assert_eq!(subsets[3], vec![10, 20]);
+        assert_eq!(&subsets[0][..], &[] as &[VarId]);
+        assert_eq!(&subsets[3][..], &[10, 20]);
         // sizes non-decreasing
         for w in subsets.windows(2) {
             assert!(w[0].len() <= w[1].len());

@@ -39,11 +39,7 @@ pub fn seqsel_in<T: CiTest>(
     cfg: &SelectConfig,
 ) -> Selection {
     let issued_before = session.stats().issued;
-    let subsets: Vec<CondSet> = cfg
-        .admissible_subsets(&problem.admissible)
-        .iter()
-        .map(|a| CondSet::new(a))
-        .collect();
+    let subsets = cfg.admissible_subsets(&problem.admissible);
     let mut out = Selection::default();
 
     // Phase 1: X ⊥ S | A' for some A' ⊆ A, each A' interned once.

@@ -155,8 +155,7 @@ impl<T: CiTestBatch> CiSession<T> {
     /// conditioning block) is built once per distinct set instead of once
     /// per query. With `workers > 1` the groups are split into steal-able
     /// chunks on the session's persistent worker pool — one shared deque,
-    /// so a giant group cannot serialize a frontier level, and the calling
-    /// thread runs chunks beside `workers − 1` pool threads — and results
+    /// so a giant group cannot serialize a frontier level — and results
     /// are reassembled in input order; outcomes are byte-identical at
     /// every worker count (the `eval_z_group` contract).
     pub fn run_batch_grouped(&mut self, queries: &[CiQuery], workers: usize) -> Vec<CiOutcome> {

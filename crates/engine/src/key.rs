@@ -150,11 +150,6 @@ impl Hash for QueryKey {
 }
 
 impl QueryKey {
-    /// Canonicalize `(x, y, z)`.
-    pub fn new(x: &[VarId], y: &[VarId], z: &[VarId]) -> Self {
-        Self::given(x, y, &CondSet::new(z))
-    }
-
     /// Canonicalize the test sides of a query on an interned `z`.
     pub fn given(x: &[VarId], y: &[VarId], z: &CondSet) -> Self {
         let (x, y) = fairsel_ci::canonical_sides(x, y);
@@ -188,6 +183,10 @@ mod tests {
     use super::*;
     use std::hash::DefaultHasher;
 
+    fn key(x: &[VarId], y: &[VarId], z: &[VarId]) -> QueryKey {
+        QueryKey::given(x, y, &CondSet::new(z))
+    }
+
     fn hash_of(k: &QueryKey) -> u64 {
         let mut h = DefaultHasher::new();
         k.hash(&mut h);
@@ -197,11 +196,11 @@ mod tests {
     #[test]
     fn equal_spellings_hash_equal() {
         let z: Vec<VarId> = (0..300).rev().chain(100..200).collect();
-        let canonical = QueryKey::new(&[400, 401], &[500], &(0..300).collect::<Vec<_>>());
+        let canonical = key(&[400, 401], &[500], &(0..300).collect::<Vec<_>>());
         let spellings = [
-            QueryKey::new(&[401, 400], &[500], &z),
-            QueryKey::new(&[500], &[400, 401, 400], &z),
-            QueryKey::new(&[500, 500], &[401, 400], &(0..300).collect::<Vec<_>>()),
+            key(&[401, 400], &[500], &z),
+            key(&[500], &[400, 401, 400], &z),
+            key(&[500, 500], &[401, 400], &(0..300).collect::<Vec<_>>()),
         ];
         for k in &spellings {
             assert_eq!(k, &canonical);
@@ -216,11 +215,11 @@ mod tests {
         let mut swapped = base.clone();
         swapped[7] = 99;
         let shorter = &base[..base.len() - 1];
-        let k = QueryKey::new(&[1], &[2], &base);
+        let k = key(&[1], &[2], &base);
         for other in [
-            QueryKey::new(&[1], &[2], &swapped),
-            QueryKey::new(&[1], &[2], shorter),
-            QueryKey::new(&[1], &[2], &[]),
+            key(&[1], &[2], &swapped),
+            key(&[1], &[2], shorter),
+            key(&[1], &[2], &[]),
         ] {
             assert_ne!(k, other);
             assert_ne!(hash_of(&k), hash_of(&other));
@@ -232,11 +231,11 @@ mod tests {
     #[test]
     fn order_is_lexicographic_in_sides() {
         let mut keys = vec![
-            QueryKey::new(&[2], &[3], &[1]),
-            QueryKey::new(&[1], &[3], &[5, 6]),
-            QueryKey::new(&[1], &[3], &[5]),
-            QueryKey::new(&[1, 2], &[0], &[]),
-            QueryKey::new(&[1], &[2], &[9]),
+            key(&[2], &[3], &[1]),
+            key(&[1], &[3], &[5, 6]),
+            key(&[1], &[3], &[5]),
+            key(&[1, 2], &[0], &[]),
+            key(&[1], &[2], &[9]),
         ];
         let mut by_sides = keys.clone();
         by_sides.sort_by(|a, b| (a.x(), a.y(), a.z()).cmp(&(b.x(), b.y(), b.z())));
@@ -246,46 +245,28 @@ mod tests {
 
     #[test]
     fn symmetric_in_x_and_y() {
-        assert_eq!(
-            QueryKey::new(&[3], &[1, 2], &[0]),
-            QueryKey::new(&[1, 2], &[3], &[0])
-        );
+        assert_eq!(key(&[3], &[1, 2], &[0]), key(&[1, 2], &[3], &[0]));
     }
 
     #[test]
     fn order_within_sides_irrelevant() {
-        assert_eq!(
-            QueryKey::new(&[2, 1], &[5], &[9, 7]),
-            QueryKey::new(&[1, 2], &[5], &[7, 9])
-        );
+        assert_eq!(key(&[2, 1], &[5], &[9, 7]), key(&[1, 2], &[5], &[7, 9]));
     }
 
     #[test]
     fn duplicates_collapse() {
-        assert_eq!(
-            QueryKey::new(&[1, 1], &[2], &[3, 3]),
-            QueryKey::new(&[1], &[2], &[3])
-        );
+        assert_eq!(key(&[1, 1], &[2], &[3, 3]), key(&[1], &[2], &[3]));
     }
 
     #[test]
     fn different_conditioning_distinguished() {
-        assert_ne!(
-            QueryKey::new(&[1], &[2], &[]),
-            QueryKey::new(&[1], &[2], &[3])
-        );
+        assert_ne!(key(&[1], &[2], &[]), key(&[1], &[2], &[3]));
     }
 
     #[test]
     fn different_sides_distinguished() {
-        assert_ne!(
-            QueryKey::new(&[1], &[2], &[]),
-            QueryKey::new(&[1], &[3], &[])
-        );
-        assert_ne!(
-            QueryKey::new(&[1, 2], &[3], &[]),
-            QueryKey::new(&[1], &[2, 3], &[])
-        );
+        assert_ne!(key(&[1], &[2], &[]), key(&[1], &[3], &[]));
+        assert_ne!(key(&[1, 2], &[3], &[]), key(&[1], &[2, 3], &[]));
     }
 
     #[test]

@@ -11,23 +11,14 @@
 //! shared deque that idle workers pop from — dynamic balancing without
 //! per-task channels.
 //!
-//! The calling thread works too. `run_scoped` runs the batch's first task
-//! itself, queues only the rest, and after its own task pops and runs
-//! queued tasks until the deque is empty; only then does it wait, for the
-//! tasks still running on workers. A one-task batch therefore never leaves
-//! the caller's thread (no hand-off to a worker and back), and a pool of
-//! `n` threads runs a batch `n + 1` ways — the session spawns `workers − 1`
-//! of them (`CiSession::exec_parts`).
-//!
 //! `run_scoped` executes borrowed closures on the pool's `'static`
 //! threads. Safety rests on one invariant: **the call does not return
 //! until every submitted task has finished** (a latch counts completions,
-//! and task panics — on a worker or on the caller — are caught so the
-//! count always reaches zero); the borrows a task captures therefore
-//! outlive its execution. A task panic is re-raised on the caller's thread
-//! after the batch drains.
+//! and worker panics are caught so the count always reaches zero); the
+//! borrows a task captures therefore outlive its execution. A worker
+//! panic is re-raised on the caller's thread after the batch drains.
 
-use fairsel_obs::{Counter, TrackedMutex};
+use fairsel_obs::TrackedMutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,24 +31,6 @@ struct Shared {
     queue: TrackedMutex<VecDeque<Task>>,
     available: Condvar,
     shutdown: AtomicBool,
-    /// Busy-time integral across every pool in the process: each task's
-    /// wall time — on a worker or on the calling thread — lands in one
-    /// monotone counter, so `busy_us / elapsed_us` gives mean pool
-    /// utilization without per-task exposition.
-    busy: Arc<Counter>,
-}
-
-impl Shared {
-    fn pop(&self) -> Option<Task> {
-        self.queue.lock().pop_front()
-    }
-
-    fn run(&self, task: impl FnOnce()) {
-        // analyze: wall-clock worker busy-time counter only; never branches execution
-        let t0 = std::time::Instant::now();
-        task();
-        self.busy.add(t0.elapsed().as_micros() as u64);
-    }
 }
 
 /// Completion latch for one `run_scoped` batch.
@@ -103,14 +76,12 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `threads` workers (clamped to at least 1). Workers sleep on a
-    /// condvar until tasks arrive, so an idle pool costs nothing. The
-    /// caller of [`WorkerPool::run_scoped`] is one more executor.
+    /// condvar until tasks arrive, so an idle pool costs nothing.
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: TrackedMutex::new("engine.pool.queue", VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            busy: fairsel_obs::counter("engine_pool_busy_us"),
         });
         let handles = (0..threads.max(1))
             .map(|_| {
@@ -121,37 +92,32 @@ impl WorkerPool {
         Self { shared, handles }
     }
 
-    /// Number of worker threads (the calling thread not included).
+    /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.handles.len()
     }
 
-    /// Execute every task and block until all complete: the calling
-    /// thread runs the first task, queues the rest for the workers, and
-    /// helps drain the queue before it waits. Tasks may borrow from the
-    /// caller's stack (see the module docs for why that is sound). Panics
-    /// with `"CI worker panicked"` if any task panicked — after the whole
-    /// batch has drained, so no task is left running with dangling
-    /// borrows.
+    /// Execute every task on the pool and block until all complete.
+    /// Tasks may borrow from the caller's stack (see the module docs for
+    /// why that is sound). Panics with `"CI worker panicked"` if any task
+    /// panicked — after the whole batch has drained, so no task is left
+    /// running with dangling borrows.
     pub fn run_scoped<'scope, F>(&self, tasks: Vec<F>)
     where
         F: FnOnce() + Send + 'scope,
     {
-        let latch = Arc::new(Latch::new(tasks.len()));
-        let mut jobs = tasks.into_iter().map(|task| {
-            let latch = Arc::clone(&latch);
-            let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                let ok = catch_unwind(AssertUnwindSafe(task)).is_ok();
-                latch.complete(ok);
-            });
-            job
-        });
-        let Some(own) = jobs.next() else {
+        if tasks.is_empty() {
             return;
-        };
-        if jobs.len() > 0 {
+        }
+        let latch = Arc::new(Latch::new(tasks.len()));
+        {
             let mut queue = self.shared.queue.lock();
-            for job in jobs {
+            for task in tasks {
+                let latch = Arc::clone(&latch);
+                let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+                    let ok = catch_unwind(AssertUnwindSafe(task)).is_ok();
+                    latch.complete(ok);
+                });
                 // SAFETY: the job is only executed before `run_scoped`
                 // returns — the latch wait below blocks until every job
                 // has completed (panics included, via `catch_unwind`) — so
@@ -162,10 +128,6 @@ impl WorkerPool {
                 queue.push_back(job);
             }
             self.shared.available.notify_all();
-        }
-        self.shared.run(own);
-        while let Some(job) = self.shared.pop() {
-            self.shared.run(job);
         }
         latch.wait();
         if latch.panicked.load(Ordering::SeqCst) {
@@ -191,6 +153,10 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared) {
+    // Busy-time integral across every pool in the process: each task's
+    // wall time lands in one monotone counter, so `busy_us / elapsed_us`
+    // gives mean pool utilization without per-task exposition.
+    let busy = fairsel_obs::counter("engine_pool_busy_us");
     loop {
         let task = {
             let mut queue = shared.queue.lock();
@@ -204,7 +170,10 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.queue.wait(&shared.available, queue);
             }
         };
-        shared.run(task);
+        // analyze: wall-clock worker busy-time counter only; never branches execution
+        let t0 = std::time::Instant::now();
+        task();
+        busy.add(t0.elapsed().as_micros() as u64);
     }
 }
 
@@ -262,19 +231,6 @@ mod tests {
         );
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
-        }
-    }
-
-    /// A one-task batch runs on the calling thread: no hand-off to a
-    /// worker and back while the caller's core sits idle.
-    #[test]
-    fn one_task_batch_runs_on_the_calling_thread() {
-        let pool = WorkerPool::new(2);
-        let caller = std::thread::current().id();
-        for _ in 0..50 {
-            let mut ran_on = None;
-            pool.run_scoped(vec![|| ran_on = Some(std::thread::current().id())]);
-            assert_eq!(ran_on, Some(caller));
         }
     }
 

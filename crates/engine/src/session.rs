@@ -374,7 +374,7 @@ pub struct CiSession<T> {
     current_phase: Option<usize>,
     /// Long-lived worker pool for the Z-grouped scheduler, spawned on
     /// first use and kept for the session's lifetime (rebuilt only when a
-    /// batch asks for more workers than it and the calling thread give).
+    /// batch asks for a different worker count).
     pool: Option<WorkerPool>,
     /// Outcomes recomputed by sufficient-statistic patching at dataset
     /// extension, parked until demanded. Kept *outside* the memo so
@@ -565,20 +565,18 @@ impl<T: CiTest> CiSession<T> {
     /// Borrow the tester and the (lazily spawned) worker pool together —
     /// the two shared references a parallel batch dispatch needs.
     ///
-    /// The calling thread runs tasks too ([`WorkerPool::run_scoped`]), so
-    /// `workers`-way execution needs `workers − 1` pool threads. The pool
-    /// only ever *grows* to the high-water worker count: a long-lived
-    /// session serving callers with different `workers` values (the
-    /// server registry deliberately shares sessions across that knob)
-    /// must not tear threads down and respawn them per batch. Idle threads
-    /// sleep on a condvar and cost nothing; a smaller request's chunks may
-    /// therefore run with more concurrency than it asked for, which can
-    /// only finish sooner and — by the byte-identity contract — never
-    /// changes results. Called only with `workers > 1`.
+    /// The pool only ever *grows* to the high-water worker count: a
+    /// long-lived session serving callers with different `workers` values
+    /// (the server registry deliberately shares sessions across that
+    /// knob) must not tear threads down and respawn them per batch. Idle
+    /// threads sleep on a condvar and cost nothing; a smaller request's
+    /// chunks may therefore run with more concurrency than it asked for,
+    /// which can only finish sooner and — by the byte-identity contract —
+    /// never changes results.
     pub(crate) fn exec_parts(&mut self, workers: usize) -> (&T, &WorkerPool) {
-        let grow = self.pool.as_ref().is_none_or(|p| p.threads() + 1 < workers);
+        let grow = self.pool.as_ref().is_none_or(|p| p.threads() < workers);
         if grow {
-            self.pool = Some(WorkerPool::new(workers - 1));
+            self.pool = Some(WorkerPool::new(workers));
         }
         (&self.tester, self.pool.as_ref().expect("pool just ensured"))
     }

@@ -64,11 +64,9 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Upper bound on a workload's `workers`. A session's worker pool grows to
-/// the largest count any request asked for, less the handler thread that
-/// works beside it, and keeps those OS threads for the session's life, so
-/// the wire may not name an unbounded number: at the cap a session holds
-/// 63 pool threads. Worker counts never change a selection, so the cap
-/// only bounds threads.
+/// the largest count any request asked for and keeps those OS threads for
+/// the session's life, so the wire may not name an unbounded number.
+/// Worker counts never change a selection, so the cap only bounds threads.
 pub const MAX_WORKERS: usize = 64;
 // The benchmarks drive workers 1/2/4/8.
 const _: () = assert!(MAX_WORKERS >= 8);

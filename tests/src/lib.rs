@@ -10,6 +10,7 @@
 pub mod reference {
     use fairsel_ci::{CiTest, VarId};
     use fairsel_core::{Problem, SelectConfig, Selection};
+    use fairsel_engine::CondSet;
 
     /// Algorithm 1 with direct tester calls.
     pub fn seqsel_direct<T: CiTest + ?Sized>(
@@ -74,7 +75,7 @@ pub mod reference {
     fn phase1<T: CiTest + ?Sized>(
         tester: &mut T,
         problem: &Problem,
-        subsets: &[Vec<VarId>],
+        subsets: &[CondSet],
         group: &[VarId],
         out: &mut Selection,
         remaining: &mut Vec<VarId>,
