@@ -1007,22 +1007,19 @@ impl DiscreteState {
             .collect()
     }
 
-    /// The scaffold of the canonical conditioning set `zkey`, memoized,
-    /// or `None` when every row is its own stratum.
+    /// The scaffold of the canonical conditioning set `zkey`, memoized and
+    /// built once even when several workers miss it together, or `None`
+    /// when every row is its own stratum.
     fn z_scaffold(&self, zkey: &[VarId]) -> Option<Arc<Scaffold>> {
         let ze = self.enc.encode(zkey);
         if ze.all_singletons() {
             return None;
         }
-        if let Some(hit) = self.partitions.get(zkey) {
-            return Some(hit);
-        }
-        let part = ZPartition::from_encoding(&ze);
-        let rows = StratumRows::from_partition(&part);
-        Some(
-            self.partitions
-                .insert(zkey.to_vec(), Arc::new((part, rows))),
-        )
+        Some(self.partitions.get_or_build(zkey, || {
+            let part = ZPartition::from_encoding(&ze);
+            let rows = StratumRows::from_partition(&part);
+            Arc::new((part, rows))
+        }))
     }
 
     /// Retain the dense arena's just-filled counts (a walk leaves them

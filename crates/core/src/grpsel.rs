@@ -24,7 +24,7 @@
 
 use crate::problem::{Problem, SelectConfig, Selection};
 use fairsel_ci::{CiOutcome, CiTest, CiTestBatch, VarId};
-use fairsel_engine::{CiQuery, CiSession, CondSet, HalvingPlanner};
+use fairsel_engine::{CiQuery, CiSession, CondSet, HalvingPlanner, VarSlice};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -115,18 +115,20 @@ fn run<T: CiTest>(
     // with group ⊥ S | A'. Each (frontier level × subset) wave is one
     // engine batch; groups certified at an earlier subset drop out of
     // later waves, mirroring the sequential ∃-search's early exit. Each
-    // subset is interned once for the whole phase.
+    // subset is interned once for the whole phase, and every query shares
+    // its group's run of the root list and one copy of S.
     session.set_phase("grpsel/phase1");
+    let sensitive = VarSlice::new(&problem.sensitive);
     let mut remaining: Vec<VarId> = Vec::new();
     let mut planner = root_planner(&features, cfg);
     while !planner.is_done() {
         let verdicts =
-            fairsel_engine::exists_with(planner.frontier(), &problem.sensitive, &subsets, |qs| {
+            fairsel_engine::exists_with(planner.frontier(), &sensitive, &subsets, |qs| {
                 exec(session, qs)
             });
         let step = planner.advance(&verdicts);
         for group in step.admitted {
-            out.c1.extend(group);
+            out.c1.extend_from_slice(&group);
         }
         remaining.extend(step.exhausted);
     }
@@ -146,21 +148,27 @@ fn run<T: CiTest>(
     // Phase 2 (Algorithm 4): remaining groups against Y given A ∪ C₁
     // (the Lemma-6 conditioning set; see the erratum note above). The
     // whole phase shares one conditioning set, interned once, so no
-    // query or key copies, sorts or hashes it again.
+    // query or key copies, sorts or hashes it again; queries share their
+    // group's run and one copy of the target side.
     session.set_phase("grpsel/phase2");
     let cond = CondSet::new(&[problem.admissible.as_slice(), &out.c1].concat());
+    let target = VarSlice::new(&[problem.target]);
     let mut planner = root_planner(&remaining, cfg);
     while !planner.is_done() {
         let batch: Vec<CiQuery> = planner
             .frontier()
             .iter()
-            .map(|g| CiQuery::given(g, &[problem.target], &cond))
+            .map(|g| CiQuery {
+                x: g.clone(),
+                y: target.clone(),
+                z: cond.clone(),
+            })
             .collect();
         let outcomes = exec(session, &batch);
         let verdicts: Vec<bool> = outcomes.iter().map(|o| o.independent).collect();
         let step = planner.advance(&verdicts);
         for group in step.admitted {
-            out.c2.extend(group);
+            out.c2.extend_from_slice(&group);
         }
         out.rejected.extend(step.exhausted);
     }
@@ -172,10 +180,11 @@ fn run<T: CiTest>(
 /// Root frontier for a phase: the single full group (Algorithm 2), or —
 /// with [`SelectConfig::max_group`] set — contiguous subgroups of at most
 /// that width, so finite-sample group tests never see a joint side whose
-/// code space dwarfs the sample (the "wide-group power" fix).
+/// code space dwarfs the sample (the "wide-group power" fix). Either way
+/// the groups are runs of one copy of `items`.
 fn root_planner(items: &[VarId], cfg: &SelectConfig) -> HalvingPlanner {
     match cfg.max_group {
-        Some(w) => HalvingPlanner::from_groups(items.chunks(w.max(1)).map(<[VarId]>::to_vec)),
+        Some(w) => HalvingPlanner::chunked(items, w),
         None => HalvingPlanner::new(items),
     }
 }

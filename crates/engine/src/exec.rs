@@ -2,7 +2,7 @@
 //! executors — per-query evaluation ([`CiSession::run_batch`]) or the
 //! Z-grouped scheduler on the worker pool ([`CiSession::run_batch_grouped`]).
 
-use crate::key::{CiQuery, CondSet, QueryKey};
+use crate::key::{CiQuery, CondSet, PreHashed, QueryKey};
 use crate::session::{BatchKind, CiSession};
 use fairsel_ci::{CiOutcome, CiQueryRef, CiTest, CiTestBatch, VarId};
 use std::collections::hash_map::{Entry, HashMap};
@@ -16,45 +16,52 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
+/// How one query of a batch is answered.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// From the memo (or a parked patched outcome).
+    Known(CiOutcome),
+    /// By the evaluation of this miss slot.
+    Miss(usize),
+}
+
 /// Cache-resolution plan for one batch.
 struct BatchPlan {
-    /// Pre-resolved outcomes (cache hits); `None` awaits evaluation.
-    results: Vec<Option<CiOutcome>>,
+    /// One answer per query, in input order.
+    answers: Vec<Answer>,
     /// Unique missing keys, first-occurrence order.
     miss_keys: Vec<QueryKey>,
     /// Index into `queries` of the representative of each missing key.
     miss_repr: Vec<usize>,
-    /// For each query: which miss slot answers it (None = already resolved).
-    assign: Vec<Option<usize>>,
     /// Queries answered without a tester invocation (cache + in-batch dedup).
     hits: u64,
 }
 
 fn plan<T: CiTest>(session: &mut CiSession<T>, queries: &[CiQuery]) -> BatchPlan {
     let mut plan = BatchPlan {
-        results: vec![None; queries.len()],
+        answers: Vec::with_capacity(queries.len()),
         miss_keys: Vec::new(),
         miss_repr: Vec::new(),
-        assign: vec![None; queries.len()],
         hits: 0,
     };
     let keys: Vec<QueryKey> = queries.iter().map(CiQuery::key).collect();
-    let mut slot_of: HashMap<&QueryKey, usize> = HashMap::new();
+    let mut slot_of: HashMap<&QueryKey, usize, PreHashed> =
+        HashMap::with_capacity_and_hasher(keys.len(), PreHashed);
     for (i, key) in keys.iter().enumerate() {
         if let Some(hit) = session.cache_get_tracked(key) {
-            plan.results[i] = Some(hit);
+            plan.answers.push(Answer::Known(hit));
             plan.hits += 1;
             continue;
         }
         match slot_of.entry(key) {
             Entry::Occupied(e) => {
                 // In-batch duplicate: evaluated once, counted as a hit.
-                plan.assign[i] = Some(*e.get());
+                plan.answers.push(Answer::Miss(*e.get()));
                 plan.hits += 1;
             }
             Entry::Vacant(e) => {
                 e.insert(plan.miss_repr.len());
-                plan.assign[i] = Some(plan.miss_repr.len());
+                plan.answers.push(Answer::Miss(plan.miss_repr.len()));
                 plan.miss_repr.push(i);
             }
         }
@@ -85,12 +92,11 @@ fn finish<T: CiTest>(
     }
     let issued = evaluated.len() as u64;
     session.account_batch(queries.len() as u64, issued, plan.hits, wall_ms, kind);
-    plan.results
+    plan.answers
         .into_iter()
-        .zip(plan.assign)
-        .map(|(res, slot)| match res {
-            Some(out) => out,
-            None => evaluated[slot.expect("unresolved query has a miss slot")],
+        .map(|answer| match answer {
+            Answer::Known(out) => out,
+            Answer::Miss(slot) => evaluated[slot],
         })
         .collect()
 }
@@ -165,7 +171,7 @@ impl<T: CiTestBatch> CiSession<T> {
 
         // Partition by interned conditioning set (taken from the keys,
         // hashed once when interned), first-occurrence order.
-        let mut group_of: HashMap<&CondSet, usize> = HashMap::new();
+        let mut group_of: HashMap<&CondSet, usize, PreHashed> = HashMap::default();
         let mut groups: Vec<(&[VarId], Vec<usize>)> = Vec::new();
         for (i, key) in plan.miss_keys.iter().enumerate() {
             let z = key.z();
@@ -321,8 +327,7 @@ impl<T: CiTestBatch> CiSession<T> {
         let empty_batch = child.n_rows() == child.base_rows();
         let tester = self.tester().extend_over(child)?;
         let mut session = CiSession::new(tester);
-        let mut patched: std::collections::HashMap<QueryKey, CiOutcome> =
-            std::collections::HashMap::new();
+        let mut patched: HashMap<QueryKey, CiOutcome, PreHashed> = HashMap::default();
         let mut invalidated = 0u64;
         for (key, out) in self.memo_snapshot() {
             if empty_batch {

@@ -14,17 +14,70 @@
 //! and every query, key and memo entry of the phase holds a pointer to
 //! it. A key hashes its canonical test sides with the set's hash folded
 //! in ([`fairsel_ci::canonical_query_hash`] seeded with it), so building,
-//! probing and storing a key never copies, sorts or re-reads `Z`. The fold
-//! is unkeyed, which is safe here: keys are generated by the selection
-//! algorithms, not taken from clients.
+//! probing and storing a key never copies, sorts or re-reads `Z`.
+//!
+//! A key is one allocation: both canonical test sides sit in one boxed
+//! slice with the split point beside it, and a side that is already
+//! strictly ascending (every side GrpSel and SeqSel build) is copied
+//! without sorting.
+//!
+//! Every map keyed by a [`QueryKey`] or a [`CondSet`] — the memo, the
+//! parked patched outcomes, a batch's in-batch dedup, the Z-grouped
+//! scheduler's partition and the extension's patch map — passes that
+//! stored hash through (`PreHashed`) instead of SipHashing it again. An
+//! unkeyed hash is safe here: the keys are generated by the selection
+//! algorithms, not taken from clients, so no one can choose colliding
+//! keys, and the fold ends in a bijective finalizer that spreads every
+//! input over all 64 bits, the bucket index and the tag alike.
 //!
 //! Equality and order compare contents only — sides, then `Z` element by
 //! element — never the hash or the allocation; two sets that are the same
 //! allocation compare equal without reading their elements.
+//!
+//! A query's test sides are [`VarSlice`]s: runs of one shared list. GrpSel
+//! halves groups into contiguous runs of its root list and shares one
+//! target side across a wave, so building a wave copies no group; only
+//! the key, which the memo keeps, owns a copy of the sides.
 
 use fairsel_ci::VarId;
-use std::hash::{Hash, Hasher};
+use std::cmp::Ordering;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
+
+/// The hasher of every map keyed by a [`QueryKey`] or a [`CondSet`] (or a
+/// reference to one): both write exactly their stored, finalized hash
+/// with one `write_u64`, which this passes through as the map's hash.
+///
+/// Unkeyed, and safe because no client picks the keys: the selection
+/// algorithms generate them, and the fold behind the stored hash ends in
+/// a bijective finalizer, so its bits are as well spread as SipHash's.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PreHashed;
+
+impl BuildHasher for PreHashed {
+    type Hasher = PassThrough;
+
+    fn build_hasher(&self) -> PassThrough {
+        PassThrough(0)
+    }
+}
+
+/// The [`Hasher`] behind `PreHashed`: the last `u64` written is the hash.
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PreHashed maps hold only keys that write one stored u64 hash");
+    }
+}
 
 /// An interned conditioning set: canonical (sorted, deduplicated), its
 /// hash computed once, shared by `Arc` (cloning copies a pointer).
@@ -92,11 +145,84 @@ impl Hash for CondSet {
     }
 }
 
-/// An unevaluated CI query, test sides in caller order, `Z` interned.
+/// A run of variables inside one shared list: cloning copies a pointer
+/// and two indices, never the variables.
+///
+/// Dereferences to the run. `Eq` compares the variables, never the list
+/// they sit in.
+#[derive(Clone)]
+pub struct VarSlice {
+    list: Arc<[VarId]>,
+    start: usize,
+    end: usize,
+}
+
+impl VarSlice {
+    /// Copy `vars` into a new shared list and take all of it.
+    pub fn new(vars: &[VarId]) -> Self {
+        Self {
+            list: Arc::from(vars),
+            start: 0,
+            end: vars.len(),
+        }
+    }
+
+    /// The runs before and after position `mid`, sharing this list.
+    ///
+    /// # Panics
+    /// Panics when `mid` exceeds the run's length.
+    pub fn split_at(&self, mid: usize) -> (Self, Self) {
+        assert!(mid <= self.len(), "VarSlice::split_at: {mid} out of range");
+        let at = self.start + mid;
+        (self.run(self.start, at), self.run(at, self.end))
+    }
+
+    /// Consecutive runs of `width` variables (the last may be shorter),
+    /// sharing this list; `width` 0 is read as 1.
+    pub fn chunks(&self, width: usize) -> impl Iterator<Item = Self> + '_ {
+        let width = width.max(1);
+        (self.start..self.end)
+            .step_by(width)
+            .map(move |s| self.run(s, (s + width).min(self.end)))
+    }
+
+    fn run(&self, start: usize, end: usize) -> Self {
+        Self {
+            list: Arc::clone(&self.list),
+            start,
+            end,
+        }
+    }
+}
+
+impl std::ops::Deref for VarSlice {
+    type Target = [VarId];
+
+    fn deref(&self) -> &[VarId] {
+        &self.list[self.start..self.end]
+    }
+}
+
+impl std::fmt::Debug for VarSlice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+impl PartialEq for VarSlice {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for VarSlice {}
+
+/// An unevaluated CI query: test sides in caller order, each a run of a
+/// shared list, and `Z` interned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CiQuery {
-    pub x: Vec<VarId>,
-    pub y: Vec<VarId>,
+    pub x: VarSlice,
+    pub y: VarSlice,
     pub z: CondSet,
 }
 
@@ -106,11 +232,12 @@ impl CiQuery {
         Self::given(x, y, &CondSet::new(z))
     }
 
-    /// Build a query on an already interned conditioning set (shares it).
+    /// Build a query on an already interned conditioning set (shares it;
+    /// copies each side into a list of its own).
     pub fn given(x: &[VarId], y: &[VarId], z: &CondSet) -> Self {
         Self {
-            x: x.to_vec(),
-            y: y.to_vec(),
+            x: VarSlice::new(x),
+            y: VarSlice::new(y),
             z: z.clone(),
         }
     }
@@ -127,21 +254,38 @@ impl CiQuery {
 ///
 /// Equality and order compare `(x, y, z)`; `hash` is a function of those
 /// three, so it never decides either. [`Hash`] writes only `hash`.
-#[derive(Clone, Debug, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct QueryKey {
-    x: Vec<VarId>,
-    y: Vec<VarId>,
+    /// Both canonical test sides in one allocation: `x` is
+    /// `sides[..split]`, `y` the rest.
+    sides: Box<[VarId]>,
+    split: usize,
     z: CondSet,
     hash: u64,
 }
 
 impl PartialEq for QueryKey {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.x == other.x && self.y == other.y && self.z == other.z
+        self.hash == other.hash
+            && self.split == other.split
+            && self.sides == other.sides
+            && self.z == other.z
     }
 }
 
 impl Eq for QueryKey {}
+
+impl Ord for QueryKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.x(), self.y(), &self.z).cmp(&(other.x(), other.y(), &other.z))
+    }
+}
+
+impl PartialOrd for QueryKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Hash for QueryKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -149,14 +293,34 @@ impl Hash for QueryKey {
     }
 }
 
+impl std::fmt::Debug for QueryKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryKey")
+            .field("x", &self.x())
+            .field("y", &self.y())
+            .field("z", &self.z)
+            .finish()
+    }
+}
+
 impl QueryKey {
     /// Canonicalize the test sides of a query on an interned `z`.
     pub fn given(x: &[VarId], y: &[VarId], z: &CondSet) -> Self {
-        let (x, y) = fairsel_ci::canonical_sides(x, y);
-        let hash = fairsel_ci::canonical_query_hash(z.0.hash, &x, &y, &[]);
+        let mut sides = Vec::with_capacity(x.len() + y.len());
+        sides.extend_from_slice(x);
+        canonicalize_tail(&mut sides, 0);
+        let mut split = sides.len();
+        sides.extend_from_slice(y);
+        canonicalize_tail(&mut sides, split);
+        if sides[split..] < sides[..split] {
+            sides.rotate_left(split);
+            split = sides.len() - split;
+        }
+        let hash =
+            fairsel_ci::canonical_query_hash(z.0.hash, &sides[..split], &sides[split..], &[]);
         Self {
-            x,
-            y,
+            sides: sides.into_boxed_slice(),
+            split,
             z: z.clone(),
             hash,
         }
@@ -164,18 +328,36 @@ impl QueryKey {
 
     /// First (canonically smaller) test side.
     pub fn x(&self) -> &[VarId] {
-        &self.x
+        &self.sides[..self.split]
     }
 
     /// Second test side.
     pub fn y(&self) -> &[VarId] {
-        &self.y
+        &self.sides[self.split..]
     }
 
     /// Conditioning set, sorted.
     pub fn z(&self) -> &CondSet {
         &self.z
     }
+}
+
+/// Sort and deduplicate `v[from..]` in place, leaving `v[..from]` alone;
+/// a tail that is already strictly ascending is left as it is.
+fn canonicalize_tail(v: &mut Vec<VarId>, from: usize) {
+    if v[from..].windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    v[from..].sort_unstable();
+    // The tail holds at least two variables, since it was not ascending.
+    let mut end = from + 1;
+    for i in from + 1..v.len() {
+        if v[i] != v[end - 1] {
+            v[end] = v[i];
+            end += 1;
+        }
+    }
+    v.truncate(end);
 }
 
 #[cfg(test)]

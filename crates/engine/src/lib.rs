@@ -33,6 +33,8 @@
 //!   recursive halving as level-synchronous *frontiers* of independent
 //!   group queries — the shape the batch scheduler can actually exploit —
 //!   while issuing exactly the query set the depth-first recursion would.
+//!   Frontier groups and a wave's query sides are [`VarSlice`]s, runs of
+//!   one shared root list, so a wave copies no group.
 
 pub mod exec;
 pub mod key;
@@ -41,7 +43,7 @@ pub mod pool;
 pub mod session;
 
 pub use exec::default_workers;
-pub use key::{CiQuery, CondSet, QueryKey};
+pub use key::{CiQuery, CondSet, QueryKey, VarSlice};
 pub use planner::{exists_certificate, exists_with, FrontierOutcome, HalvingPlanner};
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

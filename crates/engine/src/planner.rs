@@ -12,8 +12,14 @@
 //!
 //! The query *multiset* is identical to the depth-first recursion — only
 //! the order changes — so test counts and selections are preserved.
+//!
+//! Groups share the root list. Halving a group and chunking a root by
+//! `max_group` both yield contiguous runs of one list, so every frontier
+//! group is a [`VarSlice`] of the list copied once when the planner is
+//! built: advancing a level copies no member, and a wave's queries hold
+//! the same runs (and one shared target side) instead of copies.
 
-use crate::key::{CiQuery, CondSet};
+use crate::key::{CiQuery, CondSet, VarSlice};
 use crate::session::CiSession;
 use fairsel_ci::{CiOutcome, CiTest, VarId};
 
@@ -22,7 +28,7 @@ use fairsel_ci::{CiOutcome, CiTest, VarId};
 pub struct FrontierOutcome {
     /// Groups whose test passed: every member is admitted at once
     /// (soundness by the composition axiom, Lemma 1.2).
-    pub admitted: Vec<Vec<VarId>>,
+    pub admitted: Vec<VarSlice>,
     /// Failing singletons: the recursion bottomed out on these.
     pub exhausted: Vec<VarId>,
 }
@@ -30,31 +36,24 @@ pub struct FrontierOutcome {
 /// Level-synchronous view of recursive halving over a variable group.
 #[derive(Clone, Debug)]
 pub struct HalvingPlanner {
-    frontier: Vec<Vec<VarId>>,
+    frontier: Vec<VarSlice>,
     levels: usize,
 }
 
 impl HalvingPlanner {
     /// Start with `items` as the single root group (empty = already done).
     pub fn new(items: &[VarId]) -> Self {
-        let frontier = if items.is_empty() {
-            Vec::new()
-        } else {
-            vec![items.to_vec()]
-        };
-        Self {
-            frontier,
-            levels: 0,
-        }
+        Self::chunked(items, items.len())
     }
 
-    /// Start from an explicit set of root groups (empty groups are
-    /// dropped). This is how `SelectConfig::max_group` pre-splits a wide
-    /// root into subgroups narrow enough for finite-sample group tests to
-    /// retain power.
-    pub fn from_groups<I: IntoIterator<Item = Vec<VarId>>>(groups: I) -> Self {
+    /// Start from `items` cut into consecutive root groups of `width`
+    /// members (the last may be narrower; `width` 0 is read as 1), each a
+    /// run of one copy of `items`. This is how `SelectConfig::max_group`
+    /// pre-splits a wide root into subgroups narrow enough for
+    /// finite-sample group tests to retain power.
+    pub fn chunked(items: &[VarId], width: usize) -> Self {
         Self {
-            frontier: groups.into_iter().filter(|g| !g.is_empty()).collect(),
+            frontier: VarSlice::new(items).chunks(width).collect(),
             levels: 0,
         }
     }
@@ -65,7 +64,7 @@ impl HalvingPlanner {
     }
 
     /// The groups awaiting verdicts — each one an independent query.
-    pub fn frontier(&self) -> &[Vec<VarId>] {
+    pub fn frontier(&self) -> &[VarSlice] {
         &self.frontier
     }
 
@@ -77,7 +76,8 @@ impl HalvingPlanner {
     /// Consume one verdict per frontier group (`true` = the group's test
     /// passed). Passing groups are admitted whole; failing singletons are
     /// exhausted; failing larger groups are split at the midpoint into the
-    /// next frontier, preserving member order.
+    /// next frontier, preserving member order (both halves are runs of the
+    /// same root list).
     ///
     /// # Panics
     /// Panics when `certified.len()` disagrees with the frontier.
@@ -95,10 +95,9 @@ impl HalvingPlanner {
             } else if group.len() == 1 {
                 out.exhausted.push(group[0]);
             } else {
-                let mid = group.len() / 2;
-                let (left, right) = group.split_at(mid);
-                next.push(left.to_vec());
-                next.push(right.to_vec());
+                let (left, right) = group.split_at(group.len() / 2);
+                next.push(left);
+                next.push(right);
             }
         }
         self.frontier = next;
@@ -114,11 +113,12 @@ impl HalvingPlanner {
 /// alternative for every still-undecided group, so a group certified early
 /// is never queried again — the same early-exit the sequential `∃A' ⊆ A`
 /// loop has, but with each wave being one engine batch. Each alternative
-/// is interned once, and every query of its wave shares it.
+/// is interned once, and every query of its wave shares it, the group
+/// runs and `target`: building a wave copies no variable.
 pub fn exists_certificate<T: CiTest>(
     session: &mut CiSession<T>,
-    groups: &[Vec<VarId>],
-    target: &[VarId],
+    groups: &[VarSlice],
+    target: &VarSlice,
     alternatives: &[CondSet],
 ) -> Vec<bool> {
     exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
@@ -129,8 +129,8 @@ pub fn exists_certificate<T: CiTest>(
 /// the Z-grouped scheduler) plug in a closure that runs one wave's
 /// queries.
 pub fn exists_with<F>(
-    groups: &[Vec<VarId>],
-    target: &[VarId],
+    groups: &[VarSlice],
+    target: &VarSlice,
     alternatives: &[CondSet],
     mut run: F,
 ) -> Vec<bool>
@@ -145,7 +145,11 @@ where
         }
         let batch: Vec<CiQuery> = undecided
             .iter()
-            .map(|&g| CiQuery::given(&groups[g], target, alt))
+            .map(|&g| CiQuery {
+                x: groups[g].clone(),
+                y: target.clone(),
+                z: alt.clone(),
+            })
             .collect();
         let _sp = fairsel_obs::span_kv("planner.level", || {
             vec![
@@ -204,7 +208,7 @@ mod tests {
             let outcomes = session.run_batch(&batch);
             let verdicts: Vec<bool> = outcomes.iter().map(|o| o.independent).collect();
             let step = planner.advance(&verdicts);
-            admitted.extend(step.admitted.into_iter().flatten());
+            admitted.extend(step.admitted.iter().flat_map(|g| g.iter().copied()));
             exhausted.extend(step.exhausted);
         }
         admitted.sort_unstable();
@@ -252,6 +256,28 @@ mod tests {
         p.advance(&[true, false]);
     }
 
+    /// One root group per variable, each a run of one shared list.
+    fn singletons(vars: &[VarId]) -> Vec<VarSlice> {
+        HalvingPlanner::chunked(vars, 1).frontier().to_vec()
+    }
+
+    #[test]
+    fn halves_and_chunks_are_runs_of_one_list() {
+        let items: Vec<VarId> = (10..21).collect();
+        let mut p = HalvingPlanner::chunked(&items, 4);
+        let roots: Vec<&[VarId]> = p.frontier().iter().map(|g| &g[..]).collect();
+        assert_eq!(roots, [&items[0..4], &items[4..8], &items[8..11]]);
+        let step = p.advance(&[false, true, false]);
+        assert_eq!(step.admitted, [VarSlice::new(&items[4..8])]);
+        let halves: Vec<&[VarId]> = p.frontier().iter().map(|g| &g[..]).collect();
+        assert_eq!(
+            halves,
+            [&items[0..2], &items[2..4], &items[8..9], &items[9..11]]
+        );
+        assert!(HalvingPlanner::chunked(&[], 3).is_done());
+        assert_eq!(HalvingPlanner::chunked(&[1, 2], 0).frontier().len(), 2);
+    }
+
     #[test]
     fn exists_certificate_early_exit() {
         // Alternative 0 certifies everything: only one wave is issued.
@@ -259,9 +285,9 @@ mod tests {
             bad: vec![],
             n: 100,
         });
-        let groups = vec![vec![1], vec![2], vec![3]];
+        let groups = singletons(&[1, 2, 3]);
         let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
-        let got = exists_certificate(&mut session, &groups, &[99], &alts);
+        let got = exists_certificate(&mut session, &groups, &VarSlice::new(&[99]), &alts);
         assert_eq!(got, vec![true; 3]);
         assert_eq!(session.stats().issued, 3, "second alternative never tried");
     }
@@ -274,9 +300,9 @@ mod tests {
             bad: vec![1],
             n: 100,
         });
-        let groups = vec![vec![1], vec![2], vec![3]];
+        let groups = singletons(&[1, 2, 3]);
         let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
-        let got = exists_certificate(&mut session, &groups, &[99], &alts);
+        let got = exists_certificate(&mut session, &groups, &VarSlice::new(&[99]), &alts);
         assert_eq!(got, vec![false, true, true]);
         // Wave 0: three queries; wave 1: only the undecided [1].
         assert_eq!(session.stats().issued, 4);

@@ -1,9 +1,10 @@
 //! The memoizing session and its telemetry.
 
-use crate::key::{CondSet, QueryKey};
+use crate::key::{CondSet, PreHashed, QueryKey};
 use crate::pool::WorkerPool;
 use fairsel_ci::{CiOutcome, CiTest, EncodeStats, VarId};
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Telemetry for one phase of a session (e.g. "phase1", "skeleton-L2").
@@ -342,13 +343,29 @@ pub(crate) enum BatchKind {
 }
 
 impl BatchKind {
-    /// Process-wide latency histogram for this batch kind.
-    pub(crate) fn histogram(self) -> std::sync::Arc<fairsel_obs::Histogram> {
-        fairsel_obs::histogram(match self {
+    const ALL: [BatchKind; 3] = [
+        BatchKind::Sequential,
+        BatchKind::Grouped,
+        BatchKind::GroupedParallel,
+    ];
+
+    /// Registry name of this batch kind's latency histogram.
+    fn histogram_name(self) -> &'static str {
+        match self {
             BatchKind::Sequential => "engine_batch/sequential",
             BatchKind::Grouped => "engine_batch/grouped",
             BatchKind::GroupedParallel => "engine_batch/grouped_parallel",
-        })
+        }
+    }
+
+    /// Process-wide latency histogram for this batch kind, looked up in
+    /// the registry once per process, so recording a batch takes no lock.
+    pub(crate) fn histogram(self) -> &'static Arc<fairsel_obs::Histogram> {
+        static HANDLES: OnceLock<[Arc<fairsel_obs::Histogram>; 3]> = OnceLock::new();
+        let handles = HANDLES.get_or_init(|| {
+            BatchKind::ALL.map(|kind| fairsel_obs::histogram(kind.histogram_name()))
+        });
+        &handles[self as usize]
     }
 }
 
@@ -368,13 +385,14 @@ impl BatchKind {
 pub struct CiSession<T> {
     tester: T,
     // analyze: bounded-by session memo; one per demanded query, sessions are LRU-evicted by the server registry and batch-scoped in the CLI
-    cache: HashMap<QueryKey, CiOutcome>,
+    cache: HashMap<QueryKey, CiOutcome, PreHashed>,
     stats: EngineStats,
     /// Index into `stats.phases` receiving current accounting.
     current_phase: Option<usize>,
     /// Long-lived worker pool for the Z-grouped scheduler, spawned on
     /// first use and kept for the session's lifetime (rebuilt only when a
-    /// batch asks for a different worker count).
+    /// batch asks for more workers than the pool has threads; a batch
+    /// asking for fewer runs on the larger pool).
     pool: Option<WorkerPool>,
     /// Outcomes recomputed by sufficient-statistic patching at dataset
     /// extension, parked until demanded. Kept *outside* the memo so
@@ -384,7 +402,7 @@ pub struct CiSession<T> {
     /// memo miss consumes from here first (booking `memo_patch_hits`)
     /// before issuing to the tester.
     // analyze: bounded-by subset of the pre-extension memo; drained into the memo on demand
-    patched_pending: HashMap<QueryKey, CiOutcome>,
+    patched_pending: HashMap<QueryKey, CiOutcome, PreHashed>,
 }
 
 impl<T: CiTest> CiSession<T> {
@@ -392,11 +410,11 @@ impl<T: CiTest> CiSession<T> {
     pub fn new(tester: T) -> Self {
         Self {
             tester,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             stats: EngineStats::default(),
             current_phase: None,
             pool: None,
-            patched_pending: HashMap::new(),
+            patched_pending: HashMap::default(),
         }
     }
 
@@ -545,7 +563,7 @@ impl<T: CiTest> CiSession<T> {
     /// parent memos whose sufficient statistics could not be patched.
     pub(crate) fn set_patched_pending(
         &mut self,
-        patched: HashMap<QueryKey, CiOutcome>,
+        patched: HashMap<QueryKey, CiOutcome, PreHashed>,
         invalidated: u64,
     ) {
         self.stats.memoized_before = patched.len() as u64 + invalidated;
@@ -742,6 +760,24 @@ mod tests {
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
+    }
+
+    #[test]
+    fn batch_histograms_are_the_registry_handles() {
+        for kind in BatchKind::ALL {
+            let registered = fairsel_obs::histogram(kind.histogram_name());
+            assert!(Arc::ptr_eq(kind.histogram(), &registered), "{kind:?}");
+            assert!(Arc::ptr_eq(kind.histogram(), kind.histogram()), "{kind:?}");
+        }
+        let names: Vec<&str> = BatchKind::ALL.map(BatchKind::histogram_name).to_vec();
+        assert_eq!(
+            names,
+            [
+                "engine_batch/sequential",
+                "engine_batch/grouped",
+                "engine_batch/grouped_parallel"
+            ]
+        );
     }
 
     #[test]

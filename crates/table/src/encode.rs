@@ -425,17 +425,19 @@ impl EncodedTable {
         let mut key = cols.to_vec();
         key.sort_unstable();
         key.dedup();
-        self.encode_sorted(key)
+        self.encode_sorted(&key)
     }
 
-    fn encode_sorted(&self, key: Vec<ColId>) -> Arc<Encoding> {
-        if let Some(hit) = self.sets.get(&key) {
-            return hit;
-        }
-        let enc = Arc::new(self.build_encoding(&key));
-        self.code_bytes
-            .fetch_add(enc.codes.byte_len() as u64, Ordering::Relaxed);
-        self.sets.insert(key, enc)
+    /// The cached encoding of a sorted, deduplicated set, built once even
+    /// when several workers miss it together ([`CappedCache::get_or_build`]),
+    /// so its miss and its code bytes are booked once.
+    fn encode_sorted(&self, key: &[ColId]) -> Arc<Encoding> {
+        self.sets.get_or_build(key, || {
+            let enc = self.build_encoding(key);
+            self.code_bytes
+                .fetch_add(enc.codes.byte_len() as u64, Ordering::Relaxed);
+            Arc::new(enc)
+        })
     }
 
     /// Build the encoding for a sorted, deduplicated set by composing the
@@ -446,11 +448,12 @@ impl EncodedTable {
             0 => Encoding::counted(Codes::U8(vec![0; n]), 1, usize::from(n > 0)),
             1 => self.base_column(key[0]),
             _ => {
-                let prefix = self.encode_sorted(key[..key.len() - 1].to_vec());
+                let (prefix, last) = key.split_at(key.len() - 1);
+                let prefix = self.encode_sorted(prefix);
                 // The appended column goes through its cached single-set
                 // encoding, so compose streams two narrow inputs instead
                 // of the table's full-width storage.
-                let last = self.encode_sorted(vec![key[key.len() - 1]]);
+                let last = self.encode_sorted(last);
                 compose(&prefix, &last, &self.dense_scratch)
             }
         }
@@ -586,8 +589,8 @@ impl EncodedTable {
             .get(prefix_key)
             .copied()
             .or_else(|| self.mixed_key_arity(prefix_key))?;
-        let child_p = self.encode_sorted(prefix_key.to_vec());
-        let child_c = self.encode_sorted(vec![last[0]]);
+        let child_p = self.encode_sorted(prefix_key);
+        let child_c = self.encode_sorted(last);
         let arity_c = child_c.arity;
         let parent_joint = parent_prefix_arity as u64 * arity_c as u64;
         let child_joint = child_p.arity as u64 * arity_c as u64;
@@ -834,6 +837,49 @@ mod tests {
         // single {1}, and the composition itself.
         assert_eq!(enc.stats().misses, 3);
         assert_eq!(enc.stats().hits, 1);
+    }
+
+    /// Workers released together on one fresh set build it once: one miss
+    /// per set the composition needs, each set's code bytes booked once,
+    /// and every other worker a hit.
+    #[test]
+    fn concurrent_misses_encode_once() {
+        const WORKERS: usize = 6;
+        let rows = 100_000;
+        let t = Table::new(vec![
+            Column::cat("a", Role::Feature, (0..rows).map(|i| i % 7).collect(), 7),
+            Column::cat(
+                "b",
+                Role::Feature,
+                (0..rows).map(|i| i % 300).collect(),
+                300,
+            ),
+        ])
+        .unwrap();
+        for round in 0..5 {
+            let enc = EncodedTable::new(&t);
+            let start = std::sync::Barrier::new(WORKERS);
+            std::thread::scope(|s| {
+                for _ in 0..WORKERS {
+                    s.spawn(|| {
+                        start.wait();
+                        enc.encode(&[1, 0]);
+                    });
+                }
+            });
+            let st = enc.stats();
+            assert_eq!(st.misses, 3, "round {round}: {{0}}, {{1}} and {{0, 1}}");
+            assert_eq!(st.hits, WORKERS as u64 - 1, "round {round}");
+            let bytes: u64 = [&[0][..], &[1], &[0, 1]]
+                .iter()
+                .map(|k| enc.sets.peek(*k).unwrap().codes.byte_len() as u64)
+                .sum();
+            assert_eq!(st.narrow_code_bytes, bytes, "round {round}");
+            assert_eq!(
+                enc.sets.inserted(),
+                enc.sets.len() as u64 + enc.sets.evictions()
+            );
+        }
     }
 
     #[test]

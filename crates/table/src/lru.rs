@@ -14,12 +14,18 @@
 //! bit-identically, so a capped cache changes memory behavior and nothing
 //! else — the property the bounded-cache regression tests in
 //! `fairsel-tests` pin down.
+//!
+//! [`CappedCache::get_or_build`] builds each missing value once even when
+//! several threads miss it together: the first builds, the others wait
+//! for that build and read it, so the miss counter and whatever a build
+//! books beside it count each value once.
 
 use crate::encode::EncodeStats;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 
 struct Slot<V> {
     value: V,
@@ -31,6 +37,11 @@ struct Slot<V> {
 pub struct CappedCache<K, V> {
     // analyze: bounded-by this IS the capped cache; insert evicts at `cap`
     map: RwLock<HashMap<K, Slot<V>>>,
+    /// Keys a `get_or_build` caller is building right now; `built` wakes
+    /// the callers waiting on one of them.
+    // analyze: bounded-by keys in flight; each is removed when its build returns or unwinds, so at most one per thread inside `get_or_build`
+    building: Mutex<HashSet<K>>,
+    built: Condvar,
     cap: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -47,6 +58,8 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     pub fn new(cap: usize) -> Self {
         Self {
             map: RwLock::new(HashMap::new()),
+            building: Mutex::new(HashSet::new()),
+            built: Condvar::new(),
             cap: cap.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -78,7 +91,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     /// so hot hit paths never allocate.
     pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
-        K: std::borrow::Borrow<Q>,
+        K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
         let map = self.map.read().expect("cache lock");
@@ -95,7 +108,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     /// without skewing the hit/miss ledger or the LRU ordering.
     pub fn peek<Q>(&self, key: &Q) -> Option<V>
     where
-        K: std::borrow::Borrow<Q>,
+        K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
         let map = self.map.read().expect("cache lock");
@@ -113,6 +126,44 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
         map.iter()
             .map(|(k, s)| (k.clone(), s.value.clone()))
             .collect()
+    }
+
+    /// Look `key` up, or build its value once and insert it. The caller
+    /// that finds the key neither resident nor being built runs `build`
+    /// and counts the miss; a caller that misses while another builds the
+    /// same key waits for that build and counts a hit, as every caller
+    /// that finds the value resident does. A build that panics leaves the
+    /// key unbuilt (the panic goes on to its caller), and the next caller
+    /// to find it missing builds it.
+    ///
+    /// `build` must not look up `key` itself; it may look up other keys
+    /// (an encoding builds its shorter prefixes through here), as long as
+    /// no two keys' builds need each other.
+    pub fn get_or_build<Q>(&self, key: &Q, build: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(hit) = self.get(key) {
+            return hit;
+        }
+        let mut building = self.building.lock().expect("cache lock");
+        loop {
+            // A build inserts its value before it clears its flag, so a
+            // key that is not being built is either resident or missing.
+            if let Some(hit) = self.get(key) {
+                return hit;
+            }
+            if !building.contains(key) {
+                break;
+            }
+            building = self.built.wait(building).expect("cache lock");
+        }
+        building.insert(key.to_owned());
+        drop(building);
+        let _flag = BuildFlag { cache: self, key };
+        let value = build();
+        self.insert(key.to_owned(), value)
     }
 
     /// Insert a freshly computed value, evicting the least-recently-used
@@ -190,10 +241,33 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     }
 }
 
+/// Clears a key's in-flight flag when its build returns or unwinds, and
+/// wakes the callers waiting on it.
+struct BuildFlag<'c, K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized> {
+    cache: &'c CappedCache<K, V>,
+    key: &'c Q,
+}
+
+impl<K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized> Drop for BuildFlag<'_, K, V, Q> {
+    fn drop(&mut self) {
+        // No code that can panic runs under this lock, but a poisoned
+        // lock must not turn an unwinding build into an abort.
+        let mut building = self
+            .cache
+            .building
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        building.remove(self.key);
+        drop(building);
+        self.cache.built.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn get_insert_and_telemetry() {
@@ -260,6 +334,71 @@ mod tests {
         c.insert(3, Arc::new(30));
         assert!(c.peek(&1).is_none(), "peek must not protect from eviction");
         assert!(c.peek(&2).is_some());
+    }
+
+    /// Callers that miss a key while its build is held wait for it: one
+    /// build, one miss, every other caller a hit on the one value.
+    #[test]
+    fn concurrent_misses_build_once() {
+        const WAITERS: usize = 6;
+        let c: CappedCache<u32, Arc<u32>> = CappedCache::new(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let c = &c;
+            let builder = s.spawn(move || {
+                c.get_or_build(&7, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Arc::new(70)
+                })
+            });
+            started_rx.recv().unwrap();
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    let done_tx = done_tx.clone();
+                    s.spawn(move || {
+                        let v = c.get_or_build(&7, || Arc::new(71));
+                        done_tx.send(()).unwrap();
+                        v
+                    })
+                })
+                .collect();
+            // No caller can return before the held build does.
+            let early = done_rx.recv_timeout(Duration::from_millis(50));
+            release_tx.send(()).unwrap();
+            assert!(
+                early.is_err(),
+                "a caller returned while the key was being built"
+            );
+            let built = builder.join().unwrap();
+            assert_eq!(*built, 70);
+            for w in waiters {
+                assert!(Arc::ptr_eq(&w.join().unwrap(), &built));
+            }
+        });
+        let st = c.stats();
+        assert_eq!((st.misses, st.hits), (1, WAITERS as u64));
+        assert_eq!(c.inserted(), c.len() as u64 + c.evictions());
+        assert!(c.building.lock().unwrap().is_empty());
+    }
+
+    /// A build that panics leaves the key unbuilt and unflagged; the next
+    /// caller builds it.
+    #[test]
+    fn panicking_build_leaves_the_key_unbuilt() {
+        let c: CappedCache<u32, Arc<u32>> = CappedCache::new(4);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.get_or_build(&3, || panic!("build failed"))
+        }));
+        assert!(r.is_err());
+        assert!(c.peek(&3).is_none());
+        assert!(c.building.lock().unwrap().is_empty());
+        assert_eq!(*c.get_or_build(&3, || Arc::new(30)), 30);
+        assert_eq!(*c.get_or_build(&3, || unreachable!("resident")), 30);
+        let st = c.stats();
+        assert_eq!((st.misses, st.hits), (1, 1));
     }
 
     #[test]

@@ -1330,6 +1330,48 @@ mod cache_bounds {
         );
     }
 
+    /// Workers that miss one encoding or one conditioning scaffold
+    /// together build it once (`CappedCache::get_or_build`), so a
+    /// Z-grouped G-test selection books the same encode and scaffold
+    /// counters in every run at a worker count, and builds the same
+    /// values at every worker count.
+    #[test]
+    fn parallel_selection_books_counters_once() {
+        let table = sampled(11, 24, 20000);
+        let problem = Problem::from_table(&table);
+        // Narrow root groups put many queries on one fresh `Z` and one
+        // fresh `S` in the first wave, so pool workers miss them together.
+        let cfg = SelectConfig {
+            max_group: Some(4),
+            ..Default::default()
+        };
+        let run = |workers: usize| {
+            let mut session = CiSession::new(GTest::new(&table, 0.01));
+            let sel = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
+            let st = session.stats();
+            assert!(st.scaffolds_conserved(), "{st:?}");
+            [
+                sel.tests_used,
+                st.encode_cache_hits,
+                st.encode_cache_misses,
+                st.narrow_code_bytes,
+                st.rebuilt_scaffolds,
+                st.resident_scaffolds,
+                st.dense_count_cells,
+            ]
+        };
+        let mut built = Vec::new();
+        for workers in [2, 4] {
+            let first = run(workers);
+            for attempt in 1..5 {
+                assert_eq!(run(workers), first, "workers {workers}, run {attempt}");
+            }
+            // Issued tests, encode misses, code bytes, rebuilt scaffolds.
+            built.push([first[0], first[2], first[3], first[4]]);
+        }
+        assert_eq!(built[0], built[1], "values built at workers 2 and 4");
+    }
+
     #[test]
     fn capped_fisherz_residual_cache_evicts_and_stays_exact() {
         let table = sampled(9, 20, 400);
