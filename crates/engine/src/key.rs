@@ -50,7 +50,8 @@ use std::sync::Arc;
 ///
 /// Unkeyed, and safe because no client picks the keys: the selection
 /// algorithms generate them, and the fold behind the stored hash ends in
-/// a bijective finalizer, so its bits are as well spread as SipHash's.
+/// a bijective finalizer that mixes every input bit into the whole word,
+/// the low bits a map indexes buckets by and the high bits it tags with.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PreHashed;
 

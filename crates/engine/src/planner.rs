@@ -262,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn halves_and_chunks_are_runs_of_one_list() {
+    fn chunked_roots_and_halves_keep_member_order() {
         let items: Vec<VarId> = (10..21).collect();
         let mut p = HalvingPlanner::chunked(&items, 4);
         let roots: Vec<&[VarId]> = p.frontier().iter().map(|g| &g[..]).collect();

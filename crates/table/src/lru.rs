@@ -39,7 +39,7 @@ pub struct CappedCache<K, V> {
     map: RwLock<HashMap<K, Slot<V>>>,
     /// Keys a `get_or_build` caller is building right now; `built` wakes
     /// the callers waiting on one of them.
-    // analyze: bounded-by keys in flight; each is removed when its build returns or unwinds, so at most one per thread inside `get_or_build`
+    // analyze: bounded-by keys in flight; each is removed when its build returns or unwinds, so it holds only the builds running now (one per thread and nesting level)
     building: Mutex<HashSet<K>>,
     built: Condvar,
     cap: usize,
