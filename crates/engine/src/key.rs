@@ -172,7 +172,7 @@ impl VarSlice {
     ///
     /// # Panics
     /// Panics when `mid` exceeds the run's length.
-    pub fn split_at(&self, mid: usize) -> (Self, Self) {
+    pub(crate) fn split_at(&self, mid: usize) -> (Self, Self) {
         assert!(mid <= self.len(), "VarSlice::split_at: {mid} out of range");
         let at = self.start + mid;
         (self.run(self.start, at), self.run(at, self.end))
@@ -180,7 +180,7 @@ impl VarSlice {
 
     /// Consecutive runs of `width` variables (the last may be shorter),
     /// sharing this list; `width` 0 is read as 1.
-    pub fn chunks(&self, width: usize) -> impl Iterator<Item = Self> + '_ {
+    pub(crate) fn chunks(&self, width: usize) -> impl Iterator<Item = Self> + '_ {
         let width = width.max(1);
         (self.start..self.end)
             .step_by(width)
