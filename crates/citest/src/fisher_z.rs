@@ -105,17 +105,14 @@ impl FisherZ {
             .collect()
     }
 
-    /// Residuals of `col` on the canonical `z` set, memoized.
+    /// Residuals of `col` on the canonical `z` set, memoized and built
+    /// once however many workers miss it together.
     fn residual(&self, col: ColId, zkey: &[ColId]) -> Arc<Residual> {
-        let key = (col, zkey.to_vec());
-        if let Some(hit) = self.residuals.get(&key) {
-            return hit;
-        }
-        let res = self
-            .residualize(zkey, &[col])
-            .pop()
-            .expect("one residual per column");
-        self.residuals.insert(key, res)
+        self.residuals.get_or_build(&(col, zkey.to_vec()), || {
+            self.residualize(zkey, &[col])
+                .pop()
+                .expect("one residual per column")
+        })
     }
 
     fn canonical_z(z: &[VarId]) -> Vec<ColId> {
@@ -124,12 +121,13 @@ impl FisherZ {
 
     /// Z-grouped scaffold: residualize every column a group of queries
     /// needs on `zkey` in **one** solve and insert the results into the
-    /// residual cache the per-query path reads. Each residual is
-    /// bit-identical to the one [`FisherZ::residual`] computes for that
-    /// column alone: every cell of the solve treats the right-hand-side
-    /// columns independently.
+    /// residual cache the per-query path reads. The columns are claimed
+    /// first ([`CappedCache::build_missing`]), so a column another worker
+    /// is already solving is left to it. Each residual is bit-identical to
+    /// the one [`FisherZ::residual`] computes for that column alone: every
+    /// cell of the solve treats the right-hand-side columns independently.
     fn prefill_residuals(&self, zkey: &[ColId], queries: &[crate::CiQueryRef<'_>]) {
-        let mut need: Vec<ColId> = Vec::new();
+        let mut keys: Vec<(ColId, Vec<ColId>)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for q in queries {
             if q.x.is_empty() || q.y.is_empty() {
@@ -137,17 +135,15 @@ impl FisherZ {
             }
             let (x, y) = crate::canonical_sides(q.x, q.y);
             for &c in x.iter().chain(&y) {
-                if seen.insert(c) && self.residuals.get(&(c, zkey.to_vec())).is_none() {
-                    need.push(c);
+                if seen.insert(c) {
+                    keys.push((c, zkey.to_vec()));
                 }
             }
         }
-        if need.is_empty() {
-            return;
-        }
-        for (&c, res) in need.iter().zip(self.residualize(zkey, &need)) {
-            self.residuals.insert((c, zkey.to_vec()), res);
-        }
+        self.residuals.build_missing(&keys, |claimed| {
+            let cols: Vec<ColId> = claimed.iter().map(|&(c, _)| c).collect();
+            self.residualize(zkey, &cols)
+        });
     }
 
     /// Partial correlation of two scalar columns given `z` columns.

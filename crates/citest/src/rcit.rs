@@ -112,14 +112,14 @@ impl Rcit {
         Rcit::over(enc, parent.cfg.clone(), parent.seed)
     }
 
-    /// Conditioning context for the canonical set `zs`, memoized.
+    /// Conditioning context for the canonical set `zs`, memoized and
+    /// built once however many workers miss it together.
     fn z_context(&self, zs: &[VarId]) -> Arc<ZContext> {
-        if let Some(hit) = self.zctx.get(zs) {
-            return hit;
-        }
-        let zm = self.extract(zs);
-        let sz = self.bandwidth(&zm);
-        self.zctx.insert(zs.to_vec(), Arc::new((zm, sz)))
+        self.zctx.get_or_build(zs, || {
+            let zm = self.extract(zs);
+            let sz = self.bandwidth(&zm);
+            Arc::new((zm, sz))
+        })
     }
 
     /// Tester with default hyperparameters at level `alpha`.

@@ -162,7 +162,7 @@ mod checked {
 
     impl<T> TrackedMutex<T> {
         /// A tracked mutex named `name`. Use one name per *role* (e.g.
-        /// `"server.registry.slots"`): instances sharing a name are not
+        /// `"server.registry.workload"`): instances sharing a name are not
         /// ordered against each other.
         pub const fn new(name: &'static str, value: T) -> Self {
             TrackedMutex {

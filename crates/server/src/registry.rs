@@ -31,9 +31,12 @@
 //! [`Registry::append`] fingerprints a child by continuing its parent's
 //! states over the appended rows alone.
 //!
-//! The registry itself is LRU-bounded (`max_datasets`), and each
-//! workload's encoding caches are bounded by `cache_cap` — both with
-//! eviction counters surfaced in the response telemetry.
+//! The resident workloads and the put store are each a [`CappedCache`]
+//! bounded by `max_datasets` (LRU eviction), and each workload's encoding
+//! caches are bounded by `cache_cap` — all with eviction counters surfaced
+//! in the response telemetry. Requests that miss one workload together
+//! wait for a single build of it, so a warm child is born once and the
+//! memo ledger counts its birth once.
 
 use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
 use fairsel_ci::{CiTestBatch, FisherZ, GTest};
@@ -44,7 +47,7 @@ use fairsel_core::{
 };
 use fairsel_engine::CiSession;
 use fairsel_obs::TrackedMutex;
-use fairsel_table::{csv, ColumnData, EncodeStats, EncodedTable, Table};
+use fairsel_table::{csv, CappedCache, ColumnData, EncodedTable, Table};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -179,18 +182,14 @@ pub struct Workload {
     pub split_fallback: bool,
 }
 
-struct Slot {
-    state: Arc<TrackedMutex<Workload>>,
-    last_used: u64,
-}
-
 /// Registry configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryConfig {
     /// Bound on each workload's encoding/residual caches
     /// (`EncodedTable::from_arc_with_cap`).
     pub cache_cap: usize,
-    /// Bound on resident dataset workloads (LRU eviction beyond it).
+    /// Bound on resident dataset workloads, and on uploaded datasets in
+    /// the put store (LRU eviction beyond it, each counted on its own).
     pub max_datasets: usize,
 }
 
@@ -208,18 +207,16 @@ impl Default for RegistryConfig {
 struct PutSlot {
     table: Arc<Table>,
     folds: ColumnFolds,
-    last_used: u64,
 }
 
 /// The fingerprint-sharded workload registry.
 pub struct Registry {
-    // analyze: bounded-by LRU-evicted at cfg.max_sessions by get_or_insert
-    slots: TrackedMutex<HashMap<u64, Slot>>,
+    /// Resident workloads, keyed by [`Registry::workload_key`].
+    slots: CappedCache<u64, Arc<TrackedMutex<Workload>>>,
     /// Uploaded raw tables, keyed by dataset fingerprint — what `select`
     /// / `methods` requests with `{"fp":...}` resolve against. Bounded
     /// like the workload slots.
-    // analyze: bounded-by LRU-evicted at cfg.max_puts by put_table
-    puts: TrackedMutex<HashMap<u64, PutSlot>>,
+    puts: CappedCache<u64, Arc<PutSlot>>,
     /// Append lineage: child fingerprint → parent fingerprint. When a
     /// workload for a child dataset is first requested, a resident parent
     /// workload (same tester knobs) seeds it warm — the parent session's
@@ -230,10 +227,7 @@ pub struct Registry {
     // analyze: bounded-by two u64s per append event; see doc comment for the retention rationale
     lineage: TrackedMutex<HashMap<u64, u64>>,
     cfg: RegistryConfig,
-    tick: AtomicU64,
     requests: AtomicU64,
-    evictions: AtomicU64,
-    put_evictions: AtomicU64,
     warm_children: AtomicU64,
     /// Cumulative memo-ledger totals across every warm-child birth:
     /// parent outcomes re-derived by sufficient-statistic patching vs
@@ -250,14 +244,11 @@ pub struct Registry {
 impl Registry {
     pub fn new(cfg: RegistryConfig) -> Self {
         Self {
-            slots: TrackedMutex::new("server.registry.slots", HashMap::new()),
-            puts: TrackedMutex::new("server.registry.puts", HashMap::new()),
+            slots: CappedCache::new(cfg.max_datasets),
+            puts: CappedCache::new(cfg.max_datasets),
             lineage: TrackedMutex::new("server.registry.lineage", HashMap::new()),
             cfg,
-            tick: AtomicU64::new(0),
             requests: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            put_evictions: AtomicU64::new(0),
             warm_children: AtomicU64::new(0),
             memo_patched: AtomicU64::new(0),
             memo_invalidated: AtomicU64::new(0),
@@ -269,12 +260,12 @@ impl Registry {
 
     /// Resident workload count.
     pub fn resident(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.len()
     }
 
     /// Resident uploaded-dataset count.
     pub fn resident_puts(&self) -> usize {
-        self.puts.lock().len()
+        self.puts.len()
     }
 
     /// Total workload requests served.
@@ -284,12 +275,12 @@ impl Registry {
 
     /// Workloads evicted by the LRU bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.slots.evictions()
     }
 
     /// Uploaded datasets evicted by the LRU bound so far.
     pub fn put_evictions(&self) -> u64 {
-        self.put_evictions.load(Ordering::Relaxed)
+        self.puts.evictions()
     }
 
     /// Workload sessions born warm from a parent via append lineage.
@@ -322,18 +313,6 @@ impl Registry {
         self.report_memo_evictions.load(Ordering::Relaxed)
     }
 
-    /// Add one request's change in a workload memo's telemetry to the
-    /// registry totals.
-    fn note_report_memo(&self, before: EncodeStats, after: EncodeStats) {
-        let add = |total: &AtomicU64, delta| total.fetch_add(delta, Ordering::Relaxed);
-        add(&self.report_memo_hits, after.hits - before.hits);
-        add(&self.report_memo_misses, after.misses - before.misses);
-        add(
-            &self.report_memo_evictions,
-            after.evictions - before.evictions,
-        );
-    }
-
     /// The recorded append parent of `child_fp`, if any.
     pub fn parent_of(&self, child_fp: u64) -> Option<u64> {
         self.lineage.lock().get(&child_fp).copied()
@@ -362,22 +341,13 @@ impl Registry {
         // The parent passed this check when it was put or appended; the
         // batch alone decides whether the child still does.
         check_column_kinds(&batch, false).map_err(|e| format!("append batch rejected: {e}"))?;
-        let (parent, folds) = {
-            let mut puts = self.puts.lock();
-            let slot = puts.get_mut(&fp).ok_or_else(|| {
-                format!(
-                    "unknown dataset fingerprint {fp:016x} \
-                     (not uploaded, or evicted — put it again)"
-                )
-            })?;
-            slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-            (Arc::clone(&slot.table), slot.folds.clone())
-        };
+        let parent = self.puts.get(&fp).ok_or_else(|| unknown_dataset(fp))?;
         let child = parent
+            .table
             .concat(&batch)
             .map_err(|e| format!("append batch rejected: {e}"))?;
         let rows = child.n_rows();
-        let child_fp = self.store(child, folds.extended(&batch))?;
+        let child_fp = self.store(child, parent.folds.extended(&batch))?;
         if child_fp != fp {
             self.lineage.lock().insert(child_fp, fp);
         }
@@ -406,46 +376,18 @@ impl Registry {
             return Err(format!("too few rows ({})", table.n_rows()));
         }
         let fp = folds.fingerprint(&table);
-        let mut puts = self.puts.lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = puts.get_mut(&fp) {
-            slot.last_used = tick;
-            return Ok(fp);
-        }
-        while puts.len() >= self.cfg.max_datasets {
-            // Tie-break equal recency ticks by fingerprint so the evicted
-            // victim never depends on hash iteration order.
-            // analyze: unordered-ok min over the strict total order
-            // (last_used, fp) is unique, so iteration order cannot leak.
-            let victim = puts
-                .iter()
-                .min_by_key(|(k, s)| (s.last_used, **k))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    puts.remove(&k);
-                    self.put_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        puts.insert(
-            fp,
-            PutSlot {
+        self.puts.get_or_build(&fp, || {
+            Arc::new(PutSlot {
                 table: Arc::new(table),
                 folds,
-                last_used: tick,
-            },
-        );
+            })
+        });
         Ok(fp)
     }
 
     /// Look up an uploaded dataset by fingerprint (touches its LRU slot).
     pub fn dataset(&self, fp: u64) -> Option<Arc<Table>> {
-        let mut puts = self.puts.lock();
-        let slot = puts.get_mut(&fp)?;
-        slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&slot.table))
+        self.puts.get(&fp).map(|slot| Arc::clone(&slot.table))
     }
 
     /// Resolve a workload's dataset reference to its fingerprint, plus
@@ -476,38 +418,11 @@ impl Registry {
     /// for the request's dataset + tester config, run the pipeline inside
     /// it, and return the rendered deterministic report plus telemetry.
     pub fn select(&self, req: &WorkloadRequest) -> Result<(String, String, CacheInfo), String> {
-        let (fingerprint, table) = self.resolve_fingerprint(req)?;
-        let key = self.workload_key(fingerprint, req);
-        let state = self.get_or_insert(key, fingerprint, table, req)?;
-
-        let mut guard = state.lock();
-        let w = &mut *guard;
-        let cfg = pipeline_config(req, w.train.n_rows())?;
-        let train = Arc::clone(&w.train);
-        let _sp = fairsel_obs::span_kv("registry.select", || {
-            vec![("fingerprint", format!("{fingerprint:016x}"))]
-        });
-        let before = w.memo.stats();
-        let out = run_pipeline_memo_in(&mut w.session, &w.memo, &train, &w.test, &cfg);
-        self.note_report_memo(before, w.memo.stats());
-        w.sessions_served += 1;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let body = {
+        self.serve(req, "registry.select", |w, cfg| {
+            let out = run_pipeline_memo_in(&mut w.session, &w.memo, &w.train, &w.test, cfg);
             let _sp = fairsel_obs::span("report.render");
-            render_pipeline_report(&out, &w.train, &cfg, w.test.n_rows())
-        };
-        let stats_json = out.engine.to_json();
-        let enc_stats = w.session.tester().encode_cache_stats();
-        let cache = CacheInfo {
-            fingerprint,
-            sessions_served: w.sessions_served,
-            shared_hits: out.engine.cache_hits,
-            encode_hits: enc_stats.hits,
-            encode_misses: enc_stats.misses,
-            encode_evictions: enc_stats.evictions,
-            dataset_evictions: self.evictions(),
-        };
-        Ok((body, stats_json, cache))
+            render_pipeline_report(&out, &w.train, cfg, w.test.n_rows())
+        })
     }
 
     /// Serve one `methods` workload — the full baseline sweep (a-only /
@@ -519,39 +434,58 @@ impl Registry {
     /// nothing. Per-method telemetry in the body therefore reports
     /// post-dedup costs.
     pub fn methods(&self, req: &WorkloadRequest) -> Result<(String, String, CacheInfo), String> {
+        self.serve(req, "registry.methods", |w, cfg| {
+            let outs = run_all_methods_in(&mut w.session, &w.memo, &w.train, &w.test, cfg);
+            let n_features = Problem::from_table(&w.train).n_features();
+            let _sp = fairsel_obs::span("report.render");
+            render_methods_report(&outs, n_features)
+        })
+    }
+
+    /// The steps `select` and `methods` share: resolve (or build) the
+    /// request's workload, lock it, and inside the span named `span` let
+    /// `run` run the pipeline or the sweep and render the body; then add
+    /// the request's report-memo change to the registry totals and read
+    /// the telemetry from the session, whose stats the pipeline's result
+    /// clones.
+    fn serve(
+        &self,
+        req: &WorkloadRequest,
+        span: &'static str,
+        run: impl FnOnce(&mut Workload, &PipelineConfig) -> String,
+    ) -> Result<(String, String, CacheInfo), String> {
         let (fingerprint, table) = self.resolve_fingerprint(req)?;
         let key = self.workload_key(fingerprint, req);
         let state = self.get_or_insert(key, fingerprint, table, req)?;
-
-        let mut guard = state.lock();
-        let w = &mut *guard;
+        let mut w = state.lock();
         let cfg = pipeline_config(req, w.train.n_rows())?;
-        let train = Arc::clone(&w.train);
-        let _sp = fairsel_obs::span_kv("registry.methods", || {
+        let _sp = fairsel_obs::span_kv(span, || {
             vec![("fingerprint", format!("{fingerprint:016x}"))]
         });
         let before = w.memo.stats();
-        let outs = run_all_methods_in(&mut w.session, &w.memo, &train, &w.test, &cfg);
-        self.note_report_memo(before, w.memo.stats());
+        let body = run(&mut w, &cfg);
+        let after = w.memo.stats();
+        let add = |total: &AtomicU64, delta| total.fetch_add(delta, Ordering::Relaxed);
+        add(&self.report_memo_hits, after.hits - before.hits);
+        add(&self.report_memo_misses, after.misses - before.misses);
+        add(
+            &self.report_memo_evictions,
+            after.evictions - before.evictions,
+        );
         w.sessions_served += 1;
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let problem = Problem::from_table(&w.train);
-        let body = {
-            let _sp = fairsel_obs::span("report.render");
-            render_methods_report(&outs, problem.n_features())
-        };
-        let stats_json = w.session.stats().to_json();
+        let stats = w.session.stats();
         let enc_stats = w.session.tester().encode_cache_stats();
         let cache = CacheInfo {
             fingerprint,
             sessions_served: w.sessions_served,
-            shared_hits: w.session.stats().cache_hits,
+            shared_hits: stats.cache_hits,
             encode_hits: enc_stats.hits,
             encode_misses: enc_stats.misses,
             encode_evictions: enc_stats.evictions,
             dataset_evictions: self.evictions(),
         };
-        Ok((body, stats_json, cache))
+        Ok((body, stats.to_json(), cache))
     }
 
     /// Session key: dataset fingerprint + the knobs that define the
@@ -579,7 +513,8 @@ impl Registry {
     /// built on a fallback split, tester declines extension, or no
     /// appended row landed in train — returns `None` and the caller builds
     /// cold (always correct, just slower). The parent workload's lock is
-    /// held throughout.
+    /// held throughout, while requests for the child wait on its build; a
+    /// birth books `warm_children` and the memo ledger.
     fn try_warm_child(
         &self,
         child_fp: u64,
@@ -588,10 +523,8 @@ impl Registry {
     ) -> Option<Workload> {
         let parent_fp = self.parent_of(child_fp)?;
         let parent_key = self.workload_key(parent_fp, req);
-        let parent_state = {
-            let slots = self.slots.lock();
-            Arc::clone(&slots.get(&parent_key)?.state)
-        };
+        // A peek: seeding a child leaves the parent's recency as it was.
+        let parent_state = self.slots.peek(&parent_key)?;
         let pw = parent_state.lock();
         if pw.split_fallback {
             return None;
@@ -620,13 +553,12 @@ impl Registry {
         // The child's birth stats carry the memo ledger: how many of the
         // parent's memoized outcomes were re-derived in O(batch) from
         // patched sufficient statistics vs invalidated for re-issue.
-        let (patched, invalidated) = {
-            let s = session.stats();
-            (s.memo_patched, s.memo_invalidated)
-        };
-        self.memo_patched.fetch_add(patched, Ordering::Relaxed);
+        let birth = session.stats();
+        self.warm_children.fetch_add(1, Ordering::Relaxed);
+        self.memo_patched
+            .fetch_add(birth.memo_patched, Ordering::Relaxed);
         self.memo_invalidated
-            .fetch_add(invalidated, Ordering::Relaxed);
+            .fetch_add(birth.memo_invalidated, Ordering::Relaxed);
         Some(Workload {
             // The extended layer holds the concatenated train table;
             // share it instead of keeping two copies resident.
@@ -678,6 +610,11 @@ impl Registry {
         })
     }
 
+    /// The resident workload for `key`, built on a miss. Requests that
+    /// miss it together wait for one build ([`CappedCache::try_get_or_build`]).
+    /// The build holds no lock of the registry's own (a warm child's holds
+    /// its parent workload's): the split and the extension copy every
+    /// column, which must not stall requests for other datasets.
     fn get_or_insert(
         &self,
         key: u64,
@@ -685,81 +622,37 @@ impl Registry {
         table: Option<Arc<Table>>,
         req: &WorkloadRequest,
     ) -> Result<Arc<TrackedMutex<Workload>>, String> {
-        {
-            let mut slots = self.slots.lock();
-            if let Some(slot) = slots.get_mut(&key) {
-                slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&slot.state));
-            }
-        }
-        // Session miss: only now is the raw table required — resolve a
-        // fingerprint reference against the put store (the warm path
-        // above never needs it, so an evicted upload does not invalidate
-        // a resident session).
-        let table = match table {
-            Some(t) => t,
-            None => self.dataset(fingerprint).ok_or_else(|| {
-                format!(
-                    "unknown dataset fingerprint {fingerprint:016x} \
-                     (not uploaded, or evicted — put it again)"
-                )
-            })?,
-        };
-        // Build the workload with no registry lock held — the split and
-        // the extension copy every column, which must not stall warm
-        // requests for other datasets. Two racing cold requests may both
-        // build; the publish step below keeps the first and discards the
-        // other (the state is a pure function of the request, so either
-        // copy is correct).
-        let _sp = fairsel_obs::span_kv("session.build", || {
-            vec![
-                ("fingerprint", format!("{fingerprint:016x}")),
-                ("rows", table.n_rows().to_string()),
-            ]
-        });
-        let workload = match self.try_warm_child(fingerprint, &table, req) {
-            Some(w) => {
-                self.warm_children.fetch_add(1, Ordering::Relaxed);
-                w
-            }
-            None => self.build_cold(fingerprint, &table, req)?,
-        };
-        let state = Arc::new(TrackedMutex::new("server.registry.workload", workload));
-
-        let mut slots = self.slots.lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = slots.get_mut(&key) {
-            // Lost the build race: keep the published workload (it may
-            // already hold memoized outcomes).
-            slot.last_used = tick;
-            return Ok(Arc::clone(&slot.state));
-        }
-        while slots.len() >= self.cfg.max_datasets {
-            // Tie-break equal recency ticks by key so the evicted victim
-            // never depends on hash iteration order.
-            // analyze: unordered-ok min over the strict total order
-            // (last_used, key) is unique, so iteration order cannot leak.
-            let victim = slots
-                .iter()
-                .min_by_key(|(k, s)| (s.last_used, **k))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    slots.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        slots.insert(
-            key,
-            Slot {
-                state: Arc::clone(&state),
-                last_used: tick,
-            },
-        );
-        Ok(state)
+        self.slots.try_get_or_build(&key, || {
+            // Only a miss needs the raw table: resolve a fingerprint
+            // reference against the put store here, so an evicted upload
+            // does not invalidate a resident session.
+            let table = match table {
+                Some(t) => t,
+                None => self
+                    .dataset(fingerprint)
+                    .ok_or_else(|| unknown_dataset(fingerprint))?,
+            };
+            let _sp = fairsel_obs::span_kv("session.build", || {
+                vec![
+                    ("fingerprint", format!("{fingerprint:016x}")),
+                    ("rows", table.n_rows().to_string()),
+                ]
+            });
+            let workload = match self.try_warm_child(fingerprint, &table, req) {
+                Some(w) => w,
+                None => self.build_cold(fingerprint, &table, req)?,
+            };
+            Ok(Arc::new(TrackedMutex::new(
+                "server.registry.workload",
+                workload,
+            )))
+        })
     }
+}
+
+/// The error for a fingerprint the put store does not hold.
+fn unknown_dataset(fp: u64) -> String {
+    format!("unknown dataset fingerprint {fp:016x} (not uploaded, or evicted — put it again)")
 }
 
 /// Translate a wire workload into the pipeline config a local CLI run
@@ -795,6 +688,7 @@ pub fn pipeline_config(req: &WorkloadRequest, train_rows: usize) -> Result<Pipel
 mod tests {
     use super::*;
     use fairsel_table::{Column, Role};
+    use std::sync::Barrier;
 
     fn small_table(rows: usize, flip: bool) -> Table {
         Table::new(vec![
@@ -1215,6 +1109,62 @@ mod tests {
             3,
             "a fallback parent seeds no warm child"
         );
+    }
+
+    /// Requests released together on the first select of one appended
+    /// child wait for one warm build of it: every body equals a cold run
+    /// on the concatenation, the child is born warm once, and the memo
+    /// ledger books one birth — what a registry that selects the child
+    /// once books.
+    #[test]
+    fn racing_child_selects_build_the_child_once() {
+        const CLIENTS: usize = 4;
+        let parent = sampled_table(400, 1);
+        let batch = sampled_table(80, 2);
+        let fp_req = |fp| WorkloadRequest {
+            dataset: DatasetRef::Fp(fp),
+            ..Default::default()
+        };
+        // A registry with a warm parent and its appended child.
+        let appended = || {
+            let reg = Registry::new(RegistryConfig::default());
+            let fp = reg.put(parent.clone()).unwrap();
+            reg.select(&fp_req(fp)).unwrap();
+            let (child_fp, _) = reg.append(fp, batch.clone()).unwrap();
+            (reg, child_fp)
+        };
+        let (serial, child_fp) = appended();
+        serial.select(&fp_req(child_fp)).unwrap();
+        let one_birth = (serial.memo_patched(), serial.memo_invalidated());
+        assert!(serial.warm_children() == 1 && one_birth.0 > 0);
+        let concat = csv::to_csv_string(&parent.concat(&batch).unwrap());
+        let (cold, _, _) = Registry::new(RegistryConfig::default())
+            .select(&WorkloadRequest::with_csv(concat))
+            .unwrap();
+
+        for round in 0..5 {
+            let (reg, child_fp) = appended();
+            let barrier = Barrier::new(CLIENTS);
+            let bodies: Vec<String> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..CLIENTS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            reg.select(&fp_req(child_fp)).unwrap().0
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(bodies.iter().all(|b| *b == cold), "round {round}");
+            assert_eq!(reg.warm_children(), 1, "round {round}");
+            assert_eq!(
+                (reg.memo_patched(), reg.memo_invalidated()),
+                one_birth,
+                "round {round}"
+            );
+            assert_eq!((reg.resident(), reg.requests()), (2, 1 + CLIENTS as u64));
+        }
     }
 
     /// The fingerprint continued over appended rows equals the one folded

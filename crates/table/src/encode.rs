@@ -18,7 +18,8 @@
 //! pool and the batch testers hit one cache concurrently.
 //!
 //! The table is held by `Arc`, and the set cache is *bounded*
-//! ([`CappedCache`], default [`DEFAULT_CACHE_CAP`] entries, LRU eviction):
+//! ([`CappedCache`], default [`DEFAULT_CACHE_CAP`] entries, LRU eviction;
+//! the numeric columns sit in a second one, sized to the column count):
 //! an `EncodedTable` can outlive any single request, which is exactly how
 //! the `fairsel-server` session registry shares one encode pass across
 //! many clients without growing without bound.
@@ -26,7 +27,7 @@
 use crate::lru::CappedCache;
 use crate::table::{ColId, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default bound on memoized set encodings (and, downstream, on Fisher-z's
 /// per-conditioning-set caches). Generous: a GrpSel run over hundreds of
@@ -282,10 +283,8 @@ impl EncodeStats {
 pub struct EncodedTable {
     table: Arc<Table>,
     sets: CappedCache<Vec<ColId>, Arc<Encoding>>,
-    // analyze: bounded-by at most one entry per column of the dataset
-    numeric: RwLock<std::collections::HashMap<ColId, Arc<Vec<f64>>>>,
-    numeric_hits: AtomicU64,
-    numeric_misses: AtomicU64,
+    /// Materialized numeric columns, capped at the table's column count.
+    numeric: CappedCache<ColId, Arc<Vec<f64>>>,
     code_bytes: AtomicU64,
     append_rows: AtomicU64,
     extended: AtomicU64,
@@ -340,11 +339,9 @@ impl EncodedTable {
 
     fn build(table: Arc<Table>, cap: usize) -> Self {
         Self {
+            numeric: CappedCache::new(table.n_cols()),
             table,
             sets: CappedCache::new(cap),
-            numeric: RwLock::new(std::collections::HashMap::new()),
-            numeric_hits: AtomicU64::new(0),
-            numeric_misses: AtomicU64::new(0),
             code_bytes: AtomicU64::new(0),
             append_rows: AtomicU64::new(0),
             extended: AtomicU64::new(0),
@@ -399,14 +396,15 @@ impl EncodedTable {
     /// Cache telemetry so far (set encodings + materialized numeric
     /// columns).
     pub fn stats(&self) -> EncodeStats {
-        self.sets.stats().merged(EncodeStats {
-            hits: self.numeric_hits.load(Ordering::Relaxed),
-            misses: self.numeric_misses.load(Ordering::Relaxed),
-            narrow_code_bytes: self.code_bytes.load(Ordering::Relaxed),
-            append_rows: self.append_rows.load(Ordering::Relaxed),
-            extended_encodings: self.extended.load(Ordering::Relaxed),
-            ..EncodeStats::default()
-        })
+        self.sets
+            .stats()
+            .merged(self.numeric.stats())
+            .merged(EncodeStats {
+                narrow_code_bytes: self.code_bytes.load(Ordering::Relaxed),
+                append_rows: self.append_rows.load(Ordering::Relaxed),
+                extended_encodings: self.extended.load(Ordering::Relaxed),
+                ..EncodeStats::default()
+            })
     }
 
     /// Number of distinct variable sets currently memoized.
@@ -644,20 +642,11 @@ impl EncodedTable {
 
     /// Materialize a column as `f64` (categorical codes cast), cached.
     /// Numeric testers (Fisher-z, RCIT) use this to avoid per-query
-    /// clones. Unbounded but naturally capped by the table's width.
+    /// clones. The cache holds every column, so nothing is evicted, and a
+    /// column is converted once however many workers miss it together.
     pub fn numeric_col(&self, col: ColId) -> Arc<Vec<f64>> {
-        if let Some(hit) = self.numeric.read().expect("numeric cache lock").get(&col) {
-            self.numeric_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.numeric_misses.fetch_add(1, Ordering::Relaxed);
-        let v = Arc::new(self.table.col(col).to_f64());
         self.numeric
-            .write()
-            .expect("numeric cache lock")
-            .entry(col)
-            .or_insert_with(|| Arc::clone(&v));
-        v
+            .get_or_build(&col, || Arc::new(self.table.col(col).to_f64()))
     }
 }
 

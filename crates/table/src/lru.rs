@@ -18,11 +18,18 @@
 //! [`CappedCache::get_or_build`] builds each missing value once even when
 //! several threads miss it together: the first builds, the others wait
 //! for that build and read it, so the miss counter and whatever a build
-//! books beside it count each value once.
+//! books beside it count each value once; [`CappedCache::try_get_or_build`]
+//! does the same for a build that can fail, and
+//! [`CappedCache::build_missing`] claims a list of keys and builds the
+//! missing ones in one call. These caches hold joint encodings and
+//! numeric columns, G-test/CMI scaffolds and patchable tables, Fisher-z
+//! residuals, RCIT contexts, report memos, and the server registry's
+//! workloads and uploads.
 
 use crate::encode::EncodeStats;
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
@@ -144,15 +151,32 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
     {
+        let built = self.try_get_or_build(key, || Ok::<V, Infallible>(build()));
+        built.unwrap_or_else(|never| match never {})
+    }
+
+    /// [`CappedCache::get_or_build`] for a build that can fail. A failed
+    /// build returns its error to the caller that ran it and, like a
+    /// panic, leaves the key unbuilt and unflagged; a caller that was
+    /// waiting on the key then builds it.
+    pub fn try_get_or_build<Q, E>(
+        &self,
+        key: &Q,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+    {
         if let Some(hit) = self.get(key) {
-            return hit;
+            return Ok(hit);
         }
         let mut building = self.building.lock().expect("cache lock");
         loop {
             // A build inserts its value before it clears its flag, so a
             // key that is not being built is either resident or missing.
             if let Some(hit) = self.get(key) {
-                return hit;
+                return Ok(hit);
             }
             if !building.contains(key) {
                 break;
@@ -161,9 +185,40 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
         }
         building.insert(key.to_owned());
         drop(building);
-        let _flag = BuildFlag { cache: self, key };
-        let value = build();
-        self.insert(key.to_owned(), value)
+        let _flags = BuildFlags(self, &[key]);
+        let value = build()?;
+        Ok(self.insert(key.to_owned(), value))
+    }
+
+    /// Claim the keys of `keys` that are neither resident nor being built,
+    /// build them with one call of `build` (given the claimed keys in list
+    /// order, returning one value each) and insert them, counting a miss
+    /// each. A key found resident or in flight counts a hit, as a caller
+    /// waiting on it would; nothing waits here, and a build that panics
+    /// leaves its claims unbuilt and unflagged.
+    pub fn build_missing(&self, keys: &[K], build: impl FnOnce(&[K]) -> Vec<V>) {
+        let mut building = self.building.lock().expect("cache lock");
+        let mut claimed = Vec::new();
+        for key in keys {
+            if self.get(key).is_none() {
+                if building.insert(key.clone()) {
+                    claimed.push(key.clone());
+                } else {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        drop(building);
+        if claimed.is_empty() {
+            return;
+        }
+        let refs: Vec<&K> = claimed.iter().collect();
+        let _flags = BuildFlags(self, &refs);
+        let values = build(&claimed);
+        assert_eq!(values.len(), claimed.len(), "one value per claimed key");
+        for (key, value) in claimed.iter().zip(values) {
+            self.insert(key.clone(), value);
+        }
     }
 
     /// Insert a freshly computed value, evicting the least-recently-used
@@ -189,7 +244,9 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
         if let Some(existing) = map.get(&key) {
             return existing.value.clone();
         }
-        while map.len() >= self.cap {
+        // Every insert keeps `len() <= cap`, so one victim makes room.
+        let mut evicted = None;
+        if map.len() >= self.cap {
             // Approximate LRU: evict the minimum recency tick. O(n) scan,
             // but only on inserts into a full cache.
             // analyze: unordered-ok the victim choice on recency ties is
@@ -200,12 +257,9 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
                 .iter()
                 .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
                 .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+            if let Some(k) = victim {
+                evicted = map.remove(&k);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.inserted.fetch_add(1, Ordering::Relaxed);
@@ -216,6 +270,10 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
                 last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
             },
         );
+        // An evicted value drops once the lock is released: its drop (a
+        // workload's worker pool) may take locks of its own.
+        drop(map);
+        drop(evicted);
         value
     }
 
@@ -241,32 +299,34 @@ impl<K: Eq + Hash + Clone, V: Clone> CappedCache<K, V> {
     }
 }
 
-/// Clears a key's in-flight flag when its build returns or unwinds, and
-/// wakes the callers waiting on it.
-struct BuildFlag<'c, K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized> {
-    cache: &'c CappedCache<K, V>,
-    key: &'c Q,
-}
+/// Clears the in-flight flags of the keys a caller claimed when its build
+/// returns or unwinds, and wakes the callers waiting on them.
+struct BuildFlags<'c, K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized>(
+    &'c CappedCache<K, V>,
+    &'c [&'c Q],
+);
 
-impl<K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized> Drop for BuildFlag<'_, K, V, Q> {
+impl<K: Eq + Hash + Borrow<Q>, V, Q: Eq + Hash + ?Sized> Drop for BuildFlags<'_, K, V, Q> {
     fn drop(&mut self) {
         // No code that can panic runs under this lock, but a poisoned
         // lock must not turn an unwinding build into an abort.
         let mut building = self
-            .cache
+            .0
             .building
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        building.remove(self.key);
+        for key in self.1 {
+            building.remove(*key);
+        }
         drop(building);
-        self.cache.built.notify_all();
+        self.0.built.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
 
     #[test]
@@ -399,6 +459,152 @@ mod tests {
         assert_eq!(*c.get_or_build(&3, || unreachable!("resident")), 30);
         let st = c.stats();
         assert_eq!((st.misses, st.hits), (1, 1));
+    }
+
+    /// A failed build returns its error to the caller that ran it and
+    /// leaves the key unbuilt and unflagged; of the callers that waited on
+    /// it, one builds it, once, and the rest read that value.
+    #[test]
+    fn failing_build_hands_the_key_to_a_waiter() {
+        const WAITERS: usize = 4;
+        let c: CappedCache<u32, Arc<u32>> = CappedCache::new(4);
+        assert_eq!(c.try_get_or_build(&3, || Err("no")), Err("no"));
+        assert!(c.peek(&3).is_none());
+        assert!(c.building.lock().unwrap().is_empty());
+
+        let builds = AtomicU64::new(0);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let (c, builds) = (&c, &builds);
+            let failing = s.spawn(move || {
+                c.try_get_or_build(&7, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Err("build failed")
+                })
+            });
+            started_rx.recv().unwrap();
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    let done_tx = done_tx.clone();
+                    s.spawn(move || {
+                        let v = c.try_get_or_build(&7, || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            Ok::<_, &str>(Arc::new(70))
+                        });
+                        done_tx.send(()).unwrap();
+                        v.unwrap()
+                    })
+                })
+                .collect();
+            let early = done_rx.recv_timeout(Duration::from_millis(50));
+            release_tx.send(()).unwrap();
+            assert!(early.is_err(), "a waiter returned during the build");
+            assert_eq!(failing.join().unwrap(), Err("build failed"));
+            let values: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+            assert_eq!(*values[0], 70);
+            assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "one waiter builds");
+        let st = c.stats();
+        assert_eq!((st.misses, st.hits), (1, WAITERS as u64 - 1));
+        assert!(c.building.lock().unwrap().is_empty());
+    }
+
+    /// The claim call builds only the keys neither resident nor in flight,
+    /// in one call and in list order; resident keys count hits, claimed
+    /// keys misses, and a panicking build leaves its claims unbuilt.
+    #[test]
+    fn build_missing_claims_only_missing_keys() {
+        let c: CappedCache<u32, Arc<u32>> = CappedCache::new(8);
+        c.insert(2, Arc::new(20));
+        let mut calls = Vec::new();
+        c.build_missing(&[5, 2, 1, 5], |keys| {
+            calls.push(keys.to_vec());
+            keys.iter().map(|&k| Arc::new(k * 10)).collect()
+        });
+        assert_eq!(calls, [vec![5, 1]]);
+        assert_eq!((*c.peek(&5).unwrap(), *c.peek(&1).unwrap()), (50, 10));
+        let st = c.stats();
+        // Misses: 2 inserted, 5 and 1. Hits: 2 resident, 5 repeated.
+        assert_eq!((st.misses, st.hits), (3, 2));
+        c.build_missing(&[1, 2], |_| unreachable!("both resident"));
+
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.build_missing(&[8, 9], |_| panic!("build failed"))
+        }));
+        assert!(r.is_err());
+        assert!(c.peek(&8).is_none() && c.peek(&9).is_none());
+        assert!(c.building.lock().unwrap().is_empty());
+    }
+
+    /// Threads released together on overlapping key lists build every key
+    /// once, book it once, and read one `Arc` per key.
+    #[test]
+    fn concurrent_claims_build_each_key_once() {
+        const THREADS: usize = 6;
+        const KEYS: u32 = 12;
+        let c: CappedCache<u32, Arc<u32>> = CappedCache::new(64);
+        let builds: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+        let barrier = Barrier::new(THREADS);
+        // Thread t claims keys t..t+6, wrapped: every key is on 3 lists.
+        let list =
+            |t: usize| -> Vec<u32> { (0..KEYS / 2).map(|i| (t as u32 * 2 + i) % KEYS).collect() };
+        let seen: Vec<Vec<Arc<u32>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (c, builds, barrier) = (&c, &builds, &barrier);
+                    // A thread may read a key before any list holding it
+                    // is claimed, and then builds it there.
+                    let build = move |k: u32| {
+                        builds[k as usize].fetch_add(1, Ordering::Relaxed);
+                        Arc::new(k)
+                    };
+                    s.spawn(move || {
+                        barrier.wait();
+                        c.build_missing(&list(t), |keys| keys.iter().map(|&k| build(k)).collect());
+                        (0..KEYS).map(|k| c.get_or_build(&k, || build(k))).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (k, n) in builds.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "key {k} built once");
+        }
+        for values in &seen[1..] {
+            assert!(values.iter().zip(&seen[0]).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        // One miss per key; every other listing or read is a hit.
+        let st = c.stats();
+        let touches = (THREADS * KEYS as usize / 2 + THREADS * KEYS as usize) as u64;
+        assert_eq!((st.misses, st.hits), (KEYS as u64, touches - KEYS as u64));
+        assert_eq!(c.inserted(), KEYS as u64);
+    }
+
+    /// An evicted value drops after the map lock is released, so a drop
+    /// that takes locks of its own never runs under it.
+    #[test]
+    fn evicted_values_drop_outside_the_lock() {
+        struct Probe(&'static CappedCache<u32, Arc<Probe>>, &'static AtomicU64);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                assert!(self.0.map.try_write().is_ok(), "dropped under the lock");
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let cache = Box::leak(Box::new(CappedCache::new(1)));
+        let drops = Box::leak(Box::new(AtomicU64::new(0)));
+        cache.insert(1, Arc::new(Probe(cache, drops)));
+        cache.insert(2, Arc::new(Probe(cache, drops)));
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            1,
+            "the evicted value dropped"
+        );
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
     }
 
     #[test]

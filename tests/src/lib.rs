@@ -1330,11 +1330,12 @@ mod cache_bounds {
         );
     }
 
-    /// Workers that miss one encoding or one conditioning scaffold
-    /// together build it once (`CappedCache::get_or_build`), so a
-    /// Z-grouped G-test selection books the same encode and scaffold
-    /// counters in every run at a worker count, and builds the same
-    /// values at every worker count.
+    /// Workers that miss one encoding, conditioning scaffold or residual
+    /// together build it once (`CappedCache::get_or_build`, and
+    /// `build_missing` for Fisher-z's per-group solve), so a Z-grouped
+    /// G-test or Fisher-z selection books the same encode and scaffold
+    /// counters in every run at a worker count, and builds the same values
+    /// at every worker count.
     #[test]
     fn parallel_selection_books_counters_once() {
         let table = sampled(11, 24, 20000);
@@ -1345,31 +1346,45 @@ mod cache_bounds {
             max_group: Some(4),
             ..Default::default()
         };
-        let run = |workers: usize| {
-            let mut session = CiSession::new(GTest::new(&table, 0.01));
-            let sel = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
-            let st = session.stats();
-            assert!(st.scaffolds_conserved(), "{st:?}");
-            [
-                sel.tests_used,
-                st.encode_cache_hits,
-                st.encode_cache_misses,
-                st.narrow_code_bytes,
-                st.rebuilt_scaffolds,
-                st.resident_scaffolds,
-                st.dense_count_cells,
-            ]
-        };
-        let mut built = Vec::new();
-        for workers in [2, 4] {
-            let first = run(workers);
-            for attempt in 1..5 {
-                assert_eq!(run(workers), first, "workers {workers}, run {attempt}");
+        type Make = fn(&Table) -> Box<dyn CiTestBatch + Send + Sync>;
+        let testers: [(&str, Make); 2] = [
+            ("gtest", |t| Box::new(GTest::new(t, 0.01))),
+            ("fisherz", |t| Box::new(FisherZ::new(t, 0.01))),
+        ];
+        for (name, make) in testers {
+            let run = |workers: usize| {
+                let mut session = CiSession::new(make(&table));
+                let sel = grpsel_batched_in(&mut session, &problem, &cfg, None, workers);
+                let st = session.stats();
+                assert!(st.scaffolds_conserved(), "{name}: {st:?}");
+                [
+                    sel.tests_used,
+                    st.encode_cache_hits,
+                    st.encode_cache_misses,
+                    st.narrow_code_bytes,
+                    st.rebuilt_scaffolds,
+                    st.resident_scaffolds,
+                    st.dense_count_cells,
+                ]
+            };
+            let mut built = Vec::new();
+            for workers in [2, 4] {
+                let first = run(workers);
+                for attempt in 1..5 {
+                    assert_eq!(
+                        run(workers),
+                        first,
+                        "{name}, workers {workers}, run {attempt}"
+                    );
+                }
+                // Issued tests, encode misses, code bytes, rebuilt scaffolds.
+                built.push([first[0], first[2], first[3], first[4]]);
             }
-            // Issued tests, encode misses, code bytes, rebuilt scaffolds.
-            built.push([first[0], first[2], first[3], first[4]]);
+            assert_eq!(
+                built[0], built[1],
+                "{name}: values built at workers 2 and 4"
+            );
         }
-        assert_eq!(built[0], built[1], "values built at workers 2 and 4");
     }
 
     #[test]
