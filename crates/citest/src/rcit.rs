@@ -637,6 +637,60 @@ mod tests {
         assert!(!r.ci(&[0], &[1], &[]).independent);
     }
 
+    /// Pins RCIT's outcome bits: the p-value, statistic and verdict of five
+    /// pairs, each tested marginally, given one variable and given three,
+    /// on each of three seeded 12-feature tables, folded into one FNV-1a
+    /// digest. Every conditional query solves its ridge regression on the
+    /// 25-column `Z` feature block, so a change to the summation order of
+    /// any product moves the digest, where the decision tests above would
+    /// still pass.
+    #[test]
+    fn outcome_bits_are_pinned() {
+        let nodes: Vec<String> = (0..12).map(|i| format!("v{i}")).collect();
+        let names: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        let edges: Vec<(&str, &str, f64)> = [
+            (0, 1, 0.9),
+            (1, 2, -0.7),
+            (0, 3, 0.5),
+            (3, 4, 1.2),
+            (2, 5, 0.8),
+            (4, 5, -0.6),
+            (5, 6, 1.0),
+            (6, 7, 0.4),
+            (1, 8, -1.1),
+            (8, 9, 0.7),
+            (9, 10, 0.9),
+            (7, 11, -0.8),
+        ]
+        .iter()
+        .map(|&(f, t, w)| (names[f], names[t], w))
+        .collect();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut outcomes = 0;
+        for seed in [41, 42, 43] {
+            let mut r = Rcit::with_alpha(&gauss_table(&edges, &names, 200, seed), 0.01, seed);
+            for q in 0..5 {
+                let x = q * 5 % 12;
+                let y = (x + 3 + 2 * q) % 12;
+                let others: Vec<usize> = (0..12).filter(|&v| v != x && v != y).collect();
+                for zlen in [0, 1, 3] {
+                    let z: Vec<usize> = (0..zlen).map(|k| others[(q * 3 + k * 4) % 10]).collect();
+                    let out = r.ci(&[x], &[y], &z);
+                    for word in [
+                        out.p_value.to_bits(),
+                        out.statistic.to_bits(),
+                        u64::from(out.independent),
+                    ] {
+                        digest = (digest ^ word).wrapping_mul(0x0100_0000_01b3);
+                    }
+                    outcomes += 1;
+                }
+            }
+        }
+        assert_eq!(outcomes, 45);
+        assert_eq!(format!("{digest:016x}"), "6c73e67c45d73961");
+    }
+
     #[test]
     fn large_conditioning_set_runs() {
         // Smoke test for the Figure 3(b) regime: |Z| = 64.

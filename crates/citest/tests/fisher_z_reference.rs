@@ -10,9 +10,9 @@
 //! Z-grouped executor at 1, 2, 4 and 8 workers.
 //!
 //! The shapes straddle the kernels' edges: row counts around the fit's
-//! 256-row chunk, conditioning sets around the 8- and 4-column accumulator
-//! blocks and `Mat::gram`'s 16-column triangle switch, and 1 to 20
-//! right-hand columns. The values are categorical codes, finite numbers
+//! 256-row chunk, conditioning sets around one and two 8-column
+//! accumulator blocks and the 4-column block, and 1 to 20 right-hand
+//! columns. The values are categorical codes, finite numbers
 //! with 0.0, −0.0 and magnitudes up to 1e150, or numbers that also carry
 //! NaN and ±∞. Inputs on which the reference panics are left out: where it
 //! cannot factor the normal equations `FisherZ` drops collinear columns
@@ -148,8 +148,8 @@ fn assert_bits(want: &[CiOutcome], got: &[CiOutcome], label: &str) {
 
 /// Row counts: tiny, around the fit's 256-row chunk, and large.
 const ROWS: [usize; 7] = [1, 2, 3, 255, 256, 257, 5000];
-/// Conditioning-set sizes: around the 8- and 4-wide accumulator blocks and
-/// `Mat::gram`'s 16-column triangle switch (the design adds an intercept).
+/// Conditioning-set sizes: around one and two 8-wide accumulator blocks and
+/// the 4-wide block (the design adds an intercept).
 const ZSIZES: [usize; 10] = [0, 1, 2, 7, 8, 9, 15, 16, 17, 30];
 
 #[test]

@@ -15,7 +15,7 @@
 //! the format `fairsel_table::csv` round-trips; `fairsel gen` produces
 //! them from the paper's fixtures or the synthetic workload generator.
 
-use fairsel_ci::{FisherZ, GTest, OracleCi};
+use fairsel_ci::OracleCi;
 use fairsel_core::{
     check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods,
     run_pipeline_batched, PipelineConfig, PipelineResult, Problem, TesterSpec,
@@ -340,13 +340,15 @@ fn cmd_append(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Shared select/methods setup: the wire request, the split and the
-/// pipeline config a local run executes.
+/// Shared select/methods setup: the wire request, the split, the
+/// pipeline config and the tester a local run executes.
 struct Workload {
     req: WorkloadRequest,
     train: Table,
     test: Table,
     cfg: PipelineConfig,
+    /// The oracle under `--dag`, else the `--tester` at `--alpha`.
+    spec: TesterSpec,
 }
 
 /// `--train-frac`, rejected unless strictly between 0 and 1 (the split
@@ -389,9 +391,10 @@ fn checked_table(opts: &Opts) -> Result<(Table, String), String> {
 }
 
 /// Read the options into the wire request once, split the table and
-/// translate the request into the pipeline config with the server's own
-/// [`pipeline_config`], so a bad option reads the same on the local and
-/// the `--remote` path and is refused before any server is dialed.
+/// translate the request into the pipeline config and the tester with the
+/// server's own [`pipeline_config`] and [`TesterSpec::parse`], so a bad
+/// option reads the same on the local and the `--remote` path and is
+/// refused before any server is dialed.
 fn load_workload(opts: &Opts, table: &Table, csv_text: String) -> Result<Workload, String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     if table.n_rows() < 10 {
@@ -404,11 +407,16 @@ fn load_workload(opts: &Opts, table: &Table, csv_text: String) -> Result<Workloa
     // split plus the new rows).
     let split = table.split_rows_stable(req.seed, req.train_frac);
     let cfg = pipeline_config(&req, split.train.n_rows())?;
+    let spec = match opts.get("dag") {
+        Some(_) => TesterSpec::Oracle,
+        None => TesterSpec::parse(&req.tester, req.alpha)?,
+    };
     Ok(Workload {
         req,
         train: split.train,
         test: split.test,
         cfg,
+        spec,
     })
 }
 
@@ -419,8 +427,8 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
         train,
         test,
         cfg,
+        spec,
     } = load_workload(opts, &table, csv_text)?;
-    let (tester, alpha) = (req.tester.clone(), req.alpha);
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
@@ -447,11 +455,8 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
             Arc::new(train.clone()),
             cache_cap,
         ));
-        match tester.as_str() {
-            "gtest" => run_pipeline_batched(GTest::over(enc, alpha), &train, &test, &cfg),
-            "fisherz" => run_pipeline_batched(FisherZ::over(enc, alpha), &train, &test, &cfg),
-            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
-        }
+        let tester = spec.build_over(Some(&enc), &train, None);
+        run_pipeline_batched(tester, &train, &test, &cfg)
     };
 
     let report = render_pipeline_report(&out, &train, &cfg, test.n_rows());
@@ -875,8 +880,8 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
         train,
         test,
         cfg,
+        spec,
     } = load_workload(opts, &table, csv_text)?;
-    let (tester, alpha) = (req.tester.clone(), req.alpha);
     if let Some(addr) = opts.get("remote") {
         if opts.get("dag").is_some() {
             return Err("--dag cannot be combined with --remote (oracle runs locally)".into());
@@ -895,15 +900,6 @@ fn cmd_methods(opts: &Opts) -> Result<(), String> {
     let aligned_dag = match opts.get("dag") {
         Some(path) => Some(align_dag_to_table(&load_dag(path)?, &train)?),
         None => None,
-    };
-    let spec = if aligned_dag.is_some() {
-        TesterSpec::Oracle
-    } else {
-        match tester.as_str() {
-            "gtest" => TesterSpec::GTest { alpha },
-            "fisherz" => TesterSpec::FisherZ { alpha },
-            other => return Err(format!("unknown --tester: {other} (gtest|fisherz)")),
-        }
     };
     let outs = run_all_methods(&spec, aligned_dag.as_ref(), &train, &test, &cfg);
     let problem = Problem::from_table(&train);

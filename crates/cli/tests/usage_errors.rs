@@ -1,8 +1,8 @@
 //! Usage errors exit 1 before any work starts: an out-of-range `--alpha`
-//! or `--workers` and a bad `--max-group`, `--algo` or `--classifier` on
-//! the local and the `--remote` path of `select` and `methods` (never a
-//! tester panic, exit 101), any flag a subcommand does not read, and a
-//! column whose kind or values the pipeline cannot read.
+//! or `--workers` and a bad `--max-group`, `--algo`, `--classifier` or
+//! `--tester` on the local and the `--remote` path of `select` and
+//! `methods` (never a tester panic, exit 101), any flag a subcommand does
+//! not read, and a column whose kind or values the pipeline cannot read.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,12 +56,12 @@ fn out_of_range_alpha_is_a_usage_error() {
     std::fs::remove_dir_all(csv.parent().expect("csv dir")).ok();
 }
 
-/// A bad `--max-group`, `--algo` or `--classifier`, or a `--workers`
-/// above the server's cap, exits 1 with the same message on the local and
-/// the `--remote` path of `select` and `methods`: the options are
-/// translated once, by the server's own translation and checks, before
-/// any server is dialed (no unreachable-server warning, no local
-/// fallback).
+/// A bad `--max-group`, `--algo`, `--classifier` or `--tester`, or a
+/// `--workers` above the server's cap, exits 1 with the same message on
+/// the local and the `--remote` path of `select` and `methods`: the
+/// options are translated once, by the server's own translation and
+/// checks, before any server is dialed (no unreachable-server warning, no
+/// local fallback).
 #[test]
 fn bad_workload_options_read_the_same_locally_and_remotely() {
     let csv = fixture_csv("options");
@@ -71,6 +71,7 @@ fn bad_workload_options_read_the_same_locally_and_remotely() {
             ("--max-group", "x", "--max-group: bad value \"x\""),
             ("--algo", "foo", "unknown algo: foo"),
             ("--classifier", "foo", "unknown classifier: foo"),
+            ("--tester", "foo", "unknown tester: foo"),
             ("--workers", "65", "workers 65 exceeds the cap of 64"),
         ] {
             let mut stderrs = Vec::new();

@@ -10,8 +10,8 @@
 //! e.g. Fair-PC's marginal-independence layer overlaps SeqSel's ∅-subset
 //! queries.
 
-use crate::pipeline::{ClassifierKind, PipelineConfig, ReportMemo, SelectionAlgo};
-use crate::problem::{Problem, Selection};
+use crate::pipeline::{PipelineConfig, ReportMemo, SelectionAlgo};
+use crate::problem::Problem;
 use crate::{grpsel_batched_in, seqsel_in};
 use fairsel_ci::{CiTestBatch, FisherZ, GTest, OracleCi};
 use fairsel_engine::{CiSession, EngineStats};
@@ -83,6 +83,16 @@ pub enum TesterSpec {
 }
 
 impl TesterSpec {
+    /// The data tester a CLI `--tester` or wire `tester` name spells, at
+    /// level `alpha`: the one list of tester names.
+    pub fn parse(name: &str, alpha: f64) -> Result<TesterSpec, String> {
+        match name {
+            "gtest" => Ok(TesterSpec::GTest { alpha }),
+            "fisherz" => Ok(TesterSpec::FisherZ { alpha }),
+            other => Err(format!("unknown tester: {other} (gtest|fisherz)")),
+        }
+    }
+
     /// One shared encoding layer for this spec's data testers (`None` for
     /// the oracle, which never touches the table). Sharing it across
     /// several `build_over` calls — as [`run_all_methods`] does — means
@@ -194,46 +204,14 @@ fn run_method_over(
     cfg: &PipelineConfig,
 ) -> MethodOutput {
     let problem = Problem::from_table(train);
-    let (selected, tests_used, engine) = match method {
-        Method::AdmissibleOnly => (Vec::new(), 0, EngineStats::default()),
-        Method::All => (problem.features.clone(), 0, EngineStats::default()),
-        Method::SeqSel | Method::GrpSel => {
+    // The endpoints issue no test, so no tester is built for them.
+    let (selected, engine) = match method {
+        Method::AdmissibleOnly => (Vec::new(), EngineStats::default()),
+        Method::All => (problem.features.clone(), EngineStats::default()),
+        _ => {
             let mut session = CiSession::new(spec.build_over(enc, train, dag));
-            let sel: Selection = if method == Method::SeqSel {
-                seqsel_in(&mut session, &problem, &cfg.select)
-            } else {
-                let seed = match cfg.algo {
-                    SelectionAlgo::GrpSel { seed } => seed,
-                    _ => None,
-                };
-                grpsel_batched_in(
-                    &mut session,
-                    &problem,
-                    &cfg.select,
-                    seed,
-                    cfg.workers.max(1),
-                )
-            };
-            (sel.selected(), sel.tests_used, session.stats().clone())
-        }
-        Method::FairPc => {
-            let mut session = CiSession::new(spec.build_over(enc, train, dag));
-            session.set_phase("fair-pc");
-            let mut vars: Vec<ColId> = problem.sensitive.clone();
-            vars.extend(&problem.admissible);
-            vars.extend(&problem.features);
-            vars.push(problem.target);
-            vars.sort_unstable();
-            let cpdag = fairsel_discovery::pc_in(&mut session, &vars, FAIR_PC_MAX_COND);
-            let maybe_desc =
-                cpdag.possible_descendants_avoiding(&problem.sensitive, &problem.admissible);
-            let selected: Vec<ColId> = problem
-                .features
-                .iter()
-                .copied()
-                .filter(|&x| !maybe_desc[x])
-                .collect();
-            (selected, session.stats().issued, session.stats().clone())
+            let selected = selected_in(method, &mut session, &problem, cfg);
+            (selected, session.stats().clone())
         }
     };
     let model_cols = crate::pipeline::model_columns(&problem, &selected);
@@ -243,8 +221,47 @@ fn run_method_over(
         selected,
         model_cols,
         report,
-        tests_used,
+        tests_used: engine.issued,
         engine,
+    }
+}
+
+/// The features `method` selects on `problem`, testing through `session`.
+fn selected_in<T: CiTestBatch>(
+    method: Method,
+    session: &mut CiSession<T>,
+    problem: &Problem,
+    cfg: &PipelineConfig,
+) -> Vec<ColId> {
+    match method {
+        Method::AdmissibleOnly => Vec::new(),
+        Method::All => problem.features.clone(),
+        Method::SeqSel => seqsel_in(session, problem, &cfg.select).selected(),
+        Method::GrpSel => {
+            let seed = match cfg.algo {
+                SelectionAlgo::GrpSel { seed } => seed,
+                _ => None,
+            };
+            grpsel_batched_in(session, problem, &cfg.select, seed, cfg.workers.max(1)).selected()
+        }
+        Method::FairPc => {
+            session.set_phase("fair-pc");
+            let mut vars: Vec<ColId> = problem.sensitive.clone();
+            vars.extend(&problem.admissible);
+            vars.extend(&problem.features);
+            vars.push(problem.target);
+            vars.sort_unstable();
+            let cpdag = fairsel_discovery::pc_in(session, &vars, FAIR_PC_MAX_COND);
+            session.clear_phase();
+            let maybe_desc =
+                cpdag.possible_descendants_avoiding(&problem.sensitive, &problem.admissible);
+            problem
+                .features
+                .iter()
+                .copied()
+                .filter(|&x| !maybe_desc[x])
+                .collect()
+        }
     }
 }
 
@@ -291,37 +308,7 @@ pub fn run_all_methods_in<T: CiTestBatch>(
         .into_iter()
         .map(|method| {
             let before = session.stats().clone();
-            let selected = match method {
-                Method::AdmissibleOnly => Vec::new(),
-                Method::All => problem.features.clone(),
-                Method::SeqSel => seqsel_in(session, &problem, &cfg.select).selected(),
-                Method::GrpSel => {
-                    let seed = match cfg.algo {
-                        SelectionAlgo::GrpSel { seed } => seed,
-                        _ => None,
-                    };
-                    grpsel_batched_in(session, &problem, &cfg.select, seed, cfg.workers.max(1))
-                        .selected()
-                }
-                Method::FairPc => {
-                    session.set_phase("fair-pc");
-                    let mut vars: Vec<ColId> = problem.sensitive.clone();
-                    vars.extend(&problem.admissible);
-                    vars.extend(&problem.features);
-                    vars.push(problem.target);
-                    vars.sort_unstable();
-                    let cpdag = fairsel_discovery::pc_in(session, &vars, FAIR_PC_MAX_COND);
-                    session.clear_phase();
-                    let maybe_desc = cpdag
-                        .possible_descendants_avoiding(&problem.sensitive, &problem.admissible);
-                    problem
-                        .features
-                        .iter()
-                        .copied()
-                        .filter(|&x| !maybe_desc[x])
-                        .collect()
-                }
-            };
+            let selected = selected_in(method, session, &problem, cfg);
             session.refresh_encode_stats();
             let engine = session.stats().delta_since(&before);
             let model_cols = crate::pipeline::model_columns(&problem, &selected);
@@ -363,14 +350,6 @@ pub fn render_methods_report(outs: &[MethodOutput], n_features: usize) -> String
         .expect("string write");
     }
     s
-}
-
-/// Convenience: default pipeline config with a chosen classifier.
-pub fn method_config(classifier: ClassifierKind) -> PipelineConfig {
-    PipelineConfig {
-        classifier,
-        ..Default::default()
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! * [`EngineStats`] tracks per-session and per-phase telemetry (queries
 //!   requested, tests actually issued, cache hits, dedup rate, wall time)
 //!   and serializes to JSON for the `BENCH_*.json` trajectories;
-//! * [`HalvingPlanner`] / [`exists_certificate`] surface GrpSel's
+//! * [`HalvingPlanner`] / [`exists_with`] surface GrpSel's
 //!   recursive halving as level-synchronous *frontiers* of independent
 //!   group queries — the shape the batch scheduler can actually exploit —
 //!   while issuing exactly the query set the depth-first recursion would.
@@ -44,6 +44,6 @@ pub mod session;
 
 pub use exec::default_workers;
 pub use key::{CiQuery, CondSet, QueryKey, VarSlice};
-pub use planner::{exists_certificate, exists_with, FrontierOutcome, HalvingPlanner};
+pub use planner::{exists_with, FrontierOutcome, HalvingPlanner};
 pub use pool::WorkerPool;
 pub use session::{CiSession, EngineStats, PhaseStats};

@@ -20,8 +20,7 @@
 //! the same runs (and one shared target side) instead of copies.
 
 use crate::key::{CiQuery, CondSet, VarSlice};
-use crate::session::CiSession;
-use fairsel_ci::{CiOutcome, CiTest, VarId};
+use fairsel_ci::{CiOutcome, VarId};
 
 /// Result of advancing the frontier one level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -114,20 +113,9 @@ impl HalvingPlanner {
 /// is never queried again — the same early-exit the sequential `∃A' ⊆ A`
 /// loop has, but with each wave being one engine batch. Each alternative
 /// is interned once, and every query of its wave shares it, the group
-/// runs and `target`: building a wave copies no variable.
-pub fn exists_certificate<T: CiTest>(
-    session: &mut CiSession<T>,
-    groups: &[VarSlice],
-    target: &VarSlice,
-    alternatives: &[CondSet],
-) -> Vec<bool> {
-    exists_with(groups, target, alternatives, |qs| session.run_batch(qs))
-}
-
-/// The wave engine behind [`exists_certificate`], generic over how a
-/// batch is executed — callers with their own dispatch (e.g. GrpSel on
-/// the Z-grouped scheduler) plug in a closure that runs one wave's
-/// queries.
+/// runs and `target`: building a wave copies no variable. `run` executes
+/// one wave's queries, so a caller picks the executor (GrpSel runs its
+/// waves on the Z-grouped scheduler).
 pub fn exists_with<F>(
     groups: &[VarSlice],
     target: &VarSlice,
@@ -174,7 +162,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairsel_ci::CiOutcome;
+    use crate::session::CiSession;
+    use fairsel_ci::CiTest;
 
     /// Group passes iff it contains no "bad" member.
     struct BadSetCi {
@@ -287,7 +276,9 @@ mod tests {
         });
         let groups = singletons(&[1, 2, 3]);
         let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
-        let got = exists_certificate(&mut session, &groups, &VarSlice::new(&[99]), &alts);
+        let got = exists_with(&groups, &VarSlice::new(&[99]), &alts, |qs| {
+            session.run_batch(qs)
+        });
         assert_eq!(got, vec![true; 3]);
         assert_eq!(session.stats().issued, 3, "second alternative never tried");
     }
@@ -302,7 +293,9 @@ mod tests {
         });
         let groups = singletons(&[1, 2, 3]);
         let alts = vec![CondSet::new(&[]), CondSet::new(&[50])];
-        let got = exists_certificate(&mut session, &groups, &VarSlice::new(&[99]), &alts);
+        let got = exists_with(&groups, &VarSlice::new(&[99]), &alts, |qs| {
+            session.run_batch(qs)
+        });
         assert_eq!(got, vec![false, true, true]);
         // Wave 0: three queries; wave 1: only the undecided [1].
         assert_eq!(session.stats().issued, 4);

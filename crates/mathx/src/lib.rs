@@ -8,8 +8,9 @@
 //!   and the chi-square / gamma / normal CDFs built on top of them. These
 //!   power every p-value computed by the conditional-independence testers.
 //! * [`linalg`] — a small dense row-major matrix type with the operations
-//!   the RCIT test and the classifiers need (matmul, Cholesky, SPD solves,
-//!   ridge regression, covariance).
+//!   the RCIT test and the classifiers need (plain-loop products,
+//!   Cholesky, SPD solves, ridge regression), and Fisher-z's ridge
+//!   residuals computed straight from the columns.
 //! * [`dist`] — sampling distributions that `rand` itself does not ship:
 //!   standard normal (Box–Muller with caching), gamma (Marsaglia–Tsang),
 //!   Dirichlet, and a Walker alias table for fast categorical sampling

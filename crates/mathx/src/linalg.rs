@@ -1,47 +1,20 @@
 //! Dense row-major matrix with the handful of operations the workspace
 //! needs: products, Cholesky factorization, SPD solves (plain and ridge),
-//! column means, and sample covariance.
+//! column means, and column centering.
 //!
 //! This is deliberately not a general linear-algebra library — it exists so
 //! the RCIT conditional-independence test and the logistic-regression IRLS
 //! step have exactly the kernels they need, with no `unsafe` and no
 //! dependencies.
 //!
-//! The products come in two implementations: the blocked kernels
-//! ([`Mat::matmul`] / [`Mat::t_matmul`], cache-tiled over *independent
-//! output cells*) and the plain triple loops
-//! ([`Mat::matmul_naive`] / [`Mat::t_matmul_naive`]). Both accumulate each
-//! output cell's dot product in the same ascending-k order with the same
-//! zero skip, so they are bit-for-bit identical on finite inputs. The
-//! blocked kernels run the naive loops themselves for outputs no wider
-//! than one column tile, and the naive pair is the reference the
-//! bit-identity tests compare the blocked kernels against.
+//! [`Mat::matmul`] and [`Mat::t_matmul`] are plain loops: each output cell
+//! sums its products in ascending order of the shared index, from +0.0,
+//! skipping a zero left factor.
 //!
 //! [`ridge_residuals`] is Fisher-z's residualization. It computes the same
 //! sums as the `Mat` route (design matrix, [`Mat::ridge_solve`],
 //! [`Mat::matmul`]) in the same order, straight from the columns and
 //! without building any matrix of `n` rows.
-
-/// Output-column tile width for the blocked products: a `128`-wide f64
-/// panel is 1 KiB per row — a handful of these (one output panel row, one
-/// rhs panel row) sit comfortably in L1 while `k` streams.
-const JB: usize = 128;
-/// Row-block height for `matmul`: bounds the set of output rows touched
-/// per tile so the rhs panel stays resident across them.
-const IB: usize = 64;
-/// Inner-dimension block depth for `matmul`: caps the rhs panel at
-/// `KB × JB` f64 (256 KiB — L2-resident) so it is reused across all `IB`
-/// output rows of a tile instead of being streamed from memory once per
-/// row. Blocking `k` does not reassociate anything: each output cell
-/// still accumulates directly into its slot, k-block by k-block in
-/// ascending order, so the per-cell ascending-`k` contract (and with it
-/// bit-identity to the naive kernels) is preserved.
-const KB: usize = 256;
-/// Minimum width at which [`Mat::gram`] switches from the full naive
-/// product to the upper-triangle kernel. Below this the triangle's short
-/// tail loops cost more than the saved FLOPs (measured break-even ≈16
-/// columns at 500k rows).
-const GRAM_TRI_MIN: usize = 16;
 
 /// Dense row-major `rows × cols` matrix of `f64`.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,68 +108,13 @@ impl Mat {
         out
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Cache-blocked on all three dimensions: the output is tiled into
-    /// `IB × JB` panels, and the shared dimension is cut into `KB`-deep
-    /// blocks so each `KB × JB` rhs panel stays cache-resident across
-    /// every output row of the tile (above the tile sizes the old
-    /// two-level blocking re-streamed the full rhs column panel per
-    /// output row). Each output cell still accumulates its dot product
-    /// in the same ascending-`k` order with the same zero skip as
-    /// [`Mat::matmul_naive`] — k-blocks are visited in ascending order
-    /// and accumulate straight into the output slot, never into partial
-    /// sums — so the result is bit-identical.
+    /// Matrix product `self * rhs`: the i-k-j triple loop, so each output
+    /// cell sums its products in ascending `k` from +0.0, skipping a zero
+    /// left factor.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        if rhs.cols <= JB {
-            // One column panel covers the whole output: the naive i-k-j
-            // loop already visits exactly the blocked order.
-            return self.matmul_naive(rhs);
-        }
-        let m = rhs.cols;
-        let kk = self.cols;
-        let mut out = Mat::zeros(self.rows, m);
-        for jb in (0..m).step_by(JB) {
-            let jw = JB.min(m - jb);
-            for ib in (0..self.rows).step_by(IB) {
-                let iw = IB.min(self.rows - ib);
-                for kb in (0..kk).step_by(KB) {
-                    let kw = KB.min(kk - kb);
-                    for i in ib..ib + iw {
-                        let arow = &self.row(i)[kb..kb + kw];
-                        let obase = i * m + jb;
-                        for (dk, &a) in arow.iter().enumerate() {
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let rrow = &rhs.row(kb + dk)[jb..jb + jw];
-                            let orow = &mut out.data[obase..obase + jw];
-                            // order: each out cell accumulates over k
-                            // ascending (kb blocks in order, dk ascending
-                            // within) — identical to the naive i-k-j walk.
-                            for (o, &r) in orow.iter_mut().zip(rrow) {
-                                *o += a * r;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Reference matrix product: plain i-k-j triple loop. Bit-identical to
-    /// [`Mat::matmul`], which runs it for outputs of one column tile; the
-    /// reference the blocked kernel's property tests compare against.
-    pub fn matmul_naive(&self, rhs: &Mat) -> Mat {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{}",
@@ -213,8 +131,7 @@ impl Mat {
                 }
                 let rrow = rhs.row(k);
                 let orow = out.row_mut(i);
-                // order: k ascending per out cell — the reference order the
-                // blocked kernel reproduces.
+                // order: k ascending per out cell.
                 for (o, &r) in orow.iter_mut().zip(rrow) {
                     *o += a * r;
                 }
@@ -223,60 +140,13 @@ impl Mat {
         out
     }
 
-    /// `selfᵀ * rhs` without materializing the transpose.
+    /// `selfᵀ * rhs` without materializing the transpose: one pass over the
+    /// shared row dimension, so each output cell sums its products in
+    /// ascending row order from +0.0, skipping a zero left factor.
     ///
-    /// Cache-blocked over output panels on *both* axes: `JB`-wide column
-    /// panels as before, and `IB`-tall output-row blocks so that at
-    /// feature-map widths above the tile (`self.cols > IB`) each pass
-    /// over the shared row dimension touches an `IB × JB` output slab
-    /// (64 KiB) instead of the full `cols × JB` slab, which stops
-    /// fitting cache exactly when RCIT's feature maps get wide. Each
-    /// output cell belongs to exactly one tile and accumulates in the
-    /// same ascending-row order (and zero skip) as
-    /// [`Mat::t_matmul_naive`], so the result is bit-identical.
+    /// # Panics
+    /// Panics on row-count mismatch.
     pub fn t_matmul(&self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "t_matmul: {}x{} ᵀ* {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        if rhs.cols <= JB {
-            return self.t_matmul_naive(rhs);
-        }
-        let m = rhs.cols;
-        let p = self.cols;
-        let mut out = Mat::zeros(p, m);
-        for jb in (0..m).step_by(JB) {
-            let jw = JB.min(m - jb);
-            for ib in (0..p).step_by(IB) {
-                let iw = IB.min(p - ib);
-                for r in 0..self.rows {
-                    let lrow = &self.row(r)[ib..ib + iw];
-                    let rrow = &rhs.row(r)[jb..jb + jw];
-                    for (di, &l) in lrow.iter().enumerate() {
-                        if l == 0.0 {
-                            continue;
-                        }
-                        let obase = (ib + di) * m + jb;
-                        let orow = &mut out.data[obase..obase + jw];
-                        // order: each out cell accumulates over the shared
-                        // row dimension r ascending — identical to the
-                        // naive single-pass walk.
-                        for (o, &v) in orow.iter_mut().zip(rrow) {
-                            *o += l * v;
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Reference `selfᵀ * rhs`: single pass over the shared row dimension.
-    /// Bit-identical to [`Mat::t_matmul`], which runs it for outputs of one
-    /// column tile; the reference the blocked kernel's property tests
-    /// compare against.
-    pub fn t_matmul_naive(&self, rhs: &Mat) -> Mat {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul: {}x{} ᵀ* {}x{}",
@@ -291,57 +161,10 @@ impl Mat {
                     continue;
                 }
                 let orow = out.row_mut(i);
-                // order: shared row dimension r ascending per out cell —
-                // the reference order the blocked kernel reproduces.
+                // order: shared row dimension r ascending per out cell.
                 for (o, &v) in orow.iter_mut().zip(rrow) {
                     *o += l * v;
                 }
-            }
-        }
-        out
-    }
-
-    /// Gram matrix `selfᵀ * self`, exploiting symmetry: only the upper
-    /// triangle (diagonal included) is accumulated — in exactly the order
-    /// `t_matmul_naive(self)` accumulates those cells — and the lower
-    /// triangle is mirrored. Mirroring is bit-identical on finite inputs:
-    /// cell `(j, i)` of the naive product sums the same `a·b` terms as
-    /// `(i, j)` (float multiplication is commutative), and the summands
-    /// present in one accumulation but not the other are exact `±0.0`
-    /// products, which never alter a finite running sum. Halves the FLOPs
-    /// of the normal-equation formation in [`Mat::ridge_solve`].
-    ///
-    /// Falls back to the full [`Mat::t_matmul_naive`] when the matrix
-    /// is narrower than `GRAM_TRI_MIN` columns: the triangle's
-    /// shrinking inner loops (average length `cols / 2`) lose more to
-    /// loop overhead than the halved FLOPs save until the width clears
-    /// the vectorization break-even. Both paths are bit-identical, so
-    /// the dispatch is purely a speed choice.
-    pub fn gram(&self) -> Mat {
-        if self.cols < GRAM_TRI_MIN {
-            return self.t_matmul_naive(self);
-        }
-        let c = self.cols;
-        let mut out = Mat::zeros(c, c);
-        for r in 0..self.rows {
-            let lrow = self.row(r);
-            for (i, &l) in lrow.iter().enumerate() {
-                if l == 0.0 {
-                    continue;
-                }
-                let obase = i * c;
-                let orow = &mut out.data[obase + i..obase + c];
-                // order: row dimension r ascending per upper-triangle cell;
-                // register-chunking this loop reassociates the sums and
-                // breaks bit-identity (known dead end — do not retry).
-                for (o, &v) in orow.iter_mut().zip(&lrow[i..]) {
-                    *o += l * v;
-                }
-            }
-        }
-        for i in 0..c {
-            for j in 0..i {
-                out.data[i * c + j] = out.data[j * c + i];
             }
         }
         out
@@ -433,17 +256,6 @@ impl Mat {
             }
         }
         means
-    }
-
-    /// Sample covariance of the columns of `x` and `y` (both `n × ·`,
-    /// normalized by `n`): `Cov = Xcᵀ Yc / n` where `Xc`, `Yc` are centered.
-    pub fn cross_cov(x: &Mat, y: &Mat) -> Mat {
-        assert_eq!(x.rows, y.rows, "cross_cov: row mismatch");
-        let mut xc = x.clone();
-        let mut yc = y.clone();
-        xc.center_cols();
-        yc.center_cols();
-        xc.t_matmul(&yc).scale(1.0 / x.rows.max(1) as f64)
     }
 
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
@@ -552,8 +364,8 @@ impl Mat {
     /// `lambda` must be positive, which guarantees positive-definiteness.
     pub fn ridge_solve(z: &Mat, t: &Mat, lambda: f64) -> Mat {
         assert!(lambda > 0.0, "ridge_solve: lambda must be positive");
-        let mut ztz = z.gram();
-        // order: single ridge add per diagonal cell, after the gram sums.
+        let mut ztz = z.t_matmul(z);
+        // order: single ridge add per diagonal cell, after the product sums.
         for i in 0..ztz.rows {
             ztz[(i, i)] += lambda;
         }
@@ -572,14 +384,16 @@ impl Mat {
 /// building the row-major `n × (|Z|+1)` design and computing
 /// `Mat::ridge_solve(&D, &T, lambda)` then `t − D.matmul(&W)` column by
 /// column. Every cell of `DᵀD` and `DᵀT` is the same ordered dot product
-/// of two columns ([`Mat::gram`], [`Mat::t_matmul_naive`]) and every
-/// fitted value the same ordered sum over the design columns
-/// ([`Mat::matmul_naive`]); only the loops around those sums move, so the
-/// work reads the columns where they lie and no design, right-hand-side
-/// or fitted matrix is built. The row-major kernels skip a zero left
-/// factor, where these add its product: that is ±0.0 whenever the right
-/// factor is finite, and adding ±0.0 leaves a sum that starts at +0.0
-/// unchanged (such a sum is never −0.0).
+/// of two columns as in [`Mat::t_matmul`] and every fitted value the same
+/// ordered sum over the design columns as in [`Mat::matmul`]; only the
+/// loops around those sums move, so the work reads the columns where they
+/// lie and no design, right-hand-side or fitted matrix is built. `DᵀD` is
+/// summed on and above the diagonal and mirrored, which is exact: cell
+/// `(j, i)` sums the products of cell `(i, j)` with their factors
+/// commuted. The row-major kernels skip a zero left factor, where these
+/// add its product: that is ±0.0 whenever the right factor is finite, and
+/// adding ±0.0 leaves a sum that starts at +0.0 unchanged (such a sum is
+/// never −0.0).
 ///
 /// Where a value is NaN or ±∞ the two routes differ only inside residual
 /// vectors that are non-finite in both: a non-finite conditioning value
@@ -667,8 +481,8 @@ fn dot_block<const W: usize>(left: &[f64], right: [&[f64]; W]) -> [f64; W] {
     let mut acc = [0.0f64; W];
     for (r, &l) in left.iter().enumerate() {
         // order: rows ascending from +0.0 per accumulator — the per-cell
-        // order of `Mat::t_matmul_naive` and `Mat::gram`; the accumulators
-        // are independent cells, never partial sums of one cell.
+        // order of `Mat::t_matmul`; the accumulators are independent
+        // cells, never partial sums of one cell.
         for (a, col) in acc.iter_mut().zip(&right) {
             *a += l * col[r];
         }
@@ -690,7 +504,7 @@ fn fit_residuals(design: &[&[f64]], targets: &[&[f64]], w: &Mat) -> Vec<Vec<f64>
             for (d, col) in design.iter().enumerate() {
                 let wd = w[(d, c)];
                 // order: design columns ascending from +0.0 per fitted
-                // cell — the per-cell order of `Mat::matmul_naive`. The
+                // cell — the per-cell order of `Mat::matmul`. The
                 // loop runs across rows, so it vectorizes without
                 // reordering any cell's sum.
                 for (f, &x) in fitted.iter_mut().zip(&col[start..end]) {
@@ -824,113 +638,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_cov_of_identical_columns_is_variance() {
-        let x = Mat::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
-        let c = Mat::cross_cov(&x, &x);
-        // population variance of {1,2,3,4} = 1.25
-        assert_close!(c[(0, 0)], 1.25, 1e-12);
-    }
-
-    #[test]
-    fn cross_cov_independent_columns_near_zero() {
-        // Orthogonal patterns -> zero covariance.
-        let x = Mat::from_rows(&[&[1.0], &[-1.0], &[1.0], &[-1.0]]);
-        let y = Mat::from_rows(&[&[1.0], &[1.0], &[-1.0], &[-1.0]]);
-        let c = Mat::cross_cov(&x, &y);
-        assert_close!(c[(0, 0)], 0.0, 1e-12);
-    }
-
-    #[test]
     fn frob_and_trace() {
         let a = Mat::from_rows(&[&[3.0, 0.0], &[4.0, 1.0]]);
         assert_close!(a.frob_sq(), 26.0, 1e-12);
         assert_close!(a.trace(), 4.0, 1e-12);
-    }
-
-    /// Deterministic pseudorandom matrix with a sprinkling of exact zeros,
-    /// so the zero-skip path is exercised.
-    fn pseudo_mat(rows: usize, cols: usize, seed: u64) -> Mat {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let data = (0..rows * cols)
-            .map(|_| {
-                let r = next();
-                if r % 7 == 0 {
-                    0.0
-                } else {
-                    (r % 2001) as f64 / 1000.0 - 1.0
-                }
-            })
-            .collect();
-        Mat::from_vec(rows, cols, data)
-    }
-
-    fn assert_bits_eq(a: &Mat, b: &Mat) {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_bit_identical_to_naive() {
-        // Shapes straddling the JB/IB/KB tile sizes, including
-        // non-multiples and shared dimensions deeper than one KB block.
-        for &(n, k, m, seed) in &[
-            (3, 5, 4, 1u64),
-            (65, 33, 129, 2),
-            (70, 40, 300, 3),
-            (128, 64, 256, 4),
-            (1, 200, 257, 5),
-            (64, 256, 129, 6),
-            (70, 300, 200, 7),
-            (129, 513, 257, 8),
-        ] {
-            let a = pseudo_mat(n, k, seed);
-            let b = pseudo_mat(k, m, seed + 100);
-            assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b));
-        }
-    }
-
-    #[test]
-    fn blocked_t_matmul_bit_identical_to_naive() {
-        // `p` spans scalar to above the IB output-row block, including
-        // non-multiples, so every tile edge of the two-axis blocking is hit.
-        for &(n, p, m, seed) in &[
-            (5, 3, 4, 11u64),
-            (200, 17, 129, 12),
-            (333, 25, 300, 13),
-            (64, 128, 256, 14),
-            (100, 64, 129, 15),
-            (150, 65, 200, 16),
-            (333, 200, 257, 17),
-        ] {
-            let a = pseudo_mat(n, p, seed);
-            let b = pseudo_mat(n, m, seed + 100);
-            assert_bits_eq(&a.t_matmul(&b), &a.t_matmul_naive(&b));
-        }
-    }
-
-    #[test]
-    fn gram_bit_identical_to_t_matmul_naive() {
-        // pseudo_mat plants exact zeros (~1/7 of entries), exercising the
-        // asymmetric zero-skip the mirror argument has to survive, at
-        // shapes from scalar to wider-than-tile.
-        for &(n, p, seed) in &[
-            (1, 1, 31u64),
-            (7, 3, 32),
-            (200, 17, 33),
-            (333, 25, 34),
-            (64, 140, 35),
-        ] {
-            let a = pseudo_mat(n, p, seed);
-            assert_bits_eq(&a.gram(), &a.t_matmul_naive(&a));
-        }
     }
 
     #[test]

@@ -39,11 +39,11 @@
 //! memo ledger counts its birth once.
 
 use crate::proto::{CacheInfo, DatasetRef, MaxGroupSpec, WorkloadRequest};
-use fairsel_ci::{CiTestBatch, FisherZ, GTest};
+use fairsel_ci::CiTestBatch;
 use fairsel_core::{
     check_column_kinds, render_methods_report, render_pipeline_report, run_all_methods_in,
     run_pipeline_memo_in, ClassifierKind, PipelineConfig, Problem, ReportMemo, SelectConfig,
-    SelectionAlgo,
+    SelectionAlgo, TesterSpec,
 };
 use fairsel_engine::CiSession;
 use fairsel_obs::TrackedMutex;
@@ -583,6 +583,7 @@ impl Registry {
         req: &WorkloadRequest,
     ) -> Result<Workload, String> {
         check_column_kinds(table, req.tester == "gtest")?;
+        let spec = TesterSpec::parse(&req.tester, req.alpha)?;
         // Row-stable split: membership depends only on (seed, row index),
         // so a dataset extended by append splits into exactly the parent's
         // split plus the new rows — the prefix property the warm-child
@@ -593,11 +594,7 @@ impl Registry {
             Arc::clone(&train),
             self.cfg.cache_cap,
         ));
-        let tester: Box<dyn CiTestBatch + Send + Sync> = match req.tester.as_str() {
-            "gtest" => Box::new(GTest::over(Arc::clone(&enc), req.alpha)),
-            "fisherz" => Box::new(FisherZ::over(Arc::clone(&enc), req.alpha)),
-            other => return Err(format!("unknown tester: {other} (gtest|fisherz)")),
-        };
+        let tester = spec.build_over(Some(&enc), &train, None);
         Ok(Workload {
             train,
             test: split.test,
