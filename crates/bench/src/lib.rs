@@ -15,6 +15,7 @@ use fairsel_core::{grpsel_batched_in, grpsel_in, seqsel_in, Problem, SelectConfi
 use fairsel_datasets::sim::sample_table;
 use fairsel_datasets::synthetic::{synthetic_instance, synthetic_scm, SyntheticConfig};
 use fairsel_engine::{default_workers, CiSession};
+use fairsel_server::Json;
 use fairsel_table::{EncodedTable, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,44 +103,81 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    fn json(&self) -> String {
-        format!(
-            "{{\"scenario\":\"{}\",\"algo\":\"{}\",\"n_features\":{},\
-             \"requested\":{},\"issued\":{},\"cache_hits\":{},\
-             \"encode_hits\":{},\"encode_misses\":{},\
-             \"wall_ms\":{:.3},\"req_bytes\":{},\"selected\":{},\
-             \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\
-             \"max_ms\":{:.3},\"hist_total\":{},\"rows\":{},\
-             \"ns_per_row\":{:.3},\"pvalue_hash\":\"{}\",\
-             \"dense_count_cells\":{},\"narrow_code_bytes\":{},\
-             \"append_rows\":{},\"extended_encodings\":{},\
-             \"memo_patched\":{},\"memo_invalidated\":{}}}",
-            self.scenario,
-            self.algo,
-            self.n_features,
-            self.requested,
-            self.issued,
-            self.cache_hits,
-            self.encode_hits,
-            self.encode_misses,
-            self.wall_ms,
-            self.req_bytes,
-            self.selected,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.hist_total,
-            self.rows,
-            self.ns_per_row,
-            self.pvalue_hash,
-            self.dense_count_cells,
-            self.narrow_code_bytes,
-            self.append_rows,
-            self.extended_encodings,
-            self.memo_patched,
-            self.memo_invalidated
-        )
+    /// The run as one object of the bench document, in column order.
+    /// Fractional columns keep three decimals.
+    fn to_json(&self) -> Json {
+        let count = |v: u64| Json::Num(v as f64);
+        let thousandths = |v: f64| Json::Num((v * 1e3).round() / 1e3);
+        Json::obj(vec![
+            ("scenario", Json::Str(self.scenario.clone())),
+            ("algo", Json::Str(self.algo.clone())),
+            ("n_features", count(self.n_features as u64)),
+            ("requested", count(self.requested)),
+            ("issued", count(self.issued)),
+            ("cache_hits", count(self.cache_hits)),
+            ("encode_hits", count(self.encode_hits)),
+            ("encode_misses", count(self.encode_misses)),
+            ("wall_ms", thousandths(self.wall_ms)),
+            ("req_bytes", count(self.req_bytes)),
+            ("selected", count(self.selected as u64)),
+            ("p50_ms", thousandths(self.p50_ms)),
+            ("p95_ms", thousandths(self.p95_ms)),
+            ("p99_ms", thousandths(self.p99_ms)),
+            ("max_ms", thousandths(self.max_ms)),
+            ("hist_total", count(self.hist_total)),
+            ("rows", count(self.rows)),
+            ("ns_per_row", thousandths(self.ns_per_row)),
+            ("pvalue_hash", Json::Str(self.pvalue_hash.clone())),
+            ("dense_count_cells", count(self.dense_count_cells)),
+            ("narrow_code_bytes", count(self.narrow_code_bytes)),
+            ("append_rows", count(self.append_rows)),
+            ("extended_encodings", count(self.extended_encodings)),
+            ("memo_patched", count(self.memo_patched)),
+            ("memo_invalidated", count(self.memo_invalidated)),
+        ])
+    }
+
+    /// Read one run of a bench document. Every column a check of
+    /// [`validate_bench_json`] reads is required; `n_features`,
+    /// `requested` and `selected`, which none reads, default to 0.
+    fn from_json(run: &Json) -> Result<BenchResult, String> {
+        let scenario = run.get_str("scenario").ok_or("a run has no scenario")?;
+        let missing = |key: &str| format!("{scenario}: column {key} missing or mistyped");
+        let text = |key| {
+            run.get_str(key)
+                .map(str::to_owned)
+                .ok_or_else(|| missing(key))
+        };
+        let count = |key| run.get_u64(key).ok_or_else(|| missing(key));
+        let num = |key| run.get_num(key).ok_or_else(|| missing(key));
+        let unread = |key| run.get_u64(key).unwrap_or(0);
+        Ok(BenchResult {
+            scenario: scenario.to_owned(),
+            algo: text("algo")?,
+            n_features: unread("n_features") as usize,
+            requested: unread("requested"),
+            issued: count("issued")?,
+            cache_hits: count("cache_hits")?,
+            encode_hits: count("encode_hits")?,
+            encode_misses: count("encode_misses")?,
+            wall_ms: num("wall_ms")?,
+            req_bytes: count("req_bytes")?,
+            selected: unread("selected") as usize,
+            p50_ms: num("p50_ms")?,
+            p95_ms: num("p95_ms")?,
+            p99_ms: num("p99_ms")?,
+            max_ms: num("max_ms")?,
+            hist_total: count("hist_total")?,
+            rows: count("rows")?,
+            ns_per_row: num("ns_per_row")?,
+            pvalue_hash: text("pvalue_hash")?,
+            dense_count_cells: count("dense_count_cells")?,
+            narrow_code_bytes: count("narrow_code_bytes")?,
+            append_rows: count("append_rows")?,
+            extended_encodings: count("extended_encodings")?,
+            memo_patched: count("memo_patched")?,
+            memo_invalidated: count("memo_invalidated")?,
+        })
     }
 
     /// Fill the percentile columns from a recorded latency histogram
@@ -166,15 +204,12 @@ fn median_of_repeats(repeats: usize, run: impl Fn() -> BenchResult) -> BenchResu
 /// Serialize a suite to a JSON document (an object with a `runs` array),
 /// ready to be written as `BENCH_engine.json`.
 pub fn to_json(results: &[BenchResult]) -> String {
-    let mut s = String::from("{\"bench\":\"fairsel-engine\",\"runs\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&r.json());
-    }
-    s.push_str("]}");
-    s
+    let runs = results.iter().map(BenchResult::to_json).collect();
+    Json::obj(vec![
+        ("bench", Json::Str("fairsel-engine".to_owned())),
+        ("runs", Json::Arr(runs)),
+    ])
+    .to_string()
 }
 
 fn measure<T: CiTest, F>(
@@ -263,16 +298,7 @@ pub fn data_scaling(
     workers: usize,
     repeats: usize,
 ) -> Vec<BenchResult> {
-    let cfg = SyntheticConfig {
-        n_features,
-        biased_fraction: 0.1,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(n_features, 0.1, rows, 42);
     let problem = Problem::from_table(&table);
     let select = SelectConfig::default();
     let scenario = format!("gtest/n={n_features}/rows={rows}");
@@ -323,16 +349,7 @@ pub fn data_tester_modes(
     // A high biased fraction keeps many features in play for phase 2,
     // whose frontier conditions every query on the same wide `A ∪ C₁`
     // set — exactly the shape where per-query re-encoding hurts most.
-    let cfg = SyntheticConfig {
-        n_features,
-        biased_fraction: 0.4,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(n_features, 0.4, rows, 42);
     let problem = Problem::from_table(&table);
     let select = SelectConfig {
         max_group: Some(SelectConfig::auto_max_group(rows)),
@@ -370,16 +387,7 @@ pub fn data_tester_modes(
 /// regressions in pool dispatch overhead) are visible in the committed
 /// numbers.
 pub fn workers_scaling(n_features: usize, rows: usize, repeats: usize) -> Vec<BenchResult> {
-    let cfg = SyntheticConfig {
-        n_features,
-        biased_fraction: 0.4,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(n_features, 0.4, rows, 42);
     let problem = Problem::from_table(&table);
     let select = SelectConfig {
         max_group: Some(SelectConfig::auto_max_group(rows)),
@@ -481,16 +489,7 @@ const SCALING_FEATURES: usize = 16;
 /// The rows-scaling workload at `rows` rows: a sampled synthetic table,
 /// its selection problem and the GrpSel configuration.
 fn scaling_instance(rows: usize) -> (Table, Problem, SelectConfig) {
-    let cfg = SyntheticConfig {
-        n_features: SCALING_FEATURES,
-        biased_fraction: 0.25,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(rows as u64);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(SCALING_FEATURES, 0.25, rows, rows as u64);
     let problem = Problem::from_table(&table);
     let select = SelectConfig {
         max_group: Some(SelectConfig::auto_max_group(rows)),
@@ -510,6 +509,23 @@ fn finish_scaling_row<T: CiTest>(row: &mut BenchResult, rows: usize, session: &C
 
 fn encoded(table: &Table) -> Arc<EncodedTable> {
     Arc::new(EncodedTable::new(table))
+}
+
+/// `rows` rows sampled from a synthetic fairness instance of
+/// `n_features` features, a `biased` fraction of them biased and a quarter
+/// predictive. One generator seeded with `seed` draws the instance, its
+/// structural equations and the rows, in that order.
+fn sampled_table(n_features: usize, biased: f64, rows: usize, seed: u64) -> Table {
+    let cfg = SyntheticConfig {
+        n_features,
+        biased_fraction: biased,
+        predictive_fraction: 0.25,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let inst = synthetic_instance(&mut rng, &cfg);
+    let scm = synthetic_scm(&mut rng, &inst, 1.5);
+    sample_table(&scm, &inst.roles, rows, &mut rng)
 }
 
 /// Run one scenario's two execution modes (the per-query executor and the
@@ -573,16 +589,7 @@ fn selected_in_body(body: &str) -> usize {
 pub fn serve_cold_warm(n_features: usize, rows: usize) -> Vec<BenchResult> {
     use fairsel_server::{request, Request, Response, ServeConfig, Server, WorkloadRequest};
 
-    let cfg = SyntheticConfig {
-        n_features,
-        biased_fraction: 0.2,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(n_features, 0.2, rows, 42);
     let csv_text = fairsel_table::csv::to_csv_string(&table);
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind loopback");
@@ -650,16 +657,7 @@ pub fn serve_concurrent(n_features: usize, rows: usize, clients: usize) -> Vec<B
         put_dataset, request, DatasetRef, Request, Response, ServeConfig, Server, WorkloadRequest,
     };
 
-    let cfg = SyntheticConfig {
-        n_features,
-        biased_fraction: 0.2,
-        predictive_fraction: 0.25,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let inst = synthetic_instance(&mut rng, &cfg);
-    let scm = synthetic_scm(&mut rng, &inst, 1.5);
-    let table = sample_table(&scm, &inst.roles, rows, &mut rng);
+    let table = sampled_table(n_features, 0.2, rows, 42);
     let csv_text = fairsel_table::csv::to_csv_string(&table);
     let codec_bytes = fairsel_table::encode_table(&table);
 
@@ -805,21 +803,12 @@ pub fn serve_latency_tail(
         put_dataset, request, DatasetRef, Request, Response, ServeConfig, Server, WorkloadRequest,
     };
 
-    let gen_table = |seed: u64| {
-        let cfg = SyntheticConfig {
-            n_features,
-            biased_fraction: 0.2,
-            predictive_fraction: 0.25,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inst = synthetic_instance(&mut rng, &cfg);
-        let scm = synthetic_scm(&mut rng, &inst, 1.5);
-        sample_table(&scm, &inst.roles, rows, &mut rng)
-    };
-    let hot_table = gen_table(42);
+    let hot_table = sampled_table(n_features, 0.2, rows, 42);
     let cold_csvs: Vec<String> = (0..cold_clients)
-        .map(|i| fairsel_table::csv::to_csv_string(&gen_table(100 + i as u64)))
+        .map(|i| {
+            let table = sampled_table(n_features, 0.2, rows, 100 + i as u64);
+            fairsel_table::csv::to_csv_string(&table)
+        })
         .collect();
 
     let server = Server::bind(
@@ -994,17 +983,9 @@ pub fn append_reselect(
 ) -> Vec<BenchResult> {
     let mut out = Vec::new();
     for &batch_rows in batch_sizes {
-        let cfg = SyntheticConfig {
-            n_features,
-            biased_fraction: 0.25,
-            predictive_fraction: 0.25,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(base_rows as u64 ^ (batch_rows as u64).rotate_left(17));
-        let inst = synthetic_instance(&mut rng, &cfg);
-        let scm = synthetic_scm(&mut rng, &inst, 1.5);
+        let seed = base_rows as u64 ^ (batch_rows as u64).rotate_left(17);
         let total_rows = base_rows + batch_rows;
-        let full = sample_table(&scm, &inst.roles, total_rows, &mut rng);
+        let full = sampled_table(n_features, 0.25, total_rows, seed);
         let base_idx: Vec<usize> = (0..base_rows).collect();
         let batch_idx: Vec<usize> = (base_rows..total_rows).collect();
         let base = full.take_rows(&base_idx);
@@ -1147,32 +1128,6 @@ pub fn smoke_suite() -> Vec<BenchResult> {
     out
 }
 
-/// Read an integer field out of one run's flat JSON body.
-fn run_field(run: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = run.find(&pat)? + pat.len();
-    let rest = &run[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Read a float field out of one run's flat JSON body.
-fn run_field_f64(run: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = run.find(&pat)? + pat.len();
-    let rest = &run[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Read a string field out of one run's flat JSON body.
-fn run_field_str<'a>(run: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = run.find(&pat)? + pat.len();
-    let rest = &run[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Every `EngineStats` counter key, exactly as serialized by
 /// `EngineStats::to_json`. The static analyzer's R5 rule requires every
 /// counter declared in `engine/src/session.rs` to appear here — a counter
@@ -1210,93 +1165,36 @@ pub const ENGINE_STATS_KEYS: &[&str] = &[
 /// Check a session stats JSON document (the `--stats-out` shape) carries
 /// every [`ENGINE_STATS_KEYS`] counter.
 pub fn validate_stats_json(json: &str) -> Result<(), String> {
-    for key in ENGINE_STATS_KEYS {
-        let quoted = format!("\"{key}\":");
-        if !json.contains(&quoted) {
-            return Err(format!("stats JSON missing counter {quoted}"));
-        }
+    let doc = Json::parse(json).map_err(|e| format!("stats JSON: {e}"))?;
+    match ENGINE_STATS_KEYS.iter().find(|key| doc.get(key).is_none()) {
+        Some(key) => Err(format!("stats JSON missing counter \"{key}\"")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Validate a serialized bench document the way the CI smoke job does:
-/// structurally sound JSON with a non-empty `runs` array, every run
-/// carrying the encode-cache counters, and the G-test GrpSel Z-grouped
-/// scenario actually *hitting* the encode cache.
+/// Validate a serialized bench document, as `fairsel-bench` does with
+/// every document it writes: a JSON object whose non-empty `runs` array
+/// holds runs that carry every column the checks read, and that meet
+/// every acceptance check below.
 pub fn validate_bench_json(json: &str) -> Result<(), String> {
-    let json = json.trim();
-    if !json.starts_with('{') || !json.ends_with('}') {
-        return Err("document is not a JSON object".into());
-    }
-    let (mut depth, mut max_depth) = (0i64, 0i64);
-    for b in json.bytes() {
-        match b {
-            b'{' | b'[' => {
-                depth += 1;
-                max_depth = max_depth.max(depth);
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err("unbalanced brackets".into());
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return Err("unbalanced brackets".into());
-    }
-    if max_depth < 3 {
-        return Err("missing nested runs".into());
-    }
-    if !json.contains("\"runs\":[{") {
-        return Err("empty or missing runs array".into());
-    }
-    for key in [
-        "\"scenario\":",
-        "\"algo\":",
-        "\"issued\":",
-        "\"encode_hits\":",
-        "\"encode_misses\":",
-        "\"wall_ms\":",
-        "\"req_bytes\":",
-        "\"p50_ms\":",
-        "\"p95_ms\":",
-        "\"p99_ms\":",
-        "\"max_ms\":",
-        "\"hist_total\":",
-        "\"rows\":",
-        "\"ns_per_row\":",
-        "\"pvalue_hash\":",
-        "\"dense_count_cells\":",
-        "\"narrow_code_bytes\":",
-        "\"append_rows\":",
-        "\"extended_encodings\":",
-        "\"memo_patched\":",
-        "\"memo_invalidated\":",
-    ] {
-        let runs = json.matches("\"scenario\":").count();
-        if json.matches(key).count() != runs {
-            return Err(format!("counter {key} absent from some run"));
-        }
-    }
-    let runs: Vec<&str> = json
-        .split("{\"scenario\":\"")
-        .skip(1)
-        .map(|chunk| chunk.split('}').next().unwrap_or(""))
-        .collect();
-    let find_run = |scenario_prefix: &str, algo: &str| -> Option<&&str> {
-        let needle = format!("\"algo\":\"{algo}\",");
+    let doc = Json::parse(json).map_err(|e| e.to_string())?;
+    let runs = match doc.get("runs") {
+        Some(Json::Arr(runs)) if !runs.is_empty() => runs
+            .iter()
+            .map(BenchResult::from_json)
+            .collect::<Result<Vec<_>, _>>()?,
+        _ => return Err("empty or missing runs array".into()),
+    };
+    let find_run = |scenario: &str, algo: &str| {
         runs.iter()
-            .find(|r| r.starts_with(scenario_prefix) && r.contains(&needle))
+            .find(|r| r.scenario == scenario && r.algo == algo)
     };
     // The acceptance signal: a Z-grouped G-test GrpSel run with real
     // encode-cache reuse.
     let hit = runs.iter().any(|r| {
-        r.starts_with("gtest-batch")
-            && r.contains("\"algo\":\"grpsel-batched-par")
-            && !r.contains("\"encode_hits\":0,")
+        r.scenario.starts_with("gtest-batch")
+            && r.algo.starts_with("grpsel-batched-par")
+            && r.encode_hits > 0
     });
     if !hit {
         return Err("no gtest-batch grpsel-batched-parN run with encode_hits > 0".into());
@@ -1304,12 +1202,12 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     // The serving acceptance signal: a warm request against the session
     // service that issued zero new CI tests, hit the shared memo, and
     // reused the encode cache.
-    let warm = json.split("{\"scenario\":\"serve/").skip(1).any(|chunk| {
-        let run = chunk.split('}').next().unwrap_or("");
-        run.contains("\"algo\":\"serve-warm\"")
-            && run.contains("\"issued\":0,")
-            && !run.contains("\"cache_hits\":0,")
-            && !run.contains("\"encode_hits\":0,")
+    let warm = runs.iter().any(|r| {
+        r.scenario.starts_with("serve/")
+            && r.algo == "serve-warm"
+            && r.issued == 0
+            && r.cache_hits > 0
+            && r.encode_hits > 0
     });
     if !warm {
         return Err(
@@ -1321,37 +1219,29 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     // request ships under 1 KiB — the whole point of `put`.
     let warm_fp = runs
         .iter()
-        .find(|r| r.starts_with("serve/concurrent") && r.contains("\"algo\":\"serve-warm-fp\","))
+        .find(|r| r.scenario.starts_with("serve/concurrent") && r.algo == "serve-warm-fp")
         .ok_or("no serve/concurrent serve-warm-fp run")?;
-    let issued = run_field(warm_fp, "issued").ok_or("unreadable issued")?;
-    let req_bytes = run_field(warm_fp, "req_bytes").ok_or("unreadable req_bytes")?;
-    let hits = run_field(warm_fp, "cache_hits").ok_or("unreadable cache_hits")?;
-    if issued != 0 {
+    if warm_fp.issued != 0 {
         return Err(format!(
-            "warm fp-addressed wave issued {issued} CI tests (must be fully cached)"
+            "warm fp-addressed wave issued {} CI tests (must be fully cached)",
+            warm_fp.issued
         ));
     }
-    if hits == 0 {
+    if warm_fp.cache_hits == 0 {
         return Err("warm fp-addressed wave never hit the shared memo".into());
     }
-    if !(1..1024).contains(&req_bytes) {
+    if !(1..1024).contains(&warm_fp.req_bytes) {
         return Err(format!(
-            "warm fp-addressed request payload is {req_bytes} bytes (must be in 1..1024)"
+            "warm fp-addressed request payload is {} bytes (must be in 1..1024)",
+            warm_fp.req_bytes
         ));
     }
     // Percentile sanity: wherever a run recorded a latency histogram, its
     // percentiles must ascend (p50 <= p95 <= p99 <= max — guaranteed by
     // the log2-bucket quantile construction, so a violation means a
     // broken or hand-edited document).
-    for r in &runs {
-        let total = run_field(r, "hist_total").ok_or("unreadable hist_total")?;
-        if total == 0 {
-            continue;
-        }
-        let p50 = run_field_f64(r, "p50_ms").ok_or("unreadable p50_ms")?;
-        let p95 = run_field_f64(r, "p95_ms").ok_or("unreadable p95_ms")?;
-        let p99 = run_field_f64(r, "p99_ms").ok_or("unreadable p99_ms")?;
-        let max = run_field_f64(r, "max_ms").ok_or("unreadable max_ms")?;
+    for r in runs.iter().filter(|r| r.hist_total > 0) {
+        let (p50, p95, p99, max) = (r.p50_ms, r.p95_ms, r.p99_ms, r.max_ms);
         if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
             return Err(format!(
                 "percentiles not monotone in a run ({p50} / {p95} / {p99} / max {max})"
@@ -1360,9 +1250,9 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     }
     // The tail-latency acceptance signal: the hot/cold mixed scenario ran
     // and actually recorded per-request latencies.
-    let tail_ok = runs.iter().any(|r| {
-        r.starts_with("serve/latency-tail") && run_field(r, "hist_total").unwrap_or(0) > 0
-    });
+    let tail_ok = runs
+        .iter()
+        .any(|r| r.scenario.starts_with("serve/latency-tail") && r.hist_total > 0);
     if !tail_ok {
         return Err("no serve/latency-tail run with hist_total > 0".into());
     }
@@ -1377,47 +1267,40 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     let mut scaling_hashes: std::collections::HashMap<&str, &str> = Default::default();
     let mut last_rows: std::collections::HashMap<String, u64> = Default::default();
     let mut any_scaling = false;
-    for r in &runs {
-        if !r.starts_with("rows-scaling/") {
-            continue;
-        }
+    for r in runs
+        .iter()
+        .filter(|r| r.scenario.starts_with("rows-scaling/"))
+    {
         any_scaling = true;
-        let scenario = r.split('"').next().unwrap_or("");
-        let algo = run_field_str(r, "algo").ok_or("unreadable algo")?;
-        let nspr = run_field_f64(r, "ns_per_row").ok_or("unreadable ns_per_row")?;
-        if nspr <= 0.0 {
+        let (scenario, algo, hash) = (r.scenario.as_str(), r.algo.as_str(), r.pvalue_hash.as_str());
+        if r.ns_per_row <= 0.0 {
             return Err(format!("{scenario}/{algo}: ns_per_row must be positive"));
         }
-        let hash = run_field_str(r, "pvalue_hash").ok_or("unreadable pvalue_hash")?;
         if hash.is_empty() {
             return Err(format!("{scenario}/{algo}: empty pvalue_hash"));
         }
-        if let Some(prev) = scaling_hashes.get(scenario) {
-            if *prev != hash {
-                return Err(format!(
-                    "{scenario}: kernel variants disagree on outcome bits \
-                     ({prev} vs {hash} at {algo})"
-                ));
-            }
-        } else {
-            scaling_hashes.insert(scenario, hash);
+        let prev = *scaling_hashes.entry(scenario).or_insert(hash);
+        if prev != hash {
+            return Err(format!(
+                "{scenario}: kernel variants disagree on outcome bits \
+                 ({prev} vs {hash} at {algo})"
+            ));
         }
-        let rows_n = run_field(r, "rows").ok_or("unreadable rows")?;
         let family = scenario.rsplit_once("/rows=").map_or(scenario, |(f, _)| f);
         let key = format!("{family}/{algo}");
         if let Some(&prev) = last_rows.get(&key) {
-            if rows_n <= prev {
-                return Err(format!("{key}: rows not ascending ({prev} -> {rows_n})"));
+            if r.rows <= prev {
+                return Err(format!("{key}: rows not ascending ({prev} -> {})", r.rows));
             }
         }
-        last_rows.insert(key, rows_n);
+        last_rows.insert(key, r.rows);
         if family == "rows-scaling/gtest" && algo == "kernels-narrow" {
-            if run_field(r, "dense_count_cells").ok_or("unreadable dense_count_cells")? == 0 {
+            if r.dense_count_cells == 0 {
                 return Err(format!(
                     "{scenario}: narrow kernels never filled a dense arena"
                 ));
             }
-            if run_field(r, "narrow_code_bytes").ok_or("unreadable narrow_code_bytes")? == 0 {
+            if r.narrow_code_bytes == 0 {
                 return Err(format!(
                     "{scenario}: narrow kernels built no narrow code storage"
                 ));
@@ -1436,35 +1319,31 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     // and a wire cost strictly under the cold re-upload (only the batch
     // crosses the wire, never the base).
     let mut any_append = false;
-    for r in &runs {
-        let algo = run_field_str(r, "algo").ok_or("unreadable algo")?;
-        if !r.starts_with("append/reselect") || !algo.starts_with("append-reselect") {
-            continue;
-        }
+    for r in runs.iter().filter(|r| {
+        r.scenario.starts_with("append/reselect") && r.algo.starts_with("append-reselect")
+    }) {
         any_append = true;
-        let scenario = r.split('"').next().unwrap_or("");
+        let (scenario, algo) = (r.scenario.as_str(), r.algo.as_str());
         let cold = find_run(scenario, "reselect-cold")
             .ok_or_else(|| format!("{scenario}: no reselect-cold twin"))?;
-        let warm_hash = run_field_str(r, "pvalue_hash").ok_or("unreadable pvalue_hash")?;
-        let cold_hash = run_field_str(cold, "pvalue_hash").ok_or("unreadable pvalue_hash")?;
-        if warm_hash.is_empty() || warm_hash != cold_hash {
+        if r.pvalue_hash.is_empty() || r.pvalue_hash != cold.pvalue_hash {
             return Err(format!(
                 "{scenario}: extended re-select {algo} disagrees with cold outcome bits \
-                 ({warm_hash:?} vs {cold_hash:?})"
+                 ({:?} vs {:?})",
+                r.pvalue_hash, cold.pvalue_hash
             ));
         }
-        if run_field(r, "append_rows").ok_or("unreadable append_rows")? == 0 {
+        if r.append_rows == 0 {
             return Err(format!("{scenario}: {algo} appended no rows"));
         }
-        if run_field(r, "extended_encodings").ok_or("unreadable extended_encodings")? == 0 {
+        if r.extended_encodings == 0 {
             return Err(format!("{scenario}: {algo} reused no encodings"));
         }
-        let warm_bytes = run_field(r, "req_bytes").ok_or("unreadable req_bytes")?;
-        let cold_bytes = run_field(cold, "req_bytes").ok_or("unreadable req_bytes")?;
-        if warm_bytes == 0 || warm_bytes >= cold_bytes {
+        if r.req_bytes == 0 || r.req_bytes >= cold.req_bytes {
             return Err(format!(
-                "{scenario}: {algo} streaming wire cost {warm_bytes} not under the \
-                 cold re-upload {cold_bytes}"
+                "{scenario}: {algo} streaming wire cost {} not under the \
+                 cold re-upload {}",
+                r.req_bytes, cold.req_bytes
             ));
         }
     }
@@ -1480,44 +1359,36 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
     // and the twin itself patched nothing). Live runs pin the same ledger
     // against the parent's memo in `fairsel-tests`' `streaming_append`.
     let mut any_patched = false;
-    for r in &runs {
-        if !r.starts_with("append/reselect") || !r.contains("\"algo\":\"append-reselect-patched\",")
-        {
-            continue;
-        }
+    for r in runs.iter().filter(|r| {
+        r.scenario.starts_with("append/reselect") && r.algo == "append-reselect-patched"
+    }) {
         any_patched = true;
-        let scenario = r.split('"').next().unwrap_or("");
+        let scenario = r.scenario.as_str();
         let cold = find_run(scenario, "reselect-cold")
             .ok_or_else(|| format!("{scenario}: no reselect-cold twin"))?;
-        let memo_patched = run_field(r, "memo_patched").ok_or("unreadable memo_patched")?;
-        if memo_patched == 0 {
+        if r.memo_patched == 0 {
             return Err(format!("{scenario}: patched re-select patched no memos"));
         }
         if let Some(baseline) = find_run(scenario, "append-reselect") {
-            let memo_invalidated =
-                run_field(r, "memo_invalidated").ok_or("unreadable memo_invalidated")?;
-            let base_patched =
-                run_field(baseline, "memo_patched").ok_or("unreadable memo_patched")?;
-            let base_invalidated =
-                run_field(baseline, "memo_invalidated").ok_or("unreadable memo_invalidated")?;
-            if base_patched != 0 {
+            if baseline.memo_patched != 0 {
                 return Err(format!(
-                    "{scenario}: invalidate-all baseline claims {base_patched} patched memos"
+                    "{scenario}: invalidate-all baseline claims {} patched memos",
+                    baseline.memo_patched
                 ));
             }
-            if memo_patched + memo_invalidated != base_invalidated {
+            if r.memo_patched + r.memo_invalidated != baseline.memo_invalidated {
                 return Err(format!(
                     "{scenario}: patched memo ledger not conserved \
-                     ({memo_patched} + {memo_invalidated} != {base_invalidated})"
+                     ({} + {} != {})",
+                    r.memo_patched, r.memo_invalidated, baseline.memo_invalidated
                 ));
             }
         }
-        let patched_issued = run_field(r, "issued").ok_or("unreadable issued")?;
-        let cold_issued = run_field(cold, "issued").ok_or("unreadable issued")?;
-        if patched_issued >= cold_issued {
+        if r.issued >= cold.issued {
             return Err(format!(
-                "{scenario}: patched re-select issued {patched_issued} CI tests, \
-                 not under the cold re-select's {cold_issued}"
+                "{scenario}: patched re-select issued {} CI tests, \
+                 not under the cold re-select's {}",
+                r.issued, cold.issued
             ));
         }
     }
@@ -1564,6 +1435,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A run reads back every column it wrote.
+    #[test]
+    fn runs_read_back_what_they_wrote() {
+        let run = BenchResult {
+            scenario: "serve/x".to_owned(),
+            algo: "a\"b".to_owned(),
+            n_features: 1,
+            requested: 2,
+            issued: 3,
+            cache_hits: 4,
+            encode_hits: 5,
+            encode_misses: 6,
+            wall_ms: 7.125,
+            req_bytes: 8,
+            selected: 9,
+            p50_ms: 0.5,
+            p95_ms: 1.25,
+            p99_ms: 2.375,
+            max_ms: 3.75,
+            hist_total: 10,
+            rows: 11,
+            ns_per_row: 12.5,
+            pvalue_hash: "00ff".to_owned(),
+            dense_count_cells: 13,
+            narrow_code_bytes: 14,
+            append_rows: 15,
+            extended_encodings: 16,
+            memo_patched: 17,
+            memo_invalidated: 18,
+        };
+        let text = run.to_json().to_string();
+        let back = BenchResult::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.to_json().to_string(), text);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! ```text
 //! cargo run --release -p fairsel-bench            # full suite
 //! cargo run --release -p fairsel-bench -- --quick # CI-sized
-//! cargo run --release -p fairsel-bench -- --smoke # data-tester smoke, validated
+//! cargo run --release -p fairsel-bench -- --smoke # CI-sized data-tester and serve smoke
 //! cargo run --release -p fairsel-bench -- --out path.json
 //! ```
 //!
-//! `--smoke` runs only the data-tester scenarios on tiny inputs and exits
-//! non-zero when the emitted JSON is malformed or the encode-cache hit
-//! counters are absent — the CI guard for the batched execution path.
+//! `--smoke` runs only the data-tester, rows-scaling, append and serve
+//! scenarios on tiny inputs. Every run reads the document it wrote back
+//! through `validate_bench_json` and exits non-zero when a run lacks a
+//! column or an acceptance check fails.
 
 use fairsel_bench::{default_suite, smoke_suite, to_json, validate_bench_json};
 use std::process::ExitCode;
@@ -59,12 +60,10 @@ fn main() -> ExitCode {
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("\nwrote {out_path} ({} runs)", results.len());
 
-    if smoke {
-        if let Err(e) = validate_bench_json(&json) {
-            eprintln!("smoke validation FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("smoke validation passed");
+    if let Err(e) = validate_bench_json(&json) {
+        eprintln!("validation FAILED: {e}");
+        return ExitCode::FAILURE;
     }
+    println!("validation passed");
     ExitCode::SUCCESS
 }

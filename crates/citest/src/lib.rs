@@ -173,12 +173,6 @@ pub trait CiTestShared: CiTest + Sync {
     fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome;
 }
 
-impl<T: CiTestShared + ?Sized> CiTestShared for &mut T {
-    fn ci_shared(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> CiOutcome {
-        (**self).ci_shared(x, y, z)
-    }
-}
-
 /// A shared reference to a shared-capable tester is itself a tester:
 /// `ci` routes through `ci_shared` (they agree by the [`CiTestShared`]
 /// contract), so sessions can borrow testers immutably.
@@ -391,27 +385,6 @@ pub trait CiTestBatch: CiTestShared {
     /// all-zero ledger, which is trivially conserved.
     fn scaffold_stats(&self) -> ScaffoldStats {
         ScaffoldStats::default()
-    }
-}
-
-impl<T: CiTestBatch + ?Sized> CiTestBatch for &mut T {
-    fn eval_batch(&self, queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        (**self).eval_batch(queries)
-    }
-    fn eval_z_group(&self, z: &[VarId], queries: &[CiQueryRef<'_>]) -> Vec<CiOutcome> {
-        (**self).eval_z_group(z, queries)
-    }
-    fn encode_cache_stats(&self) -> EncodeStats {
-        (**self).encode_cache_stats()
-    }
-    fn extend_over(&self, child: Arc<EncodedTable>) -> Option<Box<dyn CiTestBatch + Send + Sync>> {
-        (**self).extend_over(child)
-    }
-    fn scaffold_stats(&self) -> ScaffoldStats {
-        (**self).scaffold_stats()
-    }
-    fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        (**self).patched_outcome(x, y, z)
     }
 }
 

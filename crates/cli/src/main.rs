@@ -377,40 +377,40 @@ fn alpha(opts: &Opts) -> Result<f64, String> {
     }
 }
 
-/// Read `--csv` once, as text, and check that the pipeline can read its
-/// column kinds with the chosen tester, before any work starts or a
-/// server is dialed. Returns the parsed table and the text, which the
-/// remote path keeps for its inline fallback.
-fn checked_table(opts: &Opts) -> Result<(Table, String), String> {
+/// Read `--csv` once, as text. Returns the parsed table and the text,
+/// which the remote path keeps for its inline fallback.
+fn read_table(opts: &Opts) -> Result<(Table, String), String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let table = csv::from_csv_string(&text).map_err(|e| format!("reading {path}: {e}"))?;
-    let g_test = opts.get("dag").is_none() && opts.get("tester").unwrap_or("gtest") == "gtest";
-    check_column_kinds(&table, g_test).map_err(|e| format!("{path}: {e}"))?;
     Ok((table, text))
 }
 
-/// Read the options into the wire request once, split the table and
-/// translate the request into the pipeline config and the tester with the
-/// server's own [`pipeline_config`] and [`TesterSpec::parse`], so a bad
-/// option reads the same on the local and the `--remote` path and is
-/// refused before any server is dialed.
+/// Read the options into the wire request once, translate it into the
+/// tester with [`TesterSpec::parse`] and check that the tester and the
+/// pipeline can read the table ([`check_column_kinds`]), then split the
+/// table and translate the request into the pipeline config with the
+/// server's own [`pipeline_config`]. So a bad option or table reads the
+/// same on the local and the `--remote` path and is refused before any
+/// work starts or a server is dialed.
 fn load_workload(opts: &Opts, table: &Table, csv_text: String) -> Result<Workload, String> {
     let path = opts.get("csv").ok_or("--csv is required")?;
     if table.n_rows() < 10 {
         return Err(format!("{path}: too few rows ({})", table.n_rows()));
     }
     let req = workload_request(opts, csv_text)?;
+    let tester = TesterSpec::parse(&req.tester, req.alpha)?;
+    let spec = match opts.get("dag") {
+        Some(_) => TesterSpec::Oracle,
+        None => tester,
+    };
+    check_column_kinds(table, spec.reads_codes()).map_err(|e| format!("{path}: {e}"))?;
     // Row-stable split — the same membership rule the server registry
     // uses, so a local run and a `--remote` run of the same workload
     // stay byte-identical (and appended datasets split into the parent's
     // split plus the new rows).
     let split = table.split_rows_stable(req.seed, req.train_frac);
     let cfg = pipeline_config(&req, split.train.n_rows())?;
-    let spec = match opts.get("dag") {
-        Some(_) => TesterSpec::Oracle,
-        None => TesterSpec::parse(&req.tester, req.alpha)?,
-    };
     Ok(Workload {
         req,
         train: split.train,
@@ -421,7 +421,7 @@ fn load_workload(opts: &Opts, table: &Table, csv_text: String) -> Result<Workloa
 }
 
 fn cmd_select(opts: &Opts) -> Result<(), String> {
-    let (table, csv_text) = checked_table(opts)?;
+    let (table, csv_text) = read_table(opts)?;
     let Workload {
         req,
         train,
@@ -476,7 +476,7 @@ enum RemoteError {
 }
 
 /// The wire request for this invocation, carrying `csv_text` (the
-/// `--csv` file as read by [`checked_table`]) inline.
+/// `--csv` file as read by [`read_table`]) inline.
 fn workload_request(opts: &Opts, csv_text: String) -> Result<WorkloadRequest, String> {
     let max_group = match opts.get("max-group") {
         None => MaxGroupSpec::None,
@@ -874,7 +874,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_methods(opts: &Opts) -> Result<(), String> {
-    let (table, csv_text) = checked_table(opts)?;
+    let (table, csv_text) = read_table(opts)?;
     let Workload {
         req,
         train,

@@ -348,3 +348,83 @@ fn non_finite_numeric_features_are_errors_naming_the_column() {
     assert!(out.status.success(), "fisher-z on a finite N1: {out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A table no selection can run on exits 1 naming what is wrong, on the
+/// local and the `--remote` path of `select` and `methods`, before any
+/// work starts or the remote address is dialed (never a panic, exit 101):
+/// no sensitive column, no target, two targets, and more admissible
+/// columns than selection enumerates.
+#[test]
+fn tables_no_selection_can_run_on_are_errors() {
+    let csv = fixture_csv("roles");
+    let dir = csv.parent().expect("csv dir").to_owned();
+    let text = std::fs::read_to_string(&csv).expect("fixture csv");
+    let mut wide = String::new();
+    for (row, line) in text.lines().enumerate() {
+        wide.push_str(line);
+        for i in 2..=13 {
+            if row == 0 {
+                wide.push_str(&format!(",A{i}:cat2[admissible]"));
+            } else {
+                wide.push_str(&format!(",{}", (row + i) % 2));
+            }
+        }
+        wide.push('\n');
+    }
+    let cases = [
+        (
+            text.replacen("S1:cat2[sensitive]", "S1:cat2[feature]", 1),
+            "the table has no sensitive column, but selection needs one",
+        ),
+        (
+            text.replacen("Y:cat2[target]", "Y:cat2[feature]", 1),
+            "the table has 0 target columns",
+        ),
+        (
+            text.replacen("X1:cat2[feature]", "X1:cat2[target]", 1),
+            "the table has 2 target columns",
+        ),
+        (wide, "the table has 13 admissible columns"),
+    ];
+    for (i, (table, message)) in cases.iter().enumerate() {
+        let case = dir.join(format!("case{i}.csv"));
+        std::fs::write(&case, table).expect("write csv");
+        for cmd in ["select", "methods"] {
+            for remote in [None, Some("127.0.0.1:9")] {
+                let mut args = strings(&[cmd, "--csv"]);
+                args.push(case.display().to_string());
+                if let Some(addr) = remote {
+                    args.extend(strings(&["--remote", addr]));
+                }
+                let line = usage_error(&args);
+                assert!(line.contains(message), "{args:?}: {line}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--tester` is checked under `--dag` too, although the oracle answers
+/// every query: a bad name exits 1, where the same oracle run selects.
+#[test]
+fn bad_tester_is_an_error_under_dag() {
+    let csv = fixture_csv("dag-tester");
+    let dag = csv.with_file_name("graph.txt");
+    std::fs::write(
+        &dag,
+        "S1 -> X2\nA1 -> X1\nA1 -> Y\nX1 -> Y\nX2 -> Y\nY -> C1\n",
+    )
+    .expect("write dag");
+    for cmd in ["select", "methods"] {
+        let mut args = strings(&[cmd, "--csv"]);
+        args.push(csv.display().to_string());
+        args.push("--dag".to_owned());
+        args.push(dag.display().to_string());
+        let out = fairsel().args(&args).output().expect("run fairsel");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        args.extend(strings(&["--tester", "foo"]));
+        let line = usage_error(&args);
+        assert!(line.contains("unknown tester: foo"), "{args:?}: {line}");
+    }
+    std::fs::remove_dir_all(csv.parent().expect("csv dir")).ok();
+}

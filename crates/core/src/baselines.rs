@@ -93,6 +93,12 @@ impl TesterSpec {
         }
     }
 
+    /// Whether this tester reads every column it tests as codes, so that
+    /// a numeric feature is unreadable to it (the G-test).
+    pub fn reads_codes(&self) -> bool {
+        matches!(self, TesterSpec::GTest { .. })
+    }
+
     /// One shared encoding layer for this spec's data testers (`None` for
     /// the oracle, which never touches the table). Sharing it across
     /// several `build_over` calls — as [`run_all_methods`] does — means

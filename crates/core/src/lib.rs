@@ -55,5 +55,5 @@ pub use pipeline::{
     run_pipeline_memo_in, ClassifierKind, PipelineConfig, PipelineResult, ReportMemo,
     SelectionAlgo, REPORT_MEMO_CAP,
 };
-pub use problem::{Problem, SelectConfig, Selection};
+pub use problem::{Problem, SelectConfig, Selection, MAX_ADMISSIBLE};
 pub use seqsel::{seqsel, seqsel_in};

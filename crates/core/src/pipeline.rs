@@ -13,7 +13,7 @@
 //! each model once.
 
 use crate::grpsel::grpsel_batched_in;
-use crate::problem::{Problem, SelectConfig, Selection};
+use crate::problem::{Problem, SelectConfig, Selection, MAX_ADMISSIBLE};
 use crate::seqsel::seqsel_in;
 use fairsel_ci::CiTestBatch;
 use fairsel_engine::{CiSession, EngineStats};
@@ -395,18 +395,37 @@ fn score_columns(
     report
 }
 
-/// Reject a table with a column whose kind or values the pipeline cannot
-/// read, naming that column. The target, sensitive and admissible columns
-/// must be categorical: the classifier trains on target codes and the
-/// fairness report groups rows by sensitive and admissible codes. So must
-/// every feature when `categorical_features` is set, as the G-test reads
-/// every column it tests as codes. A numeric feature must hold only
-/// finite values, and the error names the data row (counted from 1) of
-/// the first that is not: a NaN or ±∞ makes every Fisher-z statistic over
-/// it NaN, and a NaN statistic has no p-value. Callers check a dataset
-/// before any work starts on it, and an appended batch before it joins
-/// its parent.
+/// Reject a table whose roles no selection can run on, or with a column
+/// whose kind or values the pipeline cannot read, naming that column. The
+/// table needs a sensitive column, exactly one target column and at most
+/// [`MAX_ADMISSIBLE`] admissible columns. The target, sensitive and
+/// admissible columns must be categorical: the classifier trains on
+/// target codes and the fairness report groups rows by sensitive and
+/// admissible codes. So must every feature when `categorical_features` is
+/// set, as the G-test reads every column it tests as codes. A numeric
+/// feature must hold only finite values, and the error names the data row
+/// (counted from 1) of the first that is not: a NaN or ±∞ makes every
+/// Fisher-z statistic over it NaN, and a NaN statistic has no p-value.
+/// Callers check a dataset before any work starts on it, and an appended
+/// batch before it joins its parent.
 pub fn check_column_kinds(table: &Table, categorical_features: bool) -> Result<(), String> {
+    let count = |role| table.cols_with_role(role).len();
+    if count(Role::Sensitive) == 0 {
+        return Err("the table has no sensitive column, but selection needs one".into());
+    }
+    let targets = count(Role::Target);
+    if targets != 1 {
+        return Err(format!(
+            "the table has {targets} target columns, but the classifier needs exactly one"
+        ));
+    }
+    let admissible = count(Role::Admissible);
+    if admissible > MAX_ADMISSIBLE {
+        return Err(format!(
+            "the table has {admissible} admissible columns, but selection enumerates the \
+             subsets of at most {MAX_ADMISSIBLE}"
+        ));
+    }
     for col in table.columns() {
         let ColumnData::Num(values) = &col.data else {
             continue;

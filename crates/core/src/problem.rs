@@ -70,6 +70,12 @@ impl Problem {
     }
 }
 
+/// The most admissible columns a selection enumerates the subsets of
+/// (`2^12` conditioning sets per feature). [`crate::check_column_kinds`]
+/// refuses a table with more, and [`SelectConfig::admissible_subsets`]
+/// panics on a larger set, which guards against an exponential blowup.
+pub const MAX_ADMISSIBLE: usize = 12;
+
 /// Tuning knobs shared by SeqSel and GrpSel.
 #[derive(Clone, Debug)]
 pub struct SelectConfig {
@@ -78,10 +84,6 @@ pub struct SelectConfig {
     /// trade completeness for test count (the paper notes |A| is a small
     /// constant in practice).
     pub max_admissible_subset: usize,
-    /// Hard cap on `|A|` for full enumeration; above this only subsets up
-    /// to `max_admissible_subset` are tried. Guards against accidental
-    /// exponential blowup.
-    pub admissible_guard: usize,
     /// Maximum width of GrpSel's *root* groups. `None` starts from the
     /// single all-features root (the paper's Algorithm 2). On finite
     /// samples a very wide discrete group is statistically vacuous — the
@@ -98,7 +100,6 @@ impl Default for SelectConfig {
     fn default() -> Self {
         Self {
             max_admissible_subset: usize::MAX,
-            admissible_guard: 12,
             max_group: None,
         }
     }
@@ -118,13 +119,14 @@ impl SelectConfig {
     /// Enumerate the admissible subsets to try, in increasing size
     /// (∅ first, full set last), each interned once for the whole phase
     /// that conditions on it. Size is capped by the config.
+    ///
+    /// # Panics
+    /// Panics when `admissible` holds more than [`MAX_ADMISSIBLE`] ids.
     pub fn admissible_subsets(&self, admissible: &[VarId]) -> Vec<CondSet> {
         let k = admissible.len();
         assert!(
-            k <= self.admissible_guard,
-            "admissible set of size {k} exceeds the enumeration guard ({}); \
-             raise SelectConfig::admissible_guard explicitly if intended",
-            self.admissible_guard
+            k <= MAX_ADMISSIBLE,
+            "admissible set of size {k} exceeds the enumeration guard ({MAX_ADMISSIBLE})"
         );
         let max_size = self.max_admissible_subset.min(k);
         let mut subsets: Vec<CondSet> = Vec::new();

@@ -1,9 +1,11 @@
 //! A minimal JSON value type with a recursive-descent parser and a
 //! serializer — the wire format of the session service.
 //!
-//! The workspace is offline (no serde); the engine already *emits* JSON by
-//! hand for `BENCH_*.json`, and the server additionally needs to *parse*
-//! requests. This module is deliberately small: objects preserve insertion
+//! The workspace is offline (no serde), so this is its one JSON parser:
+//! the server parses requests with it, and `fairsel-bench` writes and
+//! reads `BENCH_engine.json` through it. The engine's stats document
+//! (`EngineStats::to_json`) is still written by hand, because its bytes are
+//! pinned. This module is deliberately small: objects preserve insertion
 //! order (`Vec` of pairs, first key wins on lookup), numbers are `f64`
 //! (integers round-trip exactly up to 2⁵³ — ample for row counts and
 //! counters; 64-bit fingerprints travel as hex strings), strings support

@@ -359,10 +359,12 @@ impl Registry {
     /// copy stays). The store is LRU-bounded by `max_datasets`.
     ///
     /// A table no workload can be built on is refused with the error of
-    /// [`check_column_kinds`] (a NaN or ±∞ in a numeric feature, a
-    /// numeric target, sensitive or admissible column), and the store is
-    /// left untouched, so it cannot evict a usable upload. Whether the
-    /// G-test can read the features is decided per select.
+    /// [`check_column_kinds`] (no sensitive column, not exactly one
+    /// target column, more admissible columns than selection enumerates,
+    /// a NaN or ±∞ in a numeric feature, a numeric target, sensitive or
+    /// admissible column), and the store is left untouched, so it cannot
+    /// evict a usable upload. Whether the G-test can read the features is
+    /// decided per select.
     pub fn put(&self, table: Table) -> Result<u64, String> {
         check_column_kinds(&table, false).map_err(|e| format!("put rejected: {e}"))?;
         let folds = ColumnFolds::of(&table);
@@ -582,8 +584,8 @@ impl Registry {
         table: &Table,
         req: &WorkloadRequest,
     ) -> Result<Workload, String> {
-        check_column_kinds(table, req.tester == "gtest")?;
         let spec = TesterSpec::parse(&req.tester, req.alpha)?;
+        check_column_kinds(table, spec.reads_codes())?;
         // Row-stable split: membership depends only on (seed, row index),
         // so a dataset extended by append splits into exactly the parent's
         // split plus the new rows — the prefix property the warm-child
@@ -684,6 +686,7 @@ pub fn pipeline_config(req: &WorkloadRequest, train_rows: usize) -> Result<Pipel
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairsel_core::MAX_ADMISSIBLE;
     use fairsel_table::{Column, Role};
     use std::sync::Barrier;
 
@@ -899,6 +902,36 @@ mod tests {
             ..Default::default()
         };
         reg.select(&req).expect("the clean upload is still stored");
+    }
+
+    /// A table whose roles no selection can run on is refused at `put`:
+    /// no sensitive column, no target, two targets, and more admissible
+    /// columns than selection enumerates. None takes a slot.
+    #[test]
+    fn put_refuses_a_table_no_selection_can_run_on() {
+        let reg = Registry::new(RegistryConfig::default());
+        let clean = small_table(200, false);
+        let with_role = |col: usize, role: Role| {
+            let mut cols = clean.columns().to_vec();
+            cols[col].role = role;
+            Table::new(cols).unwrap()
+        };
+        let mut wide = clean.columns().to_vec();
+        for i in 0..=MAX_ADMISSIBLE {
+            let codes = (0..200).map(|r| ((r + i) % 2) as u32).collect();
+            wide.push(Column::cat(format!("a{i}"), Role::Admissible, codes, 2));
+        }
+        for (table, message) in [
+            (with_role(0, Role::Feature), "no sensitive column"),
+            (with_role(2, Role::Feature), "0 target columns"),
+            (with_role(1, Role::Target), "2 target columns"),
+            (Table::new(wide).unwrap(), "13 admissible columns"),
+        ] {
+            let err = reg.put(table).unwrap_err();
+            assert!(err.starts_with("put rejected: "), "{err}");
+            assert!(err.contains(message), "{err}");
+        }
+        assert_eq!(reg.resident_puts(), 0);
     }
 
     #[test]

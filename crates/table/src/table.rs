@@ -1,6 +1,5 @@
 //! The [`Table`] type and its column model.
 
-use rand::Rng;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -111,11 +110,6 @@ impl Column {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Is this a categorical column?
-    pub fn is_categorical(&self) -> bool {
-        matches!(self.data, ColumnData::Cat { .. })
     }
 
     /// Arity for categorical columns, `None` for numeric.
@@ -393,37 +387,6 @@ impl Table {
     pub fn take_rows(&self, rows: &[usize]) -> Table {
         let columns: Vec<Column> = self.columns.iter().map(|c| c.take(rows)).collect();
         Table::new(columns).expect("take preserves invariants")
-    }
-
-    /// Rows where `mask` is true.
-    pub fn filter_rows(&self, mask: &[bool]) -> Table {
-        assert_eq!(mask.len(), self.n_rows, "mask length mismatch");
-        let rows: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i))
-            .collect();
-        self.take_rows(&rows)
-    }
-
-    /// Shuffled train/test split; `train_frac` in (0, 1).
-    pub fn split_train_test<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        train_frac: f64,
-    ) -> (Table, Table) {
-        assert!(
-            (0.0..1.0).contains(&train_frac) && train_frac > 0.0,
-            "train_frac must be in (0,1)"
-        );
-        let mut rows: Vec<usize> = (0..self.n_rows).collect();
-        for i in (1..rows.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            rows.swap(i, j);
-        }
-        let cut = ((self.n_rows as f64) * train_frac).round() as usize;
-        let cut = cut.clamp(1, self.n_rows.saturating_sub(1).max(1));
-        (self.take_rows(&rows[..cut]), self.take_rows(&rows[cut..]))
     }
 
     /// Concatenate a row batch with an identical schema onto this table.
@@ -762,25 +725,6 @@ mod tests {
         let sub = t.take_rows(&[2, 0, 2]);
         assert_eq!(sub.n_rows(), 3);
         assert_eq!(sub.expect_column("income").to_f64(), vec![52.0, 30.0, 52.0]);
-        let filtered = t.filter_rows(&[true, false, false, true]);
-        assert_eq!(filtered.n_rows(), 2);
-        assert_eq!(filtered.expect_column("gender").codes().unwrap(), &[0, 1]);
-    }
-
-    #[test]
-    fn split_partitions_rows() {
-        let t = people();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (train, test) = t.split_train_test(&mut rng, 0.75);
-        assert_eq!(train.n_rows() + test.n_rows(), 4);
-        assert_eq!(train.n_rows(), 3);
-        // Deterministic under the same seed.
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let (train2, _) = t.split_train_test(&mut rng2, 0.75);
-        assert_eq!(
-            train.expect_column("income").to_f64(),
-            train2.expect_column("income").to_f64()
-        );
     }
 
     #[test]
