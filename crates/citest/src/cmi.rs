@@ -87,10 +87,12 @@ impl PermutationCmi {
     /// stratification and its CSR row layout are extended over the
     /// appended rows (`extend_scaffold`) — deterministic, so every
     /// transferred scaffold is bit-identical to what a cold tester on the
-    /// concatenated table would derive — and every retained observed-data
-    /// table is patched with the appended rows. Test configuration (alpha,
-    /// permutation count, base seed) is inherited; evaluation telemetry
-    /// starts fresh, matching a cold run's counters.
+    /// concatenated table would derive. A retained observed-data table is
+    /// patched with the appended rows the first time
+    /// [`CiTestBatch::patched_outcome`] asks for its query, while the
+    /// parent is alive. Test configuration (alpha, permutation count, base
+    /// seed) is inherited; evaluation telemetry starts fresh, matching a
+    /// cold run's counters.
     pub fn extended_from(parent: &PermutationCmi, enc: Arc<EncodedTable>) -> PermutationCmi {
         PermutationCmi {
             state: DiscreteState::extended_from(&parent.state, enc),
@@ -235,22 +237,22 @@ impl CiTestBatch for PermutationCmi {
     }
 
     /// Answer a memoized query from its retained-and-patched observed
-    /// table: the observed statistic is one walk over the already-patched
-    /// counts (O(batch) counting happened at extension); the `B`
-    /// permutation replicates re-run against the extended scaffold with
-    /// the query's derived seed — the identical randomness and arithmetic
-    /// a cold evaluation consumes, so every output bit matches. `None`
-    /// routes the query to the invalidate path.
+    /// table: the parent's table is patched with the appended rows the
+    /// first time the query is asked for (O(batch) counting), and the
+    /// observed statistic is one walk over it; the `B` permutation
+    /// replicates re-run against the extended scaffold with the query's
+    /// derived seed — the identical randomness and arithmetic a cold
+    /// evaluation consumes, so every output bit matches. `None` routes the
+    /// query to the invalidate path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        let ((x, y, zkey), t) = match self.state.retained(x, y, z) {
+        let ((x, y, zkey), t, sc) = match self.state.retained(x, y, z) {
             Ok(found) => found,
             Err(answer) => return answer,
         };
-        let sc = self.state.resident_scaffold(&zkey)?;
         let (xe, ye) = (self.state.enc.encode(&x), self.state.enc.encode(&y));
         let seed = crate::derived_query_seed(self.seed, &x, &y, &zkey);
-        let observed = cmi_stat(&mut &*t, t.n_rows);
-        let (xa, ya) = (t.table.xa, t.table.ya);
+        let observed = cmi_stat(&mut (&*t, &sc.0), t.n_rows);
+        let (xa, ya) = (t.xa, t.ya);
         let mut arenas = Arenas::default();
         Some(with_codes!(&xe.codes, |xc| with_codes!(&ye.codes, |yc| {
             self.against_null(observed, xc, xa, yc, ya, &sc, seed, &mut arenas)
@@ -469,10 +471,11 @@ mod tests {
 
         let concat = parent_t.concat(&batch).unwrap();
         let cold = PermutationCmi::new(&concat, 0.05, 29, 7);
-        // Every warmed query's observed table was retained and patched at
-        // extension; its patched outcome — one table walk plus the
-        // replicate stream — is bit-identical to the cold evaluation.
-        assert_eq!(birth.suff_tables, 2, "{birth:?}");
+        // Every warmed query's observed table was retained; the child
+        // patches it the first time `patched_outcome` asks, and its
+        // patched outcome — one table walk plus the replicate stream — is
+        // bit-identical to the cold evaluation.
+        assert_eq!(birth.suff_tables, 0, "nothing patched at birth: {birth:?}");
         assert!(ext.patched_outcome(&[1], &[2], &[0]).is_none());
         for (x, y, z) in &warm {
             let got = ext.patched_outcome(x, y, z).expect("patched table answers");
@@ -481,6 +484,7 @@ mod tests {
             assert_eq!(got.p_value.to_bits(), want.p_value.to_bits());
             assert_eq!(got.independent, want.independent);
         }
+        assert_eq!(ext.scaffold_stats().suff_tables, 2);
         let mut queries = warm.to_vec();
         queries.push((vec![1], vec![2], vec![0])); // fresh conditioning set
         for (x, y, z) in &queries {

@@ -13,8 +13,12 @@
 //! CSR row layout ([`StratumRows`]) stratum by stratum. [`DenseArena`]
 //! counts into a flat `stratum × xa × ya` table and lists each stratum's
 //! cells, flat, in first-occurrence order. A retained statistic
-//! ([`SuffTable`]) is a copy of that filled table, patched on append, so
-//! filled and retained tables share one layout and one walk. Cell spaces
+//! ([`SuffTable`]) keeps only those runs of cells with their counts,
+//! reads its strata's rows from the partition it was counted or patched
+//! over, and is patched on append; the filled arena and the retained
+//! table share one walk over runs of cells ([`walk_runs`]). A warm child
+//! patches a parent's table only when its memo re-derives the query
+//! ([`DiscreteState::retained`]). Cell spaces
 //! too large for the flat table ([`dense_cell_space`]) go to
 //! [`SparseArena`], which appends each stratum's cells to flat vectors
 //! through one reusable open-addressing index. Each layout has one walk
@@ -33,7 +37,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 /// Precomputed stratification of a conditioning-set encoding — the shared
 /// scaffold of a *Z-group*: every query of a GrpSel frontier level
@@ -326,9 +330,10 @@ pub(crate) fn cmi_stat(cells: &mut impl Walk, n: usize) -> f64 {
 /// flat — stratum `s` holds `cells[offsets[s]..offsets[s + 1]]`, the CSR
 /// layout [`StratumRows`] uses for rows. One arena serves every query of
 /// a Z-group (and every permutation replicate of a CMI query): buffers
-/// are resized once and refilled. A retained statistic is a copy of the
-/// filled arena ([`SuffTable`]), walked by the same [`DenseArena::walk`].
-#[derive(Clone, Default)]
+/// are resized once and refilled. A retained statistic ([`SuffTable`])
+/// keeps the filled arena's runs of cells with their counts, not the flat
+/// table, and walks through the same [`walk_runs`].
+#[derive(Default)]
 pub(crate) struct DenseArena {
     /// Integer cell counts: an integer increment retires in one cycle
     /// where the former `f64 += 1.0` serialized on FP-add latency for
@@ -342,9 +347,8 @@ pub(crate) struct DenseArena {
     cells: Vec<(u32, u32)>,
     offsets: Vec<u32>,
     /// The arities the flat table is laid out at.
-    pub xa: usize,
-    pub ya: usize,
-    pub n_strata: usize,
+    xa: usize,
+    ya: usize,
 }
 
 /// A dense walk's marginal scratch: the exact integer marginals of the
@@ -388,7 +392,6 @@ impl DenseArena {
         assert!(n <= u32::MAX as usize, "row count exceeds u32 cell counts");
         self.xa = xa;
         self.ya = ya;
-        self.n_strata = part.n_strata;
         resize_zeroed(&mut self.counts, cells);
         // Stratum totals come precomputed from the partition — no per-row
         // accumulation in the fill loops.
@@ -443,57 +446,82 @@ impl DenseArena {
         }
     }
 
-    /// Stratum `s`'s cells in first-occurrence order.
-    fn run(&self, s: usize) -> &[(u32, u32)] {
-        &self.cells[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    /// The count of stratum `s`'s cell `(xv, yv)` in the flat table.
+    #[inline]
+    fn count(&self, s: usize, (xv, yv): (u32, u32)) -> u32 {
+        self.counts[(s * self.xa + xv as usize) * self.ya + yv as usize]
     }
 
-    /// The [`Walk`] of the dense layout, for the arena and every retained
-    /// table alike. Each stratum's marginals are exact integer sums over
-    /// its finished cells, taken in `m`, which holds `xa + ya` slots and
-    /// is zeroed again cell by cell before the next stratum.
-    fn walk(&self, m: &mut Margins, mut term: impl FnMut(f64, f64, f64, f64)) -> usize {
-        let (xa, ya) = (self.xa, self.ya);
-        if m.xm.len() < xa {
-            m.xm.resize(xa, 0);
-        }
-        if m.ym.len() < ya {
-            m.ym.resize(ya, 0);
-        }
-        let mut df = 0usize;
-        for s in 0..self.n_strata {
-            let counts = &self.counts[s * xa * ya..(s + 1) * xa * ya];
-            let run = self.run(s);
-            let (mut r, mut c) = (0usize, 0usize);
-            for &(xv, yv) in run {
-                let nxy = counts[xv as usize * ya + yv as usize] as u64;
-                let xm = &mut m.xm[xv as usize];
-                r += usize::from(*xm == 0);
-                *xm += nxy;
-                let ym = &mut m.ym[yv as usize];
-                c += usize::from(*ym == 0);
-                *ym += nxy;
-            }
-            let total = self.totals[s] as f64;
-            for &(xv, yv) in run {
-                let nxy = counts[xv as usize * ya + yv as usize] as f64;
-                term(
-                    nxy,
-                    total,
-                    m.xm[xv as usize] as f64,
-                    m.ym[yv as usize] as f64,
-                );
-            }
-            for &(xv, yv) in run {
-                m.xm[xv as usize] = 0;
-                m.ym[yv as usize] = 0;
-            }
-            if r > 1 && c > 1 {
-                df += (r - 1) * (c - 1);
-            }
-        }
-        df
+    /// The [`Walk`] of the dense layout: the runs of cells it listed,
+    /// counts read from the flat table.
+    fn walk(&self, m: &mut Margins, term: impl FnMut(f64, f64, f64, f64)) -> usize {
+        walk_runs(
+            m,
+            (self.xa, self.ya),
+            (&self.offsets, &self.cells),
+            &self.totals,
+            |s, i| self.count(s, self.cells[i]),
+            term,
+        )
     }
+}
+
+/// The one walk body of every layout that keeps each stratum's cells as a
+/// run, stratum `s` holding `cells[offsets[s]..offsets[s + 1]]` in
+/// first-occurrence order: the filled [`DenseArena`], whose counts sit in
+/// its flat table, and a retained [`SuffTable`], whose counts sit beside
+/// its cells. `count(s, i)` is the count of `cells[i]`, which lies in
+/// stratum `s`, and `sizes[s]` is the stratum's rows. Each stratum's
+/// marginals are exact integer sums over its finished cells, taken in
+/// `m`, which holds `xa + ya` slots and is zeroed again cell by cell
+/// before the next stratum.
+fn walk_runs(
+    m: &mut Margins,
+    (xa, ya): (usize, usize),
+    (offsets, cells): (&[u32], &[(u32, u32)]),
+    sizes: &[u64],
+    count: impl Fn(usize, usize) -> u32,
+    mut term: impl FnMut(f64, f64, f64, f64),
+) -> usize {
+    if m.xm.len() < xa {
+        m.xm.resize(xa, 0);
+    }
+    if m.ym.len() < ya {
+        m.ym.resize(ya, 0);
+    }
+    let mut df = 0usize;
+    for (s, ends) in offsets.windows(2).enumerate() {
+        let run = ends[0] as usize..ends[1] as usize;
+        let (mut r, mut c) = (0usize, 0usize);
+        for i in run.clone() {
+            let (xv, yv) = cells[i];
+            let nxy = count(s, i) as u64;
+            let xm = &mut m.xm[xv as usize];
+            r += usize::from(*xm == 0);
+            *xm += nxy;
+            let ym = &mut m.ym[yv as usize];
+            c += usize::from(*ym == 0);
+            *ym += nxy;
+        }
+        let total = sizes[s] as f64;
+        for i in run.clone() {
+            let (xv, yv) = cells[i];
+            term(
+                count(s, i) as f64,
+                total,
+                m.xm[xv as usize] as f64,
+                m.ym[yv as usize] as f64,
+            );
+        }
+        for &(xv, yv) in &cells[run] {
+            m.xm[xv as usize] = 0;
+            m.ym[yv as usize] = 0;
+        }
+        if r > 1 && c > 1 {
+            df += (r - 1) * (c - 1);
+        }
+    }
+    df
 }
 
 /// Resize to `len` and zero every element (keeping capacity across fills).
@@ -767,19 +795,22 @@ pub(crate) type SuffKey = (Vec<VarId>, Vec<VarId>, Vec<VarId>);
 type SuffCache = CappedCache<SuffKey, Arc<SuffTable>>;
 
 /// The retained sufficient statistic of one memoized discrete-tester
-/// query: a copy of the dense arena it was counted in, and the rows and
-/// sides it was counted over. On dataset extension the table is *patched*
-/// — only the appended rows are counted — instead of refilled from
-/// scratch, which is what turns an appended re-select's statistical work
-/// from O(workload·n) into O(batch).
+/// query: each stratum's run of counted cells in first-occurrence order
+/// with their counts, the run offsets, the arities, and the rows and
+/// sides it was counted over. It keeps no flat `stratum × xa × ya` table
+/// and no copy of the stratum sizes: its walk reads those from the
+/// partition it was counted or patched over. On dataset extension the
+/// table is *patched* — only the appended rows are counted — instead of
+/// refilled from scratch, which is what turns an appended re-select's
+/// statistical work from O(workload·n) into O(batch).
 ///
-/// Patching is exact: counts are integers (integer adds never round), the
-/// flat cell index `(s·xa + x)·ya + y` is independent of the stratum count
-/// (grown strata extend the table without relayout), and appended rows are
-/// visited in ascending order, so a cell first observed in the batch joins
-/// the end of its stratum's run exactly where a cold fill over the
-/// concatenated rows would discover it. The walk is the arena's own, so a
-/// patched table's statistics are bit-identical to a cold evaluation.
+/// Patching is exact: counts are integers (integer adds never round), an
+/// appended row's cell is found among the runs of the strata the batch
+/// touches, and appended rows are visited in ascending order, so a cell
+/// first observed in the batch joins the end of its stratum's run exactly
+/// where a cold fill over the concatenated rows would discover it. The
+/// walk body is the arena's own ([`walk_runs`]), so a patched table's
+/// statistics are bit-identical to a cold evaluation.
 pub(crate) struct SuffTable {
     /// Side variable sets exactly as the statistic was evaluated — the
     /// spelling re-encoded against the extended table when patching.
@@ -787,20 +818,60 @@ pub(crate) struct SuffTable {
     pub yset: Vec<VarId>,
     /// Rows counted so far.
     pub n_rows: usize,
-    /// The counts, laid out at the arities they were counted at.
-    /// Patching requires the extended encodings to keep those arities (a
-    /// batch that introduces new category values relays the cell space
-    /// out — the table must be rebuilt, not patched).
-    pub table: DenseArena,
+    /// The arities the cells were counted at. Patching requires the
+    /// extended encodings to keep them (a batch that introduces new
+    /// category values changes the cell space — the table must be
+    /// rebuilt, not patched).
+    pub xa: usize,
+    pub ya: usize,
+    /// Stratum `s`'s cells are `cells[offsets[s]..offsets[s + 1]]`, with
+    /// their counts at the same positions of `counts`.
+    cells: Vec<(u32, u32)>,
+    counts: Vec<u32>,
+    offsets: Vec<u32>,
 }
 
 impl SuffTable {
+    /// Retain the cells the dense arena just counted (a walk leaves them
+    /// intact) as the statistic of sides `xset` and `yset` over `n_rows`
+    /// rows: its runs of cells and offsets, and each cell's count read out
+    /// of the flat table.
+    fn counted(arena: &DenseArena, xset: Vec<VarId>, yset: Vec<VarId>, n_rows: usize) -> Self {
+        let mut counts = Vec::with_capacity(arena.cells.len());
+        for (s, ends) in arena.offsets.windows(2).enumerate() {
+            let run = &arena.cells[ends[0] as usize..ends[1] as usize];
+            counts.extend(run.iter().map(|&cell| arena.count(s, cell)));
+        }
+        SuffTable {
+            xset,
+            yset,
+            n_rows,
+            xa: arena.xa,
+            ya: arena.ya,
+            cells: arena.cells.clone(),
+            counts,
+            offsets: arena.offsets.clone(),
+        }
+    }
+
+    /// Number of strata counted.
+    fn n_strata(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Positions of stratum `s`'s cells.
+    fn run(&self, s: usize) -> std::ops::Range<usize> {
+        self.offsets[s] as usize..self.offsets[s + 1] as usize
+    }
+
     /// Count only the appended rows `self.n_rows..` of the extended codes
     /// into a new table, against the extended partition (whose prefix
     /// numbering equals the partition this table was counted over —
-    /// [`extend_scaffold`] guarantees it). The counts are copied once,
-    /// each stratum's run of cells is copied, and the cells first seen in
-    /// the batch follow at the end of their stratum's run in row order.
+    /// [`extend_scaffold`] guarantees it). The cells of the runs the batch
+    /// touches are indexed by flat cell `(s·xa + x)·ya + y`, each appended
+    /// row bumps its cell's count or opens a cell, the runs are copied,
+    /// and the cells first seen in the batch follow at the end of their
+    /// stratum's run in row order.
     pub fn patch<X: CodeValue, Y: CodeValue>(
         &self,
         x: &[X],
@@ -808,49 +879,77 @@ impl SuffTable {
         part: &ZPartition,
     ) -> SuffTable {
         let n = x.len();
-        let t = &self.table;
         debug_assert_eq!(n, y.len(), "suff patch: length mismatch");
         debug_assert_eq!(n, part.stratum_of.len(), "suff patch: partition mismatch");
-        debug_assert!(part.n_strata >= t.n_strata, "strata cannot shrink");
+        debug_assert!(part.n_strata >= self.n_strata(), "strata cannot shrink");
         debug_assert!(self.n_rows <= n, "rows cannot shrink");
-        let (xa, ya) = (t.xa, t.ya);
-        let mut counts = Vec::with_capacity(part.n_strata * xa * ya);
-        counts.extend_from_slice(&t.counts);
-        counts.resize(part.n_strata * xa * ya, 0);
-        let mut fresh = Vec::new();
-        for r in self.n_rows..n {
-            let s = part.stratum_of[r];
-            let flat = (s as usize * xa + x[r].index()) * ya + y[r].index();
-            if counts[flat] == 0 {
-                fresh.push((s, (x[r].widen(), y[r].widen())));
+        let batch = &part.stratum_of[self.n_rows..n];
+        let (xa, ya) = (self.xa as u64, self.ya as u64);
+        let flat = |s: u32, (xv, yv): (u32, u32)| (s as u64 * xa + xv as u64) * ya + yv as u64;
+        let mut touched = vec![false; self.n_strata()];
+        let mut keys = batch.len();
+        for &s in batch {
+            if let Some(seen) = touched.get_mut(s as usize).filter(|seen| !**seen) {
+                *seen = true;
+                keys += self.run(s as usize).len();
             }
-            counts[flat] += 1;
         }
-        let (offsets, cells) = append_to_runs(&t.offsets, &t.cells, fresh, part.n_strata);
+        let mut index = StampedIndex::default();
+        index.clear(keys);
+        for s in (0..touched.len()).filter(|&s| touched[s]) {
+            for i in self.run(s) {
+                index.get_or_insert(flat(s as u32, self.cells[i]), i as u32);
+            }
+        }
+        // A cell first seen in the batch takes the next position past the
+        // old cells; `fresh` lists it under its stratum, in row order.
+        let mut counts = self.counts.clone();
+        let (mut fresh, mut fresh_counts) = (Vec::new(), Vec::new());
+        for (r, &s) in (self.n_rows..n).zip(batch) {
+            let cell = (x[r].widen(), y[r].widen());
+            let next = (counts.len() + fresh.len()) as u32;
+            match index.get_or_insert(flat(s, cell), next) {
+                (_, true) => {
+                    fresh.push((s, cell));
+                    fresh_counts.push((s, 1));
+                }
+                (i, false) => match (i as usize).checked_sub(counts.len()) {
+                    Some(f) => fresh_counts[f].1 += 1,
+                    None => counts[i as usize] += 1,
+                },
+            }
+        }
+        let (offsets, cells) = append_to_runs(&self.offsets, &self.cells, fresh, part.n_strata);
+        let (_, counts) = append_to_runs(&self.offsets, &counts, fresh_counts, part.n_strata);
         SuffTable {
             xset: self.xset.clone(),
             yset: self.yset.clone(),
             n_rows: n,
-            table: DenseArena {
-                counts,
-                // Totals are a property of the partition alone — exact
-                // integers, identical to what a cold fill copies in.
-                totals: part.sizes.clone(),
-                cells,
-                offsets,
-                xa,
-                ya,
-                n_strata: part.n_strata,
-            },
+            xa: self.xa,
+            ya: self.ya,
+            cells,
+            counts,
+            offsets,
         }
     }
 }
 
-/// A retained table walks as the arena it was copied from, with `xa + ya`
-/// slots of fresh marginal scratch per walk.
-impl Walk for &SuffTable {
+/// A retained table walks against the partition it was counted or patched
+/// over, which holds its strata's rows, with `xa + ya` slots of fresh
+/// marginal scratch per walk.
+impl Walk for (&SuffTable, &ZPartition) {
     fn walk(&mut self, term: impl FnMut(f64, f64, f64, f64)) -> usize {
-        self.table.walk(&mut Margins::default(), term)
+        let (t, part) = *self;
+        debug_assert_eq!(t.n_strata(), part.n_strata, "table/partition mismatch");
+        debug_assert_eq!(t.n_rows, part.stratum_of.len(), "table/partition mismatch");
+        walk_runs(
+            &mut Margins::default(),
+            (t.xa, t.ya),
+            (&t.offsets, &t.cells),
+            &part.sizes,
+            |_, i| t.counts[i],
+            term,
+        )
     }
 }
 
@@ -879,10 +978,15 @@ pub(crate) struct DiscreteState {
     /// (and later levels re-using the set) share one stratification.
     partitions: ScaffoldCache,
     /// Retained sufficient statistics, keyed by the canonical query
-    /// triple. On dataset extension each resident table is patched with
-    /// the appended rows ([`SuffTable::patch`]), so the re-evaluated
+    /// triple: the tables counted since birth and the parent tables
+    /// patched on demand ([`DiscreteState::retained`]), so a re-derived
     /// query's observed statistic costs O(batch) counting instead of O(n).
     suff: SuffCache,
+    /// The parent tester's retained tables at birth, held weakly and taken
+    /// on first ask: a table no memo key reads is never copied, and an
+    /// evicted parent's tables are freed rather than kept alive here.
+    // analyze: bounded-by the parent's table cache at birth, itself capped; filled once by `extended_from`, entries only removed afterwards
+    parent_suff: Mutex<HashMap<SuffKey, Weak<SuffTable>>>,
     /// Scaffolds carried over (and extended) from a parent tester — the
     /// `extended` side of the scaffold conservation ledger.
     extended_scaffolds: u64,
@@ -897,16 +1001,18 @@ impl DiscreteState {
             dense_cells: AtomicU64::new(0),
             partitions: CappedCache::new(cap),
             suff: CappedCache::new(cap),
+            parent_suff: Mutex::default(),
             extended_scaffolds: 0,
         }
     }
 
     /// The state a tester over the extended encoding layer `enc` starts
     /// from: every resident scaffold of `parent` is extended over the
-    /// appended rows ([`extend_scaffold`]), then every retained table whose
-    /// preconditions hold is patched ([`DiscreteState::patch`]); the rest
-    /// are dropped and their queries take the invalidate path. Keys are
-    /// visited in sorted order. Counters start fresh, as a cold tester's.
+    /// appended rows ([`extend_scaffold`]), visited in sorted key order.
+    /// No retained table is patched here: the child holds weak handles to
+    /// the parent's tables, and [`DiscreteState::retained`] patches one
+    /// the first time its query is asked for, while the caller still
+    /// holds the parent. Counters start fresh, as a cold tester's.
     pub fn extended_from(parent: &DiscreteState, enc: Arc<EncodedTable>) -> DiscreteState {
         let mut child = DiscreteState::over(enc);
         let mut scaffolds = parent.partitions.snapshot();
@@ -918,13 +1024,9 @@ impl DiscreteState {
                 .partitions
                 .insert_transferred(zkey, Arc::new(extend_scaffold(&sc, &ze)));
         }
-        let mut tables = parent.suff.snapshot();
-        tables.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, t) in tables {
-            if let Some(patched) = child.patch(&key.2, &t) {
-                child.suff.insert_transferred(key, Arc::new(patched));
-            }
-        }
+        let tables = parent.suff.snapshot().into_iter();
+        let weak = tables.map(|(k, t)| (k, Arc::downgrade(&t)));
+        child.parent_suff = Mutex::new(weak.collect());
         child
     }
 
@@ -940,7 +1042,7 @@ impl DiscreteState {
     /// - the conditioning scaffold must be resident (probed with `peek`,
     ///   leaving the hit/miss ledger untouched);
     /// - the side arities must be unchanged (a batch introducing new
-    ///   category values relays the flat cell space out);
+    ///   category values changes the cell space);
     /// - the cell space must still be dense at the new row count (a
     ///   resource bound: patching is exact either way, but the
     ///   retained-table budget tracks the dense arena's).
@@ -955,7 +1057,7 @@ impl DiscreteState {
         let sc = self.partitions.peek(zkey)?;
         let part = &sc.0;
         let (xe, ye) = (enc.encode(&t.xset), enc.encode(&t.yset));
-        let (xa, ya) = (t.table.xa, t.table.ya);
+        let (xa, ya) = (t.xa, t.ya);
         if (arity(&xe), arity(&ye)) != (xa, ya) {
             return None;
         }
@@ -1022,7 +1124,7 @@ impl DiscreteState {
         }))
     }
 
-    /// Retain the dense arena's just-filled counts (a walk leaves them
+    /// Retain the dense arena's just-filled cells (a walk leaves them
     /// intact) as the sufficient statistic of the query with sides `x`,
     /// `y` and canonical conditioning set `zkey`, unless one is resident,
     /// so the next dataset extension can patch them with only the
@@ -1031,20 +1133,18 @@ impl DiscreteState {
         let (xs, ys) = crate::canonical_sides(x, y);
         let key = (xs, ys, zkey.to_vec());
         if self.suff.peek(&key).is_none() {
-            let t = SuffTable {
-                xset: x.to_vec(),
-                yset: y.to_vec(),
-                n_rows: self.enc.n_rows(),
-                table: arena.clone(),
-            };
+            let t = SuffTable::counted(arena, x.to_vec(), y.to_vec(), self.enc.n_rows());
             self.suff.insert(key, Arc::new(t));
         }
     }
 
-    /// What a patched answer starts from: the query's canonical key and
-    /// its retained table, patched to every row. Without one, `Err`
-    /// carries the answer: empty sides decide independence; a retained
-    /// table was counted on a conditioning set that was not all
+    /// What a patched answer starts from: the query's canonical key, its
+    /// retained table counted over every row, and the scaffold the table
+    /// walks against. A table not counted here is the parent's, patched
+    /// now the first time its query is asked for ([`DiscreteState::patch`];
+    /// the parent's table is dropped from the weak map either way). Without
+    /// one, `Err` carries the answer: empty sides decide independence; a
+    /// retained table was counted on a conditioning set that was not all
     /// singletons, and extended rows keep its strata, so only a query
     /// without one can be degenerate now, answered as a cold evaluation
     /// answers it (the counter is not bumped: a patched answer does no
@@ -1055,14 +1155,18 @@ impl DiscreteState {
         x: &[VarId],
         y: &[VarId],
         z: &[VarId],
-    ) -> Result<(SuffKey, Arc<SuffTable>), Option<CiOutcome>> {
+    ) -> Result<(SuffKey, Arc<SuffTable>, Arc<Scaffold>), Option<CiOutcome>> {
         if x.is_empty() || y.is_empty() {
             return Err(Some(CiOutcome::decided(true)));
         }
         let (xs, ys) = crate::canonical_sides(x, y);
         let key = (xs, ys, crate::canonical_set(z));
-        match self.suff.peek(&key) {
-            Some(t) if t.n_rows == self.enc.n_rows() => Ok((key, t)),
+        let table = self.suff.peek(&key).or_else(|| self.patch_parent(&key));
+        match table {
+            Some(t) if t.n_rows == self.enc.n_rows() => {
+                let sc = self.partitions.peek(&key.2).ok_or(None)?;
+                Ok((key, t, sc))
+            }
             Some(_) => Err(None),
             None => Err(self
                 .enc
@@ -1072,10 +1176,21 @@ impl DiscreteState {
         }
     }
 
-    /// The resident scaffold of `zkey`, leaving the hit/miss ledger
-    /// untouched.
-    pub fn resident_scaffold(&self, zkey: &[VarId]) -> Option<Arc<Scaffold>> {
-        self.partitions.peek(zkey)
+    /// The table retained under `key`, if resident, so tests can follow
+    /// a table's life.
+    #[cfg(test)]
+    pub fn resident_table(&self, key: &SuffKey) -> Option<Arc<SuffTable>> {
+        self.suff.peek(key)
+    }
+
+    /// Take the parent's table for `key` off the weak map and, while the
+    /// parent still holds it and the patch preconditions hold, patch it
+    /// and keep the result.
+    fn patch_parent(&self, key: &SuffKey) -> Option<Arc<SuffTable>> {
+        let parent = self.parent_suff.lock().expect("parent tables").remove(key);
+        let table = parent?.upgrade()?;
+        let patched = self.patch(&key.2, &table)?;
+        Some(self.suff.insert_transferred(key.clone(), Arc::new(patched)))
     }
 
     /// The scaffold ledger: `extended` scaffolds were carried over from a
@@ -1119,14 +1234,19 @@ mod tests {
     use crate::gtest::finish_g;
     use crate::kernel_reference::{cmi_from_strata, g_and_df, g_from_strata, Strata};
 
-    /// A retained table over `n_rows` holding the arena's filled counts.
+    /// A retained table over `n_rows` holding the arena's filled cells.
     fn retained(arena: &DenseArena, n_rows: usize) -> SuffTable {
-        SuffTable {
-            xset: Vec::new(),
-            yset: Vec::new(),
-            n_rows,
-            table: arena.clone(),
-        }
+        SuffTable::counted(arena, Vec::new(), Vec::new(), n_rows)
+    }
+
+    /// A retained table's cells, each with its count.
+    type Counted = Vec<((u32, u32), u32)>;
+
+    /// A retained table's layout: its cells with their counts, and its
+    /// run offsets.
+    fn layout(t: &SuffTable) -> (Counted, &[u32]) {
+        let cells = t.cells.iter().copied().zip(t.counts.iter().copied());
+        (cells.collect(), &t.offsets)
     }
 
     /// The G statistic, df and CMI of a walk over `n` rows, as bits.
@@ -1189,13 +1309,10 @@ mod tests {
         let hashed = Strata::count(&x, &y, &z);
         assert_eq!(hashed.strata.len(), part.n_strata);
         for (s, sa) in hashed.strata.iter().enumerate() {
-            let within: Vec<((u32, u32), f64)> = arena
-                .run(s)
+            let run = &arena.cells[arena.offsets[s] as usize..arena.offsets[s + 1] as usize];
+            let within: Vec<((u32, u32), f64)> = run
                 .iter()
-                .map(|&(xv, yv)| {
-                    let n = arena.counts[(s * xa + xv as usize) * ya + yv as usize];
-                    ((xv, yv), n as f64)
-                })
+                .map(|&cell| (cell, arena.count(s, cell) as f64))
                 .collect();
             assert_eq!(sa.cells, within);
             assert_eq!(sa.total, arena.totals[s] as f64);
@@ -1297,9 +1414,10 @@ mod tests {
     }
 
     /// Patching a retained sufficient table with only the appended rows —
-    /// new cells and a brand-new stratum included — reproduces the cold
-    /// fill over the concatenated rows cell for cell, and both statistic
-    /// walks come out bit-identical to the cold arena walks.
+    /// new cells and a brand-new stratum included — reproduces the table a
+    /// cold fill over the concatenated rows retains, cell for cell with
+    /// counts and offsets, and its statistic walks come out bit-identical
+    /// to the cold arena walks and to the hashed reference.
     #[test]
     fn suff_patch_matches_cold_fill_and_walks() {
         let x = [1u32, 0, 1, 1, 2, 0, 1, 2, 0, 1, 2, 2, 0, 1];
@@ -1331,25 +1449,26 @@ mod tests {
         let full_rows = StratumRows::from_partition(&full_part);
         let patched = snap.patch(&x[..], &y[..], &full_part);
         assert_eq!(patched.n_rows, x.len());
-        assert_eq!(patched.table.n_strata, full_part.n_strata);
+        assert_eq!(patched.n_strata(), full_part.n_strata);
 
         let mut arenas = Arenas::default();
         let full = (full_part, full_rows);
         assert!(arenas.fill(&x, xa, &y, ya, &full).is_some(), "dense");
-        let (p, cold) = (&patched.table, &arenas.dense);
-        assert_eq!(p.counts, cold.counts, "cell-for-cell equality");
-        assert_eq!(p.cells, cold.cells, "walk order equality");
-        assert_eq!(p.offsets, cold.offsets, "walk order equality");
-        assert_eq!(p.totals, cold.totals);
+        let cold = retained(&arenas.dense, x.len());
         assert_eq!(
-            stat_bits(&mut &patched, x.len()),
-            stat_bits(&mut arenas, x.len())
+            layout(&patched),
+            layout(&cold),
+            "cells, counts and walk order"
         );
+        let patched_bits = stat_bits(&mut (&patched, &full.0), x.len());
+        assert_eq!(patched_bits, stat_bits(&mut arenas, x.len()));
+        let hashed = Strata::count(&x, &y, &z);
+        let (g, df) = g_and_df(&hashed);
+        let cmi = cmi_from_strata(&hashed, x.len());
+        assert_eq!(patched_bits, (g.to_bits(), df, cmi.to_bits()));
         // An empty patch (no appended rows) is the identity.
         let noop = patched.patch(&x[..], &y[..], &full.0);
-        assert_eq!(noop.table.counts, patched.table.counts);
-        assert_eq!(noop.table.cells, patched.table.cells);
-        assert_eq!(noop.table.offsets, patched.table.offsets);
+        assert_eq!(layout(&noop), layout(&patched));
     }
 
     /// The sparse arena's G, df, p and CMI, bit for bit against the hashed
@@ -1586,9 +1705,10 @@ mod tests {
     /// over 1,000 random dense shapes each patched in a chain of three
     /// (zero-row patches, new cells in old strata and new strata
     /// included), with the scaffold extended along the chain as the
-    /// testers extend it: counts, cells, offsets and totals are equal, and
-    /// the patched table's G, p and CMI equal the hashed reference's bit
-    /// for bit.
+    /// testers extend it: cells with their counts and offsets equal the
+    /// table a cold fill retains, and the patched table's G, p and CMI
+    /// (walked against the extended partition) equal the hashed
+    /// reference's bit for bit.
     #[test]
     fn suff_patch_chains_match_cold_fill_on_random_shapes() {
         use rand::rngs::StdRng;
@@ -1639,29 +1759,30 @@ mod tests {
                     "shape {checked}, patch {k}: {rows} of {n} rows, ({xa}, {ya}) over {za}"
                 );
                 assert_eq!(patched.n_rows, rows, "rows, {label}");
-                let (p, cold) = (&patched.table, &arena);
-                assert_eq!(p.n_strata, cold.n_strata, "strata, {label}");
-                assert_eq!(p.counts, cold.counts, "counts, {label}");
-                assert_eq!(p.cells, cold.cells, "cells, {label}");
-                assert_eq!(p.offsets, cold.offsets, "offsets, {label}");
-                assert_eq!(p.totals, cold.totals, "totals, {label}");
+                let cold = retained(&arena, rows);
+                assert_eq!(patched.n_strata(), cold.n_strata(), "strata, {label}");
+                let ((p_cells, p_offsets), (c_cells, c_offsets)) =
+                    (layout(&patched), layout(&cold));
+                assert_eq!(p_cells, c_cells, "cells and counts, {label}");
+                assert_eq!(p_offsets, c_offsets, "offsets, {label}");
                 // The patched walk against the hashed reference, not only
                 // against the cold arena, which walks the same way.
                 let hashed = Strata::count(&x[..rows], &y[..rows], &z[..rows]);
-                let (g, p) = finish_g(g_stat(&mut &patched));
+                let walked = &mut (&patched, &extended.0);
+                let (g, p) = finish_g(g_stat(walked));
                 let (g_ref, p_ref) = g_from_strata(&hashed);
-                let cmi = cmi_stat(&mut &patched, rows);
+                let cmi = cmi_stat(walked, rows);
                 let cmi_ref = cmi_from_strata(&hashed, rows);
                 assert_eq!(
                     (g.to_bits(), p.to_bits(), cmi.to_bits()),
                     (g_ref.to_bits(), p_ref.to_bits(), cmi_ref.to_bits()),
                     "G, p and CMI, {label}"
                 );
-                let (old, new) = (&table.table, &patched.table);
+                let (old, new) = (&table, &patched);
                 zero_row += usize::from(rows == table.n_rows);
-                opened += usize::from(new.n_strata > old.n_strata);
+                opened += usize::from(new.n_strata() > old.n_strata());
                 old_strata_cells +=
-                    usize::from((0..old.n_strata).any(|s| new.run(s).len() > old.run(s).len()));
+                    usize::from((0..old.n_strata()).any(|s| new.run(s).len() > old.run(s).len()));
                 scaffold = extended;
                 table = patched;
             }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// group share it) and every `(x, y)` pair counts against that scaffold.
 /// Each dense count is retained as the query's sufficient statistic, so an
 /// extension over appended rows ([`GTest::extended_from`]) patches it with
-/// the batch instead of recounting.
+/// the batch, when its query is re-derived, instead of recounting.
 pub struct GTest {
     state: DiscreteState,
     alpha: f64,
@@ -58,12 +58,14 @@ impl GTest {
     /// Build the tester a dataset *extension* warrants: same configuration
     /// as `parent`, reading the extended encoding layer `enc`, with every
     /// resident conditioning-set stratification carried over and extended
-    /// (`extend_scaffold`) instead of rebuilt, and every retained table
-    /// patched with the appended rows now — O(batch) integer counting per
-    /// table. Query outcomes are byte-identical to a cold
-    /// `GTest::over(enc, alpha)` — only where the scaffolds come from
-    /// changes. Telemetry (degenerate short-circuits, dense-arena cells)
-    /// starts fresh, matching a cold tester's counters.
+    /// (`extend_scaffold`) instead of rebuilt. Retained tables stay the
+    /// parent's, held weakly: [`CiTestBatch::patched_outcome`] patches one
+    /// with the appended rows (O(batch) integer counting) the first time
+    /// its query is asked for, while the parent is alive. Query outcomes
+    /// are byte-identical to a cold `GTest::over(enc, alpha)` — only where
+    /// the scaffolds come from changes. Telemetry (degenerate
+    /// short-circuits, dense-arena cells) starts fresh, matching a cold
+    /// tester's counters.
     pub fn extended_from(parent: &GTest, enc: Arc<EncodedTable>) -> GTest {
         GTest {
             state: DiscreteState::extended_from(&parent.state, enc),
@@ -165,16 +167,16 @@ impl CiTestBatch for GTest {
     }
 
     /// Answer a memoized query from its retained-and-patched sufficient
-    /// statistic: the table already holds the concatenated counts (the
-    /// extension constructor patched it), so only the walk — the arena's
-    /// own, bit for bit a cold evaluation's — runs here. `None` routes the
-    /// query to the invalidate path.
+    /// statistic: the parent's table is patched with the appended rows
+    /// the first time the query is asked for, then only the walk — the
+    /// arena's own, bit for bit a cold evaluation's — runs here. `None`
+    /// routes the query to the invalidate path.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
-        let (_, t) = match self.state.retained(x, y, z) {
+        let (_, t, sc) = match self.state.retained(x, y, z) {
             Ok(found) => found,
             Err(answer) => return answer,
         };
-        let (g, p) = finish_g(g_stat(&mut &*t));
+        let (g, p) = finish_g(g_stat(&mut (&*t, &sc.0)));
         Some(CiOutcome {
             independent: p > self.alpha,
             p_value: p,
@@ -470,10 +472,11 @@ mod tests {
 
         let concat = parent_t.concat(&batch).unwrap();
         let cold = GTest::new(&concat, 0.01);
-        // Every warmed query's sufficient statistic was retained and
-        // patched at extension; it answers bit-for-bit what the cold
-        // tester computes. A query never evaluated has nothing to patch.
-        assert_eq!(birth.suff_tables, 3, "{birth:?}");
+        // Every warmed query's sufficient statistic was retained; the
+        // child patches it the first time `patched_outcome` asks, and it
+        // answers bit-for-bit what the cold tester computes. A query never
+        // evaluated has nothing to patch.
+        assert_eq!(birth.suff_tables, 0, "nothing patched at birth: {birth:?}");
         assert!(ext.patched_outcome(&[1], &[2], &[0]).is_none());
         for (x, y, z) in &warm {
             let got = ext.patched_outcome(x, y, z).expect("patched table answers");
@@ -481,6 +484,7 @@ mod tests {
             assert_eq!(got.statistic.to_bits(), cg.to_bits(), "patched statistic");
             assert_eq!(got.p_value.to_bits(), cp.to_bits(), "patched p-value");
         }
+        assert_eq!(ext.scaffold_stats().suff_tables, 3);
         let mut queries = warm.to_vec();
         queries.push((vec![1], vec![2], vec![0])); // fresh conditioning set
         for (x, y, z) in &queries {
@@ -497,6 +501,67 @@ mod tests {
         assert!(parent
             .extend_over(Arc::new(parent.encoded().extend(&batch).unwrap()))
             .is_some());
+    }
+
+    /// A child holds its parent's tables only weakly: once the parent is
+    /// dropped, its tables are freed, whether or not the child patched
+    /// them, and the child still answers every query bit for bit like a
+    /// cold tester on the concatenated table.
+    #[test]
+    fn child_holds_no_parent_table_alive() {
+        use crate::CiTestBatch;
+        let parent_t = chain_table(800, 41);
+        let batch = chain_table(200, 42);
+        let parent = GTest::new(&parent_t, 0.01);
+        let queries: [(Vec<usize>, Vec<usize>, Vec<usize>); 3] = [
+            (vec![0], vec![2], vec![]),
+            (vec![0], vec![2], vec![1]),
+            (vec![1], vec![2], vec![0]),
+        ];
+        for (x, y, z) in &queries {
+            parent.g_statistic(x, y, z);
+        }
+        let parent_table = |(x, y, z): &(Vec<usize>, Vec<usize>, Vec<usize>)| {
+            let (xs, ys) = crate::canonical_sides(x, y);
+            let key = (xs, ys, crate::canonical_set(z));
+            Arc::downgrade(&parent.state.resident_table(&key).expect("retained"))
+        };
+        let (patched, unread) = (parent_table(&queries[0]), parent_table(&queries[2]));
+        let child_enc = Arc::new(parent.encoded().extend(&batch).unwrap());
+        let ext = GTest::extended_from(&parent, child_enc);
+        let (x, y, z) = &queries[0];
+        let early = ext
+            .patched_outcome(x, y, z)
+            .expect("patched while the parent lives");
+        assert!(
+            unread.upgrade().is_some(),
+            "the parent still holds its tables"
+        );
+        drop(parent);
+        assert!(
+            patched.upgrade().is_none(),
+            "a patched parent table is freed"
+        );
+        assert!(
+            unread.upgrade().is_none(),
+            "an unread parent table is freed"
+        );
+
+        let cold = GTest::new(&parent_t.concat(&batch).unwrap(), 0.01);
+        let (cg, cp) = cold.g_statistic(x, y, z);
+        assert_eq!(early.statistic.to_bits(), cg.to_bits());
+        assert_eq!(early.p_value.to_bits(), cp.to_bits());
+        let (x, y, z) = &queries[2];
+        assert!(
+            ext.patched_outcome(x, y, z).is_none(),
+            "a freed parent table cannot be patched; its query is re-issued"
+        );
+        for (x, y, z) in &queries {
+            let a = ext.g_statistic(x, y, z);
+            let b = cold.g_statistic(x, y, z);
+            assert_eq!(a.0.to_bits(), b.0.to_bits(), "statistic {x:?} {y:?} {z:?}");
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "p-value {x:?} {y:?} {z:?}");
+        }
     }
 
     /// Per-query evaluation through the arena kernels returns the bit

@@ -85,8 +85,10 @@ pub struct ScaffoldStats {
     pub evictions: u64,
     /// Sufficient-statistic tables (retained per-query contingency counts,
     /// discrete testers only) currently resident. Kept out of the scaffold
-    /// conservation law above — suff tables have their own lifecycle (they
-    /// are dropped, not rebuilt, when patching preconditions fail).
+    /// conservation law above — suff tables have their own lifecycle: a
+    /// child patches a parent's table only when its query is asked for
+    /// ([`CiTestBatch::patched_outcome`]), and drops it, not rebuilds it,
+    /// when a patching precondition fails.
     pub suff_tables: u64,
     /// Sufficient-statistic tables evicted by their cache bound.
     pub suff_evictions: u64,
@@ -372,9 +374,12 @@ pub trait CiTestBatch: CiTestShared {
     /// the query cannot be patched — the statistic was never retained, was
     /// evicted, its encoding isn't provably append-stable, or the tester's
     /// statistic fundamentally doesn't patch (Fisher-z / RCIT moment sums
-    /// reassociate floating point when split at the append boundary) —
-    /// and the caller must fall back to invalidation. The default declines
-    /// every query.
+    /// reassociate floating point when split at the append boundary), or
+    /// the parent holding the table is gone — and the caller must fall
+    /// back to invalidation. The discrete testers patch a parent's table
+    /// the first time its query is asked for, so a caller asks while it
+    /// still holds the parent (the engine asks for every memoized key at
+    /// birth). The default declines every query.
     fn patched_outcome(&self, x: &[VarId], y: &[VarId], z: &[VarId]) -> Option<CiOutcome> {
         let _ = (x, y, z);
         None

@@ -81,6 +81,12 @@ pub struct Rcit {
     /// concurrent chunks of one Z-group (and later frontier levels)
     /// share one standardization + bandwidth pass.
     zctx: CappedCache<Vec<VarId>, Arc<ZContext>>,
+    /// Median-heuristic bandwidths by canonical column set, for the `x`
+    /// and `y` sides and for `Z` on the per-query route (a Z-group's
+    /// context holds its own): a block's bandwidth depends only on its
+    /// columns, never on a query's random stream, so each set's is
+    /// computed once. No counter reads this cache.
+    bandwidths: CappedCache<Vec<VarId>, f64>,
 }
 
 impl Rcit {
@@ -100,14 +106,16 @@ impl Rcit {
             cfg,
             seed,
             zctx: CappedCache::new(cap),
+            bandwidths: CappedCache::new(cap),
         }
     }
 
     /// Build a tester over an extended (appended-to) dataset. Nothing
     /// carries over beyond configuration and seed: every RCIT scaffold is
     /// a whole-sample standardization plus median-heuristic bandwidth,
-    /// both of which change with `n`, so conditioning contexts are rebuilt
-    /// on demand — which also makes them trivially bit-identical to cold.
+    /// both of which change with `n`, so conditioning contexts and
+    /// bandwidths are rebuilt on demand — which also makes them trivially
+    /// bit-identical to cold.
     pub fn extended_from(parent: &Rcit, enc: Arc<EncodedTable>) -> Rcit {
         Rcit::over(enc, parent.cfg.clone(), parent.seed)
     }
@@ -117,7 +125,12 @@ impl Rcit {
     fn z_context(&self, zs: &[VarId]) -> Arc<ZContext> {
         self.zctx.get_or_build(zs, || {
             let zm = self.extract(zs);
-            let sz = self.bandwidth(&zm);
+            let sz = median_pairwise_distance(
+                zm.as_slice(),
+                zm.rows(),
+                zm.cols(),
+                self.cfg.median_sample,
+            );
             Arc::new((zm, sz))
         })
     }
@@ -185,13 +198,17 @@ impl Rcit {
         proj
     }
 
-    fn bandwidth(&self, data: &Mat) -> f64 {
-        median_pairwise_distance(
-            data.as_slice(),
-            data.rows(),
-            data.cols(),
-            self.cfg.median_sample,
-        )
+    /// The median-heuristic bandwidth of the canonical column set `cols`,
+    /// whose standardized extraction is `data`, computed once per set.
+    fn bandwidth(&self, cols: &[VarId], data: &Mat) -> f64 {
+        self.bandwidths.get_or_build(cols, || {
+            median_pairwise_distance(
+                data.as_slice(),
+                data.rows(),
+                data.cols(),
+                self.cfg.median_sample,
+            )
+        })
     }
 
     /// Full test, returning `(statistic, p_value)`.
@@ -224,8 +241,8 @@ impl Rcit {
         }
         let xm = self.extract(x);
         let ym = self.extract(y);
-        let sx = self.bandwidth(&xm);
-        let sy = self.bandwidth(&ym);
+        let sx = self.bandwidth(x, &xm);
+        let sy = self.bandwidth(y, &ym);
         let mut fx = Self::fourier_features(&mut rng, &xm, self.cfg.num_features_xy, sx);
         let mut fy = Self::fourier_features(&mut rng, &ym, self.cfg.num_features_xy, sy);
         fx.center_cols();
@@ -238,7 +255,7 @@ impl Rcit {
                 Some((zm, sz)) => (zm, *sz),
                 None => {
                     let zm = self.extract(z);
-                    let sz = self.bandwidth(&zm);
+                    let sz = self.bandwidth(z, &zm);
                     local = zm;
                     (&local, sz)
                 }

@@ -300,9 +300,12 @@ impl<T: CiTestBatch> CiSession<T> {
     ///   whose sufficient statistic is an integer contingency table
     ///   ([`CiTestBatch::patched_outcome`]) re-derive the outcome at the
     ///   new `n` from retained per-stratum counts patched by the appended
-    ///   rows alone. Patched outcomes are parked *outside* the memo and
-    ///   consumed on first demand, so the child is born memo-empty and
-    ///   its fingerprint covers exactly the demanded workload. Queries
+    ///   rows alone; a tester patches a retained table only when this
+    ///   loop asks for its key, while the parent is borrowed, so a table
+    ///   no memoized key reads is never copied. Patched outcomes are
+    ///   parked *outside* the memo and consumed on first demand, so the
+    ///   child is born memo-empty and its fingerprint covers exactly the
+    ///   demanded workload. Queries
     ///   whose counts were evicted, whose encoding isn't prefix-stable,
     ///   or whose tester can't patch (float moment sums reassociate) are
     ///   invalidated and re-issued on demand — the PR-8 path. The ledger
@@ -576,6 +579,33 @@ mod tests {
         assert!(s.extended_over(enc).is_none());
     }
 
+    /// Deterministic mixed rows (splitmix-style) — no RNG dependency: two
+    /// ternary features, the second leaning on the first, and a binary
+    /// target.
+    fn gen_rows(n: usize, seed: u64) -> fairsel_table::Table {
+        use fairsel_table::{Column, Role, Table};
+        let mix = |i: u64| {
+            let mut v = (i + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            v ^= v >> 31;
+            v
+        };
+        let a: Vec<u32> = (0..n).map(|i| (mix(i as u64) % 3) as u32).collect();
+        let b: Vec<u32> = a
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v + (mix(i as u64 ^ 0xff) % 2) as u32) % 3)
+            .collect();
+        let c: Vec<u32> = (0..n)
+            .map(|i| (mix(i as u64 ^ 0xa5a5) % 2) as u32)
+            .collect();
+        Table::new(vec![
+            Column::cat("a", Role::Feature, a, 3),
+            Column::cat("b", Role::Feature, b, 3),
+            Column::cat("c", Role::Target, c, 2),
+        ])
+        .unwrap()
+    }
+
     /// Lineage-aware transfer with a real tester: the child session is
     /// born warm (append/extension counters visible before any query),
     /// memo-empty, and answers the whole workload byte-identically to a
@@ -584,31 +614,7 @@ mod tests {
     #[test]
     fn extended_session_matches_cold_on_concatenated_table() {
         use fairsel_ci::GTest;
-        use fairsel_table::{Column, Role, Table};
 
-        // Deterministic mixed rows (splitmix-style) — no RNG dependency.
-        let gen_rows = |n: usize, seed: u64| {
-            let mix = |i: u64| {
-                let mut v = (i + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                v ^= v >> 31;
-                v
-            };
-            let a: Vec<u32> = (0..n).map(|i| (mix(i as u64) % 3) as u32).collect();
-            let b: Vec<u32> = a
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v + (mix(i as u64 ^ 0xff) % 2) as u32) % 3)
-                .collect();
-            let c: Vec<u32> = (0..n)
-                .map(|i| (mix(i as u64 ^ 0xa5a5) % 2) as u32)
-                .collect();
-            Table::new(vec![
-                Column::cat("a", Role::Feature, a, 3),
-                Column::cat("b", Role::Feature, b, 3),
-                Column::cat("c", Role::Target, c, 2),
-            ])
-            .unwrap()
-        };
         let parent_t = gen_rows(600, 5);
         let batch = gen_rows(150, 6);
         let qs = vec![
@@ -672,5 +678,66 @@ mod tests {
             w.rebuilt_scaffolds,
             c.rebuilt_scaffolds
         );
+    }
+
+    /// A child copies only the parent tables its memo re-derives. Over a
+    /// three-generation G-test lineage the parent evaluates A, B and C;
+    /// the first child consumes A and B and issues D; the second child is
+    /// born holding 3 tables (A, B and D), where patching every parent
+    /// table at birth would copy the first child's 4 (C included, a
+    /// patched outcome nobody consumed). At every generation and at
+    /// workers 1, 2, 4 and 8, outcomes and the outcome fingerprint equal
+    /// a cold session's on the concatenated table.
+    #[test]
+    fn lineage_children_patch_only_what_their_memo_reads() {
+        use fairsel_ci::{EncodedTable, GTest};
+        use std::sync::Arc;
+
+        let (a, b, c, d) = (
+            CiQuery::new(&[0], &[2], &[]),
+            CiQuery::new(&[0], &[2], &[1]),
+            CiQuery::new(&[1], &[2], &[0]),
+            CiQuery::new(&[0, 1], &[2], &[]),
+        );
+        let tables = [gen_rows(600, 5), gen_rows(150, 6), gen_rows(150, 7)];
+        let workloads = [
+            vec![a.clone(), b.clone(), c],
+            vec![a.clone(), b.clone(), d.clone()],
+            vec![a, b, d],
+        ];
+        for workers in [1, 2, 4, 8] {
+            let mut enc = Arc::new(EncodedTable::new(&tables[0]));
+            let mut concat = tables[0].clone();
+            let mut warm = CiSession::new(
+                Box::new(GTest::over(enc.clone(), 0.05)) as Box<dyn CiTestBatch + Send + Sync>
+            );
+            let mut births = Vec::new();
+            for (generation, qs) in workloads.iter().enumerate() {
+                if generation > 0 {
+                    enc = Arc::new(enc.extend(&tables[generation]).unwrap());
+                    concat = concat.concat(&tables[generation]).unwrap();
+                    warm = warm.extended_over(enc.clone()).expect("GTest extends");
+                    let birth = warm.stats();
+                    births.push((birth.memo_patched, birth.resident_suff_tables));
+                }
+                let mut cold = CiSession::new(GTest::new(&concat, 0.05));
+                let label = format!("generation {generation}, workers {workers}");
+                assert_eq!(
+                    warm.run_batch_grouped(qs, workers),
+                    cold.run_batch_grouped(qs, workers),
+                    "{label}"
+                );
+                assert_eq!(
+                    warm.outcomes_fingerprint(),
+                    cold.outcomes_fingerprint(),
+                    "{label}"
+                );
+            }
+            // The first child patches all three parent memos; the second
+            // patches the three its parent consumed or issued, and copies
+            // no table for C.
+            assert_eq!(births, [(3, 3), (3, 3)], "workers {workers}");
+            assert_eq!(warm.stats().memo_patch_hits, 3, "workers {workers}");
+        }
     }
 }

@@ -86,7 +86,10 @@ pub struct EngineStats {
     /// demanded, so fingerprints only ever cover demanded work).
     pub memo_patch_hits: u64,
     /// Sufficient statistics (per-query contingency tables) resident in
-    /// the tester's retention cache.
+    /// the tester's retention cache: those counted since birth and, in a
+    /// session born by dataset extension, the parent tables patched on
+    /// demand — one per parent memo the birth re-derived, never a parent
+    /// table no memo key reads.
     pub resident_suff_tables: u64,
     /// Sufficient statistics evicted by the retention-cache bound.
     pub suff_evictions: u64,
